@@ -1,44 +1,10 @@
 """Setup shim: metadata lives in pyproject.toml.
 
-This file exists for two reasons:
-
-* `pip install -e .` keeps working in offline environments whose
-  setuptools lacks PEP 660 editable-wheel support (no `wheel` package);
-* it hosts the **optional compiled build**: ``REPRO_COMPILE=1`` compiles
-  the hot-path modules (``repro.build_info.MYPYC_MODULES``) to C
-  extensions with mypyc.  The default install is pure Python and needs
-  no compiler; the compiled build is bit-identical (same goldens, same
-  lockstep suites — see tests/test_compiled_parity.py) and exists only
-  for wall-clock speed.
-
-    REPRO_COMPILE=1 pip install -e .      # needs mypy + a C toolchain
-
-A missing mypy under REPRO_COMPILE=1 is a hard error, never a silent
-fallback: an installer who asked for the compiled build must not end up
-benchmarking interpreted code.
+This file exists so that `pip install -e .` keeps working in offline
+environments whose setuptools lacks PEP 660 editable-wheel support (no
+`wheel` package).
 """
-
-import os
-import runpy
-from pathlib import Path
 
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_COMPILE") == "1":
-    try:
-        from mypyc.build import mypycify
-    except ImportError as exc:          # no silent fallback by design
-        raise SystemExit(
-            "REPRO_COMPILE=1 requires mypy (pip install mypy) and a C "
-            "toolchain; install them or drop REPRO_COMPILE for the "
-            "pure-Python build") from exc
-    here = Path(__file__).resolve().parent
-    # Single source of truth for the module list; executed standalone so
-    # this works before the package itself is importable.
-    info = runpy.run_path(str(here / "src" / "repro" / "build_info.py"))
-    paths = [str(here / "src" / Path(*m.split("."))) + ".py"
-             for m in info["MYPYC_MODULES"]]
-    ext_modules = mypycify(paths, opt_level="3")
-
-setup(ext_modules=ext_modules)
+setup()

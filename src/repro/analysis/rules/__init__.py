@@ -2,10 +2,9 @@
 
 Each rule lives in its own module; ``ALL_RULES`` is the registry the CLI
 and :func:`repro.analysis.core.all_rules` instantiate from.  Order is
-the canonical R1..R7 numbering.
+the canonical R1..R6 numbering.
 """
 
-from repro.analysis.rules.compile_safe import CompileSafeRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.hotpath import HotPathRule
 from repro.analysis.rules.metrics import MetricsDisciplineRule
@@ -20,7 +19,6 @@ ALL_RULES = (
     EstimatePurityRule,
     MetricsDisciplineRule,
     SchemaDisciplineRule,
-    CompileSafeRule,
 )
 
 __all__ = [
@@ -31,5 +29,4 @@ __all__ = [
     "EstimatePurityRule",
     "MetricsDisciplineRule",
     "SchemaDisciplineRule",
-    "CompileSafeRule",
 ]

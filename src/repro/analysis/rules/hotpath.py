@@ -4,11 +4,9 @@ Two checks:
 
 * Classes in ``dram/`` and in ``sim/engine.py`` — the per-event inner
   loop — must declare ``__slots__``.  Slotted attribute access is
-  measurably faster, keeps per-object memory flat at event-pool scale,
-  and is a precondition for mypyc compilation of these modules
-  (attribute types become fixed offsets).  Enum/Protocol/NamedTuple/
-  dataclass/exception classes and the dynamic-counter MetricGroup
-  family are exempt by construction.
+  measurably faster and keeps per-object memory flat at event-queue
+  scale.  Enum/Protocol/NamedTuple/dataclass/exception classes and the
+  dynamic-counter MetricGroup family are exempt by construction.
 
 * No lambdas or locally-defined functions may be stored on instance
   attributes anywhere in the simulation packages.  This is the PR 4 bug
@@ -69,9 +67,9 @@ class HotPathRule(Rule):
     id = "R3"
     name = "hot-path-hygiene"
     description = (
-        "classes in dram/ and sim/engine.py must declare __slots__ "
-        "(mypyc on-ramp); no lambdas or local functions stored on "
-        "instance attributes in simulation packages (PR 4 bug class)"
+        "classes in dram/ and sim/engine.py must declare __slots__; "
+        "no lambdas or local functions stored on instance attributes "
+        "in simulation packages (PR 4 bug class)"
     )
 
     def check(self, module: SourceModule, run: LintRun) -> Iterator[Finding]:
@@ -85,7 +83,7 @@ class HotPathRule(Rule):
                 yield module.finding(
                     self, node,
                     f"hot-path class {node.name} must declare __slots__ "
-                    f"(attribute-offset dispatch; mypyc precondition)",
+                    "(attribute-offset dispatch)",
                 )
         if module.in_package(*_SIM_PACKAGES):
             yield from self._closure_findings(module)

@@ -7,8 +7,8 @@ state is reachable by capture.  Two hazards, both seen in past PRs:
 * **module-level mutable state** — the PR 4 hidden-global-counter bug
   (``Access._seq``-style state that no snapshot can see);
 * **stateful classes without snapshot hooks** — the PR 6 pooled-event
-  hazard (freelist objects leaking into snapshots until ``__getstate__``
-  /``__deepcopy__`` learned to drop them).
+  hazard (an event freelist leaking into snapshots until the engine's
+  own ``__getstate__``/``__deepcopy__`` learned to drop it).
 
 A class with mutable instance state must therefore either define a
 capture/restore pair (``capture_state``/``restore_state``, bare
@@ -44,9 +44,9 @@ _SIM_PACKAGES = ("sim", "dram", "cache", "mem")
 #: all); the rule exists so *new* state-holders make that choice
 #: consciously rather than by omission.
 ALLOWLIST: dict[str, str] = {
-    "repro.sim.engine.HeapSimulator":
-        "reference engine; deepcopied whole by the lockstep suite, "
-        "never pools events",
+    "repro.sim.engine.Simulator":
+        "captured via the System whole-graph deepcopy/pickle; the heap "
+        "holds plain slotted Events and no pooled storage",
     "repro.sim.cpu.Core":
         "captured via the System whole-graph deepcopy (PR 4); "
         "TraceCursor handles its own copy semantics",

@@ -31,12 +31,9 @@ from repro.experiments.common import (
     run_grid,
     write_profiled,
 )
-from repro.bench.compiled_loop import run_compiled_section
 from repro.bench.decision_loop import run_decision_loop
-from repro.bench.engine_loop import run_engine_section
 from repro.bench.substrate_loop import run_substrate_loop
 from repro.bench.topology_loop import run_topology_section
-from repro.build_info import build_mode, check_required
 
 #: Version of the BENCH_*.json payload; bump on any field/semantics change.
 #: v2: added the ``substrate`` section (burst vs command issue-loop
@@ -48,10 +45,12 @@ from repro.build_info import build_mode, check_required
 #: v5: added the ``compiled`` section (SoA vs object-model bank state,
 #: lockstep-checked; build-mode provenance) and the top-level ``build``
 #: field recording interpreted vs compiled for every section's numbers.
-BENCH_SCHEMA_VERSION = 5
+#: v6: removed the ``engine`` and ``compiled`` sections and the ``build``
+#: field, with the calendar engine and the compiled build they measured.
+BENCH_SCHEMA_VERSION = 6
 
 #: selectable benchmark sections (``repro-perf [section]``)
-SECTIONS = ("decision", "substrate", "engine", "topology", "compiled", "e2e")
+SECTIONS = ("decision", "substrate", "topology", "e2e")
 
 
 def run_end_to_end(quick: bool = False, jobs: int = 1) -> dict:
@@ -167,7 +166,6 @@ def run_perf(quick: bool = False, label: str = "dev",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "build": build_mode(),
     }
     def measured() -> None:
         if "decision" in sections:
@@ -175,13 +173,9 @@ def run_perf(quick: bool = False, label: str = "dev",
                                                          seed=seed)
         if "substrate" in sections:
             payload["substrate"] = run_substrate_loop(quick=quick, seed=seed)
-        if "engine" in sections:
-            payload["engine"] = run_engine_section(quick=quick, seed=seed)
         if "topology" in sections:
             payload["topology"] = run_topology_section(quick=quick,
                                                        jobs=jobs, seed=seed)
-        if "compiled" in sections:
-            payload["compiled"] = run_compiled_section(quick=quick, seed=seed)
         if "e2e" in sections:
             payload["end_to_end"] = run_end_to_end(quick=quick, jobs=jobs)
             payload["warm_reuse"] = run_warm_reuse(quick=quick, jobs=jobs)
@@ -219,7 +213,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "write pstats data to OUT.prof (walls inflate; "
                         "use for hotspot hunting, not headline ratios)")
     args = p.parse_args(argv)
-    check_required()    # REPRO_REQUIRE_COMPILED=1: no silent fallback
     sections = tuple(args.section) if args.section else None
     if sections and set(sections) - set(SECTIONS):
         p.error(f"unknown sections {sorted(set(sections) - set(SECTIONS))}; "
@@ -243,17 +236,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {s['name']:<24} burst {s['burst_per_s']:>10.0f}/s   "
                   f"command {s['command_per_s']:>10.0f}/s   "
                   f"overhead x{s['command_overhead_x']:.2f}")
-    if "engine" in data:
-        eng = data["engine"]
-        for row in eng["micro"]["depths"]:
-            print(f"  engine micro n={row['events']:<7} "
-                  f"sched x{row['schedule_speedup']:.2f}  "
-                  f"cancel x{row['cancel_speedup']:.2f}  "
-                  f"pop x{row['pop_speedup']:.2f}")
-        ee = eng["e2e"]
-        print(f"  engine e2e: heap {ee['heap_wall_s']:.1f}s -> calendar "
-              f"{ee['calendar_wall_s']:.1f}s  x{ee['speedup']:.2f}  "
-              f"(identical={ee['identical_results']})")
     if "topology" in data:
         topo = data["topology"]
         fl = topo["fetch_loop"]
@@ -269,14 +251,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  topology e2e: flat {te['flat_wall_s']:.1f}s -> banked "
               f"{te['banked_wall_s']:.1f}s  x{te['banked_overhead_x']:.2f}  "
               f"({te['banked_rank_switches']} rank switches)")
-    if "compiled" in data:
-        comp = data["compiled"]
-        il, el = comp["issue_loop"], comp["estimate_loop"]
-        print(f"  soa vs object ({comp['build']}): issue "
-              f"{il['object_per_s']:>9.0f}/s -> {il['soa_per_s']:>9.0f}/s  "
-              f"x{il['soa_speedup']:.2f}   estimates x{el['soa_speedup']:.2f}"
-              f"  (compiled {len(comp['compiled_modules'])}/"
-              f"{comp['mypyc_modules']} modules)")
     if "end_to_end" in data:
         e = data["end_to_end"]
         print(f"  end-to-end: {e['points']} points in {e['wall_s']:.1f}s "

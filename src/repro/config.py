@@ -118,15 +118,6 @@ class DRAMTimings:
             tCS=ns(2.5),
         )
 
-    @property
-    def tCK(self) -> int:
-        """Command-clock period implied by the burst duration (BL8: a
-        64 B burst is 4 clocks of double-data-rate transfers), floored
-        at 1 ps.  Used to size the event engine's calendar buckets —
-        every timing constraint is a small multiple of this.
-        """
-        return max(1, self.tBURST // 4)
-
     def row_miss_penalty(self) -> int:
         """Cost of ACT+CAS on a closed row (excludes burst)."""
         return self.tRCD + self.tCAS

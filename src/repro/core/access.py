@@ -119,9 +119,7 @@ class Access:
             # seq from the per-system Translator counter: a class-global
             # here would be hidden state that snapshot capture/restore
             # could not make bit-faithful (see repro/snapshot.py).
-            # Static class-var assignment: mypyc-legal (ClassVar
-            # through the class, never an instance).
-            Access._seq += 1  # dca-lint: disable=R7
+            Access._seq += 1
             seq = Access._seq
         self.seq = seq                    # age tiebreak for schedulers
         # Flattened from the owning request: the scheduler inner loop reads

@@ -127,7 +127,12 @@ class BankView:
 
 
 class Bank:
-    """One DRAM bank: open row + command readiness times (picoseconds)."""
+    """One DRAM bank: open row + command readiness times (picoseconds).
+
+    The channels keep this state as struct-of-arrays columns instead;
+    this object model is the independent reference they are checked
+    against in lockstep (tests/test_channel.py).
+    """
 
     __slots__ = ("t", "open_row", "act_time", "ready_cas", "ready_pre",
                  "ready_act")
@@ -176,9 +181,6 @@ class Bank:
             self.act_time = act
             self.open_row = row
             self.ready_cas = act + self.t.tRCD
-            if state == ROW_CONFLICT:
-                # The PRE that preceded this ACT pushes the next ACT window.
-                self.ready_act = act  # already consumed; next ACT gated via PRE below
         # CAS-to-CAS on the same row: back-to-back bursts are gated by the
         # channel bus, not the bank, in this model.
         if is_write:

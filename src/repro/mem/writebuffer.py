@@ -33,7 +33,7 @@ from typing import Any, Callable, Optional
 
 from repro.config import WriteBufferConfig
 from repro.metrics.registry import MetricGroup, derived
-from repro.sim.engine import AnySimulator
+from repro.sim.engine import Simulator
 
 
 class WriteBufferStats(MetricGroup):
@@ -55,7 +55,7 @@ class L2WriteBuffer:
     repro/snapshot.py).
     """
 
-    def __init__(self, sim: AnySimulator, cfg: WriteBufferConfig,
+    def __init__(self, sim: Simulator, cfg: WriteBufferConfig,
                  submit: Callable[[int, int], None]):
         self.sim = sim
         self.cfg = cfg
@@ -179,7 +179,7 @@ class L2WriteBuffer:
         self._idle_scheduled = state["idle_scheduled"]
 
 
-def make_write_buffer(sim: AnySimulator, cfg: WriteBufferConfig,
+def make_write_buffer(sim: Simulator, cfg: WriteBufferConfig,
                       submit: Callable[[int, int], None],
                       ) -> Optional[L2WriteBuffer]:
     """Build the configured buffer; always returns one (uniform wiring)."""

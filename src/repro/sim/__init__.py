@@ -5,13 +5,11 @@ controller package, which imports the memory package, which imports the
 engine — loading it eagerly here would close an import cycle.
 """
 
-from repro.sim.engine import Event, HeapSimulator, Simulator, make_simulator
+from repro.sim.engine import Event, Simulator
 
 __all__ = [
     "Event",
-    "HeapSimulator",
     "Simulator",
-    "make_simulator",
     "Core",
     "System",
     "SystemResult",

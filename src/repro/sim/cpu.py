@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import CPUConfig
-from repro.sim.engine import AnySimulator
+from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.system import System
@@ -55,7 +55,7 @@ class Core:
                  "stall_blocked_ps", "_blocked_since",
                  "_width", "_cycle_ps", "_max_misses", "_rob")
 
-    def __init__(self, sim: AnySimulator, core_id: int, cfg: CPUConfig,
+    def __init__(self, sim: Simulator, core_id: int, cfg: CPUConfig,
                  trace: "TraceCursor", system: "System"):
         self.sim = sim
         self.core_id = core_id

@@ -1,37 +1,10 @@
 """Discrete-event simulation engine.
 
 A single global integer-picosecond timeline.  Events are ``(time, seq,
-callback, arg)``; ``seq`` breaks ties deterministically in insertion
-order, which makes every simulation bit-reproducible for a given seed.
-
-Two engines implement the same contract:
-
-* :class:`Simulator` — the production engine: a **calendar queue**.  The
-  near future is a ring of power-of-two-width picosecond buckets (sized
-  from the DRAM clock, see ``DRAMTimings.tCK``); events beyond the ring's
-  horizon (refresh, timeouts) sit in a small overflow heap and migrate
-  into the ring as the clock approaches them.  Scheduling is an O(1)
-  list append, and the run loop drains one bucket at a time into a
-  sorted *stage*, dispatching all events that share a timestamp back to
-  back without touching any priority structure.  ``Event`` objects are
-  recycled through a freelist; recycling is refcount-gated so an event
-  whose handle the caller kept (to ``cancel()`` it later) is never
-  reused out from under that handle.
-
-* :class:`HeapSimulator` — the original binary-heap engine, kept
-  verbatim as the behavioural reference.  The property suite
-  (tests/test_engine_calendar.py) runs both engines in lockstep on
-  randomized schedule/cancel/run traces and asserts identical
-  ``(now, events_run, pending, callback order)`` at every step; the
-  perf harness times one against the other.
-
-Pop order is identical by construction: the total order is ``(time,
-seq)``.  Every ring bucket covers a disjoint time interval, buckets are
-served in interval order, and each bucket is sorted by ``(time, seq)``
-when staged; the overflow heap only ever holds events strictly beyond
-every ring event, and same-timestamp events inserted *during* a batch
-carry larger ``seq`` than everything already staged, so ordered
-insertion into the live stage preserves the total order exactly.
+callback, arg)`` held in one binary heap; ``seq`` breaks ties
+deterministically in insertion order, so the total dispatch order is
+``(time, seq)`` and every simulation is bit-reproducible for a given
+seed.
 
 The engine deliberately has no notion of "processes" or coroutines: the
 memory system is naturally callback-shaped (an access completes -> the
@@ -39,46 +12,24 @@ request state machine advances -> maybe new accesses enqueue -> maybe
 the scheduler issues), and plain callbacks are both the fastest and the
 simplest representation in CPython.
 
-Cancellation is O(1): a cancelled event stays where it is (removing an
+Cancellation is O(1): a cancelled event stays in the heap (removing an
 arbitrary element is O(n)) but is counted, and once cancelled events
-exceed half the queue the structures are compacted in one O(n) pass —
-so cancelled events can never accumulate unboundedly, and ``pending()``
-is a counter read instead of a scan.  Compaction preserves pop order
-exactly: it only removes dead events, never reorders live ones.
+exceed half the heap it is compacted in one O(n) pass — so cancelled
+events can never accumulate unboundedly, and ``pending()`` is a counter
+read instead of a scan.  Compaction preserves pop order exactly: it only
+removes dead events, never reorders live ones.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
-from bisect import bisect_left, insort
 from operator import attrgetter
-from sys import getrefcount
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
-#: Compact only beyond this queue size (tiny queues aren't worth the pass).
+#: Compact only beyond this heap size (tiny heaps aren't worth the pass).
 _COMPACT_MIN = 64
 
-#: Freelist bound: recycled Event objects beyond this are left to the GC.
-_POOL_MAX = 4096
-
-#: Default calendar geometry: 1024 ps buckets (one DRAM clock rounded up
-#: to a power of two) x 512 buckets = a ~0.5 us near-future window; DRAM
-#: bank/bus events land in the ring, refresh-interval-scale events
-#: (tREFI ~ 3.9 us) in the overflow heap.
-DEFAULT_BUCKET_PS = 1024
-DEFAULT_NBUCKETS = 512
-
-#: Engine kinds accepted by :func:`make_simulator`.
-ENGINES = ("calendar", "heap")
-
-#: Engine chosen when ``make_simulator(None)`` is called (i.e. what
-#: ``System`` builds by default).  The perf harness flips this to "heap"
-#: to time the old engine through the identical code path.
-DEFAULT_ENGINE = "calendar"
-
 _TIME_SEQ = attrgetter("time", "seq")
-_TIME = attrgetter("time")
 
 
 class Event:
@@ -86,19 +37,15 @@ class Event:
 
     __slots__ = ("time", "seq", "fn", "arg", "cancelled", "_sim")
 
-    # ``fn``/``arg`` are Any, not Optional[...]: the freelist nulls them
-    # on recycle, and precise types would force a None-check on the
-    # hottest line in the engine (``ev.fn(ev.arg)``).
     time: int
     seq: int
-    fn: Any
+    fn: Callable[[Any], Any]
     arg: Any
     cancelled: bool
-    _sim: Simulator | HeapSimulator | None
+    _sim: Simulator | None
 
     def __init__(self, time: int, seq: int, fn: Callable[[Any], Any],
-                 arg: Any = None,
-                 sim: Simulator | HeapSimulator | None = None):
+                 arg: Any = None, sim: Simulator | None = None):
         self.time = time
         self.seq = seq
         self.fn = fn
@@ -116,11 +63,7 @@ class Event:
 
         Safe to call repeatedly and after the event has already run
         (a no-op then — ``_sim`` is cleared once the event leaves the
-        queue, so the live/cancelled bookkeeping can't be corrupted).
-        Events the caller never kept a handle to may be recycled through
-        the freelist after running; an event that *was* kept alive by a
-        handle is never recycled (recycling is refcount-gated), so this
-        no-op guarantee survives pooling.
+        heap, so the live/cancelled bookkeeping can't be corrupted).
         """
         if self.cancelled:
             return
@@ -141,633 +84,7 @@ def _arg_kind(arg: Any) -> str:
 
 
 class Simulator:
-    """The event loop: calendar-queue engine.  All components share one.
-
-    Attributes
-    ----------
-    now:
-        Current simulation time in picoseconds.  Monotonically
-        non-decreasing across callback invocations.
-
-    Parameters
-    ----------
-    bucket_ps:
-        Target ring-bucket width in picoseconds; rounded up to a power
-        of two.  ``System`` sizes this from ``DRAMTimings.tCK`` so one
-        bucket holds roughly one DRAM clock of events.
-    nbuckets:
-        Ring length (rounded up to a power of two).  ``bucket * count``
-        is the near-future horizon; events beyond it go to the overflow
-        heap and migrate in as the clock advances.
-    """
-
-    __slots__ = ("now", "_seq", "_events_run", "_live", "_cancelled",
-                 "_stop_requested", "_shift", "_nbuckets", "_mask",
-                 "_buckets", "_occ", "_overflow", "_cursor_vb",
-                 "_ring_count", "_size", "_stage", "_stage_pos",
-                 "_stage_vb", "_pool")
-
-    def __init__(self, bucket_ps: int = DEFAULT_BUCKET_PS,
-                 nbuckets: int = DEFAULT_NBUCKETS) -> None:
-        if bucket_ps < 1:
-            raise ValueError(f"bucket_ps must be >= 1, got {bucket_ps!r}")
-        if nbuckets < 2:
-            raise ValueError(f"nbuckets must be >= 2, got {nbuckets!r}")
-        self.now: int = 0
-        self._seq: int = 0
-        self._events_run: int = 0
-        self._live: int = 0        # scheduled and not yet run/cancelled
-        self._cancelled: int = 0   # cancelled but still sitting in the queue
-        self._stop_requested: bool = False
-        self._shift = (bucket_ps - 1).bit_length()
-        nb = 1 << (nbuckets - 1).bit_length()
-        self._nbuckets = nb
-        self._mask = nb - 1
-        self._buckets: list[list[Event]] = [[] for _ in range(nb)]
-        #: occupancy bitmap: bit i set iff ``_buckets[i]`` is non-empty.
-        #: Finding the next non-empty bucket is then two C bigint ops
-        #: (shift + lowest-set-bit) instead of a Python scan over empty
-        #: slots — the ring stays O(1) even when events are sparse.
-        self._occ = 0
-        self._overflow: list[Event] = []
-        #: lower bound on the virtual bucket (time >> shift) of every
-        #: ring event; scans for the next non-empty bucket start here
-        self._cursor_vb = 0
-        self._ring_count = 0   # events sitting in ring buckets
-        self._size = 0         # all events held (ring + overflow + stage)
-        #: the bucket currently being dispatched, sorted by (time, seq);
-        #: always flushed back before run()/drain() return.  Elements are
-        #: ``Event | None`` (dispatched slots are nulled for the refcount
-        #: gate); typed Any so the hot loop needs no narrowing.
-        self._stage: Optional[list[Any]] = None
-        self._stage_pos = 0
-        self._stage_vb = -1
-        self._pool: list[Event] = []   # Event freelist (never snapshotted)
-
-    # -- scheduling --------------------------------------------------------------
-
-    def stop(self) -> None:
-        """Request an exact stop: the loop exits after the current callback.
-
-        Callable from inside an event callback (the usual case: a model
-        component detects its termination condition).  Unlike ``drain``'s
-        periodic predicate, the stopping point is a precise *event*, so
-        the end state cannot depend on how callers sliced the event loop
-        — the determinism the snapshot layer's bit-identity invariant
-        rests on.  The request is consumed by the loop that honours it.
-        """
-        self._stop_requested = True
-
-    def at(self, time: int, fn: Callable[[Any], Any], arg: Any = None) -> Event:
-        """Schedule ``fn(arg)`` at absolute time ``time`` (>= now)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.arg = arg
-            ev.cancelled = False
-            ev._sim = self
-        else:
-            ev = Event(time, seq, fn, arg, self)
-        self._live += 1
-        self._size += 1
-        vb = time >> self._shift
-        if vb == self._stage_vb:
-            # Lands in the bucket being dispatched right now: ordered
-            # insert into the not-yet-dispatched suffix of the stage.
-            # Correct because (time, seq) of a new event always exceeds
-            # every already-dispatched entry (time >= now, fresh seq).
-            insort(self._stage, ev, lo=self._stage_pos)
-        elif vb - (self.now >> self._shift) < self._nbuckets:
-            i = vb & self._mask
-            slot = self._buckets[i]
-            if not slot:
-                self._occ |= 1 << i
-            slot.append(ev)
-            self._ring_count += 1
-            if vb < self._cursor_vb:
-                self._cursor_vb = vb
-        else:
-            heapq.heappush(self._overflow, ev)
-        return ev
-
-    def after(self, delay: int, fn: Callable[[Any], Any], arg: Any = None) -> Event:
-        """Schedule ``fn(arg)`` ``delay`` picoseconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.at(self.now + delay, fn, arg)
-
-    def pending(self) -> int:
-        """Number of live events in the queue (O(1))."""
-        return self._live
-
-    @property
-    def events_run(self) -> int:
-        """Total callbacks executed so far (for progress reporting)."""
-        return self._events_run
-
-    # -- cancellation bookkeeping ------------------------------------------------
-
-    def _maybe_compact(self) -> None:
-        """Drop cancelled events once they dominate the queue (O(n), rare).
-
-        Only the ring buckets and the overflow heap are rebuilt — never
-        the active stage, whose list the dispatch loop holds locally;
-        staged corpses are skipped (and discounted) at dispatch instead.
-        """
-        if self._size < _COMPACT_MIN or self._cancelled * 2 <= self._size:
-            return
-        removed = 0
-        occ = 0
-        for i, slot in enumerate(self._buckets):
-            if slot:
-                kept = [e for e in slot if not e.cancelled]
-                if len(kept) != len(slot):
-                    removed += len(slot) - len(kept)
-                    slot[:] = kept
-                if kept:
-                    occ |= 1 << i
-        self._occ = occ
-        self._ring_count -= removed
-        of = self._overflow
-        kept = [e for e in of if not e.cancelled]
-        if len(kept) != len(of):
-            removed += len(of) - len(kept)
-            of[:] = kept
-            heapq.heapify(of)
-        self._size -= removed
-        self._cancelled -= removed
-
-    # -- state digest ------------------------------------------------------------
-
-    def signature(self) -> dict[str, Any]:
-        """Comparable digest of the engine state (snapshot test hook).
-
-        Two simulators with equal signatures hold the same clock, the
-        same counters and the same scheduled work: every pending event
-        is summarised as ``(time, seq, cancelled, callback qualname,
-        arg kind)``, enumerated in the canonical ``(time, seq)`` order
-        (bucket layout is an implementation detail a faithful copy need
-        not share bit-for-bit — pop order is fully determined by
-        ``(time, seq)``).  Callbacks are named, not identity-compared,
-        so signatures of *independent* simulations (original vs.
-        restored-from-snapshot) can be equated.
-        """
-        events: list[Event] = []
-        for slot in self._buckets:
-            events.extend(slot)
-        events.extend(self._overflow)
-        if self._stage is not None:            # defensive: flushed between runs
-            events.extend(self._stage[self._stage_pos:])
-        events.sort(key=_TIME_SEQ)
-        return {
-            "now": self.now,
-            "seq": self._seq,
-            "events_run": self._events_run,
-            "live": self._live,
-            "cancelled": self._cancelled,
-            "heap": [(e.time, e.seq, e.cancelled,
-                      getattr(e.fn, "__qualname__", repr(e.fn)),
-                      _arg_kind(e.arg))
-                     for e in events],
-        }
-
-    # -- snapshot hooks ----------------------------------------------------------
-    #
-    # The freelist is a pure allocation cache: it must never travel with
-    # a snapshot (a restored simulation sharing pooled Event objects
-    # with its donor would alias recycled events across simulations).
-    # Both the deepcopy path (in-process restore) and the pickle path
-    # (on-disk snapshots) drop it; the copy starts with an empty pool.
-
-    def __deepcopy__(self, memo: dict[int, Any]) -> "Simulator":
-        cls = type(self)
-        new = cls.__new__(cls)
-        memo[id(self)] = new
-        for name in Simulator.__slots__:
-            if name == "_pool":
-                new._pool = []
-            else:
-                # Reflective copy over declared slots only; resolves
-                # through the native type's setattro at runtime.
-                setattr(new, name,  # dca-lint: disable=R7
-                        copy.deepcopy(getattr(self, name), memo))
-        return new
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {name: getattr(self, name)
-                for name in Simulator.__slots__ if name != "_pool"}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        for name, value in state.items():
-            # Same reflective-slot pattern as __deepcopy__ above.
-            setattr(self, name, value)  # dca-lint: disable=R7
-        self._pool = []
-
-    # -- bucket machinery --------------------------------------------------------
-
-    def _recompute_cursor(self) -> None:
-        """Reset the scan cursor to the true earliest ring event.
-
-        Only reachable after the clock jumped past pending events (the
-        ``until``+``max_events`` interaction can leave the clock beyond
-        undispatched work), which can lap the ring; never on the hot
-        path.
-        """
-        m: int | None = None
-        for slot in self._buckets:
-            for e in slot:
-                if m is None or e.time < m:
-                    m = e.time
-        self._cursor_vb = (m >> self._shift) if m is not None \
-            else (self.now >> self._shift)
-
-    def _acquire_stage(self) -> Optional[list[Any]]:
-        """Detach the next non-empty bucket as a sorted dispatch stage.
-
-        Returns the stage list (also stored in ``_stage``) or None when
-        no events are held anywhere.  The stage holds exactly the events
-        of one virtual bucket in ``(time, seq)`` order — or, when the
-        ring is empty, the run of earliest equal-time overflow events.
-        """
-        shift = self._shift
-        mask = self._mask
-        nbuckets = self._nbuckets
-        buckets = self._buckets
-        overflow = self._overflow
-        heappop = heapq.heappop
-        # Migrate far-future events whose time has come into the ring.
-        if overflow and (overflow[0].time >> shift) < (self.now >> shift) + nbuckets:
-            horizon = (self.now >> shift) + nbuckets
-            n = 0
-            occ = self._occ
-            cursor = self._cursor_vb
-            while overflow and (overflow[0].time >> shift) < horizon:
-                ev = heappop(overflow)
-                vb = ev.time >> shift
-                i = vb & mask
-                occ |= 1 << i
-                buckets[i].append(ev)
-                if vb < cursor:
-                    cursor = vb
-                n += 1
-            self._occ = occ
-            self._cursor_vb = cursor
-            self._ring_count += n
-        if self._ring_count:
-            cursor = self._cursor_vb
-            misses = 0
-            while True:
-                # Next non-empty bucket at or after the cursor, via the
-                # occupancy bitmap: shift it down to the cursor's slot
-                # and take the lowest set bit (both C bigint ops), with
-                # one wrap-around when nothing is set above the cursor.
-                occ = self._occ
-                ci = cursor & mask
-                m = occ >> ci
-                if m:
-                    step = (m & -m).bit_length() - 1
-                else:
-                    step = nbuckets - ci + (occ & -occ).bit_length() - 1
-                vb = cursor + step
-                i = vb & mask
-                slot = buckets[i]
-                stage = slot
-                buckets[i] = []
-                self._occ = occ & ~(1 << i)
-                self._ring_count -= len(stage)
-                if len(stage) > 1:
-                    stage.sort(key=_TIME_SEQ)
-                # A slot can also hold events of a *lapped* virtual
-                # bucket (vb + k*nbuckets); after sorting they form
-                # a strict suffix — return it to the (now fresh)
-                # slot and stage only this bucket's events.
-                hi = (vb + 1) << shift
-                if stage[-1].time >= hi:
-                    cut = bisect_left(stage, hi, key=_TIME)
-                    tail = stage[cut:]
-                    del stage[cut:]
-                    if tail:
-                        buckets[i].extend(tail)
-                        self._occ |= 1 << i
-                        self._ring_count += len(tail)
-                    if not stage:
-                        # Purely lapped slot: skip it for this lap.
-                        misses += 1
-                        if misses >= nbuckets:
-                            # Cursor a full lap stale (only possible
-                            # after an until-jump): relocate exactly.
-                            self._recompute_cursor()
-                            cursor = self._cursor_vb
-                            misses = 0
-                        else:
-                            cursor = vb + 1
-                        continue
-                self._cursor_vb = vb
-                self._stage = stage
-                self._stage_vb = vb
-                self._stage_pos = 0
-                return stage
-        if overflow:
-            # Ring empty: serve the overflow front directly.  Events
-            # there are strictly later than anything the ring held, and
-            # popping heads yields them already in (time, seq) order.
-            # The *whole* leading virtual bucket is staged — once the
-            # clock lands in this bucket, events scheduled into it by
-            # callbacks join the stage, and leaving part of the bucket
-            # behind in the overflow heap would dispatch those joiners
-            # ahead of it.
-            ev = heappop(overflow)
-            stage = [ev]
-            vb = ev.time >> shift
-            while overflow and (overflow[0].time >> shift) == vb:
-                stage.append(heappop(overflow))
-            self._cursor_vb = vb
-            self._stage = stage
-            self._stage_vb = vb
-            self._stage_pos = 0
-            return stage
-        return None
-
-    def _flush_stage(self) -> None:
-        """Return the undispatched stage suffix to its home structure.
-
-        Called on every run()/drain() exit path (also via ``finally``,
-        so a callback exception cannot strand staged events), keeping
-        the invariant that no stage exists between runs — signatures,
-        snapshots and re-entrant runs all see one coherent queue.
-        """
-        stage = self._stage
-        if stage is None:
-            return
-        pos = self._stage_pos
-        self._stage = None
-        self._stage_vb = -1
-        self._stage_pos = 0
-        if pos < len(stage):
-            rest = stage[pos:] if pos else stage
-            vb = rest[0].time >> self._shift   # one bucket: a single vb
-            if vb - (self.now >> self._shift) < self._nbuckets:
-                i = vb & self._mask
-                self._buckets[i].extend(rest)
-                self._occ |= 1 << i
-                self._ring_count += len(rest)
-                if vb < self._cursor_vb:
-                    self._cursor_vb = vb
-            else:
-                heappush = heapq.heappush
-                overflow = self._overflow
-                for e in rest:
-                    heappush(overflow, e)
-
-    # -- the loops ---------------------------------------------------------------
-
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run the event loop.
-
-        Parameters
-        ----------
-        until:
-            Stop once the next event would be strictly after this time
-            (the clock is left at ``until``).
-        max_events:
-            Safety valve for tests: stop after this many callbacks.
-            ``0`` executes no events at all (``None`` means unlimited).
-
-        Returns
-        -------
-        int
-            The simulation time when the loop stopped.
-
-        The ``until``/``max_events`` interaction and the ``stop()``
-        semantics are pinned bit-compatible with :class:`HeapSimulator`
-        by tests/test_engine.py (TestRunStopBoundaries): exhausting the
-        budget with ``until`` set still advances the clock to ``until``
-        (even past undispatched events), while a ``stop()`` consumed by
-        this run leaves the clock at the stopping event's time.
-        """
-        if until is None and max_events is None:
-            return self._run_unbounded()
-        budget = max_events if max_events is not None else -1
-        pool = self._pool
-        pool_max = _POOL_MAX
-        try:
-            while self._size:
-                if budget == 0:
-                    break
-                stage = self._acquire_stage()
-                if stage is None:      # pragma: no cover - _size guards this
-                    break
-                pos = 0
-                while pos < len(stage):
-                    if budget == 0:
-                        break
-                    ev = stage[pos]
-                    if ev.cancelled:
-                        stage[pos] = None
-                        pos += 1
-                        self._stage_pos = pos
-                        self._cancelled -= 1
-                        self._size -= 1
-                        if getrefcount(ev) == 2 and len(pool) < pool_max:
-                            ev.fn = ev.arg = None
-                            pool.append(ev)
-                        continue
-                    if until is not None and ev.time > until:
-                        self.now = until
-                        return self.now
-                    stage[pos] = None
-                    pos += 1
-                    self._stage_pos = pos
-                    ev._sim = None     # out of the queue: late cancel() no-op
-                    self._live -= 1
-                    self._size -= 1
-                    self.now = ev.time
-                    self._events_run += 1
-                    ev.fn(ev.arg)
-                    # Recycle only when no caller kept a handle: the two
-                    # references are the local `ev` and getrefcount's
-                    # own argument.  A held handle keeps the object out
-                    # of the pool, preserving cancel-after-run no-ops.
-                    if getrefcount(ev) == 2 and len(pool) < pool_max:
-                        ev.fn = ev.arg = None
-                        pool.append(ev)
-                    if self._stop_requested:
-                        self._stop_requested = False
-                        return self.now
-                    if budget > 0:
-                        budget -= 1
-                self._flush_stage()
-            if until is not None and self.now < until:
-                self.now = until
-            return self.now
-        finally:
-            self._flush_stage()
-
-    def _run_unbounded(self) -> int:
-        """The production loop: ``run()`` with no ``until``/``max_events``.
-
-        Identical semantics to the general loop with both limits absent;
-        split out so the per-event path carries no limit checks and all
-        loop-invariant lookups live in locals.  The end-of-stage test is
-        an IndexError catch instead of a ``len()`` call per event —
-        correct even when a callback grows the live stage (ordered
-        insert of a same-bucket event), since indexing simply keeps
-        succeeding past the old length.
-        """
-        pool = self._pool
-        pool_max = _POOL_MAX
-        refs = getrefcount
-        acquire = self._acquire_stage
-        # Counter updates are deferred to stage granularity: per-event
-        # read-modify-writes on `_live`/`_size`/`_cancelled`/
-        # `_events_run` become two locals reconciled when the stage
-        # drains (and, via ``finally``, on *every* exit — stop, or a
-        # callback exception).  Safe because a mid-callback ``cancel()``
-        # applies commutative deltas to the same counters, and nothing
-        # that reads them exactly (signature, snapshots, pending()
-        # between runs) can observe the loop mid-stage.
-        ndisp = 0    # events dispatched this stage, not yet booked
-        ncxl = 0     # cancelled corpses discarded this stage, ditto
-        try:
-            while self._size:
-                stage = acquire()
-                if stage is None:      # pragma: no cover - _size guards this
-                    break
-                # A list iterator keeps yielding elements appended (or
-                # order-inserted past the cursor) during iteration, so
-                # same-bucket events scheduled by callbacks are picked
-                # up in exactly the (time, seq) position insort gave
-                # them — no per-event bounds check needed.  (A plain
-                # iterator, not enumerate(): enumerate holds its result
-                # tuple across iterations, which would add a reference
-                # and defeat the refcount recycling gate below.)
-                pos = 0
-                for ev in stage:
-                    stage[pos] = None
-                    pos += 1
-                    self._stage_pos = pos
-                    if ev.cancelled:
-                        ncxl += 1
-                        if len(pool) < pool_max and refs(ev) == 2:
-                            ev.fn = ev.arg = None
-                            pool.append(ev)
-                        continue
-                    ev._sim = None     # out of the queue: late cancel() no-op
-                    ndisp += 1
-                    self.now = ev.time
-                    ev.fn(ev.arg)
-                    # Recycle only when no caller kept a handle: the two
-                    # references are the local `ev` and getrefcount's
-                    # own argument (the staged slot was nulled above).
-                    if len(pool) < pool_max and refs(ev) == 2:
-                        ev.fn = ev.arg = None
-                        pool.append(ev)
-                    if self._stop_requested:
-                        self._stop_requested = False
-                        return self.now   # finally books ndisp/ncxl
-                self._live -= ndisp
-                self._size -= ndisp + ncxl
-                self._cancelled -= ncxl
-                self._events_run += ndisp
-                ndisp = ncxl = 0
-                self._flush_stage()
-            return self.now
-        finally:
-            self._live -= ndisp
-            self._size -= ndisp + ncxl
-            self._cancelled -= ncxl
-            self._events_run += ndisp
-            self._flush_stage()
-
-    def drain(self, fn: Callable[[], bool], check_every: int = 4096) -> int:
-        """Run until ``fn()`` returns True, checking every ``check_every`` events.
-
-        Used by the system harness to stop when all cores have retired
-        their instruction budgets without polling on every event.  A
-        callback calling :meth:`stop` ends the drain at that exact event
-        (and a stop requested *before* the drain ends it before any event
-        runs) — the periodic predicate remains as the fallback for
-        components that don't signal exactly.
-        """
-        if self._stop_requested:
-            self._stop_requested = False
-            return self.now
-        pool = self._pool
-        pool_max = _POOL_MAX
-        refs = getrefcount
-        acquire = self._acquire_stage
-        counter = 0
-        # Same stage-granular counter deferral as _run_unbounded — with
-        # one extra reconciliation point just before the predicate call,
-        # which is entitled to read exact counters (progress displays
-        # poll ``events_run``; stop predicates poll ``pending()``).
-        ndisp = 0
-        ncxl = 0
-        try:
-            while self._size:
-                stage = acquire()
-                if stage is None:      # pragma: no cover - _size guards this
-                    break
-                pos = 0
-                for ev in stage:
-                    stage[pos] = None
-                    pos += 1
-                    self._stage_pos = pos
-                    if ev.cancelled:
-                        ncxl += 1
-                        if len(pool) < pool_max and refs(ev) == 2:
-                            ev.fn = ev.arg = None
-                            pool.append(ev)
-                        continue
-                    ev._sim = None     # out of the queue: late cancel() no-op
-                    ndisp += 1
-                    self.now = ev.time
-                    ev.fn(ev.arg)
-                    if len(pool) < pool_max and refs(ev) == 2:
-                        ev.fn = ev.arg = None
-                        pool.append(ev)
-                    if self._stop_requested:
-                        self._stop_requested = False
-                        return self.now   # finally books ndisp/ncxl
-                    counter += 1
-                    if counter >= check_every:
-                        counter = 0
-                        self._live -= ndisp
-                        self._size -= ndisp + ncxl
-                        self._cancelled -= ncxl
-                        self._events_run += ndisp
-                        ndisp = ncxl = 0
-                        if fn():
-                            return self.now
-                self._live -= ndisp
-                self._size -= ndisp + ncxl
-                self._cancelled -= ncxl
-                self._events_run += ndisp
-                ndisp = ncxl = 0
-                self._flush_stage()
-            return self.now
-        finally:
-            self._live -= ndisp
-            self._size -= ndisp + ncxl
-            self._cancelled -= ncxl
-            self._events_run += ndisp
-            self._flush_stage()
-
-
-class HeapSimulator:
-    """The original binary-heap engine, kept as the behavioural reference.
-
-    Same contract as :class:`Simulator` (the calendar queue); see the
-    module docstring.  The lockstep property suite and the perf harness
-    compare the two — this class is the "old" side of both.
+    """The event loop: a binary heap of events.  All components share one.
 
     Attributes
     ----------
@@ -789,7 +106,15 @@ class HeapSimulator:
         self._stop_requested: bool = False
 
     def stop(self) -> None:
-        """Request an exact stop: the loop exits after the current callback."""
+        """Request an exact stop: the loop exits after the current callback.
+
+        Callable from inside an event callback (the usual case: a model
+        component detects its termination condition).  Unlike ``drain``'s
+        periodic predicate, the stopping point is a precise *event*, so
+        the end state cannot depend on how callers sliced the event loop
+        — the determinism the snapshot layer's bit-identity invariant
+        rests on.  The request is consumed by the loop that honours it.
+        """
         self._stop_requested = True
 
     def at(self, time: int, fn: Callable[[Any], Any], arg: Any = None) -> Event:
@@ -812,6 +137,11 @@ class HeapSimulator:
         """Number of live events in the queue (O(1))."""
         return self._live
 
+    @property
+    def events_run(self) -> int:
+        """Total callbacks executed so far (for progress reporting)."""
+        return self._events_run
+
     def _maybe_compact(self) -> None:
         """Drop cancelled events once they dominate the heap (O(n), rare)."""
         heap = self._heap
@@ -821,22 +151,17 @@ class HeapSimulator:
             heapq.heapify(heap)
             self._cancelled = 0
 
-    def _discard_cancelled(self) -> None:
-        """Bookkeeping for a cancelled event leaving the heap."""
-        self._cancelled -= 1
-
-    @property
-    def events_run(self) -> int:
-        """Total callbacks executed so far (for progress reporting)."""
-        return self._events_run
-
     def signature(self) -> dict[str, Any]:
         """Comparable digest of the engine state (snapshot test hook).
 
-        Events are enumerated in canonical ``(time, seq)`` order — the
-        same digest the calendar engine produces for the same pending
-        work, and invariant under faithful state copies (pop order is
-        fully determined by ``(time, seq)`` anyway).
+        Two simulators with equal signatures hold the same clock, the
+        same counters and the same scheduled work: every pending event
+        is summarised as ``(time, seq, cancelled, callback qualname,
+        arg kind)``, enumerated in the canonical ``(time, seq)`` order
+        (the heap's array layout is an implementation detail a faithful
+        copy need not share).  Callbacks are named, not identity-compared,
+        so signatures of *independent* simulations (original vs.
+        restored-from-snapshot) can be equated.
         """
         return {
             "now": self.now,
@@ -851,7 +176,29 @@ class HeapSimulator:
         }
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run the event loop (see :meth:`Simulator.run`)."""
+        """Run the event loop.
+
+        Parameters
+        ----------
+        until:
+            Stop once the next event would be strictly after this time
+            (the clock is left at ``until``).
+        max_events:
+            Safety valve for tests: stop after this many callbacks.
+            ``0`` executes no events at all (``None`` means unlimited).
+
+        Returns
+        -------
+        int
+            The simulation time when the loop stopped.
+
+        The ``until``/``max_events`` interaction and the ``stop()``
+        semantics are pinned by tests/test_engine.py
+        (TestRunStopBoundaries): exhausting the budget with ``until`` set
+        still advances the clock to ``until`` (even past undispatched
+        events), while a ``stop()`` consumed by this run leaves the clock
+        at the stopping event's time.
+        """
         heap = self._heap
         budget = max_events if max_events is not None else -1
         while heap:
@@ -860,7 +207,7 @@ class HeapSimulator:
             ev = heap[0]
             if ev.cancelled:
                 heapq.heappop(heap)
-                self._discard_cancelled()
+                self._cancelled -= 1
                 continue
             if until is not None and ev.time > until:
                 self.now = until
@@ -881,7 +228,15 @@ class HeapSimulator:
         return self.now
 
     def drain(self, fn: Callable[[], bool], check_every: int = 4096) -> int:
-        """Run until ``fn()`` returns True (see :meth:`Simulator.drain`)."""
+        """Run until ``fn()`` returns True, checking every ``check_every`` events.
+
+        Used by the system harness to stop when all cores have retired
+        their instruction budgets without polling on every event.  A
+        callback calling :meth:`stop` ends the drain at that exact event
+        (and a stop requested *before* the drain ends it before any event
+        runs) — the periodic predicate remains as the fallback for
+        components that don't signal exactly.
+        """
         heap = self._heap
         counter = 0
         if self._stop_requested:
@@ -890,7 +245,7 @@ class HeapSimulator:
         while heap:
             ev = heapq.heappop(heap)
             if ev.cancelled:
-                self._discard_cancelled()
+                self._cancelled -= 1
                 continue
             ev._sim = None       # out of the heap: late cancel() is a no-op
             self._live -= 1
@@ -906,25 +261,3 @@ class HeapSimulator:
                 if fn():
                     break
         return self.now
-
-
-#: Either engine.  Both implement the identical scheduling contract
-#: (at/after/run/drain/stop/pending/signature); components hold this
-#: union rather than caring which engine the system was built with.
-AnySimulator = Union[Simulator, HeapSimulator]
-
-
-def make_simulator(kind: Optional[str] = None, *,
-                   bucket_ps: int = DEFAULT_BUCKET_PS,
-                   nbuckets: int = DEFAULT_NBUCKETS) -> AnySimulator:
-    """Build an event engine: ``"calendar"`` (default) or ``"heap"``.
-
-    ``kind=None`` selects :data:`DEFAULT_ENGINE`.  The calendar sizing
-    parameters are ignored by the heap engine.
-    """
-    kind = (DEFAULT_ENGINE if kind is None else kind).lower()
-    if kind == "calendar":
-        return Simulator(bucket_ps=bucket_ps, nbuckets=nbuckets)
-    if kind == "heap":
-        return HeapSimulator()
-    raise ValueError(f"unknown engine kind {kind!r}; known: {ENGINES}")

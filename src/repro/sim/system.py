@@ -36,7 +36,7 @@ from repro.mem.prefetch import PrefetchStats, Prefetcher, make_prefetcher
 from repro.mem.sram import SRAMCache
 from repro.mem.writebuffer import L2WriteBuffer
 from repro.sim.cpu import Core, L2_HIT, MISS, MSHR_FULL
-from repro.sim.engine import make_simulator
+from repro.sim.engine import Simulator
 from repro.snapshot import WARM_STATE_VERSION, WarmState, WarmStateError
 from repro.workloads.cursor import TraceCursor
 from repro.workloads.profiles import BenchmarkProfile
@@ -157,8 +157,7 @@ class System:
                  organization: str = "sa", xor_remap: bool = False,
                  use_mapi: bool = True, scheduler: str = "bliss",
                  lee_writeback: bool = False, seed: int = 0,
-                 footprint_scale: float = 1.0, model_l1: bool = False,
-                 engine: Optional[str] = None):
+                 footprint_scale: float = 1.0, model_l1: bool = False):
         if not benchmarks:
             raise ValueError("need at least one benchmark")
         cfg = replace(cfg, num_cores=len(benchmarks))
@@ -167,13 +166,7 @@ class System:
         self.organization = organization
         self.xor_remap = xor_remap
         self.benchmarks = list(benchmarks)
-        # Calendar buckets sized to the DRAM command clock: every bank
-        # or bus hazard resolves a small multiple of tCK ahead, so the
-        # near-future ring absorbs virtually all scheduling.  ``engine``
-        # (None = the module default, normally "calendar") exists for
-        # the perf harness's old-vs-new comparison and the lockstep
-        # equivalence tests.
-        self.sim = make_simulator(engine, bucket_ps=cfg.timings.tCK)
+        self.sim = Simulator()
         self.controller = make_controller(
             design, self.sim, cfg, organization=organization,
             xor_remap=xor_remap, use_mapi=use_mapi, scheduler=scheduler)

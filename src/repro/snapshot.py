@@ -63,7 +63,9 @@ from typing import Any, Optional
 #: v2: channel bus captures gained the last-burst rank (tCS turnaround)
 #: and the main-memory image is the model's own capture_state dict (flat
 #: bus_free or banked per-channel substrate state) instead of a bare int.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: v3: the pickled engine is the binary-heap ``Simulator``; a v2 payload
+#: holds the calendar-queue engine, whose state the new class cannot take.
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).

@@ -59,11 +59,11 @@ def test_fixture_findings_match_markers(path):
 
 
 def test_fixture_suite_is_meaningful():
-    """At least one positive fixture per per-module rule R1..R5, R7."""
+    """At least one positive fixture per per-module rule R1..R5."""
     fired = set()
     for path in FIXTURE_FILES:
         fired |= {rule for _, rule in expected_findings(path)}
-    assert {"R1", "R2", "R3", "R4", "R5", "R7"} <= fired
+    assert {"R1", "R2", "R3", "R4", "R5"} <= fired
 
 
 # --- package scoping ------------------------------------------------------
@@ -145,7 +145,7 @@ def test_allowlist_entries_are_not_stale():
 
 def test_allowlisted_class_is_exempt():
     src = textwrap.dedent("""\
-        class HeapSimulator:
+        class Simulator:
             def __init__(self):
                 self._heap = []
     """)
@@ -250,7 +250,7 @@ def test_cli_list_rules():
     rc = main(["--list-rules"], stdout=out)
     assert rc == 0
     text = out.getvalue()
-    for rid in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
+    for rid in ("R1", "R2", "R3", "R4", "R5", "R6"):
         assert rid in text
 
 

@@ -1,42 +1,20 @@
 """Discrete-event engine: ordering, cancellation, determinism, boundaries.
 
-Nearly every test runs against **both** engines — the calendar queue
-(``Simulator``) and the binary-heap reference (``HeapSimulator``) — via
-the ``make_sim`` fixture: the two must be behaviourally indistinguishable
-through the public API.  ``TestRunStopBoundaries`` pins the exact
-``run(until=...)`` / ``max_events`` / ``stop()`` interaction semantics
-(including the historical quirk where an exhausted budget still advances
-the clock to ``until``) so the batched calendar dispatch cannot silently
-change stop behaviour.  Calendar-only mechanics (overflow migration,
-bucket wrap, the event freelist) get their own classes.
+``TestRunStopBoundaries`` pins the exact ``run(until=...)`` /
+``max_events`` / ``stop()`` interaction semantics (including the
+historical quirk where an exhausted budget still advances the clock to
+``until``), which the system harness and the snapshot layer rely on.
 """
 
 import pytest
 
-from repro.sim.engine import (
-    HeapSimulator,
-    Simulator,
-    make_simulator,
-)
+from repro.sim.engine import Simulator
 
 
-@pytest.fixture(params=["calendar", "heap"])
-def make_sim(request):
-    """Factory for one engine kind; calendar kwargs ignored by heap."""
-    kind = request.param
-
-    def factory(**kwargs):
-        return make_simulator(kind, **kwargs)
-
-    factory.kind = kind
-    return factory
-
-
-def held(sim) -> int:
-    """Events physically held by the engine (live + cancelled corpses)."""
-    if isinstance(sim, HeapSimulator):
-        return len(sim._heap)
-    return sim._size
+@pytest.fixture(params=["heap"])
+def make_sim():
+    """Factory for the binary-heap engine (the test id names the queue)."""
+    return Simulator
 
 
 class TestScheduling:
@@ -132,7 +110,7 @@ class TestCancellation:
 
     def test_cancel_mid_batch(self, make_sim):
         """Cancelling a later same-timestamp event from an earlier one
-        must suppress it even though both were staged together."""
+        must suppress it."""
         sim = make_sim()
         log = []
         victims = []
@@ -158,7 +136,7 @@ class TestCancellation:
         # Compaction bounds the dead fraction: once cancelled events
         # exceed half the queue they are dropped, so the engine never
         # holds more than ~2x the live events.
-        assert held(sim) <= 2 * sim.pending()
+        assert len(sim._heap) <= 2 * sim.pending()
         assert sim.pending() == 50
 
     def test_compaction_preserves_order_and_results(self, make_sim):
@@ -190,7 +168,7 @@ class TestCancellation:
         sim.run()
         assert log == ["early"] + list(range(80, 100))
         assert sim.pending() == 0
-        assert held(sim) == 0
+        assert len(sim._heap) == 0
 
 
 class TestRunControl:
@@ -269,12 +247,9 @@ class TestRunControl:
 class TestRunStopBoundaries:
     """Pin the exact ``until`` x ``max_events`` x ``stop()`` semantics.
 
-    These behaviours predate the calendar engine; the suite pins them on
-    the heap reference and requires the calendar port to match, so the
-    batched dispatch cannot change any stop condition.  Where a combined
-    behaviour is quirky (an exhausted budget advancing the clock to
-    ``until`` past undispatched events), the quirk itself is pinned —
-    both engines must agree, and callers rely on pinned semantics.
+    Where a combined behaviour is quirky (an exhausted budget advancing
+    the clock to ``until`` past undispatched events), the quirk itself
+    is pinned — callers rely on pinned semantics.
     """
 
     def test_until_exactly_at_event_time_runs_the_event(self, make_sim):
@@ -465,198 +440,3 @@ class TestDeterminism:
             return log
 
         assert run_once() == run_once()
-
-
-class TestCalendarMechanics:
-    """Calendar-only coverage: overflow migration, wrap, tiny windows."""
-
-    def test_far_future_events_take_the_overflow_path(self):
-        sim = Simulator(bucket_ps=16, nbuckets=4)   # 64 ps horizon
-        log = []
-        sim.at(1_000_000, log.append, "far")
-        assert sim._overflow and not sim._ring_count
-        sim.at(10, log.append, "near")
-        assert sim._ring_count == 1
-        sim.run()
-        assert log == ["near", "far"]
-        assert sim.now == 1_000_000
-
-    def test_overflow_migrates_in_time_order(self):
-        sim = Simulator(bucket_ps=16, nbuckets=4)
-        log = []
-        # Spread across many windows, scheduled out of order.
-        times = [5, 700, 70, 1400, 130, 60, 1350, 2000, 65]
-        for t in times:
-            sim.at(t, log.append, t)
-        sim.run()
-        assert log == sorted(times)
-
-    def test_same_bucket_joiner_vs_overflow_resident(self):
-        """A callback scheduling into the currently-served *overflow*
-        bucket must not overtake later events of that bucket still in
-        the overflow heap (regression for the bucket-granular staging
-        of the overflow front)."""
-        sim = Simulator(bucket_ps=16, nbuckets=4)
-        log = []
-
-        def first(_):
-            log.append(("first", sim.now))
-            # Same 16 ps bucket as the overflow resident at 1010, later
-            # in time than it.
-            sim.at(1015, lambda _: log.append(("joiner", sim.now)))
-
-        sim.at(1005, first)          # bucket 62 (overflow: horizon is 64 ps)
-        sim.at(1010, lambda _: log.append(("resident", sim.now)))
-        sim.run()
-        assert log == [("first", 1005), ("resident", 1010),
-                       ("joiner", 1015)]
-
-    def test_ring_wrap_across_many_laps(self):
-        sim = Simulator(bucket_ps=4, nbuckets=4)    # 16 ps horizon
-        log = []
-
-        def hop(i):
-            log.append(sim.now)
-            if i < 200:
-                sim.after(3 + (i % 11), hop, i + 1)
-
-        sim.at(0, hop, 0)
-        sim.run()
-        assert log == sorted(log)
-        assert len(log) == 201
-
-    def test_schedule_behind_cursor_after_until_jump(self):
-        """until jumps the clock; a later schedule earlier than the
-        cursor's bucket must still dispatch first (cursor re-clamp)."""
-        sim = Simulator(bucket_ps=16, nbuckets=4)
-        log = []
-        sim.at(5000, log.append, "far")
-        sim.run(until=3000)
-        assert sim.now == 3000
-        sim.at(3001, log.append, "near")    # far behind the 5000 bucket
-        sim.run()
-        assert log == ["near", "far"]
-
-    def test_until_quirk_then_lapped_ring_recovers(self):
-        """After the budget+until clock jump, ring events left behind
-        can share a slot with newly scheduled lapped events; the scan
-        must recover the true order (recompute-cursor fallback)."""
-        sim = Simulator(bucket_ps=4, nbuckets=4)    # tiny: laps are easy
-        log = []
-        sim.at(10, log.append, 10)
-        sim.at(20, log.append, 20)
-        sim.run(until=1000, max_events=1)           # ran 10; clock at 1000
-        assert log == [10]
-        assert sim.now == 1000
-        # Same slot as the stranded event at 20 (both (t>>2) % 4): 20>>2=5,
-        # 1044>>2=261; 5 % 4 == 1 == 261 % 4.
-        sim.at(1044, log.append, 1044)
-        sim.run()
-        assert log == [10, 20, 1044]
-
-    def test_bucket_sizing_rounds_to_powers_of_two(self):
-        sim = Simulator(bucket_ps=833, nbuckets=5)
-        assert sim._shift == 10          # 833 -> 1024 ps buckets
-        assert sim._nbuckets == 8
-        with pytest.raises(ValueError):
-            Simulator(bucket_ps=0)
-        with pytest.raises(ValueError):
-            Simulator(nbuckets=1)
-
-
-class TestEventPool:
-    def test_events_are_recycled(self):
-        sim = Simulator()
-        sim.at(10, lambda _: None)       # handle NOT kept
-        sim.run()
-        assert len(sim._pool) == 1
-        pooled = sim._pool[0]
-        ev = sim.at(20, lambda _: None)
-        assert ev is pooled              # reused, not reallocated
-        assert not sim._pool
-
-    def test_held_handles_are_never_recycled(self):
-        sim = Simulator()
-        ev = sim.at(10, lambda _: None)
-        sim.run()
-        assert not sim._pool             # we still hold `ev`
-        ev.cancel()                      # and the late cancel stays a no-op
-        assert sim.pending() == 0
-        assert sim._cancelled == 0
-
-    def test_stale_handle_cannot_cancel_a_recycled_slot(self):
-        """Even when a handle *is* kept, dropping it returns the object
-        to circulation only via the GC, never the freelist — so a stale
-        cancel can't kill an unrelated future event."""
-        sim = Simulator()
-        log = []
-        ev = sim.at(10, lambda _: None)
-        sim.run()
-        ev.cancel()
-        del ev
-        fresh = sim.at(20, log.append, "alive")
-        assert not fresh.cancelled
-        sim.run()
-        assert log == ["alive"]
-
-    def test_cancelled_events_are_recycled_too(self):
-        sim = Simulator()
-        sim.at(10, lambda _: None).cancel()
-        sim.at(20, lambda _: None)
-        sim.run()
-        assert len(sim._pool) == 2
-
-    def test_pool_is_bounded(self):
-        from repro.sim.engine import _POOL_MAX
-        sim = Simulator()
-        for t in range(1, _POOL_MAX + 200):
-            sim.at(t, lambda _: None)
-        sim.run()
-        assert len(sim._pool) <= _POOL_MAX
-
-    def test_recycled_event_fields_are_reset(self):
-        sim = Simulator()
-        box = []
-        sim.at(10, box.append, "first")
-        sim.run()
-        ev = sim.at(25, box.append, "second")
-        assert (ev.time, ev.arg, ev.cancelled) == (25, "second", False)
-        sim.run()
-        assert box == ["first", "second"]
-
-
-class TestCrossEngineEquivalence:
-    """Smoke-level lockstep (the full property suite lives in
-    tests/test_engine_calendar.py)."""
-
-    def test_spawning_workload_matches(self):
-        def run(sim):
-            log = []
-
-            def spawn(depth):
-                log.append((sim.now, depth))
-                if depth < 7:
-                    sim.after(7919, spawn, depth + 1)    # overflow-scale
-                    sim.after(3, spawn, depth + 1)
-                    if depth % 3 == 0:
-                        ev = sim.at(sim.now + 11, log.append, "cx")
-                        ev.cancel()
-            sim.at(0, spawn, 0)
-            sim.run()
-            return log, sim.now, sim.events_run, sim.pending()
-
-        assert run(make_simulator("heap")) == run(make_simulator("calendar"))
-
-    def test_signatures_align_across_engines(self):
-        def build(sim):
-            sim.at(100, lambda _: None)
-            for t in (250, 250, 9000):
-                sim.at(t, str, t)
-            sim.at(400, str, "x").cancel()
-            sim.run(until=150)
-            return sim
-
-        a = build(make_simulator("heap")).signature()
-        b = build(make_simulator("calendar", bucket_ps=64,
-                                 nbuckets=8)).signature()
-        assert a == b

@@ -157,3 +157,13 @@ def test_command_fidelity_exercises_new_mechanisms():
         total = entry["metrics"]["substrate_total"]
         assert total["refreshes_issued"] > 0, label
         assert total["rrd_stalls"] + total["faw_stalls"] > 0, label
+
+
+def test_quick_grid_repeatable_in_process():
+    """Repeating a point in one process is byte-identical: no state
+    leaks from one simulation into the next."""
+    specs = [RunSpec("DCA", "sa", mix_id=1)]
+    first = compute_entries(specs)
+    second = compute_entries(specs)
+    assert json.dumps(first, sort_keys=True) == \
+        json.dumps(second, sort_keys=True)

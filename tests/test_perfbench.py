@@ -144,4 +144,4 @@ class TestCheckFloor:
         # The gate guards every harness section that pins a ratio.
         guarded = {m.split(".")[0]
                    for m in (*floor["metrics"], *floor.get("ceilings", {}))}
-        assert {"decision_loop", "topology", "compiled"} <= guarded
+        assert {"decision_loop", "topology"} <= guarded
