@@ -6,16 +6,23 @@ victims at fill time.  Timing lives entirely in the controller + DRAM
 substrate; this module is purely functional and therefore shared verbatim
 by every controller design (CD / ROD / DCA see identical contents).
 
-Sets are materialised lazily in a dict keyed by set index: simulated
-workloads touch a sparse subset of the geometry's sets, and small Python
-lists with linear scans over <= 15 ways beat NumPy row indexing at this
-scale.
+The set-associative state is three flat columns indexed by
+``slot = set * ways + way``: ``_tags`` (a list, -1 = invalid way),
+``_dirty`` (a bytearray of 0/1) and ``_stamp`` (an ``array('q')`` of LRU
+stamps, 0 = never stamped).  A set is the slice ``[set * ways, set * ways
++ ways)``; membership is a C-level ``in`` over the tag slice.  The
+columns are allocated on the first write (a geometry-only array, as
+Fig. 18 builds, costs nothing), and an unallocated column slices to
+``[]``, so a probe of an empty array misses with no extra branch.
+Direct-mapped entries live in a dict keyed by entry index.
 """
 
 from __future__ import annotations
 
+import copy
+from array import array
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,209 +55,15 @@ class FillResult:
 # construction there is a measurable win.
 _MISS = LookupResult(False)
 
-
-def _last_of_group_mask(sorted_keys: NDArray[np.int64],
-                        limit: int) -> NDArray[np.bool_]:
-    """Mask keeping only the last ``limit`` elements of each run of equal
-    keys in an already key-sorted array."""
-    n = len(sorted_keys)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    group_start = np.empty(n, dtype=bool)
-    group_start[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=group_start[1:])
-    gidx = np.cumsum(group_start) - 1
-    ends = np.cumsum(np.bincount(gidx))
-    return (ends[gidx] - np.arange(n)) <= limit
+#: the set-associative columns (copied, never shared, by every fork path)
+_COLUMNS = ("_tags", "_dirty", "_stamp")
 
 
-class _SASet:
-    """One set of the set-associative organization."""
-
-    __slots__ = ("tags", "dirty", "stamp")
-
-    def __init__(self, ways: int):
-        self.tags: list[int] = [-1] * ways
-        self.dirty: list[bool] = [False] * ways
-        self.stamp: list[int] = [0] * ways   # LRU: larger = more recent
-
-    def clone(self) -> "_SASet":
-        s = _SASet.__new__(_SASet)
-        s.tags = self.tags[:]
-        s.dirty = self.dirty[:]
-        s.stamp = self.stamp[:]
-        return s
-
-    def __deepcopy__(self, memo: dict[int, Any]) -> "_SASet":
-        # Elements are scalars: a slice copy is semantically identical to
-        # the generic element-wise deepcopy and ~4x faster, which is what
-        # bounds full-simulator snapshot cost (the set dict dominates).
-        s = self.clone()
-        memo[id(self)] = s
-        return s
-
-
-class _CowSets(dict[int, _SASet]):
-    """Copy-on-access overlay over a frozen ``{set_idx: _SASet}`` backing.
-
-    Warm-state forking hands the *same* captured set dictionary to every
-    restored simulation; copying all of it eagerly would cost more than
-    the functional warm-up it replaces for large footprints.  Instead the
-    restored array starts with an empty overlay: any set it touches is
-    cloned out of the backing on first access, so the restore is O(1) and
-    each run pays only for the sets its traffic actually reaches.
-
-    The backing dict is frozen by contract — it is only ever produced by
-    :meth:`DRAMCacheArray.capture_state`, which simultaneously re-points
-    the donor array at its own fresh overlay, so no live array can mutate
-    a backing.  All reads go through :meth:`get`/``[]`` (the only lookup
-    forms the array uses), both of which materialise; new sets insert
-    straight into the overlay.
-    """
-
-    __slots__ = ("_backing",)
-
-    def __init__(self, backing: dict[int, _SASet]):
-        super().__init__()
-        self._backing = backing
-
-    # -- lookups (materialising) ------------------------------------------------
-
-    def get(self, key: int,  # type: ignore[override]
-            default: Optional[_SASet] = None) -> Optional[_SASet]:
-        s = dict.get(self, key)
-        if s is not None:
-            return s
-        b = self._backing.get(key)
-        if b is None:
-            return default
-        s = b.clone()
-        dict.__setitem__(self, key, s)
-        return s
-
-    def __getitem__(self, key: int) -> _SASet:
-        s = self.get(key)
-        if s is None:
-            raise KeyError(key)
-        return s
-
-    def __contains__(self, key: object) -> bool:
-        return dict.__contains__(self, key) or key in self._backing
-
-    # -- whole-dict views (tests / invariants; not on the hot path) -------------
-    #
-    # Every inherited dict form that would silently see only the overlay
-    # is either overridden to present the merged view or forbidden, so
-    # the "all reads go through get/[]" contract is enforced, not merely
-    # documented.
-
-    def __len__(self) -> int:
-        n = dict.__len__(self)
-        return n + sum(1 for k in self._backing if not dict.__contains__(self, k))
-
-    def __iter__(self) -> Iterator[int]:
-        yield from dict.__iter__(self)
-        for k in self._backing:
-            if not dict.__contains__(self, k):
-                yield k
-
-    def keys(self) -> list[int]:  # type: ignore[override]
-        """Merged key list (a plain list, not a live dict view)."""
-        return list(self)
-
-    def items(self) -> list[tuple[int, _SASet]]:  # type: ignore[override]
-        """Merged ``(key, set)`` pairs; materialises backing sets."""
-        return [(k, self[k]) for k in self]
-
-    def values(self) -> list[_SASet]:  # type: ignore[override]
-        return [self[k] for k in self]
-
-    def copy(self) -> dict[int, _SASet]:
-        """A plain, fully-independent dict of the merged view."""
-        return self.frozen_merge()
-
-    def __eq__(self, other: object) -> bool:
-        """Value equality over the merged view (sets compared by content,
-        since ``_SASet`` itself compares by identity)."""
-        if not isinstance(other, dict):
-            return NotImplemented
-
-        def contents(items: Iterable[tuple[int, _SASet]],
-                     ) -> dict[int, tuple[Any, Any, Any]]:
-            return {k: (tuple(s.tags), tuple(s.dirty), tuple(s.stamp))
-                    for k, s in items}
-
-        other_items = (other.peek_items() if isinstance(other, _CowSets)
-                       else other.items())
-        return contents(self.peek_items()) == contents(other_items)
-
-    __hash__ = None   # type: ignore[assignment]  # as for any dict
-
-    def __ne__(self, other: object) -> bool:
-        # Explicit: dict's C-level != would bypass the merged-view __eq__.
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def _unsupported(self, *_a: Any, **_kw: Any) -> Any:
-        raise NotImplementedError(
-            "mutation of a copy-on-write set view beyond get/[]= is not "
-            "supported (see _CowSets)")
-
-    pop = popitem = setdefault = update = clear = __delitem__ = _unsupported  # type: ignore[assignment]
-
-    def peek(self, key: int) -> Optional[_SASet]:
-        """Read-only lookup: never materialises a backing set.
-
-        The returned set may belong to the frozen backing — callers must
-        not mutate it (mutating paths go through :meth:`get`/``[]``,
-        which clone).  Keeps pure reads like ``probe()`` from converging
-        a mostly-read fork toward a full copy.
-        """
-        s = dict.get(self, key)
-        if s is not None:
-            return s
-        return self._backing.get(key)
-
-    def peek_items(self) -> Iterator[tuple[int, _SASet]]:
-        """Iterate the merged view *without* materialising backing sets.
-
-        For read-only inspection (signatures, invariants): yielded backing
-        sets must not be mutated.
-        """
-        yield from dict.items(self)
-        for k, b in self._backing.items():
-            if not dict.__contains__(self, k):
-                yield k, b
-
-    def frozen_merge(self) -> dict[int, _SASet]:
-        """A plain, independent ``{set_idx: _SASet}`` copy of the full view.
-
-        Used to produce a new frozen backing when a warm capture is taken
-        from an array that is itself running over an older backing.
-        """
-        out = {k: s.clone() for k, s in dict.items(self)}
-        for k, b in self._backing.items():
-            if k not in out:
-                out[k] = b.clone()
-        return out
-
-    def __deepcopy__(self, memo: dict[int, Any]) -> "_CowSets":
-        # The backing is frozen, so the copy may share it; only the
-        # overlay (this run's private mutations) needs copying.
-        new = _CowSets(self._backing)
-        memo[id(self)] = new
-        for k, s in dict.items(self):
-            dict.__setitem__(new, k, s.clone())
-        return new
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # Pickled snapshots are process-portable plain dicts: sharing a
-        # backing across a process boundary is meaningless.
-        return (_cow_sets_from_plain, (self.frozen_merge(),))
-
-
-def _cow_sets_from_plain(sets: dict[int, _SASet]) -> "_CowSets":
-    return _CowSets(sets)
+def _dirty_bits(blocks: NDArray[np.int64], seed: int,
+                dirty_fraction: float) -> NDArray[np.bool_]:
+    """Deterministic per-block dirty choice (Knuth multiplicative hash)."""
+    h = ((blocks + seed) * np.int64(2654435761)) & np.int64(0xFFFFFFFF)
+    return (h >> 16).astype(np.float64) / 65536.0 < dirty_fraction
 
 
 class DRAMCacheArray:
@@ -290,9 +103,12 @@ class DRAMCacheArray:
         # a measurable share of the end-to-end profile.
         self._block_bytes = geometry.block_bytes
         self._num_sets = self.sa.num_sets
+        self._ways = self.sa.ways
         self._num_entries = self.dm.num_entries
-        # Lazy state.
-        self._sa_sets: dict[int, _SASet] = {}
+        # Set-associative columns, empty until the first write.
+        self._tags: list[int] = []
+        self._dirty = bytearray()
+        self._stamp: array[int] = array("q")
         self._dm_entries: dict[int, tuple[int, bool]] = {}  # idx -> (tag, dirty)
         self._clock = 0  # LRU stamp source
         # Functional counters (used by tests and the Fig. 18 harness).
@@ -310,6 +126,13 @@ class DRAMCacheArray:
     def _block(self, addr: int) -> int:
         return addr // self.geometry.block_bytes
 
+    def _allocate(self) -> None:
+        """Materialise empty set-associative columns (first write)."""
+        cells = self._num_sets * self._ways
+        self._tags = [-1] * cells
+        self._dirty = bytearray(cells)
+        self._stamp = array("q", [0]) * cells
+
     # -- probes (no replacement-state side effects) ----------------------------
 
     def probe(self, addr: int) -> LookupResult:
@@ -321,22 +144,16 @@ class DRAMCacheArray:
             if ent is not None and ent[0] == b // n:
                 return LookupResult(True, 0, ent[1])
             return _MISS
-        sets = self._sa_sets
         n = self._num_sets
-        si = b % n
-        # A pure read must stay pure on a restored (copy-on-write) array
-        # too: peek never materialises, so probes don't converge a
-        # mostly-read fork toward a full copy.
-        s = (sets.peek(si) if type(sets) is _CowSets else sets.get(si))
-        if s is None:
-            return _MISS
+        ways = self._ways
+        lo = (b % n) * ways
         tag = b // n
-        tags = s.tags
-        # list.__contains__ / index scan the 15 ways at C speed; the
-        # double scan on a hit still beats an interpreted enumerate loop.
-        if tag in tags:
-            w = tags.index(tag)
-            return LookupResult(True, w, s.dirty[w])
+        # list.__contains__ / index scan the ways at C speed; the double
+        # scan on a hit still beats an interpreted enumerate loop.
+        seg = self._tags[lo:lo + ways]
+        if tag in seg:
+            w = seg.index(tag)
+            return LookupResult(True, w, bool(self._dirty[lo + w]))
         return _MISS
 
     # -- timed-path operations (called at access completion times) -------------
@@ -366,8 +183,7 @@ class DRAMCacheArray:
                 idx = self.dm.entry_index(b)
                 self._dm_entries[idx] = (self.dm.tag_value(b), True)
             else:
-                s = self._sa_sets[self.sa.set_index(b)]
-                s.dirty[res.way] = True
+                self._dirty[(b % self._num_sets) * self._ways + res.way] = 1
                 self._touch(addr, res.way)
         return res
 
@@ -390,39 +206,45 @@ class DRAMCacheArray:
                 self.dirty_evictions += 1
             return FillResult(0, victim_addr, old[1])
 
-        set_idx = self.sa.set_index(b)
-        s = self._sa_sets.get(set_idx)
-        if s is None:
-            s = _SASet(self.sa.ways)
-            self._sa_sets[set_idx] = s
-        tag = self.sa.tag_value(b)
-        tags = s.tags
+        if not self._tags:
+            self._allocate()
+        n = self._num_sets
+        ways = self._ways
+        set_idx = b % n
+        tag = b // n
+        lo = set_idx * ways
+        tags = self._tags
+        dirty_col = self._dirty
+        seg = tags[lo:lo + ways]
         # Refill of a block already present (e.g. race with a concurrent
         # writeback-allocate) just refreshes it.
-        if tag in tags:
-            w = tags.index(tag)
-            s.dirty[w] = s.dirty[w] or dirty
+        if tag in seg:
+            w = seg.index(tag)
+            if dirty:
+                dirty_col[lo + w] = 1
             self._touch(addr, w)
             return FillResult(w)
         # Prefer an invalid way; otherwise the configured policy picks
         # among valid ways (stamps are unique, so the default LRU's
         # index-of-min is the unambiguous oldest way).
-        if -1 in tags:
-            victim_way = tags.index(-1)
+        if -1 in seg:
+            w = seg.index(-1)
         else:
-            victim_way = self._victim_way(tags, s.dirty, s.stamp)
-        old_tag = s.tags[victim_way]
-        old_dirty = s.dirty[victim_way]
-        s.tags[victim_way] = tag
-        s.dirty[victim_way] = dirty
+            w = self._victim_way(seg, dirty_col[lo:lo + ways],
+                                 self._stamp[lo:lo + ways])
+        slot = lo + w
+        old_tag = seg[w]
+        old_dirty = bool(dirty_col[slot])
+        tags[slot] = tag
+        dirty_col[slot] = dirty
         self._clock += 1
-        s.stamp[victim_way] = self._clock
+        self._stamp[slot] = self._clock
         if old_tag == -1:
-            return FillResult(victim_way)
-        victim_addr = self.sa.block_addr(set_idx, old_tag) * self.geometry.block_bytes
+            return FillResult(w)
+        victim_addr = (old_tag * n + set_idx) * self._block_bytes
         if old_dirty:
             self.dirty_evictions += 1
-        return FillResult(victim_way, victim_addr, old_dirty)
+        return FillResult(w, victim_addr, old_dirty)
 
     def invalidate(self, addr: int) -> bool:
         """Drop a block (used by tests and coherence-style experiments)."""
@@ -434,16 +256,15 @@ class DRAMCacheArray:
                 del self._dm_entries[idx]
                 return True
             return False
-        s = self._sa_sets.get(self.sa.set_index(b))
-        if s is None:
+        lo = (b % self._num_sets) * self._ways
+        seg = self._tags[lo:lo + self._ways]
+        tag = b // self._num_sets
+        if tag not in seg:
             return False
-        tag = self.sa.tag_value(b)
-        for w, t in enumerate(s.tags):
-            if t == tag:
-                s.tags[w] = -1
-                s.dirty[w] = False
-                return True
-        return False
+        slot = lo + seg.index(tag)
+        self._tags[slot] = -1
+        self._dirty[slot] = 0
+        return True
 
     # -- warm-up ----------------------------------------------------------------
 
@@ -454,17 +275,16 @@ class DRAMCacheArray:
         Mirrors the paper's fast-forward cache warming: the range
         ``[start_addr, start_addr + n_blocks*64)`` is inserted as if each
         block had been filled once in address order, with a deterministic
-        pseudo-random ``dirty_fraction`` of blocks marked dirty.  Uses
-        vectorised grouping, so warming multi-hundred-MB footprints costs
-        milliseconds instead of replaying millions of accesses.
+        pseudo-random ``dirty_fraction`` of blocks marked dirty.  Sets are
+        visited in ascending order and each is merged with its existing
+        contents in one step; this is the sequential reference that
+        :meth:`bulk_fill_many` must reproduce exactly.
         """
         if n_blocks <= 0:
             return
         start_block = start_addr // self.geometry.block_bytes
         blocks = np.arange(start_block, start_block + n_blocks, dtype=np.int64)
-        # Deterministic per-block dirty choice (Knuth multiplicative hash).
-        h = ((blocks + seed) * np.int64(2654435761)) & np.int64(0xFFFFFFFF)
-        dirty = (h >> 16).astype(np.float64) / 65536.0 < dirty_fraction
+        dirty = _dirty_bits(blocks, seed, dirty_fraction)
 
         if self.is_direct_mapped:
             idxs = blocks % self.dm.num_entries
@@ -473,66 +293,48 @@ class DRAMCacheArray:
                 zip(idxs.tolist(), zip(tags.tolist(), dirty.tolist())))
             return
 
-        sets = blocks % self.sa.num_sets
-        tags = blocks // self.sa.num_sets
+        sets = blocks % self._num_sets
         order = np.argsort(sets, kind="stable")
         sets_sorted = sets[order]
-        tags_sorted = tags[order].tolist()
+        tags_sorted = (blocks // self._num_sets)[order].tolist()
         dirty_sorted = dirty[order].tolist()
         boundaries = np.flatnonzero(np.diff(sets_sorted)) + 1
         starts = [0, *boundaries.tolist()]
         ends = [*boundaries.tolist(), len(sets_sorted)]
         set_ids = sets_sorted[np.concatenate(([0], boundaries))].tolist()
-        ways = self.sa.ways
-        sa_sets = self._sa_sets
-        sa_get = sa_sets.get
-        new_set = _SASet.__new__
+        if not self._tags:
+            self._allocate()
+        ways = self._ways
+        tags_col, dirty_col, stamp_col = self._tags, self._dirty, self._stamp
         clock = self._clock
         dirty_evictions = self.dirty_evictions
-        empty_tags = [-1] * ways
-        empty_dirty = [False] * ways
-        empty_stamp = [0] * ways
         for sid, lo, hi in zip(set_ids, starts, ends):
+            base = sid * ways
+            top = base + ways
             # LRU semantics over (existing contents + this range): only
             # the last `ways` inserts of the group can survive, so the
             # earlier ones are skipped outright (no clock tick, no
             # eviction), exactly as if each block had been filled once.
-            lo = hi - ways if hi - lo > ways else lo
-            cnt = hi - lo
-            s = sa_get(sid)
-            if s is None:
-                # Fresh set: the group is the whole contents.
-                s = new_set(_SASet)
-                s.stamp = list(range(clock + 1, clock + 1 + cnt)) \
-                    + empty_stamp[cnt:]
-                s.tags = tags_sorted[lo:hi] + empty_tags[cnt:]
-                s.dirty = dirty_sorted[lo:hi] + empty_dirty[cnt:]
-                clock += cnt
-                sa_sets[sid] = s
-                continue
-            stags = s.tags
-            merged = list(zip(s.stamp, stags, s.dirty)) \
-                if -1 not in stags else \
-                [t for t in zip(s.stamp, stags, s.dirty) if t[1] != -1]
-            for k in range(lo, hi):
+            # Valid ways keep their way order and the inserts follow.
+            merged = [e for e in zip(stamp_col[base:top], tags_col[base:top],
+                                     dirty_col[base:top]) if e[1] != -1]
+            for k in range(max(lo, hi - ways), hi):
                 clock += 1
                 merged.append((clock, tags_sorted[k], dirty_sorted[k]))
-            m = len(merged)
-            if m > ways:
+            overflow = len(merged) - ways
+            if overflow > 0:
                 # Insertion stamps are unique and monotonic, so a plain
                 # tuple sort is a stamp sort; the dropped prefix is the
                 # LRU overflow.
                 merged.sort()
-                for _stamp, _tag, was_dirty in merged[:m - ways]:
-                    if was_dirty:
-                        dirty_evictions += 1
-                del merged[:m - ways]
-                m = ways
-            s.stamp[:m], s.tags[:m], s.dirty[:m] = zip(*merged)  # type: ignore[assignment]
-            if m < ways:
-                s.tags[m:] = empty_tags[m:]
-                s.dirty[m:] = empty_dirty[m:]
-                s.stamp[m:] = empty_stamp[m:]
+                dirty_evictions += sum(1 for e in merged[:overflow] if e[2])
+                del merged[:overflow]
+            else:
+                merged += [(0, -1, False)] * -overflow
+            way_stamps, way_tags, way_dirty = zip(*merged)
+            stamp_col[base:top] = array("q", way_stamps)
+            tags_col[base:top] = way_tags
+            dirty_col[base:top] = bytes(way_dirty)
         self._clock = clock
         self.dirty_evictions = dirty_evictions
 
@@ -544,111 +346,84 @@ class DRAMCacheArray:
         :meth:`bulk_fill` once per tuple in order — same final contents,
         same insertion-clock values, same ``dirty_evictions`` count.
 
-        On an untouched set-associative array (the warm-up case) the
-        whole batch is grouped by set once and each set is constructed in
-        a single shot, so a set shared by every range is visited once
-        instead of ``len(fills)`` times.  The fusion is exact because the
-        sequential calls interact only through LRU state: per call, only
-        the last ``ways`` inserts of a set's group can survive (earlier
-        ones are skipped without ticking the clock or counting an
-        eviction), and across calls the survivors are the globally
-        newest ``ways`` stamps, with every insert that was stamped but
-        later displaced counting its dirty bit exactly once.
+        On an unallocated set-associative array (the warm-up case) the
+        whole batch is computed in closed form and scattered into flat
+        columns, with no per-set Python work and no sort:
+
+        * a contiguous range puts its ``k``-th block of set ``s`` at
+          ``k * num_sets`` past the set's first block, so per call only
+          its last ``ways * num_sets`` blocks can survive (exactly the
+          last ``ways`` of every set), and bulk_fill's stamp for that
+          insert is ``clock + 1 + (inserts of sets < s) + k``;
+        * across calls the survivors of a set are its newest ``ways``
+          inserts: the oldest ``max(0, total - ways)`` are displaced,
+          earliest range first, each counting its dirty bit once as an
+          eviction, and the rest lie in stamp order from way 0, which is
+          what repeated bulk_fill leaves on an empty set.
         """
-        # The fused path assumes a pristine array; a _CowSets overlay can
-        # be empty while its frozen backing is not, so require the exact
-        # plain-dict type as well as emptiness.
-        if (self.is_direct_mapped or type(self._sa_sets) is not dict
-                or self._sa_sets):
+        if self.is_direct_mapped or self._tags:
             for start_addr, n_blocks, dirty_fraction, seed in fills:
                 self.bulk_fill(start_addr, n_blocks,
                                dirty_fraction=dirty_fraction, seed=seed)
             return
 
-        num_sets = self.sa.num_sets
-        ways = self.sa.ways
-        clock0 = self._clock
-        assigned = 0                      # clipped inserts stamped so far
-        sid_parts: list[NDArray[np.int64]] = []
-        tag_parts: list[NDArray[np.int64]] = []
-        dirty_parts: list[NDArray[np.bool_]] = []
-        stamp_parts: list[NDArray[np.int64]] = []
+        n_sets, ways = self._num_sets, self._ways
+        capacity = n_sets * ways
+        set_ids = np.arange(n_sets, dtype=np.int64)
+        # Per range: first surviving block, survivor count, inserts per set.
+        runs: list[tuple[int, int, NDArray[np.int64], float, int]] = []
         for start_addr, n_blocks, dirty_fraction, seed in fills:
             if n_blocks <= 0:
                 continue
-            start_block = start_addr // self.geometry.block_bytes
-            blocks = np.arange(start_block, start_block + n_blocks,
-                               dtype=np.int64)
-            h = ((blocks + seed) * np.int64(2654435761)) \
-                & np.int64(0xFFFFFFFF)
-            dirty = (h >> 16).astype(np.float64) / 65536.0 < dirty_fraction
-            sets = blocks % num_sets
-            tags = blocks // num_sets
-            order = np.argsort(sets, kind="stable")
-            ss = sets[order]
-            # Per-call clipping: within one range only the last `ways`
-            # blocks of each set's group are ever inserted.
-            keep = _last_of_group_mask(ss, ways)
-            ss = ss[keep]
-            k = len(ss)
-            # Stamps in (set, position) order match the sequential
-            # insertion clock: bulk_fill walks groups in ascending set
-            # order and stamps only the clipped survivors.
-            stamps = np.arange(clock0 + assigned + 1,
-                               clock0 + assigned + 1 + k, dtype=np.int64)
-            assigned += k
-            sid_parts.append(ss)
-            tag_parts.append(tags[order][keep])
-            dirty_parts.append(dirty[order][keep])
-            stamp_parts.append(stamps)
-        self._clock = clock0 + assigned
-        if not sid_parts:
+            m = min(n_blocks, capacity)
+            first = start_addr // self._block_bytes + n_blocks - m
+            per_set = (m - (set_ids - first) % n_sets + n_sets - 1) // n_sets
+            runs.append((first, m, per_set, dirty_fraction, seed))
+        if not runs:
             return
 
-        sid = np.concatenate(sid_parts)
-        tag = np.concatenate(tag_parts)
-        drt = np.concatenate(dirty_parts)
-        stp = np.concatenate(stamp_parts)
-        # Stable sort by set: ties keep concatenation order, which is
-        # (range order, position order) — i.e. ascending stamp.
-        order = np.argsort(sid, kind="stable")
-        sid, tag, drt, stp = sid[order], tag[order], drt[order], stp[order]
-        # Global LRU: the survivors of each set are its newest `ways`
-        # stamps; everything older was inserted then displaced, and its
-        # dirty bit counts as an eviction exactly once.
-        keep = _last_of_group_mask(sid, ways)
-        self.dirty_evictions += int(drt[~keep].sum())
-        sid, tag, drt, stp = sid[keep], tag[keep], drt[keep], stp[keep]
+        overflow = np.maximum(sum(run[2] for run in runs) - ways, 0)
+        # The dirty and stamp columns are written in place through numpy
+        # views; the tag column is built in numpy and converted once.
+        self._dirty = bytearray(capacity)
+        self._stamp = array("q", [0]) * capacity
+        tags = np.full(capacity, -1, dtype=np.int64)
+        dirty = np.frombuffer(self._dirty, dtype=np.bool_)
+        stamp = np.frombuffer(self._stamp, dtype=np.int64)
+        earlier = np.zeros(n_sets, dtype=np.int64)    # inserts of prior ranges
+        clock = self._clock
+        evictions = 0
+        for first, m, per_set, dirty_fraction, seed in runs:
+            displaced_before = np.minimum(overflow, earlier)
+            drop = np.minimum(overflow - displaced_before, per_set)
+            # The range as a (rows, n_sets) grid in address order: cell
+            # (k, t) is block first + k * n_sets + t, the k-th insert of
+            # set col_set[t]; cells past the m-th are cut off.
+            off = first % n_sets
+            col_set = np.roll(set_ids, -off)
+            k = np.arange(-(-m // n_sets), dtype=np.int64)[:, None]
+            blocks = (first + set_ids + k * n_sets).ravel()[:m]
+            drt = _dirty_bits(blocks, seed, dirty_fraction)
+            # Kept inserts follow the earlier ranges' survivors in stamp
+            # order; bulk_fill stamps set by set in ascending set order.
+            way0 = col_set * ways + (earlier - displaced_before - drop)[col_set]
+            slot = (way0 + k).ravel()[:m]
+            stamp0 = (clock + 1 + np.cumsum(per_set) - per_set)[col_set]
+            tag = (first // n_sets + (col_set < off) + k).ravel()[:m]
+            stamps = (stamp0 + k).ravel()[:m]
+            if drop.any():
+                keep = (k >= drop[col_set]).ravel()[:m]
+                evictions += int(np.count_nonzero(drt & ~keep))
+                slot, tag, drt, stamps = slot[keep], tag[keep], drt[keep], stamps[keep]
+            tags[slot] = tag
+            dirty[slot] = drt
+            stamp[slot] = stamps
+            clock += m
+            earlier += per_set
 
-        n = len(sid)
-        group_start = np.empty(n, dtype=bool)
-        group_start[0] = True
-        np.not_equal(sid[1:], sid[:-1], out=group_start[1:])
-        starts = np.flatnonzero(group_start)
-        gidx = np.cumsum(group_start) - 1
-        col = np.arange(n) - starts[gidx]
-        rows = len(starts)
-        # Dense (set, way) scatter, then one tolist() per field: the
-        # stamp-ascending layout matches what repeated bulk_fill leaves
-        # (appends in stamp order; overflow re-sorts by stamp).
-        tags_mat = np.full((rows, ways), -1, dtype=np.int64)
-        dirty_mat = np.zeros((rows, ways), dtype=bool)
-        stamp_mat = np.zeros((rows, ways), dtype=np.int64)
-        tags_mat[gidx, col] = tag
-        dirty_mat[gidx, col] = drt
-        stamp_mat[gidx, col] = stp
-        set_ids = sid[starts].tolist()
-        tag_rows = tags_mat.tolist()
-        dirty_rows = dirty_mat.tolist()
-        stamp_rows = stamp_mat.tolist()
-        new_set = _SASet.__new__
-        sa_sets = self._sa_sets
-        for j, sid_j in enumerate(set_ids):
-            s = new_set(_SASet)
-            s.tags = tag_rows[j]
-            s.dirty = dirty_rows[j]
-            s.stamp = stamp_rows[j]
-            sa_sets[sid_j] = s
+        self._tags = tags.tolist()
+        self._clock = clock
+        self.dirty_evictions += evictions
 
     # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
 
@@ -656,51 +431,49 @@ class DRAMCacheArray:
         """Value-only digest of the functional contents (snapshot tests).
 
         Deterministically ordered and identity-free, so signatures of
-        independent copies compare equal iff the contents match; never
-        materialises copy-on-write sets.
+        independent copies compare equal iff the contents match.  Lists
+        every set that was ever written (any nonzero stamp), whether or
+        not the columns behind it were allocated lazily.
         """
         if self.is_direct_mapped:
             return ("dm", self._clock, sorted(self._dm_entries.items()))
-        sets = self._sa_sets
-        items = (sets.peek_items() if isinstance(sets, _CowSets)
-                 else sets.items())
+        if not self._tags:
+            return ("sa", self._clock, [])
+        ways = self._ways
+        stamps = np.frombuffer(self._stamp, dtype=np.int64).reshape(-1, ways)
+        written = np.flatnonzero(stamps.any(axis=1)).tolist()
+        tags, dirty, stamp = self._tags, self._dirty, self._stamp
         return ("sa", self._clock,
-                sorted((k, tuple(s.tags), tuple(s.dirty), tuple(s.stamp))
-                       for k, s in items))
+                [(s, tuple(tags[s * ways:s * ways + ways]),
+                  tuple(map(bool, dirty[s * ways:s * ways + ways])),
+                  tuple(stamp[s * ways:s * ways + ways]))
+                 for s in written])
 
     def capture_state(self) -> dict[str, Any]:
         """Freeze the functional contents for warm-state forking.
 
-        Returns a state dict whose set-associative backing is *shared*
-        with this array: the array is simultaneously re-pointed at a
-        fresh copy-on-write overlay (:class:`_CowSets`), so the donor may
-        keep simulating while any number of restored arrays fork from the
-        frozen image — capture is O(1) in the set-associative case.
-        Direct-mapped entries are immutable tuples, so a plain dict copy
-        suffices there.
+        The image is an immutable copy (a tuple of tags and two byte
+        strings in the set-associative case, a dict of immutable tuples
+        in the direct-mapped one), so the donor may keep simulating
+        while any number of restored arrays fork from it.
         """
         state: dict[str, Any] = {"organization": self.organization,
                                  "clock": self._clock}
         if self.is_direct_mapped:
             state["dm"] = dict(self._dm_entries)
         else:
-            sets = self._sa_sets
-            if isinstance(sets, _CowSets):
-                backing = sets.frozen_merge()
-            else:
-                backing = sets
-            self._sa_sets = _CowSets(backing)
-            state["sa"] = backing
+            state["tags"] = tuple(self._tags)
+            state["dirty"] = bytes(self._dirty)
+            state["stamp"] = self._stamp.tobytes()
         return state
 
     def restore_state(self, state: dict[str, Any]) -> None:
         """Adopt functional contents captured by :meth:`capture_state`.
 
-        The restored array reads through to the frozen image and copies
-        individual sets on first touch; the image itself is never
-        mutated, so one capture serves any number of restores and each
-        restored run is bit-identical to a run that did the functional
-        warm-up itself.
+        Each restore copies the image into fresh columns, so one capture
+        serves any number of restores, no two arrays share mutable state,
+        and each restored run is bit-identical to a run that did the
+        functional warm-up itself.
         """
         if state["organization"] != self.organization:
             raise ValueError(
@@ -710,14 +483,27 @@ class DRAMCacheArray:
         if self.is_direct_mapped:
             self._dm_entries = dict(state["dm"])
         else:
-            self._sa_sets = _CowSets(state["sa"])
+            self._tags = list(state["tags"])
+            self._dirty = bytearray(state["dirty"])
+            self._stamp = array("q", state["stamp"])
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> DRAMCacheArray:
+        # Full snapshots deep-copy the whole System.  The generic path
+        # would visit every cell of the tag column one int at a time;
+        # the cells are immutable scalars, so a slice copy is identical.
+        new = type(self).__new__(type(self))
+        memo[id(self)] = new
+        for name, value in self.__dict__.items():
+            new.__dict__[name] = (value[:] if name in _COLUMNS
+                                  else copy.deepcopy(value, memo))
+        return new
 
     def _touch(self, addr: int, way: int) -> None:
         if self.organization == "dm":
             return
-        s = self._sa_sets[(addr // self._block_bytes) % self._num_sets]
         self._clock += 1
-        s.stamp[way] = self._clock
+        self._stamp[(addr // self._block_bytes) % self._num_sets * self._ways
+                    + way] = self._clock
 
     # -- array-address helpers (where tag/data live in the stacked DRAM) -------
 

@@ -17,9 +17,10 @@ Two call conventions, one per cache organisation:
 
 * **SRAM** (:mod:`repro.mem.sram`): sets are lists of ``[tag, dirty,
   stamp]`` entries; the policy returns the victim *entry*.
-* **SA DRAM cache** (:mod:`repro.cache.dramcache`): sets are
-  structure-of-arrays; the policy returns the victim *way index*.  The
-  caller fills invalid ways first — policies only see full sets.
+* **SA DRAM cache** (:mod:`repro.cache.dramcache`): the policy gets one
+  set's slices of the flat tag, dirty (0/1) and stamp columns and
+  returns the victim *way index*.  The caller fills invalid ways first —
+  policies only see full sets.
 
 All policies are module-level functions, so a cache holding one as an
 attribute stays snapshot-safe (no closures in live state — see
@@ -39,7 +40,7 @@ _STAMP = itemgetter(2)
 # works — the SRAM cache passes its per-set dict's values() view without
 # materialising a list per eviction.
 SRAMVictimFn = Callable[[Iterable[list[Any]]], list[Any]]
-SAVictimFn = Callable[[Sequence[int], Sequence[bool], Sequence[int]], int]
+SAVictimFn = Callable[[Sequence[int], Sequence[int], Sequence[int]], int]
 
 
 # -- SRAM caches (list-of-entries sets) -----------------------------------------
@@ -71,12 +72,12 @@ SRAM_POLICIES: Mapping[str, SRAMVictimFn] = MappingProxyType({
 # -- SA DRAM-cache organisation (structure-of-arrays sets) ----------------------
 
 
-def _sa_lru(tags: Sequence[int], dirty: Sequence[bool],
+def _sa_lru(tags: Sequence[int], dirty: Sequence[int],
             stamp: Sequence[int]) -> int:
     return stamp.index(min(stamp))
 
 
-def _sa_lru_clean(tags: Sequence[int], dirty: Sequence[bool],
+def _sa_lru_clean(tags: Sequence[int], dirty: Sequence[int],
                   stamp: Sequence[int]) -> int:
     best = -1
     best_stamp = -1
@@ -86,7 +87,7 @@ def _sa_lru_clean(tags: Sequence[int], dirty: Sequence[bool],
     return best if best >= 0 else _sa_lru(tags, dirty, stamp)
 
 
-def _sa_lru_dirty(tags: Sequence[int], dirty: Sequence[bool],
+def _sa_lru_dirty(tags: Sequence[int], dirty: Sequence[int],
                   stamp: Sequence[int]) -> int:
     best = -1
     best_stamp = -1

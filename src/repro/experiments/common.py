@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -297,6 +298,11 @@ def _run_batch(specs: Sequence[RunSpec], params: SimParams,
             out.append((spec, None, traceback.format_exc()))
         else:
             out.append((spec, result, None))
+        # A finished System is cyclic garbage (its components hold bound
+        # methods of one another).  Few container allocations follow a
+        # point, so the allocation-driven collector would let several dead
+        # Systems pile up; reclaim each one now.
+        gc.collect()
     return out
 
 

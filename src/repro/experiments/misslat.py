@@ -53,7 +53,8 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
     # controller latency.  ROD's cost is concentrated in flush-episode
     # tails, which weighted speedup (fig08) captures but a mean does not —
     # so DCA is only required to be within noise of ROD here, and strictly
-    # better on the end-to-end metric (see EXPERIMENTS.md).
+    # better on the end-to-end metric.  Showing those tails directly is
+    # the "Latency histograms" item in ROADMAP.md.
     checks = [
         ("DCA improves over CD", imp["DCA"] > 0),
         ("DCA within 3% of ROD or better (mean hides ROD's flush tails)",

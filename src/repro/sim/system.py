@@ -480,7 +480,7 @@ class System:
         state (DRAM-cache contents, L2 contents, trace positions) that
         every controller design over the same (workload, seed, substrate)
         prefix shares, so one capture forks a whole design sweep.  The
-        set-associative array capture is O(1) copy-on-write — the donor
+        array capture is an immutable copy of its contents, so the donor
         keeps simulating unperturbed (see ``DRAMCacheArray.capture_state``).
         """
         if self.sim.events_run or self.sim.now:

@@ -65,14 +65,19 @@ from typing import Any, Optional
 #: bus_free or banked per-channel substrate state) instead of a bare int.
 #: v3: the pickled engine is the binary-heap ``Simulator``; a v2 payload
 #: holds the calendar-queue engine, whose state the new class cannot take.
-SNAPSHOT_SCHEMA_VERSION = 3
+#: v4: the pickled set-associative ``DRAMCacheArray`` holds three flat
+#: columns (tags, dirty, stamp); a v3 payload holds per-set objects of a
+#: class that no longer exists.
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
 #: v2: identity gained the array replacement policy (``array_replacement``
 #: alongside the l2 geometry's own ``replacement`` field) — contents laid
 #: out under one victim policy must not seed a run using another.
-WARM_STATE_VERSION = 2
+#: v3: ``array_state`` holds immutable copies of the flat columns
+#: (``tags``/``dirty``/``stamp``) instead of a shared per-set backing dict.
+WARM_STATE_VERSION = 3
 
 
 class SnapshotError(RuntimeError):
@@ -115,7 +120,8 @@ class WarmState:
     array_replacement: str
     #: trace operations each core consumed during the functional warm-up
     trace_counts: list[int]
-    #: ``DRAMCacheArray.capture_state()`` payload (CoW-shared backing)
+    #: ``DRAMCacheArray.capture_state()`` payload (an immutable copy of
+    #: the contents; every restore copies it again)
     array_state: dict
     #: ``SRAMCache.capture_state()`` payload
     l2_state: dict

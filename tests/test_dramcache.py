@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.dramcache import DRAMCacheArray
+from repro.cache.replacement import SA_POLICIES
 from repro.config import DRAMCacheGeometry
 
 GEOM = DRAMCacheGeometry(size_bytes=2 * 2**20)  # small: fast eviction tests
@@ -233,19 +234,165 @@ class TestBulkFillMany:
             b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
         assert _state(a) == _state(b)
 
-    def test_cow_overlay_is_not_treated_as_pristine(self):
-        """After capture_state() the sets dict is a copy-on-write overlay
-        whose emptiness does not mean the array is empty."""
+    def test_restored_array_matches_sequential(self):
+        """A restored array already holds contents, so bulk_fill_many
+        must compose with them exactly as sequential bulk_fill calls do."""
+        donor = DRAMCacheArray(GEOM, "sa")
+        donor.bulk_fill(0, 3000, dirty_fraction=0.2, seed=5)
+        state = donor.capture_state()
         a = DRAMCacheArray(GEOM, "sa")
         b = DRAMCacheArray(GEOM, "sa")
-        for arr in (a, b):
-            arr.bulk_fill(0, 3000, dirty_fraction=0.2, seed=5)
-            arr.capture_state()
-        fills = [(0, 3000, 0.7, 8)]
+        a.restore_state(state)
+        b.restore_state(state)
+        fills = [(0, 3000, 0.7, 8), (1 << 44, 2000, 0.1, 9)]
         a.bulk_fill_many(fills)
         for start, n, df, sd in fills:
             b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
         assert _state(a) == _state(b)
+        assert _state(a) != _state(donor)
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 3),                  # range id (<< 44)
+                  st.integers(0, 70_000),             # start block offset
+                  st.integers(0, 70_000),             # n_blocks (> capacity)
+                  st.floats(0.0, 1.0),                # dirty_fraction
+                  st.integers(0, 9)),                 # seed
+        min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_unaligned_ranges_match_sequential(self, specs):
+        """Ranges starting anywhere in the set cycle, some longer than
+        the whole cache, fuse exactly."""
+        fills = [((rid << 44) + off * 64, n, df, sd)
+                 for rid, off, n, df, sd in specs]
+        a = DRAMCacheArray(GEOM, "sa")
+        b = DRAMCacheArray(GEOM, "sa")
+        a.bulk_fill_many(fills)
+        for start, n, df, sd in fills:
+            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+        assert _state(a) == _state(b)
+
+
+class RefSA:
+    """Per-set dict-of-lists reference model of the set-associative array.
+
+    Each written set is a ``[tags, dirty, stamp]`` triple of way lists,
+    created on its first fill, so it shares no indexing with the flat
+    columns it checks.
+    """
+
+    def __init__(self, array):
+        self.n = array.sa.num_sets
+        self.ways = array.sa.ways
+        self.block = array.geometry.block_bytes
+        self.victim = SA_POLICIES[array.replacement]
+        self.sets = {}
+        self.clock = 0
+        self.lookups = self.hits = self.fills = self.dirty_evictions = 0
+
+    def _find(self, b):
+        s = self.sets.get(b % self.n)
+        tag = b // self.n
+        if s is None or tag not in s[0]:
+            return s, -1
+        return s, s[0].index(tag)
+
+    def _stamp(self, s, w):
+        self.clock += 1
+        s[2][w] = self.clock
+
+    def probe(self, b):
+        s, w = self._find(b)
+        return (w >= 0, w, w >= 0 and s[1][w])
+
+    def lookup(self, b, write):
+        self.lookups += 1
+        s, w = self._find(b)
+        res = (w >= 0, w, w >= 0 and s[1][w])
+        if w >= 0:
+            self.hits += 1
+            if write:
+                s[1][w] = True
+            self._stamp(s, w)
+        return res
+
+    def fill(self, b, dirty):
+        self.fills += 1
+        s = self.sets.setdefault(
+            b % self.n, [[-1] * self.ways, [False] * self.ways, [0] * self.ways])
+        tags, drt, stamp = s
+        tag = b // self.n
+        if tag in tags:
+            w = tags.index(tag)
+            drt[w] = drt[w] or dirty
+            self._stamp(s, w)
+            return (w, None, False)
+        w = tags.index(-1) if -1 in tags else self.victim(tags, drt, stamp)
+        old_tag, old_dirty = tags[w], drt[w]
+        tags[w], drt[w] = tag, dirty
+        self._stamp(s, w)
+        if old_tag == -1:
+            return (w, None, False)
+        if old_dirty:
+            self.dirty_evictions += 1
+        return (w, (old_tag * self.n + b % self.n) * self.block, old_dirty)
+
+    def invalidate(self, b):
+        s, w = self._find(b)
+        if w < 0:
+            return False
+        s[0][w], s[1][w] = -1, False
+        return True
+
+    def signature(self):
+        return ("sa", self.clock,
+                sorted((k, tuple(t), tuple(d), tuple(st))
+                       for k, (t, d, st) in self.sets.items()))
+
+
+OPS = ("probe", "read", "write", "fill", "fill_dirty", "invalidate", "fork")
+
+
+@pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
+@given(st.lists(st.tuples(st.sampled_from(OPS),
+                          st.integers(0, 2),          # set (3 hot sets)
+                          st.integers(0, 24)),        # tag (> ways per set)
+                max_size=300))
+@settings(max_examples=40, deadline=None)
+def test_lockstep_with_per_set_reference(policy, ops):
+    """The flat columns behave exactly like per-set lists: every result,
+    victim, counter and the final contents, across capture -> restore."""
+    arr = DRAMCacheArray(GEOM, "sa", replacement=policy)
+    ref = RefSA(arr)
+    n = arr.sa.num_sets
+    for op, set_idx, tag in ops:
+        b = tag * n + set_idx
+        addr = b * 64
+        if op == "probe":
+            r = arr.probe(addr)
+            assert (r.hit, r.way, r.dirty) == ref.probe(b)
+        elif op in ("read", "write"):
+            r = (arr.lookup_write(addr) if op == "write"
+                 else arr.lookup_read(addr))
+            assert (r.hit, r.way, r.dirty) == ref.lookup(b, op == "write")
+        elif op in ("fill", "fill_dirty"):
+            f = arr.fill(addr, dirty=op == "fill_dirty")
+            assert ((f.way, f.victim_block_addr, f.victim_dirty)
+                    == ref.fill(b, op == "fill_dirty"))
+        elif op == "invalidate":
+            assert arr.invalidate(addr) == ref.invalidate(b)
+        else:
+            # Continue on a restored copy; scribbling on the donor must
+            # not reach it.
+            fork = DRAMCacheArray(GEOM, "sa", replacement=policy)
+            fork.restore_state(arr.capture_state())
+            fork.lookups, fork.hits = arr.lookups, arr.hits
+            fork.fills, fork.dirty_evictions = arr.fills, arr.dirty_evictions
+            for t in range(arr.sa.ways + 1):
+                arr.fill((t * n + set_idx) * 64, dirty=True)
+            arr = fork
+    assert arr.contents_signature() == ref.signature()
+    assert (arr.lookups, arr.hits, arr.fills, arr.dirty_evictions) == (
+        ref.lookups, ref.hits, ref.fills, ref.dirty_evictions)
 
 
 @given(st.lists(st.integers(0, 300), min_size=1, max_size=200),

@@ -244,8 +244,9 @@ class TestPersistence:
         path = snapshot.save(snapshot.capture(b), tmp_path / "old.snap")
         raw = bytearray(path.read_bytes())
         # 99: a corrupt version field; 2: a file whose pickled engine is
-        # the calendar-queue Simulator, which the v3 class cannot restore.
-        for version in (99, 2):
+        # the calendar-queue Simulator; 3: a file whose DRAM-cache array
+        # holds per-set objects instead of flat columns.
+        for version in (99, 2, 3):
             raw[len(b"DCASNAP1")] = version
             path.write_bytes(bytes(raw))
             with pytest.raises(snapshot.SnapshotError, match="schema"):

@@ -13,6 +13,7 @@ The warm cache's contract has two halves:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -100,7 +101,7 @@ class TestWarmForkBitIdentity:
 
     def test_capturing_run_also_equals_cold(self):
         """The donor run (the one that captures) must be unperturbed by
-        the copy-on-write freeze of its array."""
+        the capture of its array."""
         spec = RunSpec("DCA", "sa", mix_id=1)
         captured = run_one(spec, PARAMS, warm_cache=WarmCache())
         cold = run_one(spec, PARAMS)
@@ -116,6 +117,32 @@ class TestWarmForkBitIdentity:
             warm = run_one(spec, PARAMS, warm_cache=cache)
             assert warm.meta["warm"]["restored"] is True
             assert strip_meta(warm) == strip_meta(run_one(spec, PARAMS))
+
+    @pytest.mark.parametrize("organization", ["sa", "dm"])
+    def test_restores_share_no_state(self, organization):
+        """Two restores of one capture: running one (and the donor) must
+        leave the other restore and the captured image equal to a cold
+        run."""
+        spec = RunSpec("DCA", organization, mix_id=1)
+        donor = build_system(RunSpec("CD", organization, mix_id=1), PARAMS)
+        donor.functional_warmup(replay_accesses=PARAMS.replay_accesses)
+        warm = donor.capture_warm_state()
+        image = copy.deepcopy(warm.array_state)
+        first = build_system(spec, PARAMS)
+        second = build_system(spec, PARAMS)
+        first.begin(PARAMS.warmup_insts, PARAMS.measure_insts,
+                    warm_state=warm)
+        second.begin(PARAMS.warmup_insts, PARAMS.measure_insts,
+                     warm_state=warm)
+        first.finish()
+        for array in (first.controller.array, donor.controller.array):
+            for i in range(256):                 # evict across many sets
+                array.fill((1 << 43) + i * 64, dirty=True)
+        assert first.controller.array.capture_state() != image
+        donor.run(PARAMS.warmup_insts, PARAMS.measure_insts,
+                  functional_warmup=False)
+        assert warm.array_state == image
+        assert strip_meta(second.finish()) == strip_meta(run_one(spec, PARAMS))
 
 
 class TestRestoreValidation:
@@ -161,10 +188,14 @@ class TestRestoreValidation:
             system.capture_warm_state()
 
     def test_stale_schema_rejected(self):
-        warm = dataclasses.replace(self.make_warm(), schema_version=0)
-        system = build_system(RunSpec("CD", "sa", mix_id=1), PARAMS)
-        with pytest.raises(WarmStateError, match="schema"):
-            system.restore_warm_state(warm)
+        # 0: a corrupt version; 2: an array_state holding a shared per-set
+        # backing dict instead of flat columns.
+        for version in (0, 2):
+            warm = dataclasses.replace(self.make_warm(),
+                                       schema_version=version)
+            system = build_system(RunSpec("CD", "sa", mix_id=1), PARAMS)
+            with pytest.raises(WarmStateError, match="schema"):
+                system.restore_warm_state(warm)
 
     def test_rejects_mismatched_replay_budget(self):
         """Restoring with an explicit replay budget asserts the warm
