@@ -114,9 +114,9 @@ class Access:
         self.global_bank = global_bank
         self.arrival = arrival
         if seq is None:
-            # Convenience fallback for hand-built accesses (tests, perf
-            # benches).  The simulator proper always passes an explicit
-            # seq from the per-system Translator counter: a class-global
+            # Convenience fallback for hand-built accesses (tests).  The
+            # simulator proper always passes an explicit seq from the
+            # per-system Translator counter: a class-global
             # here would be hidden state that snapshot capture/restore
             # could not make bit-faithful (see repro/snapshot.py).
             Access._seq += 1

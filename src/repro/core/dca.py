@@ -42,9 +42,8 @@ def ofs_naive_candidates(entries: Iterable[Access], channel, rrpc: RRPCTable,
     """LRs passing the OFS criteria (§IV-C) — naive full-scan reference.
 
     The executable specification :func:`ofs_bucket_filter` is tested
-    against; classifies every access's row state individually.  Shared
-    by the controller (reference path) and the perf benchmark's naive
-    engine.
+    against; classifies every access's row state individually.  Used by
+    the controller's reference path and the fast-path lockstep tests.
     """
     out = []
     for a in entries:
@@ -69,8 +68,8 @@ def ofs_bucket_filter(lr_buckets: Mapping[int, BankBucket],
     the bucket's ``rows`` column is membership-tested once before any
     filtered copy is built.  The bucket's channel-local bank is
     ``global_bank % len(open_rows)`` (see ``AddressMapper.global_bank``).
-    Shared by the controller hot path and the perf benchmark so the two
-    can't drift apart.
+    The controller hot path calls it; the lockstep tests drive it
+    directly against :func:`ofs_naive_candidates`.
     """
     nbanks = len(open_rows)
     out: dict[int, BankBucket | FrozenBucket] = {}

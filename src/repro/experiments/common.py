@@ -341,8 +341,8 @@ def atomic_write_json(path: Path, payload) -> Path:
 
     The write is atomic at the filesystem level, so a crashed process
     can't leave a torn entry.  Shared by :class:`ResultStore` and the
-    perf-benchmark store (repro/bench) so every on-disk JSON artefact
-    goes through the same path.
+    sweep engine's results file and manifest, so every on-disk JSON
+    artefact goes through the same path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -359,7 +359,7 @@ def write_profiled(fn, path: Path):
     so an interrupted run never leaves a torn .prof behind.  Only the
     call itself is traced — argument setup and the write are outside the
     profile.  Returns ``fn``'s result.  Used by the ``--profile`` flag
-    of both CLI entry points (``dca-repro`` and ``repro-perf``).
+    of ``dca-repro``.
     """
     import cProfile
 

@@ -20,12 +20,16 @@ from repro.config import BLISSConfig, DRAMOrganization, DRAMTimings
 from repro.core import make_controller
 from repro.core.access import Access, AccessRole, CacheRequest, Priority, RequestType
 from repro.core.bliss import BLISSScheduler
+from repro.core.dca import ofs_bucket_filter, ofs_naive_candidates
 from repro.core.frfcfs import FRFCFSScheduler
 from repro.core.queues import AccessQueue
+from repro.core.rrpc import RRPCTable
 from repro.dram.channel import Channel
 from repro.sim.engine import Simulator
 
 NUM_CORES = 8
+#: OFS flushing factor of the lockstep's OFS mode (the paper's FF-4)
+OFS_FF = 4
 
 
 def random_state(rng, n_accesses, read_fraction=0.6, writes=False):
@@ -144,6 +148,91 @@ class TestOFSEquivalence:
         sched = ctrl.sched[0]
         assert (sched.pick(naive, channel, 0)
                 is sched.pick_banked(buckets, channel, 0))
+
+
+class TestSteadyStateLockstep:
+    """Pick, remove, then push a same-class replacement, many times over.
+
+    Each step is the controller's steady-state decision: the queue keeps
+    its size and class mix, so bucket maintenance between picks runs
+    under pushes as well as removals (``test_drain_order_identical`` only
+    removes).  The naive path keeps a plain list and the indexed path an
+    ``AccessQueue``; both must pick the identical access at every step.
+    """
+
+    QUEUE_SIZE = 48
+    STEPS = 300
+
+    @pytest.mark.parametrize(
+        "mode", ["bliss_all", "pr_subset", "dca_ofs", "write_drain",
+                 "frfcfs_all"])
+    def test_pick_remove_push(self, mode):
+        for seed in range(3):
+            self.run_lockstep(mode, random.Random(seed))
+
+    def run_lockstep(self, mode, rng):
+        q, channel = random_state(
+            rng, self.QUEUE_SIZE,
+            read_fraction=0.10 if mode == "dca_ofs" else 0.60,
+            writes=mode == "write_drain")
+        pool = list(q.entries)
+        nbanks = len(channel.banks)
+        banks_per_rank = DRAMOrganization().banks_per_rank
+        if mode == "frfcfs_all":
+            sched = FRFCFSScheduler()
+        else:
+            sched = BLISSScheduler(BLISSConfig(), NUM_CORES)
+            sched.blacklist[1] = sched.blacklist[5] = True
+        rrpc = RRPCTable(nbanks)
+        for _ in range(nbanks // 2):    # warm some banks' RRPC counters
+            rrpc.on_priority_read(rng.randrange(nbanks))
+
+        def access(role, rtype):
+            gb = rng.randrange(nbanks)
+            rank, bank = divmod(gb, banks_per_rank)
+            req = CacheRequest(rtype, rng.randrange(1 << 20),
+                               rng.randrange(NUM_CORES))
+            return Access(role, req, 0, rank, bank, rng.randrange(8), 0, gb, 0)
+
+        def replacements():
+            if mode == "write_drain":
+                return {Priority.WRITE: access(AccessRole.DATA_WRITE,
+                                               RequestType.WRITEBACK)}
+            return {Priority.PR: access(AccessRole.TAG_READ,
+                                        RequestType.READ),
+                    Priority.LR: access(AccessRole.TAG_READ,
+                                        RequestType.WRITEBACK)}
+
+        def naive_candidates():
+            if mode == "pr_subset":
+                return [a for a in pool if a.priority == Priority.PR]
+            if mode == "dca_ofs":
+                return ofs_naive_candidates(pool, channel, rrpc, OFS_FF)
+            return pool
+
+        def indexed_buckets():
+            if mode == "pr_subset":
+                return q.pr_bank_buckets()
+            if mode == "dca_ofs":
+                return ofs_bucket_filter(q.lr_bank_buckets(),
+                                         channel.open_rows, rrpc, OFS_FF)
+            return q.bank_buckets()
+
+        picked = 0
+        for step in range(self.STEPS):
+            repl = replacements()
+            a = sched.pick(naive_candidates(), channel, 0)
+            assert sched.pick_banked(indexed_buckets(), channel, 0) is a, (
+                f"{mode}: pick #{step} diverged")
+            if a is None:
+                continue
+            picked += 1
+            pool.remove(a)
+            pool.append(repl[a.priority])
+            q.remove(a)
+            q.push(repl[a.priority])
+        assert picked > self.STEPS // 2
+        q.check_invariants()
 
 
 class TestScheduleAllHysteresis:
