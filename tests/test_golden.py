@@ -1,6 +1,6 @@
 """Golden-run regression pins: committed metric snapshots must not drift.
 
-Three fixtures, one mechanism:
+Four fixtures, one mechanism:
 
 * ``tests/golden/fig08_quick.json`` — the complete results (headline
   fields + full metrics tree) of a small fig08-style run set on the
@@ -17,6 +17,9 @@ Three fixtures, one mechanism:
   the DDR3-style multi-channel/multi-rank timing below the cache
   (including the tCS rank-to-rank bus turnaround) and the
   ``mainmem_dev``/``mainmem_total`` metric subtrees.
+* ``tests/golden/dm_quick.json`` — the burst pin for the **direct-mapped**
+  (Alloy) organization, freezing the TAD access protocol and the
+  one-way tag store under every controller design.
 
 When a behaviour change is *intended*, regenerate the fixtures and
 commit them together with the change::
@@ -42,6 +45,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: one point per controller design over Table I mix 1 at quick scale
 BURST_SPECS = [RunSpec(d, "sa", mix_id=1) for d in ("CD", "ROD", "DCA")]
+
+#: the same three designs over the direct-mapped organization
+DM_SPECS = [RunSpec(d, "dm", mix_id=1) for d in ("CD", "ROD", "DCA")]
 
 #: command-fidelity pins: two designs so cross-design timing interplay
 #: (PR/LR scheduling over refresh + rank throttling) is frozen too
@@ -124,6 +130,10 @@ def check_golden(golden_path: Path, specs) -> None:
 
 def test_golden_fig08_quick():
     check_golden(GOLDEN_DIR / "fig08_quick.json", BURST_SPECS)
+
+
+def test_golden_dm_quick():
+    check_golden(GOLDEN_DIR / "dm_quick.json", DM_SPECS)
 
 
 def test_golden_command_fidelity():
