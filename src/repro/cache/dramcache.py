@@ -6,15 +6,20 @@ victims at fill time.  Timing lives entirely in the controller + DRAM
 substrate; this module is purely functional and therefore shared verbatim
 by every controller design (CD / ROD / DCA see identical contents).
 
-The set-associative state is three flat columns indexed by
-``slot = set * ways + way``: ``_tags`` (a list, -1 = invalid way),
-``_dirty`` (a bytearray of 0/1) and ``_stamp`` (an ``array('q')`` of LRU
-stamps, 0 = never stamped).  A set is the slice ``[set * ways, set * ways
-+ ways)``; membership is a C-level ``in`` over the tag slice.  The
-columns are allocated on the first write (a geometry-only array, as
-Fig. 18 builds, costs nothing), and an unallocated column slices to
-``[]``, so a probe of an empty array misses with no extra branch.
-Direct-mapped entries live in a dict keyed by entry index.
+The state is three flat columns indexed by ``slot = set * ways + way``:
+``_tags`` (a list, -1 = invalid way), ``_dirty`` (a bytearray of 0/1) and
+``_stamp`` (an ``array('q')`` of LRU stamps, 0 = never stamped).  A set
+is the slice ``[set * ways, set * ways + ways)``; membership is a C-level
+``in`` over the tag slice.  The columns are allocated on the first write
+(a geometry-only array, as Fig. 18 builds, costs nothing), and an
+unallocated column slices to ``[]``, so a probe of an empty array misses
+with no extra branch.
+
+Both organizations share this one tag store: a direct-mapped array is
+the one-way case, with one set per entry.  Only the stacked-DRAM layout
+differs (a tag block plus data ways versus one fused TAD unit), so the
+organization is consulted when the geometry is chosen and when an array
+address is computed, nowhere else.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class LookupResult:
     """Outcome of a functional probe."""
 
     hit: bool
-    way: int = -1            # way index (SA) / 0 (DM); -1 on miss
+    way: int = -1            # way index (always 0 in DM); -1 on miss
     dirty: bool = False      # dirty state of the hit block
 
 
@@ -55,7 +60,7 @@ class FillResult:
 # construction there is a measurable win.
 _MISS = LookupResult(False)
 
-#: the set-associative columns (copied, never shared, by every fork path)
+#: the tag-store columns (copied, never shared, by every fork path)
 _COLUMNS = ("_tags", "_dirty", "_stamp")
 
 
@@ -77,9 +82,9 @@ class DRAMCacheArray:
         ``"sa"`` (set-associative, Loh–Hill) or ``"dm"`` (direct-mapped,
         Alloy).
     replacement:
-        Victim-selection policy for the set-associative organization
-        (see :mod:`repro.cache.replacement`); direct-mapped placement
-        has no choice and ignores it.  Applies to demand fills only —
+        Victim-selection policy (see :mod:`repro.cache.replacement`); a
+        direct-mapped set has one way, so every policy picks it.  Applies
+        to demand fills only —
         the fused warm-up paths (:meth:`bulk_fill`/:meth:`bulk_fill_many`)
         keep their LRU-insertion-order semantics under every policy
         (documented modeling assumption: warm-up populates, it does not
@@ -102,14 +107,14 @@ class DRAMCacheArray:
         # once per functional access and the attribute-chain lookups were
         # a measurable share of the end-to-end profile.
         self._block_bytes = geometry.block_bytes
-        self._num_sets = self.sa.num_sets
-        self._ways = self.sa.ways
-        self._num_entries = self.dm.num_entries
-        # Set-associative columns, empty until the first write.
+        if organization == "dm":
+            self._num_sets, self._ways = self.dm.num_entries, 1
+        else:
+            self._num_sets, self._ways = self.sa.num_sets, self.sa.ways
+        # Tag-store columns, empty until the first write.
         self._tags: list[int] = []
         self._dirty = bytearray()
         self._stamp: array[int] = array("q")
-        self._dm_entries: dict[int, tuple[int, bool]] = {}  # idx -> (tag, dirty)
         self._clock = 0  # LRU stamp source
         # Functional counters (used by tests and the Fig. 18 harness).
         self.lookups = 0
@@ -123,11 +128,8 @@ class DRAMCacheArray:
     def is_direct_mapped(self) -> bool:
         return self.organization == "dm"
 
-    def _block(self, addr: int) -> int:
-        return addr // self.geometry.block_bytes
-
     def _allocate(self) -> None:
-        """Materialise empty set-associative columns (first write)."""
+        """Materialise empty tag-store columns (first write)."""
         cells = self._num_sets * self._ways
         self._tags = [-1] * cells
         self._dirty = bytearray(cells)
@@ -138,12 +140,6 @@ class DRAMCacheArray:
     def probe(self, addr: int) -> LookupResult:
         """Hit/miss/dirty query with no state change."""
         b = addr // self._block_bytes
-        if self.organization == "dm":
-            n = self._num_entries
-            ent = self._dm_entries.get(b % n)
-            if ent is not None and ent[0] == b // n:
-                return LookupResult(True, 0, ent[1])
-            return _MISS
         n = self._num_sets
         ways = self._ways
         lo = (b % n) * ways
@@ -178,13 +174,8 @@ class DRAMCacheArray:
         res = self.probe(addr)
         if res.hit:
             self.hits += 1
-            b = self._block(addr)
-            if self.is_direct_mapped:
-                idx = self.dm.entry_index(b)
-                self._dm_entries[idx] = (self.dm.tag_value(b), True)
-            else:
-                self._dirty[(b % self._num_sets) * self._ways + res.way] = 1
-                self._touch(addr, res.way)
+            self._dirty[self.set_index(addr) * self._ways + res.way] = 1
+            self._touch(addr, res.way)
         return res
 
     def fill(self, addr: int, dirty: bool) -> FillResult:
@@ -194,18 +185,7 @@ class DRAMCacheArray:
         can generate the victim's main-memory writeback when it was dirty.
         """
         self.fills += 1
-        b = self._block(addr)
-        if self.is_direct_mapped:
-            idx = self.dm.entry_index(b)
-            old = self._dm_entries.get(idx)
-            self._dm_entries[idx] = (self.dm.tag_value(b), dirty)
-            if old is None:
-                return FillResult(0)
-            victim_addr = self.dm.block_addr(idx, old[0]) * self.geometry.block_bytes
-            if old[1]:
-                self.dirty_evictions += 1
-            return FillResult(0, victim_addr, old[1])
-
+        b = addr // self._block_bytes
         if not self._tags:
             self._allocate()
         n = self._num_sets
@@ -248,14 +228,7 @@ class DRAMCacheArray:
 
     def invalidate(self, addr: int) -> bool:
         """Drop a block (used by tests and coherence-style experiments)."""
-        b = self._block(addr)
-        if self.is_direct_mapped:
-            idx = self.dm.entry_index(b)
-            ent = self._dm_entries.get(idx)
-            if ent is not None and ent[0] == self.dm.tag_value(b):
-                del self._dm_entries[idx]
-                return True
-            return False
+        b = addr // self._block_bytes
         lo = (b % self._num_sets) * self._ways
         seg = self._tags[lo:lo + self._ways]
         tag = b // self._num_sets
@@ -282,17 +255,9 @@ class DRAMCacheArray:
         """
         if n_blocks <= 0:
             return
-        start_block = start_addr // self.geometry.block_bytes
+        start_block = start_addr // self._block_bytes
         blocks = np.arange(start_block, start_block + n_blocks, dtype=np.int64)
         dirty = _dirty_bits(blocks, seed, dirty_fraction)
-
-        if self.is_direct_mapped:
-            idxs = blocks % self.dm.num_entries
-            tags = blocks // self.dm.num_entries
-            self._dm_entries.update(
-                zip(idxs.tolist(), zip(tags.tolist(), dirty.tolist())))
-            return
-
         sets = blocks % self._num_sets
         order = np.argsort(sets, kind="stable")
         sets_sorted = sets[order]
@@ -346,7 +311,7 @@ class DRAMCacheArray:
         :meth:`bulk_fill` once per tuple in order — same final contents,
         same insertion-clock values, same ``dirty_evictions`` count.
 
-        On an unallocated set-associative array (the warm-up case) the
+        On an unallocated array (the warm-up case) the
         whole batch is computed in closed form and scattered into flat
         columns, with no per-set Python work and no sort:
 
@@ -361,7 +326,7 @@ class DRAMCacheArray:
           eviction, and the rest lie in stamp order from way 0, which is
           what repeated bulk_fill leaves on an empty set.
         """
-        if self.is_direct_mapped or self._tags:
+        if self._tags:
             for start_addr, n_blocks, dirty_fraction, seed in fills:
                 self.bulk_fill(start_addr, n_blocks,
                                dirty_fraction=dirty_fraction, seed=seed)
@@ -435,15 +400,13 @@ class DRAMCacheArray:
         every set that was ever written (any nonzero stamp), whether or
         not the columns behind it were allocated lazily.
         """
-        if self.is_direct_mapped:
-            return ("dm", self._clock, sorted(self._dm_entries.items()))
         if not self._tags:
-            return ("sa", self._clock, [])
+            return (self.organization, self._clock, [])
         ways = self._ways
         stamps = np.frombuffer(self._stamp, dtype=np.int64).reshape(-1, ways)
         written = np.flatnonzero(stamps.any(axis=1)).tolist()
         tags, dirty, stamp = self._tags, self._dirty, self._stamp
-        return ("sa", self._clock,
+        return (self.organization, self._clock,
                 [(s, tuple(tags[s * ways:s * ways + ways]),
                   tuple(map(bool, dirty[s * ways:s * ways + ways])),
                   tuple(stamp[s * ways:s * ways + ways]))
@@ -453,19 +416,12 @@ class DRAMCacheArray:
         """Freeze the functional contents for warm-state forking.
 
         The image is an immutable copy (a tuple of tags and two byte
-        strings in the set-associative case, a dict of immutable tuples
-        in the direct-mapped one), so the donor may keep simulating
-        while any number of restored arrays fork from it.
+        strings), so the donor may keep simulating while any number of
+        restored arrays fork from it.
         """
-        state: dict[str, Any] = {"organization": self.organization,
-                                 "clock": self._clock}
-        if self.is_direct_mapped:
-            state["dm"] = dict(self._dm_entries)
-        else:
-            state["tags"] = tuple(self._tags)
-            state["dirty"] = bytes(self._dirty)
-            state["stamp"] = self._stamp.tobytes()
-        return state
+        return {"organization": self.organization, "clock": self._clock,
+                "tags": tuple(self._tags), "dirty": bytes(self._dirty),
+                "stamp": self._stamp.tobytes()}
 
     def restore_state(self, state: dict[str, Any]) -> None:
         """Adopt functional contents captured by :meth:`capture_state`.
@@ -480,12 +436,9 @@ class DRAMCacheArray:
                 f"cannot restore {state['organization']!r} array state into "
                 f"a {self.organization!r} array")
         self._clock = state["clock"]
-        if self.is_direct_mapped:
-            self._dm_entries = dict(state["dm"])
-        else:
-            self._tags = list(state["tags"])
-            self._dirty = bytearray(state["dirty"])
-            self._stamp = array("q", state["stamp"])
+        self._tags = list(state["tags"])
+        self._dirty = bytearray(state["dirty"])
+        self._stamp = array("q", state["stamp"])
 
     def __deepcopy__(self, memo: dict[int, Any]) -> DRAMCacheArray:
         # Full snapshots deep-copy the whole System.  The generic path
@@ -499,27 +452,33 @@ class DRAMCacheArray:
         return new
 
     def _touch(self, addr: int, way: int) -> None:
-        if self.organization == "dm":
-            return
         self._clock += 1
         self._stamp[(addr // self._block_bytes) % self._num_sets * self._ways
                     + way] = self._clock
 
     # -- array-address helpers (where tag/data live in the stacked DRAM) -------
 
+    def set_index(self, addr: int) -> int:
+        """Set (DM: entry) that ``addr`` maps to."""
+        return addr // self._block_bytes % self._num_sets
+
+    def tag_location_of_set(self, set_idx: int) -> int:
+        """Array address of the tag structure of set ``set_idx``, which
+        wraps modulo the set count: a tag block (SA) or a TAD unit (DM)."""
+        set_idx %= self._num_sets
+        if self.is_direct_mapped:
+            return self.dm.tad_array_addr(set_idx)
+        return self.sa.tag_array_addr(set_idx)
+
     def tag_location(self, addr: int) -> int:
         """Array address of the tag structure guarding ``addr``."""
-        b = self._block(addr)
-        if self.is_direct_mapped:
-            return self.dm.tad_array_addr(self.dm.entry_index(b))
-        return self.sa.tag_array_addr(self.sa.set_index(b))
+        return self.tag_location_of_set(self.set_index(addr))
 
     def data_location(self, addr: int, way: int) -> int:
         """Array address of the data block for ``addr`` in ``way``."""
-        b = self._block(addr)
         if self.is_direct_mapped:
-            return self.dm.tad_array_addr(self.dm.entry_index(b))
-        return self.sa.data_array_addr(self.sa.set_index(b), way)
+            return self.tag_location(addr)   # the TAD holds tag and data
+        return self.sa.data_array_addr(self.set_index(addr), way)
 
     @property
     def hit_rate(self) -> float:

@@ -1,4 +1,4 @@
-"""Pluggable victim selection for the SRAM caches and the SA DRAM cache.
+"""Pluggable victim selection for the SRAM caches and the DRAM cache.
 
 Three policies (gem5's LRU variants), selected by name from
 ``REPLACEMENT_POLICIES`` in :mod:`repro.config`:
@@ -17,10 +17,11 @@ Two call conventions, one per cache organisation:
 
 * **SRAM** (:mod:`repro.mem.sram`): sets are lists of ``[tag, dirty,
   stamp]`` entries; the policy returns the victim *entry*.
-* **SA DRAM cache** (:mod:`repro.cache.dramcache`): the policy gets one
+* **DRAM cache** (:mod:`repro.cache.dramcache`): the policy gets one
   set's slices of the flat tag, dirty (0/1) and stamp columns and
   returns the victim *way index*.  The caller fills invalid ways first —
-  policies only see full sets.
+  policies only see full sets.  Both organizations use this convention;
+  a direct-mapped set is a one-way slice, so every policy returns 0.
 
 All policies are module-level functions, so a cache holding one as an
 attribute stays snapshot-safe (no closures in live state — see
@@ -69,7 +70,7 @@ SRAM_POLICIES: Mapping[str, SRAMVictimFn] = MappingProxyType({
 })
 
 
-# -- SA DRAM-cache organisation (structure-of-arrays sets) ----------------------
+# -- DRAM cache (structure-of-arrays sets, either organisation) -----------------
 
 
 def _sa_lru(tags: Sequence[int], dirty: Sequence[int],

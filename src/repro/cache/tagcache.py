@@ -97,17 +97,7 @@ class TagCache:
 
     def _tag_block_of_set(self, set_idx: int) -> int:
         """SRAM-cache key for the tag block guarding ``set_idx``."""
-        if self.array.is_direct_mapped:
-            n = self.array.dm.num_entries
-            return self.array.dm.tad_array_addr(set_idx % n) // self.BLOCK
-        n = self.array.sa.num_sets
-        return self.array.sa.tag_array_addr(set_idx % n) // self.BLOCK
-
-    def _set_of_addr(self, addr: int) -> int:
-        b = addr // self.array.geometry.block_bytes
-        if self.array.is_direct_mapped:
-            return self.array.dm.entry_index(b)
-        return self.array.sa.set_index(b)
+        return self.array.tag_location_of_set(set_idx) // self.BLOCK
 
     def _locate(self, set_idx: int) -> tuple[int, int]:
         """``(tag block, SRAM set)`` of DRAM-cache set ``set_idx``."""
@@ -156,7 +146,7 @@ class TagCache:
         if not self.size_bytes:
             stats.dram_tag_reads += 1
             return False
-        set_idx = self._set_of_addr(addr)
+        set_idx = self.array.set_index(addr)
         tag_block, sram_set = self._locate(set_idx)
         s = self._sets.get(sram_set)
         if s is not None:

@@ -68,7 +68,10 @@ from typing import Any, Optional
 #: v4: the pickled set-associative ``DRAMCacheArray`` holds three flat
 #: columns (tags, dirty, stamp); a v3 payload holds per-set objects of a
 #: class that no longer exists.
-SNAPSHOT_SCHEMA_VERSION = 4
+#: v5: a direct-mapped ``DRAMCacheArray`` holds the same flat columns as
+#: one-way sets; a v4 payload holds a ``_dm_entries`` dict the class no
+#: longer has.
+SNAPSHOT_SCHEMA_VERSION = 5
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
@@ -77,7 +80,9 @@ SNAPSHOT_SCHEMA_VERSION = 4
 #: out under one victim policy must not seed a run using another.
 #: v3: ``array_state`` holds immutable copies of the flat columns
 #: (``tags``/``dirty``/``stamp``) instead of a shared per-set backing dict.
-WARM_STATE_VERSION = 3
+#: v4: a direct-mapped ``array_state`` holds the flat columns too; a v3
+#: payload holds a ``dm`` entry dict the array can no longer restore.
+WARM_STATE_VERSION = 4
 
 
 class SnapshotError(RuntimeError):

@@ -102,12 +102,15 @@ class TestEvictionSA:
         assert res.victim_dirty
         assert sa.dirty_evictions == 1
 
-    def test_refill_of_present_block_refreshes(self, sa):
-        a = self._addr_in_set(sa, 0, 1)
-        sa.fill(a, dirty=True)
-        res = sa.fill(a, dirty=False)
-        assert res.victim_block_addr is None
-        assert sa.probe(a).dirty  # dirty not lost
+    def test_refill_of_present_block_refreshes(self, array):
+        # Both organizations: a one-way (DM) set refreshes in place too,
+        # rather than evicting the block as its own victim.
+        a = self._addr_in_set(array, 0, 1)
+        array.fill(a, dirty=True)
+        res = array.fill(a, dirty=False)
+        assert res.victim_block_addr is None and not res.victim_dirty
+        assert array.probe(a).dirty  # dirty not lost
+        assert array.dirty_evictions == 0
 
 
 class TestEvictionDM:
@@ -273,16 +276,19 @@ class TestBulkFillMany:
 
 
 class RefSA:
-    """Per-set dict-of-lists reference model of the set-associative array.
+    """Per-set dict-of-lists reference model of the tag store.
 
     Each written set is a ``[tags, dirty, stamp]`` triple of way lists,
     created on its first fill, so it shares no indexing with the flat
-    columns it checks.
+    columns it checks.  A direct-mapped array is checked as one-way
+    sets, one per entry.
     """
 
     def __init__(self, array):
-        self.n = array.sa.num_sets
-        self.ways = array.sa.ways
+        self.organization = array.organization
+        self.n, self.ways = ((array.dm.num_entries, 1)
+                             if array.organization == "dm"
+                             else (array.sa.num_sets, array.sa.ways))
         self.block = array.geometry.block_bytes
         self.victim = SA_POLICIES[array.replacement]
         self.sets = {}
@@ -344,7 +350,7 @@ class RefSA:
         return True
 
     def signature(self):
-        return ("sa", self.clock,
+        return (self.organization, self.clock,
                 sorted((k, tuple(t), tuple(d), tuple(st))
                        for k, (t, d, st) in self.sets.items()))
 
@@ -360,10 +366,16 @@ OPS = ("probe", "read", "write", "fill", "fill_dirty", "invalidate", "fork")
 @settings(max_examples=40, deadline=None)
 def test_lockstep_with_per_set_reference(policy, ops):
     """The flat columns behave exactly like per-set lists: every result,
-    victim, counter and the final contents, across capture -> restore."""
-    arr = DRAMCacheArray(GEOM, "sa", replacement=policy)
+    victim, counter and the final contents, across capture -> restore,
+    in both organizations."""
+    for orgn in ("sa", "dm"):
+        _lockstep(orgn, policy, ops)
+
+
+def _lockstep(orgn, policy, ops):
+    arr = DRAMCacheArray(GEOM, orgn, replacement=policy)
     ref = RefSA(arr)
-    n = arr.sa.num_sets
+    n = ref.n
     for op, set_idx, tag in ops:
         b = tag * n + set_idx
         addr = b * 64
@@ -383,11 +395,11 @@ def test_lockstep_with_per_set_reference(policy, ops):
         else:
             # Continue on a restored copy; scribbling on the donor must
             # not reach it.
-            fork = DRAMCacheArray(GEOM, "sa", replacement=policy)
+            fork = DRAMCacheArray(GEOM, orgn, replacement=policy)
             fork.restore_state(arr.capture_state())
             fork.lookups, fork.hits = arr.lookups, arr.hits
             fork.fills, fork.dirty_evictions = arr.fills, arr.dirty_evictions
-            for t in range(arr.sa.ways + 1):
+            for t in range(ref.ways + 1):
                 arr.fill((t * n + set_idx) * 64, dirty=True)
             arr = fork
     assert arr.contents_signature() == ref.signature()
