@@ -248,60 +248,63 @@ class DRAMCacheArray:
         Mirrors the paper's fast-forward cache warming: the range
         ``[start_addr, start_addr + n_blocks*64)`` is inserted as if each
         block had been filled once in address order, with a deterministic
-        pseudo-random ``dirty_fraction`` of blocks marked dirty.  Sets are
-        visited in ascending order and each is merged with its existing
-        contents in one step; this is the sequential reference that
-        :meth:`bulk_fill_many` must reproduce exactly.
+        pseudo-random ``dirty_fraction`` of blocks marked dirty.  Every
+        touched set is merged with its existing contents in one vectorised
+        step, stamped in ascending set order; this is the sequential
+        reference that :meth:`bulk_fill_many` must reproduce exactly.
         """
         if n_blocks <= 0:
             return
-        start_block = start_addr // self._block_bytes
-        blocks = np.arange(start_block, start_block + n_blocks, dtype=np.int64)
-        dirty = _dirty_bits(blocks, seed, dirty_fraction)
-        sets = blocks % self._num_sets
-        order = np.argsort(sets, kind="stable")
-        sets_sorted = sets[order]
-        tags_sorted = (blocks // self._num_sets)[order].tolist()
-        dirty_sorted = dirty[order].tolist()
-        boundaries = np.flatnonzero(np.diff(sets_sorted)) + 1
-        starts = [0, *boundaries.tolist()]
-        ends = [*boundaries.tolist(), len(sets_sorted)]
-        set_ids = sets_sorted[np.concatenate(([0], boundaries))].tolist()
+        n_sets, ways = self._num_sets, self._ways
+        # Only the last `ways` inserts of a set can survive, so only the
+        # range's last `ways * n_sets` blocks matter (each set's last
+        # `ways`); the earlier ones are skipped outright (no clock tick,
+        # no eviction), exactly as if each block had been filled once.
+        m = min(n_blocks, n_sets * ways)
+        first = start_addr // self._block_bytes + n_blocks - m
+        blocks = np.arange(first, first + m, dtype=np.int64)
+        ins_set = blocks % n_sets
+        ins_k = np.arange(m, dtype=np.int64) // n_sets   # k-th insert of its set
+        per_set = np.bincount(ins_set, minlength=n_sets)
+        # Sets are stamped in ascending set order, one tick per insert.
+        inserted = (blocks // n_sets, _dirty_bits(blocks, seed, dirty_fraction),
+                    (self._clock + 1 + np.cumsum(per_set) - per_set)[ins_set]
+                    + ins_k)
         if not self._tags:
             self._allocate()
-        ways = self._ways
-        tags_col, dirty_col, stamp_col = self._tags, self._dirty, self._stamp
-        clock = self._clock
-        dirty_evictions = self.dirty_evictions
-        for sid, lo, hi in zip(set_ids, starts, ends):
-            base = sid * ways
-            top = base + ways
-            # LRU semantics over (existing contents + this range): only
-            # the last `ways` inserts of the group can survive, so the
-            # earlier ones are skipped outright (no clock tick, no
-            # eviction), exactly as if each block had been filled once.
-            # Valid ways keep their way order and the inserts follow.
-            merged = [e for e in zip(stamp_col[base:top], tags_col[base:top],
-                                     dirty_col[base:top]) if e[1] != -1]
-            for k in range(max(lo, hi - ways), hi):
-                clock += 1
-                merged.append((clock, tags_sorted[k], dirty_sorted[k]))
-            overflow = len(merged) - ways
-            if overflow > 0:
-                # Insertion stamps are unique and monotonic, so a plain
-                # tuple sort is a stamp sort; the dropped prefix is the
-                # LRU overflow.
-                merged.sort()
-                dirty_evictions += sum(1 for e in merged[:overflow] if e[2])
-                del merged[:overflow]
-            else:
-                merged += [(0, -1, False)] * -overflow
-            way_stamps, way_tags, way_dirty = zip(*merged)
-            stamp_col[base:top] = array("q", way_stamps)
-            tags_col[base:top] = way_tags
-            dirty_col[base:top] = bytes(way_dirty)
-        self._clock = clock
-        self.dirty_evictions = dirty_evictions
+        tags = np.array(self._tags, dtype=np.int64).reshape(n_sets, ways)
+        dirty = np.frombuffer(self._dirty, dtype=np.bool_).reshape(n_sets, ways)
+        stamp = np.frombuffer(self._stamp, dtype=np.int64).reshape(n_sets, ways)
+
+        # Each touched set keeps its valid ways in way order and the
+        # inserts follow.  On overflow it is in stamp order instead (the
+        # existing stamps all predate the inserts) and the oldest
+        # `overflow` entries are displaced.
+        touched = np.flatnonzero(per_set)
+        invalid = tags[touched] == -1
+        n_valid = ways - invalid.sum(axis=1)
+        overflow = np.maximum(n_valid + per_set[touched] - ways, 0)
+        way = np.arange(ways)
+        key = np.where(invalid, np.iinfo(np.int64).max,
+                       np.where(overflow[:, None] > 0, stamp[touched], way))
+        order = np.argsort(key, axis=1, kind="stable")
+        displaced = way < overflow[:, None]
+        self.dirty_evictions += int(np.count_nonzero(
+            np.take_along_axis(dirty[touched], order, axis=1) & displaced))
+        # Survivors then inserts, packed from way 0; the rest is empty.
+        r, w = np.nonzero(~displaced & (way < n_valid[:, None]))
+        row = np.zeros(n_sets, dtype=np.int64)
+        row[touched] = np.arange(len(touched))
+        r_ins = row[ins_set]
+        w_ins = n_valid[r_ins] - overflow[r_ins] + ins_k
+        for col, empty, new in zip((tags, dirty, stamp), (-1, False, 0), inserted):
+            kept = np.take_along_axis(col[touched], order, axis=1)
+            out = np.full_like(kept, empty)
+            out[r, w - overflow[r]] = kept[r, w]
+            out[r_ins, w_ins] = new
+            col[touched] = out
+        self._tags = tags.ravel().tolist()
+        self._clock += m
 
     def bulk_fill_many(self, fills: list[tuple[int, int, float, int]]) -> None:
         """Apply several :meth:`bulk_fill` ranges in one fused pass.

@@ -1,9 +1,12 @@
 """Functional DRAM-cache array: hits, fills, LRU, dirty state, bulk fill."""
 
+import copy
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.dramcache import DRAMCacheArray
+from repro.cache.dramcache import DRAMCacheArray, _dirty_bits
 from repro.cache.replacement import SA_POLICIES
 from repro.config import DRAMCacheGeometry
 
@@ -187,6 +190,74 @@ class TestBulkFill:
 
 def _state(a):
     return (a.contents_signature(), a._clock, a.dirty_evictions)
+
+
+def _per_set_bulk_fill(a, start_addr, n_blocks, dirty_fraction, seed):
+    """Reference bulk_fill: one interpreted merge per touched set.
+
+    Each set's valid ways keep their way order and its last ``ways``
+    inserts follow, stamped in ascending set order; on overflow the set
+    is sorted by stamp and its oldest entries are displaced.
+    """
+    if n_blocks <= 0:
+        return
+    n, ways = a._num_sets, a._ways
+    if not a._tags:
+        a._allocate()
+    groups = {}
+    for blk in range(start_addr // 64, start_addr // 64 + n_blocks):
+        drt = bool(_dirty_bits(np.array([blk]), seed, dirty_fraction)[0])
+        groups.setdefault(blk % n, []).append((blk // n, drt))
+    for sid in sorted(groups):
+        lo = sid * ways
+        merged = [e for e in zip(a._stamp[lo:lo + ways], a._tags[lo:lo + ways],
+                                 map(bool, a._dirty[lo:lo + ways]))
+                  if e[1] != -1]
+        for tag, drt in groups[sid][-ways:]:
+            a._clock += 1
+            merged.append((a._clock, tag, drt))
+        overflow = len(merged) - ways
+        if overflow > 0:
+            merged.sort()
+            a.dirty_evictions += sum(e[2] for e in merged[:overflow])
+            del merged[:overflow]
+        merged += [(0, -1, False)] * (ways - len(merged))
+        for w, (stamp, tag, drt) in enumerate(merged):
+            a._stamp[lo + w], a._tags[lo + w], a._dirty[lo + w] = stamp, tag, drt
+
+
+@given(st.sampled_from(["sa", "dm"]),
+       st.lists(st.tuples(st.sampled_from(("read", "write", "fill",
+                                           "fill_dirty", "invalidate")),
+                          st.integers(0, 1),              # set (2 hot sets)
+                          st.integers(0, 9)),             # tag (> ways per set)
+                min_size=20, max_size=100),
+       st.lists(st.tuples(st.integers(0, 1),              # range id (<< 44)
+                          st.integers(0, 500),            # start block offset
+                          st.integers(0, 3000),           # n_blocks (> capacity)
+                          st.floats(0.0, 1.0),            # dirty_fraction
+                          st.integers(0, 9)),             # seed
+                min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_bulk_fill_matches_per_set_merge(orgn, pre, specs):
+    """The vectorised merge equals the per-set one on a populated array:
+    holes left by invalidations, stamps out of way order, dirty ways,
+    partial overflow and eviction counts.  A tiny 4-way array (240 sets,
+    960 entries) lets a few hundred ops fill the hot sets."""
+    a = DRAMCacheArray(DRAMCacheGeometry(size_bytes=2**16, sa_ways=4), orgn)
+    for op, set_idx, tag in pre:
+        addr = (tag * a._num_sets + set_idx) * 64
+        if op == "invalidate":
+            a.invalidate(addr)
+        elif op in ("read", "write"):
+            (a.lookup_write if op == "write" else a.lookup_read)(addr)
+        else:
+            a.fill(addr, dirty=op == "fill_dirty")
+    b = copy.deepcopy(a)
+    for rid, off, n, df, sd in specs:
+        a.bulk_fill((rid << 44) + off * 64, n, dirty_fraction=df, seed=sd)
+        _per_set_bulk_fill(b, (rid << 44) + off * 64, n, df, sd)
+    assert _state(a) == _state(b)
 
 
 class TestBulkFillMany:
