@@ -84,11 +84,11 @@ class DRAMCacheArray:
     replacement:
         Victim-selection policy (see :mod:`repro.cache.replacement`); a
         direct-mapped set has one way, so every policy picks it.  Applies
-        to demand fills only —
-        the fused warm-up paths (:meth:`bulk_fill`/:meth:`bulk_fill_many`)
-        keep their LRU-insertion-order semantics under every policy
-        (documented modeling assumption: warm-up populates, it does not
-        exercise replacement).
+        to demand fills only — the fused warm-up paths
+        (:meth:`bulk_fill`/:meth:`bulk_fill_many`) keep their
+        LRU-insertion-order semantics under every policy (documented
+        modeling assumption: warm-up populates, it does not exercise
+        replacement).
     """
 
     def __init__(self, geometry: DRAMCacheGeometry, organization: str = "sa",

@@ -204,9 +204,10 @@ def _per_set_bulk_fill(a, start_addr, n_blocks, dirty_fraction, seed):
     n, ways = a._num_sets, a._ways
     if not a._tags:
         a._allocate()
+    blocks = range(start_addr // 64, start_addr // 64 + n_blocks)
+    dirty = _dirty_bits(np.array(blocks), seed, dirty_fraction).tolist()
     groups = {}
-    for blk in range(start_addr // 64, start_addr // 64 + n_blocks):
-        drt = bool(_dirty_bits(np.array([blk]), seed, dirty_fraction)[0])
+    for blk, drt in zip(blocks, dirty):
         groups.setdefault(blk % n, []).append((blk // n, drt))
     for sid in sorted(groups):
         lo = sid * ways
