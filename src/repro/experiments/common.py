@@ -341,8 +341,8 @@ def atomic_write_json(path: Path, payload) -> Path:
 
     The write is atomic at the filesystem level, so a crashed process
     can't leave a torn entry.  Shared by :class:`ResultStore` and the
-    sweep engine's results file and manifest, so every on-disk JSON
-    artefact goes through the same path.
+    sweep engine's results file, so every on-disk JSON artefact goes
+    through the same path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -422,11 +422,6 @@ class ResultStore:
         atomic_write_json(self.path(spec, params), result.to_cache_dict())
 
 
-def _spec_key(spec: RunSpec, params: SimParams) -> str:
-    """Cache key of one spec (compatibility helper; see ResultStore.key)."""
-    return ResultStore().key(spec, params)
-
-
 # ---------------------------------------------------------------- execution
 
 class GridExecutionError(RuntimeError):
@@ -458,10 +453,14 @@ class GridExecutionError(RuntimeError):
 _default_warm_cache = False
 
 
-def set_default_warm_cache(enabled: bool) -> None:
-    """Set the process-wide default for warm-state reuse in grids."""
+def set_default_warm_cache(enabled: bool) -> bool:
+    """Set the process-wide default for warm-state reuse in grids.
+
+    Returns the previous default, so a caller can restore it.
+    """
     global _default_warm_cache
-    _default_warm_cache = bool(enabled)
+    previous, _default_warm_cache = _default_warm_cache, bool(enabled)
+    return previous
 
 
 def run_grid(specs: Sequence[RunSpec], params: SimParams,
@@ -483,13 +482,13 @@ def run_grid(specs: Sequence[RunSpec], params: SimParams,
     :func:`warm_group_key` and executed in one worker each: the first
     point captures the functional warm state, the rest fork from it.
     Results are bit-identical to cold runs; only wall-clock changes
-    (see BENCH warm_reuse and tests/test_warm_cache.py).  Note that with
-    ``jobs > 1`` a warm group is one pool task, so store/checkpoint
-    granularity coarsens from per point to per group and parallelism is
-    bounded by the number of *groups* — a single-mix multi-design sweep
-    is one group and runs sequentially (the warm win must beat the lost
-    parallelism; grids spanning several mixes keep both).  ``jobs=1``
-    keeps per-point streaming.
+    (see tests/test_warm_cache.py).  Note that with ``jobs > 1`` a warm
+    group is one pool task, so store/checkpoint granularity coarsens
+    from per point to per group and parallelism is bounded by the number
+    of *groups* — a single-mix multi-design sweep is one group and runs
+    sequentially (the warm win must beat the lost parallelism; grids
+    spanning several mixes keep both).  ``jobs=1`` keeps per-point
+    streaming.
     """
     if warm_cache is None:
         warm_cache = _default_warm_cache

@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     # default is how the flag reaches them (see common.run_grid).  It is
     # restored afterwards so a programmatic caller invoking main() does
     # not silently change later run_grid calls in the same process.
-    common.set_default_warm_cache(args.warm_cache)
+    previous_warm = common.set_default_warm_cache(args.warm_cache)
     try:
         if args.profile:
             all_ok = common.write_profiled(run_all, Path(args.profile))
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             all_ok = run_all()
     finally:
-        common.set_default_warm_cache(False)
+        common.set_default_warm_cache(previous_warm)
     return 0 if all_ok else 1
 
 

@@ -10,22 +10,19 @@ machinery, with
 * **sharding** — ``shard=(i, n)`` deterministically splits a grid across
   machines;
 * **checkpointed resume** — every completed point lands in the result
-  cache *and* the sweep manifest as it finishes, so an interrupted sweep
-  re-run completes from where it stopped with finished points served from
-  cache.
+  cache as it finishes, so an interrupted sweep re-run completes from
+  where it stopped with finished points served from cache.
 
 Entry points: the :func:`run_sweep` API and the ``dca-repro sweep`` CLI
 (:mod:`repro.scenarios.cli`).  See DESIGN.md "Scenario sweep engine".
 """
 
 from repro.scenarios.spec import SweepPoint, SweepSpec, parse_axis_value
-from repro.scenarios.manifest import SweepManifest
 from repro.scenarios.executor import PointOutcome, SweepOutcome, run_sweep
 
 __all__ = [
     "SweepSpec",
     "SweepPoint",
-    "SweepManifest",
     "SweepOutcome",
     "PointOutcome",
     "run_sweep",

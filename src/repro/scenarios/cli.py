@@ -18,8 +18,7 @@ Examples::
     dca-repro sweep --spec mysweep.json
 
 Interrupted sweeps resume: re-run the identical command and completed
-points are served from the result cache via the sweep manifest; only the
-remainder executes.
+points are served from the result cache; only the remainder executes.
 """
 
 from __future__ import annotations
@@ -155,7 +154,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         sweep = SweepSpec.from_dict(spec_data)
-        # compile once; both the banner and run_sweep reuse this grid
         grid = sweep.compile()
     except ValueError as exc:
         parser.error(str(exc))
@@ -175,12 +173,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     outcome = run_sweep(
         sweep, params, shard=args.shard, jobs=args.jobs,
         out_dir=Path(args.out), use_cache=not args.no_cache, progress=True,
-        points=points, warm_cache=args.warm_cache)
+        warm_cache=args.warm_cache)
 
     print(outcome.summary_table())
     print(f"  {outcome.counts_line()}  ({outcome.elapsed_s:.1f}s)")
-    print(f"  manifest: {outcome.manifest_path}")
-    print(f"  results:  {outcome.results_path}")
+    print(f"  results: {outcome.results_path}")
     for p in outcome.failures:
         print(f"  FAILED {p.point.label()}: {p.error}", file=sys.stderr)
     return 1 if outcome.failures else 0

@@ -1,17 +1,17 @@
-"""Sweep execution: shard selection, checkpointing store, result surfacing.
+"""Sweep execution: shard selection, resumable runs, result surfacing.
 
 :func:`run_sweep` drives a compiled :class:`~repro.scenarios.spec.SweepSpec`
 through the same machinery the paper figures use — ``run_grid`` over a
-process pool with a versioned :class:`ResultStore` — adding the sweep
-manifest as a per-point checkpoint: the store's ``store()`` hook marks the
-manifest after each point is cached, so progress survives any interruption
-at point granularity.
+process pool with a versioned :class:`ResultStore`.  The store is the
+sweep's only checkpoint: ``run_grid`` writes each point's entry the moment
+it finishes, so progress survives any interruption at point granularity
+and a re-run serves every finished point from the cache.
 
 Results are surfaced in the metrics-registry snapshot format: the sweep
 artefact (``<out>/<name>/results.json``) carries, per point, the axis
 assignment plus the full ``SystemResult`` cache dict — the same
-schema-versioned payload the figure cache and BENCH artefacts read — so
-downstream tooling needs exactly one result schema.
+schema-versioned payload the figure cache holds — so downstream tooling
+needs exactly one result schema.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.experiments.common import (
     format_table,
     run_grid,
 )
-from repro.scenarios.manifest import SweepManifest
 from repro.scenarios.spec import SweepPoint, SweepSpec
 from repro.sim.system import RESULT_SCHEMA_VERSION, SystemResult
 
@@ -39,32 +38,21 @@ from repro.sim.system import RESULT_SCHEMA_VERSION, SystemResult
 SWEEP_SCHEMA_VERSION = 1
 
 
-class CheckpointingStore(ResultStore):
-    """ResultStore that marks the sweep manifest as each point lands.
+class _RecordingStore(ResultStore):
+    """ResultStore that records the key of every point it stores.
 
-    ``store()`` is called by ``run_grid`` the moment a point finishes, so
-    chaining the manifest update here gives point-granular checkpoints
-    without touching the grid executor.  ``executed`` counts real
-    simulations (cache hits never reach ``store``), which is how the
-    resume test distinguishes served-from-cache from re-run.
+    Cache hits never reach ``store()``, so ``executed`` tells a point that
+    ran from one served by the cache.
     """
 
-    def __init__(self, manifest: SweepManifest, cache_dir=None,
-                 enabled: bool = True):
+    def __init__(self, cache_dir=None, enabled: bool = True):
         super().__init__(cache_dir, enabled=enabled)
-        self.manifest = manifest
         self.executed: list[str] = []
 
     def store(self, spec: RunSpec, params: SimParams,
               result: SystemResult) -> None:
         super().store(spec, params, result)
-        key = self.key(spec, params)
-        self.executed.append(key)
-        if self.enabled:
-            # A checkpoint is only real if a cache entry backs it: under
-            # --no-cache nothing is resumable, so the manifest must not
-            # claim progress a resume could trust.
-            self.manifest.mark_done(key)
+        self.executed.append(self.key(spec, params))
 
 
 @dataclass
@@ -86,7 +74,7 @@ class PointOutcome:
         }
         if self.result is not None:
             # Full schema-versioned result payload, identical to a cache
-            # entry: figures and BENCH tooling read one schema.
+            # entry: figures and sweep tooling read one schema.
             out["result"] = self.result.to_cache_dict()
         if self.error is not None:
             out["error"] = self.error
@@ -101,8 +89,7 @@ class SweepOutcome:
     sweep_id: str
     shard: tuple[int, int]
     points: list[PointOutcome]
-    manifest_path: Path
-    results_path: Optional[Path]
+    results_path: Path
     elapsed_s: float = 0.0
 
     @property
@@ -144,30 +131,20 @@ class SweepOutcome:
                 f"{self.cached} cached, {len(self.failures)} failed")
 
 
-def _artifact_name(base: str, shard: tuple[int, int], ext: str) -> str:
-    i, n = shard
-    return f"{base}.{ext}" if n == 1 else f"{base}_{i + 1}of{n}.{ext}"
-
-
 def run_sweep(sweep: SweepSpec, params: SimParams,
               shard: tuple[int, int] = (0, 1), jobs: int = 0,
               out_dir: Path = Path("results/sweeps"),
               cache_dir: Optional[Path] = None, use_cache: bool = True,
               progress: bool = False,
-              points: Optional[list[SweepPoint]] = None,
               warm_cache: Optional[bool] = None) -> SweepOutcome:
     """Execute (or resume) one shard of a sweep; returns the outcome.
 
     Interruptions are safe at point granularity: each completed point is
-    already in the result cache and the manifest.  Re-invoking with the
-    same arguments resumes — previously finished points are served from
-    the cache, only the remainder executes.  Individual point crashes do
-    not abort the shard (``run_grid`` failure isolation); they surface in
-    ``outcome.failures`` with the rest completed and checkpointed.
-
-    ``points`` lets a caller that already compiled the grid pass this
-    shard's slice in (the CLI does), skipping a recompilation; it must
-    equal ``sweep.shard_points(shard)``.
+    already in the result cache.  Re-invoking with the same arguments
+    resumes — previously finished points are served from the cache, only
+    the remainder executes.  Individual point crashes do not abort the
+    shard (``run_grid`` failure isolation); they surface in
+    ``outcome.failures`` with the rest completed and cached.
 
     ``warm_cache`` shares the functional warm-up across points with the
     same (workload, substrate) prefix — e.g. a design or scheduler axis
@@ -178,21 +155,10 @@ def run_sweep(sweep: SweepSpec, params: SimParams,
     to per warm group (a group is one pool task; see ``run_grid``).
     """
     t0 = time.time()
-    if points is None:
-        points = sweep.shard_points(shard)
-    sweep_dir = Path(out_dir) / sweep.name
-    sweep_dir.mkdir(parents=True, exist_ok=True)
-
-    probe = ResultStore(cache_dir, enabled=use_cache)
-    keys = [probe.key(p.spec, params) for p in points]
+    points = sweep.shard_points(shard)
+    store = _RecordingStore(cache_dir, enabled=use_cache)
+    keys = [store.key(p.spec, params) for p in points]
     sweep_id = sweep.sweep_id(params)
-    manifest = SweepManifest.load_or_create(
-        sweep_dir / _artifact_name("manifest", shard, "json"),
-        sweep_id, sweep.name, keys, shard)
-    if progress and manifest.completed:
-        print(f"  resuming: {manifest.summary()}")
-
-    store = CheckpointingStore(manifest, cache_dir, enabled=use_cache)
     specs = [p.spec for p in points]
     failures: dict[RunSpec, str] = {}
     try:
@@ -212,16 +178,11 @@ def run_sweep(sweep: SweepSpec, params: SimParams,
             point=point, key=key, result=result,
             executed=key in executed,
             error=(tb.strip().splitlines()[-1] if tb else None)))
-    # Points completed by cache hits (e.g. a previous sweep sharing specs)
-    # belong in the manifest too, not just freshly executed ones — but
-    # only while caching is on (a --no-cache "checkpoint" would promise
-    # resumability that no cache entry backs).
-    if use_cache:
-        manifest.mark_many(k for k, p in zip(keys, outcomes)
-                           if p.result is not None)
 
+    i, n = shard
+    results_name = "results.json" if n == 1 else f"results_{i + 1}of{n}.json"
     results_path = atomic_write_json(
-        sweep_dir / _artifact_name("results", shard, "json"),
+        Path(out_dir) / sweep.name / results_name,
         {
             "schema_version": SWEEP_SCHEMA_VERSION,
             "result_schema_version": RESULT_SCHEMA_VERSION,
@@ -232,17 +193,10 @@ def run_sweep(sweep: SweepSpec, params: SimParams,
             "shard": list(shard),
             "params": {k: getattr(params, k)
                        for k in params.__dataclass_fields__},
-            # Every point of this run must actually carry a result: a
-            # stale manifest (cache pruned, point now failing) must not
-            # let is_complete() alone bless a partial grid.  Without
-            # caching the manifest records nothing, so this run's
-            # outcomes are the whole truth.
-            "complete": (all(p.result is not None for p in outcomes)
-                         and (manifest.is_complete() or not use_cache)),
+            "complete": all(p.result is not None for p in outcomes),
             "points": [p.to_dict() for p in outcomes],
         })
 
     return SweepOutcome(
         name=sweep.name, sweep_id=sweep_id, shard=shard, points=outcomes,
-        manifest_path=manifest.path, results_path=results_path,
-        elapsed_s=round(time.time() - t0, 3))
+        results_path=results_path, elapsed_s=round(time.time() - t0, 3))

@@ -278,8 +278,8 @@ class SweepSpec:
         """Stable identity of (grid definition, sim params, result schema).
 
         Any change to the axes, the base, the simulation parameters or the
-        result schema produces a different id, which invalidates a stale
-        manifest instead of resuming into a different sweep.
+        result schema produces a different id; ``results.json`` records it
+        so two artefacts from different grids are never mistaken for one.
         """
         import dataclasses
         payload = json.dumps(

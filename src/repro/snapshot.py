@@ -218,12 +218,12 @@ def load(path) -> SimSnapshot:
 class WarmCache:
     """Bounded in-process cache of :class:`WarmState` keyed by run prefix.
 
-    ``run_grid`` consults one instance per worker process: the first
-    design point of a (mix, substrate) group populates it, every later
-    point forks from it.  Entries are evicted FIFO beyond ``capacity`` —
-    warm states share their array backing with live runs cheaply, but an
-    unbounded cache across many sweeps would still pin every footprint
-    ever warmed.
+    ``run_grid`` creates one instance per sequential grid call or per
+    pool task (a warm group): the first design point of a (mix,
+    substrate) group populates it, every later point forks from it.
+    Entries are evicted FIFO beyond ``capacity`` — each warm state holds
+    an immutable copy of its DRAM-cache and L2 contents, so an unbounded
+    cache would pin every footprint ever warmed.
     """
 
     def __init__(self, capacity: int = 8):

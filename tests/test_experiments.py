@@ -83,15 +83,16 @@ class TestCaching:
     def test_corrupt_cache_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         spec = RunSpec("CD", alone_benchmark="gcc")
-        key = common._spec_key(spec, QUICK)
+        key = ResultStore().key(spec, QUICK)
         (tmp_path / f"{key}.json").write_text("{not json")
         out = run_grid([spec], QUICK, jobs=1)
         assert out[spec].ipcs[0] > 0
 
     def test_key_distinguishes_specs(self):
-        k1 = common._spec_key(RunSpec("CD", mix_id=1), QUICK)
-        k2 = common._spec_key(RunSpec("DCA", mix_id=1), QUICK)
-        k3 = common._spec_key(RunSpec("CD", mix_id=1), SimParams())
+        store = ResultStore()
+        k1 = store.key(RunSpec("CD", mix_id=1), QUICK)
+        k2 = store.key(RunSpec("DCA", mix_id=1), QUICK)
+        k3 = store.key(RunSpec("CD", mix_id=1), SimParams())
         assert len({k1, k2, k3}) == 3
 
     def test_key_tracks_trace_file_content(self, tmp_path):
@@ -420,6 +421,16 @@ class TestRunnerCLI:
         assert rc == 0
         assert captured["params"].measure_insts == 12345
         assert captured["mixes"] == [1, 2]
+
+    def test_main_restores_caller_warm_default(self, tmp_path, monkeypatch):
+        """main() sets the warm default from --warm-cache only for its own
+        run; a caller's True must survive it, not come back False."""
+        from repro.experiments import runner
+        monkeypatch.setattr(common, "_default_warm_cache", True)
+        rc = runner.main(["table1", "--quick", "--mixes", "1",
+                          "--out", str(tmp_path)])
+        assert rc == 0
+        assert common._default_warm_cache is True
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fig08"])

@@ -1,4 +1,4 @@
-"""Scenario sweep engine: specs, sharding, manifests, resumable execution."""
+"""Scenario sweep engine: specs, sharding, cache-backed resumable execution."""
 
 import json
 
@@ -6,15 +6,18 @@ import pytest
 
 from repro.experiments import common
 from repro.experiments.common import SimParams
-from repro.scenarios import SweepManifest, SweepSpec, parse_axis_value, run_sweep
+from repro.scenarios import SweepSpec, parse_axis_value, run_sweep
 from repro.scenarios.cli import main as sweep_cli_main
 from repro.scenarios.cli import parse_axis, parse_shard
-from repro.scenarios.manifest import MANIFEST_SCHEMA_VERSION
 from repro.scenarios.spec import TARGET_AXES as TARGET_AXES_SET
 from repro.experiments.runner import main as runner_main
 
 TINY = SimParams(warmup_insts=1_000, measure_insts=3_000,
                  replay_accesses=500)
+
+
+def cache_entries(cache_dir):
+    return list(cache_dir.glob("*.json"))
 
 
 def tiny_sweep(**kw):
@@ -235,43 +238,6 @@ class TestAxisParsing:
                 parse_shard(bad)
 
 
-class TestManifest:
-    KEYS = ["k1", "k2", "k3"]
-
-    def test_checkpoint_and_resume(self, tmp_path):
-        path = tmp_path / "m.json"
-        m = SweepManifest.load_or_create(path, "id1", "s", self.KEYS)
-        m.mark_done("k2")
-        m2 = SweepManifest.load_or_create(path, "id1", "s", self.KEYS)
-        assert m2.completed == {"k2"}
-        assert m2.pending() == ["k1", "k3"]
-        assert not m2.is_complete()
-        m2.mark_many(["k1", "k3"])
-        assert SweepManifest.load_or_create(
-            path, "id1", "s", self.KEYS).is_complete()
-
-    def test_mismatched_sweep_id_starts_fresh(self, tmp_path):
-        path = tmp_path / "m.json"
-        SweepManifest.load_or_create(path, "id1", "s", self.KEYS).mark_done("k1")
-        m = SweepManifest.load_or_create(path, "OTHER", "s", self.KEYS)
-        assert m.completed == set()
-
-    def test_corrupt_manifest_starts_fresh(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text("{torn")
-        m = SweepManifest.load_or_create(path, "id1", "s", self.KEYS)
-        assert m.completed == set()
-        assert json.loads(path.read_text())["schema_version"] == \
-            MANIFEST_SCHEMA_VERSION
-
-    def test_different_shard_split_starts_fresh(self, tmp_path):
-        path = tmp_path / "m.json"
-        SweepManifest.load_or_create(
-            path, "id1", "s", self.KEYS, (0, 1)).mark_done("k1")
-        m = SweepManifest.load_or_create(path, "id1", "s", self.KEYS, (0, 2))
-        assert m.completed == set()
-
-
 class TestRunSweep:
     def test_end_to_end_then_fully_cached(self, tmp_path):
         sw = tiny_sweep()
@@ -319,12 +285,8 @@ class TestRunSweep:
         with pytest.raises(KeyboardInterrupt):
             run_sweep(sw, TINY, jobs=1, out_dir=tmp_path / "o",
                       cache_dir=tmp_path / "c")
-        # mid-sweep checkpoints live in the JSON ∪ the append-only log
-        mdir = tmp_path / "o" / "resume"
-        done = set(json.loads(
-            (mdir / "manifest.json").read_text())["completed"])
-        done |= set((mdir / "manifest.log").read_text().split())
-        assert len(done) == 2
+        # the result cache is the checkpoint: one entry per finished point
+        assert len(cache_entries(tmp_path / "c")) == 2
 
         def counting(spec, params):
             executed.append(spec)
@@ -337,9 +299,7 @@ class TestRunSweep:
         assert len(executed) == 2          # only the unfinished half ran
         assert outcome.executed == 2 and outcome.cached == 2
         assert not outcome.failures
-        manifest = json.loads(
-            (tmp_path / "o" / "resume" / "manifest.json").read_text())
-        assert len(manifest["completed"]) == 4
+        assert len(cache_entries(tmp_path / "c")) == 4
         assert json.loads(
             outcome.results_path.read_text())["complete"] is True
 
@@ -371,22 +331,20 @@ class TestRunSweep:
         b = run_sweep(sw, TINY, shard=(1, 2), jobs=1,
                       out_dir=tmp_path / "o", cache_dir=tmp_path / "c")
         assert a.executed == 1 and b.executed == 1
-        assert a.manifest_path != b.manifest_path
+        assert a.results_path != b.results_path
         # after both shards, a whole-grid run is fully cache-served
         whole = run_sweep(sw, TINY, jobs=1, out_dir=tmp_path / "o",
                           cache_dir=tmp_path / "c")
         assert whole.executed == 0 and whole.cached == 2
 
     def test_no_cache_records_no_checkpoints(self, tmp_path):
-        """--no-cache progress is not resumable, so the manifest must not
-        claim it: a later cached run executes everything."""
+        """--no-cache progress is not resumable: no cache entry records
+        it, so a later cached run executes everything."""
         sw = tiny_sweep(name="nc")
         first = run_sweep(sw, TINY, jobs=1, out_dir=tmp_path / "o",
                           cache_dir=tmp_path / "c", use_cache=False)
         assert first.executed == 2
-        manifest = json.loads(
-            (tmp_path / "o" / "nc" / "manifest.json").read_text())
-        assert manifest["completed"] == []
+        assert not cache_entries(tmp_path / "c")
         # ... but the artifact of a fully successful run is complete:
         # this run's outcomes are the whole truth without a cache
         data = json.loads(first.results_path.read_text())
@@ -394,6 +352,31 @@ class TestRunSweep:
         second = run_sweep(sw, TINY, jobs=1, out_dir=tmp_path / "o",
                            cache_dir=tmp_path / "c")
         assert second.executed == 2 and second.cached == 0
+
+    def test_changed_grid_reruns_only_missing_and_new_points(self, tmp_path):
+        """Re-running a sweep name with a different axis list, over a cache
+        missing one old entry, executes exactly the missing and new points;
+        results.json describes the new grid alone."""
+        def grid(depths):
+            return SweepSpec("g", axes={"queues.read_entries": depths},
+                             base={"mix_id": 1})
+
+        kw = dict(jobs=1, out_dir=tmp_path / "o", cache_dir=tmp_path / "c")
+        first = run_sweep(grid([16, 32, 48]), TINY, **kw)
+        assert first.executed == 3
+        (tmp_path / "c" / f"{first.points[1].key}.json").unlink()   # depth 32
+
+        second = run_sweep(grid([32, 48, 64]), TINY, **kw)
+        assert second.sweep_id != first.sweep_id
+        ran = {p.point.axis_dict()["queues.read_entries"]
+               for p in second.points if p.executed}
+        assert ran == {32, 64} and second.cached == 1
+        data = json.loads(second.results_path.read_text())
+        assert data["complete"] is True
+        assert data["sweep_id"] == second.sweep_id
+        assert [p["axes"]["queues.read_entries"] for p in data["points"]] \
+            == [32, 48, 64]
+        assert all("result" in p for p in data["points"])
 
     def test_queue_depth_axis_changes_controller(self, tmp_path):
         """A queues.read_entries axis produces distinct cached results."""
