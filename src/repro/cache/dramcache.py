@@ -32,7 +32,8 @@ from typing import Any, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.cache.organizations import DirectMappedGeometry, SetAssociativeGeometry
+from repro.cache.organizations import (
+    DirectMappedGeometry, Index, SetAssociativeGeometry)
 from repro.cache.replacement import SA_POLICIES
 from repro.config import DRAMCacheGeometry
 
@@ -461,14 +462,14 @@ class DRAMCacheArray:
 
     # -- array-address helpers (where tag/data live in the stacked DRAM) -------
 
-    def set_index(self, addr: int) -> int:
+    def set_index(self, addr: Index) -> Index:
         """Set (DM: entry) that ``addr`` maps to."""
         return addr // self._block_bytes % self._num_sets
 
-    def tag_location_of_set(self, set_idx: int) -> int:
+    def tag_location_of_set(self, set_idx: Index) -> Index:
         """Array address of the tag structure of set ``set_idx``, which
         wraps modulo the set count: a tag block (SA) or a TAD unit (DM)."""
-        set_idx %= self._num_sets
+        set_idx = set_idx % self._num_sets
         if self.is_direct_mapped:
             return self.dm.tad_array_addr(set_idx)
         return self.sa.tag_array_addr(set_idx)

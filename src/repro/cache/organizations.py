@@ -24,8 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TypeVar
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.config import DRAMCacheGeometry
+
+#: a set/entry index or array address: one int, or an int64 array of them
+#: (the address helpers are plain arithmetic, so they map whole columns)
+Index = TypeVar("Index", int, NDArray[np.int64])
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class SetAssociativeGeometry:
         """Inverse mapping (used to reconstruct victim addresses)."""
         return tag * self.num_sets + set_idx
 
-    def tag_array_addr(self, set_idx: int) -> int:
+    def tag_array_addr(self, set_idx: Index) -> Index:
         """Array byte address of the tag block guarding ``set_idx``."""
         row = set_idx // self.sets_per_row
         slot = set_idx % self.sets_per_row
@@ -105,7 +113,7 @@ class DirectMappedGeometry:
     def block_addr(self, entry_idx: int, tag: int) -> int:
         return tag * self.num_entries + entry_idx
 
-    def tad_array_addr(self, entry_idx: int) -> int:
+    def tad_array_addr(self, entry_idx: Index) -> Index:
         """Array byte address of the TAD unit for ``entry_idx``.
 
         Tag and data share this address: a single access touches both.

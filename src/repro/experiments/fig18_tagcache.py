@@ -21,7 +21,11 @@ report normalizes DRAM tag accesses to the no-tag-cache baseline.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.tagcache import TagCache
@@ -39,8 +43,10 @@ SIZES_KB = (0, 32, 64, 96, 128, 192)
 
 
 def tag_requests(mix_id: int, params: SimParams,
-                 accesses_per_core: int = 40_000) -> list[tuple[int, bool]]:
-    """The ``(addr, is_write)`` DRAM-cache tag lookups of one mix, in order.
+                 accesses_per_core: int = 40_000
+                 ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
+    """The DRAM-cache tag lookups of one mix, in order, as two columns:
+    addresses and write flags.
 
     Each core's trace is filtered through the shared L2: an L2 miss looks
     up its block's tags (a read), then, if its fill displaced a dirty
@@ -52,7 +58,8 @@ def tag_requests(mix_id: int, params: SimParams,
                          footprint_scale=params.footprint_scale)
               for i, p in enumerate(mix_profiles(mix_id))]
     block_mask = ~(cfg.l2.block_bytes - 1)
-    requests: list[tuple[int, bool]] = []
+    addrs = array("q")
+    writes = bytearray()
     for trace in traces:
         for _ in range(accesses_per_core):
             _gap, addr, is_write, _pc = next(trace)
@@ -60,25 +67,26 @@ def tag_requests(mix_id: int, params: SimParams,
             if l2.touch(addr, is_write):
                 continue
             victim = l2.fill(addr, dirty=is_write)
-            requests.append((addr, False))
+            addrs.append(addr)
+            writes.append(False)
             if victim is not None:
-                requests.append((victim, True))
-    return requests
+                addrs.append(victim)
+                writes.append(True)
+    return (np.frombuffer(addrs, dtype=np.int64),
+            np.frombuffer(writes, dtype=np.bool_))
 
 
 def tag_traffic(mix_id: int, params: SimParams,
                 sizes_kb: Sequence[int] = SIZES_KB,
                 accesses_per_core: int = 40_000) -> dict[int, int]:
     """DRAM tag accesses of one mix behind each tag-cache size (KB)."""
-    requests = tag_requests(mix_id, params, accesses_per_core)
-    array = DRAMCacheArray(scaled_config(params.capacity_scale).dram_cache,
-                           "sa")
+    addrs, writes = tag_requests(mix_id, params, accesses_per_core)
+    geometry = DRAMCacheArray(
+        scaled_config(params.capacity_scale).dram_cache, "sa")
     counts: dict[int, int] = {}
     for kb in sizes_kb:
-        tc = TagCache(array, kb * 1024)
-        access = tc.access
-        for addr, is_write in requests:
-            access(addr, is_write)
+        tc = TagCache(geometry, kb * 1024)
+        tc.replay(addrs, writes)
         counts[kb] = tc.stats.dram_tag_accesses
     return counts
 

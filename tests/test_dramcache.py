@@ -140,6 +140,22 @@ class TestLocations:
         addr = 0x123440
         assert dm.tag_location(addr) == dm.data_location(addr, 0)
 
+    def test_helpers_map_arrays_like_scalars(self, array):
+        """The address helpers take int64 arrays element-wise, including
+        the set-count wrap, and never modify the array passed in."""
+        n = array.dm.num_entries if array.is_direct_mapped else array.sa.num_sets
+        sets = np.array([0, 1, n - 2, n - 1, n, n + 3, 3 * n + 5],
+                        dtype=np.int64)
+        given = sets.copy()
+        locs = array.tag_location_of_set(sets)
+        np.testing.assert_array_equal(sets, given)
+        assert locs.tolist() == [array.tag_location_of_set(int(s))
+                                 for s in given]
+        addrs = sets * GEOM.block_bytes
+        assert array.set_index(addrs).tolist() == [
+            array.set_index(int(a)) for a in addrs]
+        np.testing.assert_array_equal(addrs, given * GEOM.block_bytes)
+
 
 class TestBulkFill:
     def test_bulk_equivalent_to_sequential(self):

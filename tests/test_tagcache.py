@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.cache.dramcache import DRAMCacheArray
@@ -193,10 +194,11 @@ class _StampLRUTagCache:
         return False
 
 
-def _requests(seed, n=4000, span=2048):
-    """Seeded ``(addr, is_write)`` stream mixing random blocks, sequential
-    runs and short-range repeats, so hits, prefetch hits and dirty
-    evictions all occur."""
+def _requests(seed, n=4000, span=2048, first=0):
+    """Seeded ``(addr, is_write)`` stream over blocks ``first ..
+    first + span - 1``, mixing random blocks, sequential runs and
+    short-range repeats, so hits, prefetch hits and dirty evictions all
+    occur."""
     rng = random.Random(seed)
     out = []
     while len(out) < n:
@@ -206,9 +208,32 @@ def _requests(seed, n=4000, span=2048):
             out.append((addr, rng.random() < 0.3))
         else:
             start = rng.randrange(span)
-            out.extend((((start + k) % span) * 64, rng.random() < 0.3)
+            out.extend(((first + (start + k) % span) * 64, rng.random() < 0.3)
                        for k in range(8 if r < 0.5 else 1))
     return out[:n]
+
+
+def _check_against_reference(array, stream, assoc, prefetch_degree,
+                             sram_sets, monkeypatch):
+    """Drive ``access`` and the stamp/``min`` reference in lockstep, then
+    ``replay`` the stream in chunks that do not divide it: equal stats,
+    and the same SRAM contents (LRU key order, dirty bits) as ``access``."""
+    size = sram_sets * TagCache.BLOCK * assoc
+    tc = TagCache(array, size, assoc, prefetch_degree)
+    ref = _StampLRUTagCache(array, size, assoc, prefetch_degree)
+    for addr, is_write in stream:
+        assert tc.access(addr, is_write) == ref.access(addr, is_write)
+    assert tc.stats.snapshot() == ref.stats.snapshot()
+
+    monkeypatch.setattr(TagCache, "CHUNK", 997)
+    assert len(stream) % TagCache.CHUNK
+    batched = TagCache(array, size, assoc, prefetch_degree)
+    addrs, writes = zip(*stream)
+    batched.replay(np.array(addrs, dtype=np.int64), np.array(writes))
+    assert batched.stats.snapshot() == ref.stats.snapshot()
+    assert ([list(s.items()) for s in batched._sets]
+            == [list(s.items()) for s in tc._sets])
+    return tc
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -217,12 +242,20 @@ def _requests(seed, n=4000, span=2048):
 @pytest.mark.parametrize("assoc", [1, 2, 8])
 @pytest.mark.parametrize("org", ["sa", "dm"])
 def test_matches_stamp_lru_reference(org, assoc, prefetch_degree, sram_sets,
-                                     seed):
+                                     seed, monkeypatch):
+    tc = _check_against_reference(DRAMCacheArray(GEOM, org), _requests(seed),
+                                  assoc, prefetch_degree, sram_sets,
+                                  monkeypatch)
+    assert tc.stats.tag_hits > 0 and tc.stats.dram_tag_writes > 0
+
+
+@pytest.mark.parametrize("org", ["sa", "dm"])
+def test_prefetch_wraps_past_the_last_set(org, monkeypatch):
+    """A stream over the array's last and first sets, so the last sets'
+    prefetches wrap to sets 0, 1, 2 and later requests can hit on them."""
     array = DRAMCacheArray(GEOM, org)
-    size = sram_sets * TagCache.BLOCK * assoc
-    tc = TagCache(array, size, assoc, prefetch_degree)
-    ref = _StampLRUTagCache(array, size, assoc, prefetch_degree)
-    for addr, is_write in _requests(seed):
-        assert tc.access(addr, is_write) == ref.access(addr, is_write)
-    assert tc.stats.snapshot() == ref.stats.snapshot()
+    n = array.dm.num_entries if array.is_direct_mapped else array.sa.num_sets
+    stream = _requests(3, n=2000, span=64, first=n - 32)
+    assert {array.set_index(a) for a, _ in stream} >= {n - 1, 0}
+    tc = _check_against_reference(array, stream, 2, 3, 4, monkeypatch)
     assert tc.stats.tag_hits > 0 and tc.stats.dram_tag_writes > 0
