@@ -15,8 +15,10 @@ Three policies (gem5's LRU variants), selected by name from
 
 Two call conventions, one per cache organisation:
 
-* **SRAM** (:mod:`repro.mem.sram`): sets are lists of ``[tag, dirty,
-  stamp]`` entries; the policy returns the victim *entry*.
+* **SRAM** (:mod:`repro.mem.sram`): a set is an insertion-ordered
+  ``{tag: dirty}`` dict whose key order is the LRU order (least recent
+  first); the policy returns the victim *tag*.  So ``lru`` is the first
+  key, and ``lruc``/``lrud`` are the first clean/dirty key.
 * **DRAM cache** (:mod:`repro.cache.dramcache`): the policy gets one
   set's slices of the flat tag, dirty (0/1) and stamp columns and
   returns the victim *way index*.  The caller fills invalid ways first —
@@ -30,37 +32,32 @@ repro/snapshot.py and dca-lint rule R3).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-# Entries are [tag, dirty, stamp]; stamps are unique and monotonic.
-_STAMP = itemgetter(2)
-
-# SRAM policies only iterate (min / filter), so any iterable of entries
-# works — the SRAM cache passes its per-set dict's values() view without
-# materialising a list per eviction.
-SRAMVictimFn = Callable[[Iterable[list[Any]]], list[Any]]
+SRAMVictimFn = Callable[[Mapping[int, bool]], int]
 SAVictimFn = Callable[[Sequence[int], Sequence[int], Sequence[int]], int]
 
 
-# -- SRAM caches (list-of-entries sets) -----------------------------------------
+# -- SRAM caches (LRU-ordered {tag: dirty} sets) --------------------------------
 
 
-def _sram_lru(s: Iterable[list[Any]]) -> list[Any]:
-    return min(s, key=_STAMP)
+def _sram_lru(s: Mapping[int, bool]) -> int:
+    return next(iter(s))
 
 
-def _sram_lru_clean(s: Iterable[list[Any]]) -> list[Any]:
-    entries = list(s)
-    clean = [e for e in entries if not e[1]]
-    return min(clean, key=_STAMP) if clean else min(entries, key=_STAMP)
+def _sram_lru_clean(s: Mapping[int, bool]) -> int:
+    for tag, dirty in s.items():
+        if not dirty:
+            return tag
+    return next(iter(s))
 
 
-def _sram_lru_dirty(s: Iterable[list[Any]]) -> list[Any]:
-    entries = list(s)
-    dirty = [e for e in entries if e[1]]
-    return min(dirty, key=_STAMP) if dirty else min(entries, key=_STAMP)
+def _sram_lru_dirty(s: Mapping[int, bool]) -> int:
+    for tag, dirty in s.items():
+        if dirty:
+            return tag
+    return next(iter(s))
 
 
 SRAM_POLICIES: Mapping[str, SRAMVictimFn] = MappingProxyType({

@@ -64,9 +64,9 @@ def tag_requests(mix_id: int, params: SimParams,
         for _ in range(accesses_per_core):
             _gap, addr, is_write, _pc = next(trace)
             addr &= block_mask
-            if l2.touch(addr, is_write):
+            hit, victim = l2.access(addr, is_write)
+            if hit:
                 continue
-            victim = l2.fill(addr, dirty=is_write)
             addrs.append(addr)
             writes.append(False)
             if victim is not None:

@@ -2,13 +2,15 @@
 
 A functional set-associative, write-back, write-allocate cache with true
 LRU.  Sets are materialised lazily (simulated footprints touch a sparse
-subset) and stored as ``tag -> [tag, dirty, stamp]`` dicts, so the hit
-path (the L1/L2 front of every simulated memory operation) is one hash
-probe instead of a way scan; victim selection still sees the entry list
-(insertion-ordered ``values()``), and stamps are globally unique, so the
-pluggable policies pick the identical victim the list layout produced.
-The cache is purely functional — latency is charged by the caller (core
-model / system wiring) so that the same class serves both levels.
+subset) and each is an insertion-ordered ``{tag: dirty}`` dict whose key
+order *is* the LRU order: a hit pops its key and re-inserts it, a fill
+appends, so the first key is the least recently used.  The hit path (the
+L1/L2 front of every simulated memory operation) is one hash probe, and
+there are no access stamps and no clock.  Victim selection is pluggable:
+the policy gets the ordered set and returns the victim tag (see
+:mod:`repro.cache.replacement`).  The cache is purely functional —
+latency is charged by the caller (core model / system wiring) so that
+the same class serves both levels.
 
 An optional *dirty-row index* supports Lee et al.'s DRAM-aware writeback
 policy (Fig. 19): it tracks, per DRAM-cache row, which dirty blocks the
@@ -50,9 +52,8 @@ class SRAMCache:
         self._assoc = geom.assoc
         # Module-level function, never a closure (snapshot-safe).
         self._pick_victim = SRAM_POLICIES[geom.replacement]
-        # set idx -> {tag -> [tag, dirty, stamp]} (insertion-ordered)
-        self._sets: dict[int, dict[int, list[Any]]] = {}
-        self._clock = 0
+        # set idx -> {tag: dirty}, keys in LRU order (least recent first)
+        self._sets: dict[int, dict[int, bool]] = {}
         self.stats = SRAMCacheStats()
         # Optional Lee-writeback support: addr -> DRAM row, and the index.
         self._row_of = row_of
@@ -106,14 +107,14 @@ class SRAMCache:
         blk = addr // self.block
         s = self._sets.get(blk % self.num_sets)
         if s is not None:
-            e = s.get(blk // self.num_sets)
-            if e is not None:
+            tag = blk // self.num_sets
+            dirty = s.pop(tag, None)
+            if dirty is not None:
                 self.stats.hits += 1
-                self._clock += 1
-                e[2] = self._clock
-                if is_write and not e[1]:
-                    e[1] = True
+                if is_write and not dirty:
+                    dirty = True
                     self._track_dirty(addr)
+                s[tag] = dirty          # re-insert: now most recent
                 return True
         return False
 
@@ -122,38 +123,39 @@ class SRAMCache:
 
         Returns ``(hit, dirty_victim_addr)``.  ``dirty_victim_addr`` is the
         block address of a dirty line displaced by this access (the caller
-        turns it into a writeback request), or None.
+        turns it into a writeback request), or None.  One call leaves the
+        state a :meth:`touch` followed, on a miss, by a :meth:`fill`
+        leaves; only ``stats.accesses`` counts the miss once, not twice.
         """
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
         blk = addr // self.block
         set_idx = blk % self.num_sets
         tag = blk // self.num_sets
         s = self._sets.get(set_idx)
         if s is None:
             s = self._sets[set_idx] = {}
-        self._clock += 1
-        e = s.get(tag)
-        if e is not None:
-            self.stats.hits += 1
-            e[2] = self._clock
-            if is_write and not e[1]:
-                e[1] = True
-                self._track_dirty(addr)
-            return True, None
+        else:
+            dirty = s.pop(tag, None)
+            if dirty is not None:
+                stats.hits += 1
+                if is_write and not dirty:
+                    dirty = True
+                    self._track_dirty(addr)
+                s[tag] = dirty          # re-insert: now most recent
+                return True, None
         # Miss: allocate (write-allocate for stores too).
         victim_addr = None
         if len(s) >= self._assoc:
-            victim = self._pick_victim(s.values())
-            del s[victim[0]]
-            self.stats.evictions += 1
-            vaddr = self._addr_of(set_idx, victim[0])
-            if victim[1]:
-                self.stats.dirty_evictions += 1
-                self._untrack_dirty(vaddr)
-                victim_addr = vaddr
+            vtag = self._pick_victim(s)
+            stats.evictions += 1
+            if s.pop(vtag):
+                stats.dirty_evictions += 1
+                victim_addr = self._addr_of(set_idx, vtag)
+                self._untrack_dirty(victim_addr)
             else:
-                self.stats.clean_evictions += 1
-        s[tag] = [tag, is_write, self._clock]
+                stats.clean_evictions += 1
+        s[tag] = is_write
         if is_write:
             self._track_dirty(addr)
         return False, victim_addr
@@ -166,14 +168,15 @@ class SRAMCache:
     def clean(self, addr: int) -> bool:
         """Clear the dirty bit (Lee's eager writeback cleans lines in place).
 
-        Returns True if the line was present and dirty.
+        Returns True if the line was present and dirty.  The line keeps
+        its LRU position.
         """
         s = self._sets.get(self._set_of(addr))
         if s is None:
             return False
-        e = s.get(self._tag_of(addr))
-        if e is not None and e[1]:
-            e[1] = False
+        tag = self._tag_of(addr)
+        if s.get(tag):
+            s[tag] = False              # existing key: order unchanged
             self._untrack_dirty(addr)
             return True
         return False
@@ -182,23 +185,21 @@ class SRAMCache:
         s = self._sets.get(self._set_of(addr))
         if s is None:
             return False
-        tag = self._tag_of(addr)
-        e = s.get(tag)
-        if e is not None:
-            if e[1]:
-                self._untrack_dirty(addr)
-            del s[tag]
-            return True
-        return False
+        dirty = s.pop(self._tag_of(addr), None)
+        if dirty is None:
+            return False
+        if dirty:
+            self._untrack_dirty(addr)
+        return True
 
     def dirty_count(self) -> int:
         """Number of dirty lines (O(cache); tests only)."""
-        return sum(1 for s in self._sets.values() for e in s.values() if e[1])
+        return sum(1 for s in self._sets.values() for d in s.values() if d)
 
     # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
 
     def capture_state(self) -> dict[str, Any]:
-        """Independent copy of contents + LRU clock + dirty-row index.
+        """Independent copy of contents (LRU order) + dirty-row index.
 
         SRAM caches are small (thousands of lines), so an eager copy is
         cheap; the copy is fully detached — donor and restored caches
@@ -207,9 +208,7 @@ class SRAMCache:
         full-snapshot path copies the live object graph wholesale.
         """
         return {
-            "sets": {k: [e[:] for e in v.values()]
-                     for k, v in self._sets.items()},
-            "clock": self._clock,
+            "sets": {k: dict(v) for k, v in self._sets.items()},
             "dirty_rows": {row: set(blocks)
                            for row, blocks in self._dirty_rows.items()},
         }
@@ -217,10 +216,7 @@ class SRAMCache:
     def restore_state(self, state: dict[str, Any]) -> None:
         """Adopt contents captured by :meth:`capture_state` (re-copied, so
         one captured state serves any number of restores)."""
-        # Captures keep the historical list-of-entries layout; rebuild the
-        # per-set dicts in list order, which is exactly insertion order.
-        self._sets = {k: {e[0]: e[:] for e in v}
-                      for k, v in state["sets"].items()}
-        self._clock = state["clock"]
+        # dict() copies keep key order, and key order is the LRU order.
+        self._sets = {k: dict(v) for k, v in state["sets"].items()}
         self._dirty_rows = {row: set(blocks)
                             for row, blocks in state["dirty_rows"].items()}

@@ -460,8 +460,8 @@ class System:
             for _ in range(replay_accesses):
                 _gap, addr, is_write, _pc = next(trace)
                 addr &= self._block_mask
-                if not l2.touch(addr, is_write):
-                    victim = l2.fill(addr, dirty=is_write)
+                hit, victim = l2.access(addr, is_write)
+                if not hit:
                     if victim is not None:
                         if not array.lookup_write(victim).hit:
                             array.fill(victim, dirty=True)

@@ -71,7 +71,10 @@ from typing import Any, Optional
 #: v5: a direct-mapped ``DRAMCacheArray`` holds the same flat columns as
 #: one-way sets; a v4 payload holds a ``_dm_entries`` dict the class no
 #: longer has.
-SNAPSHOT_SCHEMA_VERSION = 5
+#: v6: the pickled ``SRAMCache`` (L2) holds ``{set: {tag: dirty}}`` dicts
+#: whose key order is the LRU order, with no clock; a v5 payload holds
+#: ``[tag, dirty, stamp]`` entries and a ``_clock`` the class no longer has.
+SNAPSHOT_SCHEMA_VERSION = 6
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
@@ -82,7 +85,9 @@ SNAPSHOT_SCHEMA_VERSION = 5
 #: (``tags``/``dirty``/``stamp``) instead of a shared per-set backing dict.
 #: v4: a direct-mapped ``array_state`` holds the flat columns too; a v3
 #: payload holds a ``dm`` entry dict the array can no longer restore.
-WARM_STATE_VERSION = 4
+#: v5: ``l2_state`` is ``{set: {tag: dirty}}`` in LRU order with no
+#: ``clock``; a v4 payload holds ``[tag, dirty, stamp]`` entry lists.
+WARM_STATE_VERSION = 5
 
 
 class SnapshotError(RuntimeError):
@@ -322,8 +327,8 @@ def state_signature(system) -> dict:
     sig["mainmem"] = ctl.mainmem.capture_state()
     sig["array"] = ctl.array.contents_signature()
     sig["l2"] = {
-        "clock": system.l2._clock,
-        "sets": sorted((k, [tuple(e) for e in v.values()])
+        # each set's items in key order, which is its LRU order
+        "sets": sorted((k, list(v.items()))
                        for k, v in system.l2._sets.items()),
         "dirty_rows": sorted((row, sorted(blocks)) for row, blocks
                              in system.l2._dirty_rows.items()),

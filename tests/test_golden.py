@@ -1,6 +1,6 @@
 """Golden-run regression pins: committed metric snapshots must not drift.
 
-Four fixtures, one mechanism:
+Five fixtures, one mechanism:
 
 * ``tests/golden/fig08_quick.json`` — the complete results (headline
   fields + full metrics tree) of a small fig08-style run set on the
@@ -20,6 +20,9 @@ Four fixtures, one mechanism:
 * ``tests/golden/dm_quick.json`` — the burst pin for the **direct-mapped**
   (Alloy) organization, freezing the TAD access protocol and the
   one-way tag store under every controller design.
+* ``tests/golden/l2_policy_quick.json`` — the burst pin under the
+  non-default L2 victim policies (``l2.replacement`` = ``lruc`` and
+  ``lrud``), freezing the clean- and dirty-preferring SRAM eviction.
 
 When a behaviour change is *intended*, regenerate the fixtures and
 commit them together with the change::
@@ -59,6 +62,15 @@ COMMAND_SPECS = [
 #: banked-mainmem pins: the off-chip topology below the cache
 BANKED_SPECS = [
     RunSpec(d, "sa", mix_id=1, config=(("mainmem.model", "banked"),))
+    for d in ("CD", "DCA")
+]
+
+#: non-default L2 victim policies: the default pins above all run "lru",
+#: so these are the only full-system pins of the clean/dirty-preferring
+#: SRAM victim choice
+L2_POLICY_SPECS = [
+    RunSpec(d, "sa", mix_id=1, config=(("l2.replacement", policy),))
+    for policy in ("lruc", "lrud")
     for d in ("CD", "DCA")
 ]
 
@@ -142,6 +154,10 @@ def test_golden_command_fidelity():
 
 def test_golden_mainmem_banked():
     check_golden(GOLDEN_DIR / "mainmem_banked_quick.json", BANKED_SPECS)
+
+
+def test_golden_l2_policies():
+    check_golden(GOLDEN_DIR / "l2_policy_quick.json", L2_POLICY_SPECS)
 
 
 def test_banked_golden_exercises_the_topology():

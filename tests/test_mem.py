@@ -1,12 +1,17 @@
 """Memory-side components: main memory, SRAM caches, MSHRs, Lee writeback."""
 
+import copy
+import random
+from operator import itemgetter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheGeometry, MainMemoryConfig
 from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 from repro.mem.mainmem import BankedMainMemory, MainMemory, make_mainmem
 from repro.mem.mshr import MSHRFile
-from repro.mem.sram import SRAMCache
+from repro.mem.sram import SRAMCache, SRAMCacheStats
 from repro.sim.engine import Simulator
 
 
@@ -309,6 +314,224 @@ class TestDirtyRowIndex:
         c.access(s, False)
         c.access(2 * s, False)  # evicts dirty 0x0
         assert c.dirty_in_row(0) == []
+
+
+class _StampLRUSRAM:
+    """Reference SRAM cache: per-set ``[tag, dirty, stamp]`` entries, a
+    global access clock, and victims chosen by ``min`` over the stamps
+    (the layout the LRU-ordered ``{tag: dirty}`` sets replaced)."""
+
+    _STAMP = itemgetter(2)
+
+    def __init__(self, geom, row_of=None):
+        self.num_sets = geom.num_sets
+        self.block = geom.block_bytes
+        self.assoc = geom.assoc
+        self.replacement = geom.replacement
+        self.sets = {}      # set idx -> {tag -> [tag, dirty, stamp]}
+        self.clock = 0
+        self.stats = SRAMCacheStats()
+        self.row_of = row_of
+        self.dirty_rows = {}
+
+    def _track(self, addr):
+        if self.row_of is not None:
+            self.dirty_rows.setdefault(self.row_of(addr), set()).add(addr)
+
+    def _untrack(self, addr):
+        if self.row_of is not None:
+            row = self.row_of(addr)
+            blocks = self.dirty_rows.get(row)
+            if blocks is not None:
+                blocks.discard(addr)
+                if not blocks:
+                    del self.dirty_rows[row]
+
+    def _victim(self, s):
+        entries = list(s.values())
+        if self.replacement == "lruc":
+            entries = [e for e in entries if not e[1]] or entries
+        elif self.replacement == "lrud":
+            entries = [e for e in entries if e[1]] or entries
+        return min(entries, key=self._STAMP)
+
+    def probe(self, addr):
+        blk = addr // self.block
+        s = self.sets.get(blk % self.num_sets)
+        return s is not None and blk // self.num_sets in s
+
+    def touch(self, addr, is_write):
+        self.stats.accesses += 1
+        blk = addr // self.block
+        s = self.sets.get(blk % self.num_sets)
+        e = s.get(blk // self.num_sets) if s is not None else None
+        if e is None:
+            return False
+        self.stats.hits += 1
+        self.clock += 1
+        e[2] = self.clock
+        if is_write and not e[1]:
+            e[1] = True
+            self._track(addr)
+        return True
+
+    def access(self, addr, is_write):
+        self.stats.accesses += 1
+        blk = addr // self.block
+        set_idx, tag = blk % self.num_sets, blk // self.num_sets
+        s = self.sets.setdefault(set_idx, {})
+        self.clock += 1
+        e = s.get(tag)
+        if e is not None:
+            self.stats.hits += 1
+            e[2] = self.clock
+            if is_write and not e[1]:
+                e[1] = True
+                self._track(addr)
+            return True, None
+        victim_addr = None
+        if len(s) >= self.assoc:
+            victim = self._victim(s)
+            del s[victim[0]]
+            self.stats.evictions += 1
+            vaddr = (victim[0] * self.num_sets + set_idx) * self.block
+            if victim[1]:
+                self.stats.dirty_evictions += 1
+                self._untrack(vaddr)
+                victim_addr = vaddr
+            else:
+                self.stats.clean_evictions += 1
+        s[tag] = [tag, is_write, self.clock]
+        if is_write:
+            self._track(addr)
+        return False, victim_addr
+
+    def fill(self, addr, dirty=False):
+        return self.access(addr, dirty)[1]
+
+    def clean(self, addr):
+        blk = addr // self.block
+        s = self.sets.get(blk % self.num_sets)
+        e = s.get(blk // self.num_sets) if s is not None else None
+        if e is not None and e[1]:
+            e[1] = False
+            self._untrack(addr)
+            return True
+        return False
+
+    def invalidate(self, addr):
+        blk = addr // self.block
+        s = self.sets.get(blk % self.num_sets)
+        e = s.pop(blk // self.num_sets, None) if s is not None else None
+        if e is None:
+            return False
+        if e[1]:
+            self._untrack(addr)
+        return True
+
+    def lru_contents(self):
+        """Per-set ``(tag, dirty)`` lists, least recently used first."""
+        return {k: [(e[0], e[1]) for e in sorted(v.values(), key=self._STAMP)]
+                for k, v in self.sets.items()}
+
+
+#: 4 sets x 4 ways, so a dozen tags per set force steady evictions
+LOCKSTEP_SETS, LOCKSTEP_WAYS = 4, 4
+
+
+def _lockstep_row_of(addr):
+    return addr // 512          # eight blocks (two per set) share a row
+
+
+def _lockstep_geom(policy):
+    return CacheGeometry(size_bytes=LOCKSTEP_SETS * LOCKSTEP_WAYS * 64,
+                         assoc=LOCKSTEP_WAYS, replacement=policy)
+
+
+#: (operation, weight): references dominate so sets fill and evict
+_OP_WEIGHTS = (("touch", 6), ("access", 6), ("fill", 3), ("clean", 2),
+               ("invalidate", 1), ("probe", 2))
+
+#: hypothesis picks the seed and length; the stream itself is drawn from
+#: ``random`` so every example is long and dense (re-references, hits on
+#: recently used lines, dirty and clean evictions)
+_STREAMS = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 400))
+
+
+def _ops(seed, n):
+    """Seeded ``(op, block, is_write)`` stream over the lockstep blocks,
+    half of it re-referencing one of the last eight blocks."""
+    rng = random.Random(seed)
+    names, weights = zip(*_OP_WEIGHTS)
+    out = []
+    for _ in range(n):
+        if out and rng.random() < 0.5:
+            blk = out[-rng.randrange(1, min(8, len(out)) + 1)][1]
+        else:
+            blk = rng.randrange(LOCKSTEP_SETS * 12)
+        out.append((rng.choices(names, weights)[0], blk, rng.random() < 0.4))
+    return out
+
+
+def _apply(cache, op, addr, is_write):
+    if op in ("touch", "access"):
+        return getattr(cache, op)(addr, is_write)
+    if op == "fill":
+        return cache.fill(addr, dirty=is_write)
+    return getattr(cache, op)(addr)
+
+
+def _lru_contents(cache):
+    return {k: list(v.items()) for k, v in cache._sets.items()}
+
+
+class TestLRUOrderMatchesStampReference:
+    """Key order is the LRU order: every operation returns and leaves
+    exactly what the stamp/``min`` layout returned and left, under every
+    victim policy, with and without the dirty-row index."""
+
+    @pytest.mark.parametrize("row_of", [None, _lockstep_row_of])
+    @pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
+    @settings(max_examples=150, deadline=None)
+    @given(stream=_STREAMS)
+    def test_lockstep(self, policy, row_of, stream):
+        geom = _lockstep_geom(policy)
+        cache, ref = SRAMCache(geom, row_of=row_of), _StampLRUSRAM(geom, row_of)
+        for op, blk, is_write in _ops(*stream):
+            addr = blk * 64
+            assert _apply(cache, op, addr, is_write) == \
+                _apply(ref, op, addr, is_write), (op, addr, is_write)
+            assert _lru_contents(cache) == ref.lru_contents()
+        assert cache.stats.snapshot() == ref.stats.snapshot()
+        assert cache._dirty_rows == ref.dirty_rows
+        for row in {_lockstep_row_of(b * 64) for b in range(48)}:
+            assert cache.dirty_in_row(row) == sorted(ref.dirty_rows.get(row, ()))
+
+    @pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
+    @settings(max_examples=150, deadline=None)
+    @given(stream=_STREAMS, blk=st.integers(0, LOCKSTEP_SETS * 12 - 1),
+           is_write=st.booleans())
+    def test_access_equals_touch_then_fill(self, policy, stream, blk,
+                                           is_write):
+        """One ``access`` leaves what ``touch`` + ``fill``-on-a-miss leaves
+        (the functional replays rely on it); only the miss's access count
+        differs."""
+        cache = SRAMCache(_lockstep_geom(policy), row_of=_lockstep_row_of)
+        for op, b, w in _ops(*stream):
+            _apply(cache, op, b * 64, w)
+        one, two = cache, copy.deepcopy(cache)
+        addr = blk * 64
+        hit, victim = one.access(addr, is_write)
+        two_hit = two.touch(addr, is_write)
+        two_victim = None if two_hit else two.fill(addr, dirty=is_write)
+        assert (hit, victim) == (two_hit, two_victim)
+        assert _lru_contents(one) == _lru_contents(two)
+        assert one._dirty_rows == two._dirty_rows
+        one_stats, two_stats = one.stats.snapshot(), two.stats.snapshot()
+        assert two_stats.pop("accesses") - one_stats.pop("accesses") == \
+            (0 if hit else 1)
+        one_stats.pop("hit_rate"), two_stats.pop("hit_rate")
+        assert one_stats == two_stats
 
 
 class TestMSHR:

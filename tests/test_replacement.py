@@ -12,27 +12,27 @@ from repro.workloads.profiles import profile
 
 
 def sram_set():
-    # [tag, dirty, stamp]
-    return [[1, False, 10], [2, True, 5], [3, False, 7], [4, True, 20]]
+    # {tag: dirty} in LRU order (least recent first)
+    return {2: True, 3: False, 1: False, 4: True}
 
 
 class TestSRAMPolicies:
     def test_lru_picks_oldest(self):
-        assert SRAM_POLICIES["lru"](sram_set())[0] == 2
+        assert SRAM_POLICIES["lru"](sram_set()) == 2
 
     def test_lruc_prefers_oldest_clean(self):
-        assert SRAM_POLICIES["lruc"](sram_set())[0] == 3
+        assert SRAM_POLICIES["lruc"](sram_set()) == 3
 
     def test_lrud_prefers_oldest_dirty(self):
-        assert SRAM_POLICIES["lrud"](sram_set())[0] == 2
+        assert SRAM_POLICIES["lrud"](sram_set()) == 2
 
     def test_lruc_falls_back_when_all_dirty(self):
-        s = [[1, True, 10], [2, True, 5]]
-        assert SRAM_POLICIES["lruc"](s)[0] == 2
+        s = {2: True, 1: True}
+        assert SRAM_POLICIES["lruc"](s) == 2
 
     def test_lrud_falls_back_when_all_clean(self):
-        s = [[1, False, 10], [2, False, 5]]
-        assert SRAM_POLICIES["lrud"](s)[0] == 2
+        s = {2: False, 1: False}
+        assert SRAM_POLICIES["lrud"](s) == 2
 
 
 class TestSAPolicies:
