@@ -24,6 +24,14 @@ Five fixtures, one mechanism:
   non-default L2 victim policies (``l2.replacement`` = ``lruc`` and
   ``lrud``), freezing the clean- and dirty-preferring SRAM eviction.
 
+One more fixture pins the functional warm-up itself rather than results:
+``tests/golden/warm_state_quick.json`` holds a sha256 per warm state
+(:meth:`System.capture_warm_state` image) for both organizations under
+the default inputs, Lee writeback, a non-default DRAM-cache and L2
+victim policy, and a ``prefill_blocks`` workload.  A result pin only
+sees the warm state through the run that follows it; this one sees every
+tag, dirty bit, LRU stamp and trace position.
+
 When a behaviour change is *intended*, regenerate the fixtures and
 commit them together with the change::
 
@@ -35,14 +43,17 @@ glibc); exotic libm implementations could differ in float ulps.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.experiments.common import RunSpec, SimParams, run_one
+from repro.experiments.common import RunSpec, SimParams, build_system, run_one
 from repro.sim.system import RESULT_SCHEMA_VERSION
+from repro.snapshot import WARM_STATE_VERSION, WarmState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -72,6 +83,19 @@ L2_POLICY_SPECS = [
     RunSpec(d, "sa", mix_id=1, config=(("l2.replacement", policy),))
     for policy in ("lruc", "lrud")
     for d in ("CD", "DCA")
+]
+
+#: warm-state pins: every input that steers the functional warm-up.  The
+#: conflict_vs_streams workload seeds core 0 from its prefill_blocks and
+#: then bulk-merges the other cores' ranges into the populated array.
+WARM_SPECS = [
+    RunSpec("CD", org, **extra)
+    for org in ("sa", "dm")
+    for extra in ({"mix_id": 1},
+                  {"mix_id": 1, "lee_writeback": True},
+                  {"mix_id": 1, "config": (("org.replacement", "lrud"),)},
+                  {"mix_id": 1, "config": (("l2.replacement", "lruc"),)},
+                  {"workload": "conflict_vs_streams"})
 ]
 
 
@@ -158,6 +182,48 @@ def test_golden_mainmem_banked():
 
 def test_golden_l2_policies():
     check_golden(GOLDEN_DIR / "l2_policy_quick.json", L2_POLICY_SPECS)
+
+
+def warm_state_digest(warm: WarmState) -> str:
+    """sha256 of a warm state's contents: the DRAM-cache columns and
+    clock, the L2 sets (each in LRU key order) and dirty-row index, and
+    the trace positions."""
+    array, l2 = warm.array_state, warm.l2_state
+    h = hashlib.sha256()
+    h.update(json.dumps([array["organization"], array["clock"],
+                         warm.trace_counts]).encode())
+    h.update(np.array(array["tags"], dtype=np.int64).tobytes())
+    h.update(array["dirty"])
+    h.update(array["stamp"])
+    h.update(json.dumps(
+        [[s, list(tags.items())] for s, tags in sorted(l2["sets"].items())]
+    ).encode())
+    h.update(json.dumps(
+        sorted([row, sorted(blocks)] for row, blocks
+               in l2["dirty_rows"].items())).encode())
+    return h.hexdigest()
+
+
+def test_golden_warm_states():
+    params = SimParams.quick()
+    digests = {}
+    for spec in WARM_SPECS:
+        system = build_system(spec, params)
+        system.functional_warmup(replay_accesses=params.replay_accesses)
+        digests[f"{spec.organization}:{spec.label()}"] = \
+            warm_state_digest(system.capture_warm_state())
+    golden_path = GOLDEN_DIR / "warm_state_quick.json"
+    if os.environ.get("REPRO_REGOLD"):
+        golden_path.write_text(json.dumps(
+            {"warm_state_version": WARM_STATE_VERSION, "params": "quick",
+             "entries": digests}, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"regenerated {golden_path}")
+    golden = json.loads(golden_path.read_text())
+    assert golden["warm_state_version"] == WARM_STATE_VERSION, (
+        "warm state schema changed: regenerate the fixture (REPRO_REGOLD=1)")
+    drifted = sorted(k for k in golden["entries"] | digests
+                     if golden["entries"].get(k) != digests.get(k))
+    assert not drifted, f"functional warm state drifted: {drifted}"
 
 
 def test_banked_golden_exercises_the_topology():

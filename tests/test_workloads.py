@@ -1,5 +1,8 @@
 """Benchmark profiles, trace generation, Table I, workload scenarios."""
 
+import hashlib
+from array import array
+
 import pytest
 
 from repro.workloads.generator import BLOCK, make_trace
@@ -439,3 +442,70 @@ class TestTraceCursor:
             t2 = s2.make_trace(seed=9, core_offset=0, footprint_scale=1 / 64)
             assert [next(t1) for _ in range(400)] == \
                    [next(t2) for _ in range(400)]
+
+
+def _trace_digest(sources, ops: int = 20_000) -> str:
+    """sha256 of the first ``ops`` operations of each source's trace, as
+    the system builds them (per-core seed and address offset)."""
+    h = hashlib.sha256()
+    for i, source in enumerate(sources):
+        trace = source.make_trace(seed=1000003 + i * 7919 + 1,
+                                  core_offset=i << 44,
+                                  footprint_scale=1 / 20)
+        h.update(array("q", [x for _ in range(ops) for x in next(trace)]))
+    return h.hexdigest()
+
+
+class TestTracePins:
+    """The generated streams are pinned bit for bit.
+
+    Traces are drawn from ``random.Random``, so a stdlib change to its
+    integer draws (or an edit to the generator's own draw order) would
+    shift every simulated result; these pins make that loud on each
+    Python version CI runs.
+    """
+
+    PROFILE_DIGESTS = {
+        "GemsFDTD":
+            "393a2df404808d654939da3c7c38fe19189dcd140638ff3c9f84b4f1f19d51e1",
+        "astar":
+            "9d48fe4667abdaab64ae31bb878bf547e0e267791a9d3b20bf4b918fcfd4f8c7",
+        "bwaves":
+            "d13589800b7efbe13876d450d792399d9f6affe4d9307dc85f83afec402d9725",
+        "gcc":
+            "50bc1625015b8db5e9c6fc9f0e2fa6becc991081b523292333bcfc190dbcd5b2",
+        "lbm":
+            "1a82bd8883189e4cb953ede4732ce007d761daa139a3cc27f70832cd134e294e",
+        "leslie3d":
+            "ea1492e67976b4c78b4e053eba9860aab5cbef1f6f71a0ff0339493b42df35ca",
+        "libquantum":
+            "a8d643ba825bc4c87b345a1014f25a5be9d2cf481e74c6c00e4034aaaf674103",
+        "mcf":
+            "984b85ce59848ff3cb866081a889f8c621482227e44149a713069e5180967bf0",
+        "milc":
+            "765afa8cf98d4d397b2b724b30de4648c4db12f3bf50e365605abbace1f77148",
+        "omnetpp":
+            "882f4ef9e70a58b67dfe973c846fd2cae19c38f6afc03f4340b5e4f33cfd3da4",
+        "soplex":
+            "9cf2dc1e24295e624caeb527757d1cd5727a8df4df96cb628ddc3c127bc4af02",
+    }
+
+    SCENARIO_DIGESTS = {
+        "adversarial_conflict":
+            "8da96a64d20d6b7fcac029a41e796cda2a2b76203406ccd81f0831287a9c441b",
+        "adversarial_writeback":
+            "7280f50259c470e71b78d9c04d06ab5ca9ec6959e56d21d579e4867da49c8911",
+        "conflict_vs_streams":
+            "70ec7b5cf69357f73842aa4dcb8e6041d0efe839a6cddfda4632753364a3ffcc",
+        "phased_stream_chase":
+            "5436e243297fb2ed60695a6c9a15790d27dd5b412865606b8ce23fc66286e1a6",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_profile_trace_pinned(self, name):
+        assert _trace_digest([profile(name)]) == self.PROFILE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_traces_pinned(self, name):
+        assert (_trace_digest(workload_profiles(name))
+                == self.SCENARIO_DIGESTS[name])
