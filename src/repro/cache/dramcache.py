@@ -25,6 +25,7 @@ address is computed, nowhere else.
 from __future__ import annotations
 
 import copy
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -69,7 +70,9 @@ def _dirty_bits(blocks: NDArray[np.int64], seed: int,
                 dirty_fraction: float) -> NDArray[np.bool_]:
     """Deterministic per-block dirty choice (Knuth multiplicative hash)."""
     h = ((blocks + seed) * np.int64(2654435761)) & np.int64(0xFFFFFFFF)
-    return (h >> 16).astype(np.float64) / 65536.0 < dirty_fraction
+    # An integer x is below c exactly when it is below ceil(c), and
+    # scaling by 2**16 is exact: this is x / 65536.0 < dirty_fraction.
+    return (h >> 16) < math.ceil(dirty_fraction * 65536.0)
 
 
 class DRAMCacheArray:
@@ -91,6 +94,10 @@ class DRAMCacheArray:
         modeling assumption: warm-up populates, it does not exercise
         replacement).
     """
+
+    #: fills mapped per numpy pass of :meth:`fill_many` (bounds the
+    #: chunk's Python-int columns, as ``TagCache.CHUNK`` does)
+    CHUNK = 4096
 
     def __init__(self, geometry: DRAMCacheGeometry, organization: str = "sa",
                  replacement: str = "lru"):
@@ -227,6 +234,55 @@ class DRAMCacheArray:
             self.dirty_evictions += 1
         return FillResult(w, victim_addr, old_dirty)
 
+    def fill_many(self, addrs: NDArray[np.int64],
+                  dirty: NDArray[np.bool_]) -> None:
+        """Insert ``addrs`` in order, each exactly as :meth:`fill` would.
+
+        The batched replay of the functional warm-up.  A lookup followed,
+        on a miss, by a fill leaves the state one :meth:`fill` leaves, so
+        a read replays as ``fill(addr, False)`` and a dirty writeback as
+        ``fill(addr, True)``; only the ``lookups``/``hits`` counters are
+        not kept.  Per chunk, numpy maps the addresses to set offsets and
+        tags; one loop then runs hit-refresh, invalid-way-first, the
+        victim policy and stamping inline.
+        """
+        n = len(addrs)
+        if not n:
+            return
+        if not self._tags:
+            self._allocate()
+        self.fills += n
+        n_sets, ways = self._num_sets, self._ways
+        tags, dirty_col, stamp = self._tags, self._dirty, self._stamp
+        victim_way = self._victim_way
+        clock = self._clock
+        evictions = 0
+        for lo in range(0, n, self.CHUNK):
+            blocks = addrs[lo:lo + self.CHUNK] // self._block_bytes
+            for base, tag, d in zip((blocks % n_sets * ways).tolist(),
+                                    (blocks // n_sets).tolist(),
+                                    dirty[lo:lo + self.CHUNK].tolist()):
+                seg = tags[base:base + ways]
+                if tag in seg:
+                    slot = base + seg.index(tag)
+                    if d:
+                        dirty_col[slot] = 1
+                else:
+                    if -1 in seg:
+                        slot = base + seg.index(-1)
+                    else:
+                        slot = base + victim_way(
+                            seg, dirty_col[base:base + ways],
+                            stamp[base:base + ways])
+                        if dirty_col[slot]:
+                            evictions += 1
+                    tags[slot] = tag
+                    dirty_col[slot] = d
+                clock += 1
+                stamp[slot] = clock
+        self._clock = clock
+        self.dirty_evictions += evictions
+
     def invalidate(self, addr: int) -> bool:
         """Drop a block (used by tests and coherence-style experiments)."""
         b = addr // self._block_bytes
@@ -250,17 +306,110 @@ class DRAMCacheArray:
         ``[start_addr, start_addr + n_blocks*64)`` is inserted as if each
         block had been filled once in address order, with a deterministic
         pseudo-random ``dirty_fraction`` of blocks marked dirty.  Every
-        touched set is merged with its existing contents in one vectorised
-        step, stamped in ascending set order; this is the sequential
-        reference that :meth:`bulk_fill_many` must reproduce exactly.
+        touched set is merged with its existing contents, stamped in
+        ascending set order (see :meth:`bulk_fill_many`).
+        """
+        self.bulk_fill_many([(start_addr, n_blocks, dirty_fraction, seed)])
+
+    def bulk_fill_many(self, fills: list[tuple[int, int, float, int]]) -> None:
+        """Apply several :meth:`bulk_fill` ranges, in order, in one pass.
+
+        ``fills`` is a list of ``(start_addr, n_blocks, dirty_fraction,
+        seed)`` tuples.  A contiguous range puts its ``k``-th block of set
+        ``s`` at ``k * num_sets`` past the set's first block, so only its
+        last ``ways * num_sets`` blocks can survive (exactly the last
+        ``ways`` of every set), and the stamp of that insert is ``clock +
+        1 + (the range's inserts to sets < s) + k``.
+
+        On an unallocated array (the warm-up case) the whole batch is
+        computed in closed form per insert, so the work scales with the
+        ranges, not the set count: across ranges the survivors of a set
+        are its newest ``ways`` inserts, the oldest ``max(0, total -
+        ways)`` are displaced (earliest range first, each dirty one
+        counting as an eviction), and the rest lie in stamp order from
+        way 0.  On a populated array each range is merged set by set in
+        numpy (:meth:`_merge`), with the tag column converted to numpy
+        and back once per batch.
+        """
+        if self._tags:
+            tags = np.array(self._tags, dtype=np.int64)
+            for start_addr, n_blocks, dirty_fraction, seed in fills:
+                self._merge(tags, start_addr, n_blocks, dirty_fraction, seed)
+            self._tags = tags.tolist()
+            return
+
+        n_sets, ways = self._num_sets, self._ways
+        capacity = n_sets * ways
+        # Per range: first surviving block and survivor count.
+        runs = [(start_addr // self._block_bytes + n_blocks - m, m,
+                 dirty_fraction, seed)
+                for start_addr, n_blocks, dirty_fraction, seed in fills
+                if (m := min(n_blocks, capacity)) > 0]
+        if not runs:
+            return
+
+        def below(x: int, s: NDArray[np.int64]) -> NDArray[np.int64]:
+            """Integers in [0, x) whose set (residue) is below s."""
+            return x // n_sets * s + np.minimum(x % n_sets, s)
+
+        def count(first: int, m: int,
+                  s: NDArray[np.int64]) -> NDArray[np.int64]:
+            """Blocks of [first, first + m) in set s."""
+            return m // n_sets + ((s - first) % n_sets < m % n_sets)
+
+        self._dirty = bytearray(capacity)
+        self._stamp = array("q", [0]) * capacity
+        tags = np.full(capacity, -1, dtype=np.int64)
+        dirty = np.frombuffer(self._dirty, dtype=np.bool_)
+        stamp = np.frombuffer(self._stamp, dtype=np.int64)
+        clock = self._clock
+        evictions = 0
+        for i, (first, m, dirty_fraction, seed) in enumerate(runs):
+            # The range as a (rows, width) grid in address order: cell
+            # (k, t) is block col[t] + k * num_sets, the k-th insert of
+            # set s[t]; cells past the m-th are cut off.  Per-set terms
+            # are computed once per column, never per set of the array.
+            col = first + np.arange(min(m, n_sets), dtype=np.int64)
+            s = col % n_sets
+            k = np.arange(-(-m // n_sets), dtype=np.int64)[:, None]
+            counts = [count(f, n, s) for f, n, *_ in runs]
+            earlier = sum(counts[:i])       # the set's inserts so far
+            # Way of the set's k = 0 insert once its oldest `excess`
+            # inserts (over all ranges) are displaced; below 0 = displaced.
+            way0 = earlier - np.maximum(sum(counts) - ways, 0)
+            stamp0 = clock + 1 + below(first + m, s) - below(first, s)
+            blocks = (col + k * n_sets).ravel()[:m]
+            slot = (s * ways + way0 + k).ravel()[:m]
+            tag = (col // n_sets + k).ravel()[:m]
+            stamps = (stamp0 + k).ravel()[:m]
+            drt = _dirty_bits(blocks, seed, dirty_fraction)
+            if (way0 < 0).any():
+                keep = (way0 + k >= 0).ravel()[:m]
+                evictions += int(np.count_nonzero(drt & ~keep))
+                slot, tag, drt, stamps = (slot[keep], tag[keep], drt[keep],
+                                          stamps[keep])
+            tags[slot] = tag
+            dirty[slot] = drt
+            stamp[slot] = stamps
+            clock += m
+        self._tags = tags.tolist()
+        self._clock = clock
+        self.dirty_evictions += evictions
+
+    def _merge(self, tags: NDArray[np.int64], start_addr: int, n_blocks: int,
+               dirty_fraction: float, seed: int) -> None:
+        """Merge one range into the populated array in one numpy step.
+
+        ``tags`` is the tag column as a flat int64 array (the caller
+        converts it once per batch); the dirty and stamp columns are
+        written in place through numpy views.  Each touched set keeps its
+        valid ways in way order and the inserts follow; on overflow it is
+        in stamp order instead (the existing stamps all predate the
+        inserts) and the oldest ``overflow`` entries are displaced.
         """
         if n_blocks <= 0:
             return
         n_sets, ways = self._num_sets, self._ways
-        # Only the last `ways` inserts of a set can survive, so only the
-        # range's last `ways * n_sets` blocks matter (each set's last
-        # `ways`); the earlier ones are skipped outright (no clock tick,
-        # no eviction), exactly as if each block had been filled once.
         m = min(n_blocks, n_sets * ways)
         first = start_addr // self._block_bytes + n_blocks - m
         blocks = np.arange(first, first + m, dtype=np.int64)
@@ -271,16 +420,10 @@ class DRAMCacheArray:
         inserted = (blocks // n_sets, _dirty_bits(blocks, seed, dirty_fraction),
                     (self._clock + 1 + np.cumsum(per_set) - per_set)[ins_set]
                     + ins_k)
-        if not self._tags:
-            self._allocate()
-        tags = np.array(self._tags, dtype=np.int64).reshape(n_sets, ways)
+        tags = tags.reshape(n_sets, ways)
         dirty = np.frombuffer(self._dirty, dtype=np.bool_).reshape(n_sets, ways)
         stamp = np.frombuffer(self._stamp, dtype=np.int64).reshape(n_sets, ways)
 
-        # Each touched set keeps its valid ways in way order and the
-        # inserts follow.  On overflow it is in stamp order instead (the
-        # existing stamps all predate the inserts) and the oldest
-        # `overflow` entries are displaced.
         touched = np.flatnonzero(per_set)
         invalid = tags[touched] == -1
         n_valid = ways - invalid.sum(axis=1)
@@ -304,95 +447,7 @@ class DRAMCacheArray:
             out[r, w - overflow[r]] = kept[r, w]
             out[r_ins, w_ins] = new
             col[touched] = out
-        self._tags = tags.ravel().tolist()
         self._clock += m
-
-    def bulk_fill_many(self, fills: list[tuple[int, int, float, int]]) -> None:
-        """Apply several :meth:`bulk_fill` ranges in one fused pass.
-
-        ``fills`` is a list of ``(start_addr, n_blocks, dirty_fraction,
-        seed)`` tuples, applied with semantics identical to calling
-        :meth:`bulk_fill` once per tuple in order — same final contents,
-        same insertion-clock values, same ``dirty_evictions`` count.
-
-        On an unallocated array (the warm-up case) the
-        whole batch is computed in closed form and scattered into flat
-        columns, with no per-set Python work and no sort:
-
-        * a contiguous range puts its ``k``-th block of set ``s`` at
-          ``k * num_sets`` past the set's first block, so per call only
-          its last ``ways * num_sets`` blocks can survive (exactly the
-          last ``ways`` of every set), and bulk_fill's stamp for that
-          insert is ``clock + 1 + (inserts of sets < s) + k``;
-        * across calls the survivors of a set are its newest ``ways``
-          inserts: the oldest ``max(0, total - ways)`` are displaced,
-          earliest range first, each counting its dirty bit once as an
-          eviction, and the rest lie in stamp order from way 0, which is
-          what repeated bulk_fill leaves on an empty set.
-        """
-        if self._tags:
-            for start_addr, n_blocks, dirty_fraction, seed in fills:
-                self.bulk_fill(start_addr, n_blocks,
-                               dirty_fraction=dirty_fraction, seed=seed)
-            return
-
-        n_sets, ways = self._num_sets, self._ways
-        capacity = n_sets * ways
-        set_ids = np.arange(n_sets, dtype=np.int64)
-        # Per range: first surviving block, survivor count, inserts per set.
-        runs: list[tuple[int, int, NDArray[np.int64], float, int]] = []
-        for start_addr, n_blocks, dirty_fraction, seed in fills:
-            if n_blocks <= 0:
-                continue
-            m = min(n_blocks, capacity)
-            first = start_addr // self._block_bytes + n_blocks - m
-            per_set = (m - (set_ids - first) % n_sets + n_sets - 1) // n_sets
-            runs.append((first, m, per_set, dirty_fraction, seed))
-        if not runs:
-            return
-
-        overflow = np.maximum(sum(run[2] for run in runs) - ways, 0)
-        # The dirty and stamp columns are written in place through numpy
-        # views; the tag column is built in numpy and converted once.
-        self._dirty = bytearray(capacity)
-        self._stamp = array("q", [0]) * capacity
-        tags = np.full(capacity, -1, dtype=np.int64)
-        dirty = np.frombuffer(self._dirty, dtype=np.bool_)
-        stamp = np.frombuffer(self._stamp, dtype=np.int64)
-        earlier = np.zeros(n_sets, dtype=np.int64)    # inserts of prior ranges
-        clock = self._clock
-        evictions = 0
-        for first, m, per_set, dirty_fraction, seed in runs:
-            displaced_before = np.minimum(overflow, earlier)
-            drop = np.minimum(overflow - displaced_before, per_set)
-            # The range as a (rows, n_sets) grid in address order: cell
-            # (k, t) is block first + k * n_sets + t, the k-th insert of
-            # set col_set[t]; cells past the m-th are cut off.
-            off = first % n_sets
-            col_set = np.roll(set_ids, -off)
-            k = np.arange(-(-m // n_sets), dtype=np.int64)[:, None]
-            blocks = (first + set_ids + k * n_sets).ravel()[:m]
-            drt = _dirty_bits(blocks, seed, dirty_fraction)
-            # Kept inserts follow the earlier ranges' survivors in stamp
-            # order; bulk_fill stamps set by set in ascending set order.
-            way0 = col_set * ways + (earlier - displaced_before - drop)[col_set]
-            slot = (way0 + k).ravel()[:m]
-            stamp0 = (clock + 1 + np.cumsum(per_set) - per_set)[col_set]
-            tag = (first // n_sets + (col_set < off) + k).ravel()[:m]
-            stamps = (stamp0 + k).ravel()[:m]
-            if drop.any():
-                keep = (k >= drop[col_set]).ravel()[:m]
-                evictions += int(np.count_nonzero(drt & ~keep))
-                slot, tag, drt, stamps = slot[keep], tag[keep], drt[keep], stamps[keep]
-            tags[slot] = tag
-            dirty[slot] = drt
-            stamp[slot] = stamps
-            clock += m
-            earlier += per_set
-
-        self._tags = tags.tolist()
-        self._clock = clock
-        self.dirty_evictions += evictions
 
     # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
 

@@ -21,7 +21,6 @@ report normalizes DRAM tag accesses to the no-tag-cache baseline.
 
 from __future__ import annotations
 
-from array import array
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.tagcache import TagCache
 from repro.config import scaled_config
 from repro.experiments.common import SimParams, format_table
-from repro.mem.sram import SRAMCache
+from repro.mem.sram import SRAMCache, interleave
 from repro.workloads.generator import make_trace
 from repro.workloads.table1 import mix_profiles
 
@@ -52,28 +51,11 @@ def tag_requests(mix_id: int, params: SimParams,
     up its block's tags (a read), then, if its fill displaced a dirty
     line, the victim's tags (a write).
     """
-    cfg = scaled_config(params.capacity_scale)
-    l2 = SRAMCache(cfg.l2)
+    l2 = SRAMCache(scaled_config(params.capacity_scale).l2)
     traces = [make_trace(p, seed=mix_id * 100 + i, core_offset=i << 44,
                          footprint_scale=params.footprint_scale)
               for i, p in enumerate(mix_profiles(mix_id))]
-    block_mask = ~(cfg.l2.block_bytes - 1)
-    addrs = array("q")
-    writes = bytearray()
-    for trace in traces:
-        for _ in range(accesses_per_core):
-            _gap, addr, is_write, _pc = next(trace)
-            addr &= block_mask
-            hit, victim = l2.access(addr, is_write)
-            if hit:
-                continue
-            addrs.append(addr)
-            writes.append(False)
-            if victim is not None:
-                addrs.append(victim)
-                writes.append(True)
-    return (np.frombuffer(addrs, dtype=np.int64),
-            np.frombuffer(writes, dtype=np.bool_))
+    return interleave(*l2.filter_traces(traces, accesses_per_core))
 
 
 def tag_traffic(mix_id: int, params: SimParams,

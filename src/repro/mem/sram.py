@@ -12,6 +12,12 @@ the policy gets the ordered set and returns the victim tag (see
 latency is charged by the caller (core model / system wiring) so that
 the same class serves both levels.
 
+The functional replays (the system's warm-up and the Fig. 18 tag
+stream) reference whole traces: :meth:`SRAMCache.filter_traces` runs
+that loop with the LRU inlined and returns the misses and their dirty
+victims as int64 columns, and :func:`interleave` orders them into one
+request column.
+
 An optional *dirty-row index* supports Lee et al.'s DRAM-aware writeback
 policy (Fig. 19): it tracks, per DRAM-cache row, which dirty blocks the
 cache currently holds, so an eviction can be batched with other dirty
@@ -20,7 +26,12 @@ blocks bound for the same row (see :mod:`repro.mem.llc_writeback`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from array import array
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Optional
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.cache.replacement import SRAM_POLICIES
 from repro.config import CacheGeometry
@@ -160,6 +171,70 @@ class SRAMCache:
             self._track_dirty(addr)
         return False, victim_addr
 
+    def filter_traces(self, traces: Iterable[Iterator[tuple]],
+                      per_trace: int
+                      ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+        """Reference ``per_trace`` operations of each trace in turn.
+
+        Each ``(gap, addr, is_write, pc)`` operation is drawn from its
+        iterator (a :class:`~repro.workloads.cursor.TraceCursor` counts
+        it) and referenced exactly as :meth:`access` would, with the LRU
+        inlined; other victim policies are called on full sets only.
+        Returns two int64 columns, one row per miss: the missed block
+        address, and the block address of the dirty line its allocation
+        displaced (``-1`` = none).
+        """
+        block, n_sets, assoc = self.block, self.num_sets, self._assoc
+        sets = self._sets
+        pick = self._pick_victim
+        lru = pick is SRAM_POLICIES["lru"]
+        tracked = self._row_of is not None
+        misses, victims = array("q"), array("q")
+        add_miss, add_victim = misses.append, victims.append
+        hits = dirty_evictions = clean_evictions = 0
+        for trace in traces:
+            for _gap, addr, is_write, _pc in islice(trace, per_trace):
+                blk = addr // block
+                set_idx = blk % n_sets
+                tag = blk // n_sets
+                s = sets.get(set_idx)
+                if s is None:
+                    s = sets[set_idx] = {}
+                else:
+                    dirty = s.pop(tag, None)
+                    if dirty is not None:
+                        hits += 1
+                        if is_write and not dirty:
+                            dirty = True
+                            if tracked:
+                                self._track_dirty(blk * block)
+                        s[tag] = dirty          # re-insert: now most recent
+                        continue
+                victim = -1
+                if len(s) >= assoc:
+                    vtag = next(iter(s)) if lru else pick(s)
+                    if s.pop(vtag):
+                        dirty_evictions += 1
+                        victim = (vtag * n_sets + set_idx) * block
+                        if tracked:
+                            self._untrack_dirty(victim)
+                    else:
+                        clean_evictions += 1
+                s[tag] = is_write
+                addr = blk * block
+                if is_write and tracked:
+                    self._track_dirty(addr)
+                add_miss(addr)
+                add_victim(victim)
+        stats = self.stats
+        stats.accesses += hits + len(misses)
+        stats.hits += hits
+        stats.evictions += dirty_evictions + clean_evictions
+        stats.dirty_evictions += dirty_evictions
+        stats.clean_evictions += clean_evictions
+        return (np.frombuffer(misses, dtype=np.int64),
+                np.frombuffer(victims, dtype=np.int64))
+
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Insert a block (refill path); returns a dirty victim address."""
         hit, victim = self.access(addr, dirty)
@@ -220,3 +295,29 @@ class SRAMCache:
         self._sets = {k: dict(v) for k, v in state["sets"].items()}
         self._dirty_rows = {row: set(blocks)
                             for row, blocks in state["dirty_rows"].items()}
+
+
+def interleave(misses: NDArray[np.int64], victims: NDArray[np.int64],
+               victims_first: bool = False
+               ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
+    """One request column from :meth:`SRAMCache.filter_traces`' output.
+
+    Each miss is followed (or, with ``victims_first``, preceded) by its
+    dirty victim, if it has one.  Returns the addresses and a flag column
+    marking the victims' writebacks.
+    """
+    has = victims >= 0
+    # Row i's slot: i plus the victims ahead of it (exclusive count).
+    slot = np.arange(len(misses), dtype=np.int64) + np.cumsum(has) - has
+    n = len(misses) + int(np.count_nonzero(has))
+    addrs = np.empty(n, dtype=np.int64)
+    is_victim = np.zeros(n, dtype=np.bool_)
+    if victims_first:
+        addrs[slot + has] = misses
+        at = slot[has]
+    else:
+        addrs[slot] = misses
+        at = slot[has] + 1
+    addrs[at] = victims[has]
+    is_victim[at] = True
+    return addrs, is_victim

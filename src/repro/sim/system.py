@@ -26,6 +26,8 @@ import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.config import SystemConfig
 from repro.core import make_controller
 from repro.core.access import CacheRequest, RequestType
@@ -33,7 +35,7 @@ from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 from repro.mem.mainmem import BankedMainMemory
 from repro.mem.mshr import MSHREntry, MSHRFile
 from repro.mem.prefetch import PrefetchStats, Prefetcher, make_prefetcher
-from repro.mem.sram import SRAMCache
+from repro.mem.sram import SRAMCache, interleave
 from repro.mem.writebuffer import L2WriteBuffer
 from repro.sim.cpu import Core, L2_HIT, MISS, MSHR_FULL
 from repro.sim.engine import Simulator
@@ -421,8 +423,12 @@ class System:
         DRAM-cache array (vectorised; models the steady-state contents a
         4-billion-instruction fast-forward would leave behind).  The
         *replay* then consumes ``replay_accesses`` operations from each
-        core's trace through the functional L2 + DRAM-cache state, warming
-        L2 contents, dirty bits and stream positions.
+        core's trace, warming L2 contents, dirty bits and stream
+        positions: the traces are filtered through the L2 in one
+        :meth:`~repro.mem.sram.SRAMCache.filter_traces` pass, and the
+        resulting DRAM-cache requests (each miss's dirty victim written
+        back before the miss is read) go to the array in one
+        :meth:`~repro.cache.dramcache.DRAMCacheArray.fill_many`.
         """
         array = self.controller.array
         scale = self._footprint_scale
@@ -445,8 +451,10 @@ class System:
                     # contiguous bulk fill below would warm blocks they
                     # never touch.  Linear in distinct blocks — the same
                     # order as generating/parsing the workload itself.
-                    for addr, dirty in prefill_blocks():
-                        array.fill((i << 44) + addr, dirty=dirty)
+                    blocks = np.array(prefill_blocks(),
+                                      dtype=np.int64).reshape(-1, 2)
+                    array.fill_many(blocks[:, 0] + (i << 44),
+                                    blocks[:, 1].astype(np.bool_))
                     continue
                 n_blocks = max(1024, int(prof.footprint_bytes * scale)
                                // self.cfg.l2.block_bytes)
@@ -454,21 +462,11 @@ class System:
                                 prof.store_fraction, i + 1))
             if pending:
                 array.bulk_fill_many(pending)
-        l2 = self.l2
-        for core in self.cores:
-            trace = core.trace
-            for _ in range(replay_accesses):
-                _gap, addr, is_write, _pc = next(trace)
-                addr &= self._block_mask
-                hit, victim = l2.access(addr, is_write)
-                if not hit:
-                    if victim is not None:
-                        if not array.lookup_write(victim).hit:
-                            array.fill(victim, dirty=True)
-                    if not array.lookup_read(addr).hit:
-                        array.fill(addr, dirty=False)
+        misses, victims = self.l2.filter_traces(
+            [core.trace for core in self.cores], replay_accesses)
+        array.fill_many(*interleave(misses, victims, victims_first=True))
         array.reset_counters()
-        l2.stats.reset()
+        self.l2.stats.reset()
 
     # ------------------------------------------------------------- warm state
 

@@ -82,7 +82,14 @@ def make_trace(profile: BenchmarkProfile, seed: int = 0,
     mean_burst = profile.mean_burst
     expovariate = rng.expovariate
     random_u = rng.random
-    randrange = rng.randrange
+    # Integer draws inline CPython's ``randrange(n)`` (``_randbelow``: a
+    # ``getrandbits(n.bit_length())`` rejection loop, the algorithm of
+    # 3.10-3.12), so the stream is bit-identical to calling randrange
+    # while skipping its two Python frames per draw.
+    getrandbits = rng.getrandbits
+    streams_bits = n_streams.bit_length()
+    seg_bits = [n.bit_length() for n in seg_len]
+    footprint_bits = footprint_blocks.bit_length()
 
     def gen() -> Iterator[tuple]:
         while True:
@@ -92,18 +99,32 @@ def make_trace(profile: BenchmarkProfile, seed: int = 0,
             head_gap = max(0, int(expovariate(1.0 / (mean_gap * burst_len))))
             sequential = random_u() < seq_fraction
             if sequential:
-                s = randrange(n_streams)
+                s = getrandbits(streams_bits)
+                while s >= n_streams:
+                    s = getrandbits(streams_bits)
                 if random_u() < jump_prob:
-                    stream_pos[s] = randrange(seg_len[s])
+                    n, bits = seg_len[s], seg_bits[s]
+                    pos = getrandbits(bits)
+                    while pos >= n:
+                        pos = getrandbits(bits)
+                    stream_pos[s] = pos
                 pc = stream_pc[s]
             for k in range(burst_len):
-                gap = head_gap if k == 0 else randrange(1, 3)
+                if k == 0:
+                    gap = head_gap
+                else:                       # randrange(1, 3)
+                    gap = getrandbits(2)
+                    while gap >= 2:
+                        gap = getrandbits(2)
+                    gap += 1
                 if sequential:
                     pos = stream_pos[s]
                     stream_pos[s] = (pos + 1) % seg_len[s]
                     block = seg_start[s] + pos
                 else:
-                    block = randrange(footprint_blocks)
+                    block = getrandbits(footprint_bits)
+                    while block >= footprint_blocks:
+                        block = getrandbits(footprint_bits)
                     pc = random_pcs[block & 7]
                 addr = core_offset + block * BLOCK
                 is_write = random_u() < store_fraction

@@ -277,6 +277,33 @@ def test_bulk_fill_matches_per_set_merge(orgn, pre, specs):
     assert _state(a) == _state(b)
 
 
+@pytest.mark.parametrize("populated", [False, True])
+@pytest.mark.parametrize("orgn", ["sa", "dm"])
+@given(st.lists(st.tuples(st.integers(0, 1),              # range id (<< 44)
+                          st.integers(0, 500),            # start block offset
+                          st.integers(0, 3000),           # n_blocks (> capacity)
+                          st.floats(0.0, 1.0),            # dirty_fraction
+                          st.integers(0, 9)),             # seed
+                min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_bulk_fill_many_matches_per_set_reference(orgn, populated, specs):
+    """A whole batch equals the per-set reference applied range by
+    range: the closed form on an empty array, and the per-range numpy
+    merge (tag column converted once per batch) on a populated one."""
+    geom = DRAMCacheGeometry(size_bytes=2**16, sa_ways=4)
+    a = DRAMCacheArray(geom, orgn)
+    if populated:
+        for blk in range(0, 3 * a._num_sets, 5):
+            a.fill(blk * 64, dirty=blk % 3 == 0)
+        a.invalidate(0)
+    b = copy.deepcopy(a)
+    fills = [((rid << 44) + off * 64, n, df, sd)
+             for rid, off, n, df, sd in specs]
+    a.bulk_fill_many(fills)
+    for start, n, df, sd in fills:
+        _per_set_bulk_fill(b, start, n, df, sd)
+    assert _state(a) == _state(b)
+
 class TestBulkFillMany:
     """bulk_fill_many must be byte-for-byte the sequential composition."""
 
@@ -511,3 +538,58 @@ def test_probe_consistency(blocks, orgn):
             filled.discard(res.victim_block_addr)
     for addr in filled:
         assert a.probe(addr).hit
+
+
+def _columns(a):
+    return (list(a._tags), bytes(a._dirty), a._stamp.tobytes(), a._clock,
+            a.fills, a.dirty_evictions)
+
+
+@pytest.mark.parametrize("start", ["empty", "prefilled", "full"])
+@pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
+@pytest.mark.parametrize("orgn", ["sa", "dm"])
+@given(st.lists(st.tuples(st.integers(0, 3),          # set (4 hot sets)
+                          st.integers(0, 40),         # tag (> ways per set)
+                          st.booleans()),             # dirty
+                max_size=120))
+@settings(max_examples=30, deadline=None)
+def test_fill_many_matches_sequential_fill(orgn, policy, start, fills):
+    """One ``fill_many`` leaves exactly what one ``fill`` per address
+    leaves: columns, clock, fill and dirty-eviction counts, on empty,
+    partly filled and full arrays, across chunk boundaries."""
+    a = DRAMCacheArray(GEOM, orgn, replacement=policy)
+    capacity = a._num_sets * a._ways
+    if start == "prefilled":
+        a.bulk_fill(0, capacity // 3, dirty_fraction=0.5, seed=1)
+    elif start == "full":
+        a.bulk_fill(0, 2 * capacity, dirty_fraction=0.5, seed=2)
+    b = copy.deepcopy(a)
+    addrs = [(tag * a._num_sets + set_idx) * 64 + tag % 64
+             for set_idx, tag, _ in fills]
+    dirty = [d for _, _, d in fills]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DRAMCacheArray, "CHUNK", 7)
+        a.fill_many(np.array(addrs, dtype=np.int64),
+                    np.array(dirty, dtype=bool))
+    for addr, d in zip(addrs, dirty):
+        b.fill(addr, d)
+    assert _columns(a) == _columns(b)
+
+
+def test_fill_many_replays_lookup_then_fill():
+    """The warm-up's identity: a lookup, then a fill on a miss, changes
+    the contents exactly as one fill does (only lookups/hits differ)."""
+    rng = np.random.default_rng(5)
+    blocks = rng.integers(0, 4 * DRAMCacheArray(GEOM, "sa")._num_sets * 3,
+                          size=3000)
+    writes = rng.random(3000) < 0.3
+    for orgn in ("sa", "dm"):
+        a = DRAMCacheArray(GEOM, orgn)
+        b = DRAMCacheArray(GEOM, orgn)
+        a.fill_many(blocks * 64, writes)
+        for blk, w in zip(blocks.tolist(), writes.tolist()):
+            lookup = b.lookup_write if w else b.lookup_read
+            if not lookup(blk * 64).hit:
+                b.fill(blk * 64, w)
+        assert a.contents_signature() == b.contents_signature()
+        assert a.dirty_evictions == b.dirty_evictions

@@ -4,6 +4,7 @@ import copy
 import random
 from operator import itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,7 @@ from repro.config import CacheGeometry, MainMemoryConfig
 from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 from repro.mem.mainmem import BankedMainMemory, MainMemory, make_mainmem
 from repro.mem.mshr import MSHRFile
-from repro.mem.sram import SRAMCache, SRAMCacheStats
+from repro.mem.sram import SRAMCache, SRAMCacheStats, interleave
 from repro.sim.engine import Simulator
 
 
@@ -533,6 +534,74 @@ class TestLRUOrderMatchesStampReference:
         one_stats.pop("hit_rate"), two_stats.pop("hit_rate")
         assert one_stats == two_stats
 
+
+
+class TestFilterTraces:
+    """The column L2 filter references a trace exactly as one
+    ``SRAMCache.access`` per operation does, under every victim policy,
+    with and without the dirty-row index."""
+
+    @pytest.mark.parametrize("row_of", [None, _lockstep_row_of])
+    @pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
+    @settings(max_examples=100, deadline=None)
+    @given(stream=_STREAMS, n_traces=st.integers(1, 3))
+    def test_matches_per_reference_access(self, policy, row_of, stream,
+                                          n_traces):
+        ops = _ops(*stream)
+        half = len(ops) // 2
+        cache = SRAMCache(_lockstep_geom(policy), row_of=row_of)
+        for op, blk, is_write in ops[:half]:        # a populated start
+            _apply(cache, op, blk * 64, is_write)
+        ref = copy.deepcopy(cache)
+        # Unaligned addresses: the filter reports block addresses.
+        refs = [(i, blk * 64 + blk % 64, is_write, 0)
+                for i, (_op, blk, is_write) in enumerate(ops[half:])]
+        per = len(refs) // n_traces
+        traces = [iter(refs[i * per:(i + 1) * per + 1])
+                  for i in range(n_traces)]
+        misses, victims = cache.filter_traces(traces, per)
+
+        expected_misses, expected_victims = [], []
+        for i in range(n_traces):
+            for _gap, addr, is_write, _pc in refs[i * per:(i + 1) * per]:
+                hit, victim = ref.access(addr & ~63, is_write)
+                if not hit:
+                    expected_misses.append(addr & ~63)
+                    expected_victims.append(-1 if victim is None else victim)
+        assert misses.dtype == victims.dtype == np.int64
+        assert misses.tolist() == expected_misses
+        assert victims.tolist() == expected_victims
+        assert _lru_contents(cache) == _lru_contents(ref)
+        assert cache.stats.snapshot() == ref.stats.snapshot()
+        assert cache._dirty_rows == ref._dirty_rows
+        for row in {_lockstep_row_of(b * 64) for b in range(48)}:
+            assert cache.dirty_in_row(row) == ref.dirty_in_row(row)
+        # Exactly `per` operations were drawn from each trace.
+        for i, trace in enumerate(traces):
+            assert next(trace, None) == (refs[(i + 1) * per]
+                                         if (i + 1) * per < len(refs)
+                                         else None)
+
+
+class TestInterleave:
+    MISSES = np.array([10, 20, 30, 40], dtype=np.int64)
+    VICTIMS = np.array([-1, 5, 7, -1], dtype=np.int64)
+
+    def test_demand_first(self):
+        addrs, is_victim = interleave(self.MISSES, self.VICTIMS)
+        assert addrs.tolist() == [10, 20, 5, 30, 7, 40]
+        assert is_victim.tolist() == [False, False, True, False, True, False]
+
+    def test_victims_first(self):
+        addrs, is_victim = interleave(self.MISSES, self.VICTIMS,
+                                      victims_first=True)
+        assert addrs.tolist() == [10, 5, 20, 7, 30, 40]
+        assert is_victim.tolist() == [False, True, False, True, False, False]
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        addrs, is_victim = interleave(empty, empty)
+        assert len(addrs) == len(is_victim) == 0
 
 class TestMSHR:
     def test_fresh_allocation(self):
