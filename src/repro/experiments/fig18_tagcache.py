@@ -51,11 +51,13 @@ def tag_requests(mix_id: int, params: SimParams,
     up its block's tags (a read), then, if its fill displaced a dirty
     line, the victim's tags (a write).
     """
-    l2 = SRAMCache(scaled_config(params.capacity_scale).l2)
     traces = [make_trace(p, seed=mix_id * 100 + i, core_offset=i << 44,
                          footprint_scale=params.footprint_scale)
               for i, p in enumerate(mix_profiles(mix_id))]
-    return interleave(*l2.filter_traces(traces, accesses_per_core))
+    # The L2 is not kept: its sets are freed before the columns interleave.
+    misses, victims = SRAMCache(scaled_config(params.capacity_scale).l2) \
+        .filter_traces(traces, accesses_per_core)
+    return interleave(misses, victims)
 
 
 def tag_traffic(mix_id: int, params: SimParams,

@@ -189,8 +189,10 @@ class SRAMCache:
         pick = self._pick_victim
         lru = pick is SRAM_POLICIES["lru"]
         tracked = self._row_of is not None
-        misses, victims = array("q"), array("q")
-        add_miss, add_victim = misses.append, victims.append
+        # Dirty victims are rare: they are kept as (row, address) pairs
+        # and spread into the dense column once, at the end.
+        misses, victim_rows, victim_addrs = array("q"), array("q"), array("q")
+        add_miss = misses.append
         hits = dirty_evictions = clean_evictions = 0
         for trace in traces:
             for _gap, addr, is_write, _pc in islice(trace, per_trace):
@@ -210,12 +212,13 @@ class SRAMCache:
                                 self._track_dirty(blk * block)
                         s[tag] = dirty          # re-insert: now most recent
                         continue
-                victim = -1
                 if len(s) >= assoc:
                     vtag = next(iter(s)) if lru else pick(s)
                     if s.pop(vtag):
                         dirty_evictions += 1
                         victim = (vtag * n_sets + set_idx) * block
+                        victim_rows.append(len(misses))
+                        victim_addrs.append(victim)
                         if tracked:
                             self._untrack_dirty(victim)
                     else:
@@ -225,15 +228,16 @@ class SRAMCache:
                 if is_write and tracked:
                     self._track_dirty(addr)
                 add_miss(addr)
-                add_victim(victim)
         stats = self.stats
         stats.accesses += hits + len(misses)
         stats.hits += hits
         stats.evictions += dirty_evictions + clean_evictions
         stats.dirty_evictions += dirty_evictions
         stats.clean_evictions += clean_evictions
-        return (np.frombuffer(misses, dtype=np.int64),
-                np.frombuffer(victims, dtype=np.int64))
+        victims = np.full(len(misses), -1, dtype=np.int64)
+        victims[np.frombuffer(victim_rows, dtype=np.int64)] = \
+            np.frombuffer(victim_addrs, dtype=np.int64)
+        return np.frombuffer(misses, dtype=np.int64), victims
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Insert a block (refill path); returns a dirty victim address."""
@@ -304,20 +308,18 @@ def interleave(misses: NDArray[np.int64], victims: NDArray[np.int64],
 
     Each miss is followed (or, with ``victims_first``, preceded) by its
     dirty victim, if it has one.  Returns the addresses and a flag column
-    marking the victims' writebacks.
+    marking the victims' writebacks.  Both are allocated once and filled
+    in place; the other temporaries are byte masks and victim-length
+    index columns.
     """
-    has = victims >= 0
-    # Row i's slot: i plus the victims ahead of it (exclusive count).
-    slot = np.arange(len(misses), dtype=np.int64) + np.cumsum(has) - has
-    n = len(misses) + int(np.count_nonzero(has))
-    addrs = np.empty(n, dtype=np.int64)
+    rows = np.flatnonzero(victims >= 0)
+    values = victims[rows]
+    # The j-th victim lands j slots past its row (one more if it follows).
+    rows += np.arange(len(rows)) + (not victims_first)
+    n = len(misses) + len(rows)
     is_victim = np.zeros(n, dtype=np.bool_)
-    if victims_first:
-        addrs[slot + has] = misses
-        at = slot[has]
-    else:
-        addrs[slot] = misses
-        at = slot[has] + 1
-    addrs[at] = victims[has]
-    is_victim[at] = True
+    is_victim[rows] = True
+    addrs = np.empty(n, dtype=np.int64)
+    addrs[rows] = values
+    addrs[~is_victim] = misses
     return addrs, is_victim

@@ -17,9 +17,10 @@ rebuilding the stream and fast-forwarding ``count`` operations:
 * pickling a cursor ships only ``(source, kwargs, count)`` — a few bytes —
   and replays on load, so full-simulator snapshots stay process-portable.
 
-Fast-forward cost is linear in ``count`` but trace generation is ~1 µs/op,
-orders of magnitude below simulating the same ops, so replay never
-dominates a restore.
+Fast-forward cost is linear in ``count``, but a synthetic trace op costs
+well under 1 µs to generate (about 0.7 µs with the cursor's own step, on
+a 2-core x86-64 box under CPython 3.11), orders of magnitude below
+simulating the same ops, so replay never dominates a restore.
 
 Trace sources are required to be immutable (all shipped sources are frozen
 dataclasses); cursors share them instead of copying, which also keeps a
