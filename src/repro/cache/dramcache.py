@@ -88,8 +88,8 @@ class DRAMCacheArray:
     replacement:
         Victim-selection policy (see :mod:`repro.cache.replacement`); a
         direct-mapped set has one way, so every policy picks it.  Applies
-        to demand fills only — the fused warm-up paths
-        (:meth:`bulk_fill`/:meth:`bulk_fill_many`) keep their
+        to demand fills and the warm-up replay only — the warm-up
+        prefill (:meth:`bulk_fill_many`) keeps its
         LRU-insertion-order semantics under every policy (documented
         modeling assumption: warm-up populates, it does not exercise
         replacement).
@@ -298,32 +298,29 @@ class DRAMCacheArray:
 
     # -- warm-up ----------------------------------------------------------------
 
-    def bulk_fill(self, start_addr: int, n_blocks: int,
-                  dirty_fraction: float = 0.0, seed: int = 0) -> None:
-        """Functionally pre-populate a contiguous block range (warm-up).
-
-        Mirrors the paper's fast-forward cache warming: the range
-        ``[start_addr, start_addr + n_blocks*64)`` is inserted as if each
-        block had been filled once in address order, with a deterministic
-        pseudo-random ``dirty_fraction`` of blocks marked dirty.  Every
-        touched set is merged with its existing contents, stamped in
-        ascending set order (see :meth:`bulk_fill_many`).
-        """
-        self.bulk_fill_many([(start_addr, n_blocks, dirty_fraction, seed)])
-
     def bulk_fill_many(self, fills: list[tuple[int, int, float, int]]) -> None:
-        """Apply several :meth:`bulk_fill` ranges, in order, in one pass.
+        """Functionally pre-populate contiguous block ranges (warm-up).
 
-        ``fills`` is a list of ``(start_addr, n_blocks, dirty_fraction,
-        seed)`` tuples.  A contiguous range puts its ``k``-th block of set
+        Mirrors the paper's fast-forward cache warming.  ``fills`` is a
+        list of ``(start_addr, n_blocks, dirty_fraction, seed)`` tuples,
+        applied in order: each range ``[start_addr, start_addr +
+        n_blocks*64)`` is inserted as if each block had been filled once
+        in address order, with a deterministic pseudo-random
+        ``dirty_fraction`` of blocks marked dirty, and every touched set
+        is merged with its existing contents, stamped in ascending set
+        order.  A batch equals the same ranges applied one call each.
+
+        A contiguous range puts its ``k``-th block of set
         ``s`` at ``k * num_sets`` past the set's first block, so only its
         last ``ways * num_sets`` blocks can survive (exactly the last
         ``ways`` of every set), and the stamp of that insert is ``clock +
         1 + (the range's inserts to sets < s) + k``.
 
         On an unallocated array (the warm-up case) the whole batch is
-        computed in closed form per insert, so the work scales with the
-        ranges, not the set count: across ranges the survivors of a set
+        computed in closed form over each range's columns (the
+        ``min(m, num_sets)`` sets a range of ``m`` blocks touches), so
+        the work scales with the ranges, not the set count: across
+        ranges the survivors of a set
         are its newest ``ways`` inserts, the oldest ``max(0, total -
         ways)`` are displaced (earliest range first, each dirty one
         counting as an eviction), and the rest lie in stamp order from
@@ -378,19 +375,16 @@ class DRAMCacheArray:
             # inserts (over all ranges) are displaced; below 0 = displaced.
             way0 = earlier - np.maximum(sum(counts) - ways, 0)
             stamp0 = clock + 1 + below(first + m, s) - below(first, s)
-            blocks = (col + k * n_sets).ravel()[:m]
-            slot = (s * ways + way0 + k).ravel()[:m]
-            tag = (col // n_sets + k).ravel()[:m]
-            stamps = (stamp0 + k).ravel()[:m]
-            drt = _dirty_bits(blocks, seed, dirty_fraction)
-            if (way0 < 0).any():
-                keep = (way0 + k >= 0).ravel()[:m]
-                evictions += int(np.count_nonzero(drt & ~keep))
-                slot, tag, drt, stamps = (slot[keep], tag[keep], drt[keep],
-                                          stamps[keep])
-            tags[slot] = tag
-            dirty[slot] = drt
-            stamp[slot] = stamps
+            keep = (way0 + k >= 0).ravel()[:m]
+            drt = _dirty_bits((col + k * n_sets).ravel()[:m], seed,
+                              dirty_fraction)
+            evictions += int(np.count_nonzero(drt & ~keep))
+            # One range-sized column at a time: each is built, cut to the
+            # kept inserts and scattered before the next one exists.
+            slot = (s * ways + way0 + k).ravel()[:m][keep]
+            tags[slot] = (col // n_sets + k).ravel()[:m][keep]
+            dirty[slot] = drt[keep]
+            stamp[slot] = (stamp0 + k).ravel()[:m][keep]
             clock += m
         self._tags = tags.tolist()
         self._clock = clock
@@ -410,6 +404,10 @@ class DRAMCacheArray:
         if n_blocks <= 0:
             return
         n_sets, ways = self._num_sets, self._ways
+        # Only the last `ways` inserts of a set can survive, so only the
+        # range's last `ways * n_sets` blocks matter (each set's last
+        # `ways`); the earlier ones are skipped outright (no clock tick,
+        # no eviction), exactly as if each block had been filled once.
         m = min(n_blocks, n_sets * ways)
         first = start_addr // self._block_bytes + n_blocks - m
         blocks = np.arange(first, first + m, dtype=np.int64)

@@ -164,7 +164,7 @@ class TestBulkFill:
             a = DRAMCacheArray(GEOM, orgn)
             b = DRAMCacheArray(GEOM, orgn)
             n = 5000
-            a.bulk_fill(0, n, dirty_fraction=0.0)
+            a.bulk_fill_many([(0, n, 0.0, 0)])
             for i in range(n):
                 b.fill(i * 64, dirty=False)
             hits_a = sum(a.probe(i * 64).hit for i in range(n))
@@ -174,7 +174,7 @@ class TestBulkFill:
     def test_bulk_dirty_fraction(self):
         a = DRAMCacheArray(GEOM, "sa")
         n = 4000
-        a.bulk_fill(0, n, dirty_fraction=0.5, seed=3)
+        a.bulk_fill_many([(0, n, 0.5, 3)])
         dirty = sum(a.probe(i * 64).dirty for i in range(n)
                     if a.probe(i * 64).hit)
         resident = sum(a.probe(i * 64).hit for i in range(n))
@@ -183,8 +183,8 @@ class TestBulkFill:
     def test_bulk_fill_deterministic(self):
         a = DRAMCacheArray(GEOM, "sa")
         b = DRAMCacheArray(GEOM, "sa")
-        a.bulk_fill(0, 3000, dirty_fraction=0.3, seed=7)
-        b.bulk_fill(0, 3000, dirty_fraction=0.3, seed=7)
+        a.bulk_fill_many([(0, 3000, 0.3, 7)])
+        b.bulk_fill_many([(0, 3000, 0.3, 7)])
         for i in range(3000):
             assert a.probe(i * 64) == b.probe(i * 64)
 
@@ -192,15 +192,15 @@ class TestBulkFill:
         """Second core's prefill must not wipe the first's (LRU merge)."""
         a = DRAMCacheArray(GEOM, "sa")
         n = 2000  # two small ranges, well within capacity
-        a.bulk_fill(0, n, dirty_fraction=0.0)
-        a.bulk_fill(1 << 44, n, dirty_fraction=0.0)
+        a.bulk_fill_many([(0, n, 0.0, 0)])
+        a.bulk_fill_many([(1 << 44, n, 0.0, 0)])
         hits0 = sum(a.probe(i * 64).hit for i in range(n))
         hits1 = sum(a.probe((1 << 44) + i * 64).hit for i in range(n))
         assert hits1 == n
         assert hits0 == n  # first range survives
 
     def test_zero_blocks_noop(self, array):
-        array.bulk_fill(0, 0)
+        array.bulk_fill_many([(0, 0, 0.0, 0)])
         assert array.fills == 0
 
 
@@ -272,7 +272,7 @@ def test_bulk_fill_matches_per_set_merge(orgn, pre, specs):
             a.fill(addr, dirty=op == "fill_dirty")
     b = copy.deepcopy(a)
     for rid, off, n, df, sd in specs:
-        a.bulk_fill((rid << 44) + off * 64, n, dirty_fraction=df, seed=sd)
+        a.bulk_fill_many([((rid << 44) + off * 64, n, df, sd)])
         _per_set_bulk_fill(b, (rid << 44) + off * 64, n, df, sd)
     assert _state(a) == _state(b)
 
@@ -321,7 +321,7 @@ class TestBulkFillMany:
         b = DRAMCacheArray(GEOM, orgn)
         a.bulk_fill_many(fills)
         for start, n, df, sd in fills:
-            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+            b.bulk_fill_many([(start, n, df, sd)])
         assert _state(a) == _state(b)
 
     def test_overlapping_ranges_match_sequential(self):
@@ -336,7 +336,7 @@ class TestBulkFillMany:
         b = DRAMCacheArray(GEOM, "sa")
         a.bulk_fill_many(fills)
         for start, n, df, sd in fills:
-            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+            b.bulk_fill_many([(start, n, df, sd)])
         assert _state(a) == _state(b)
         assert a.dirty_evictions > 0
 
@@ -349,14 +349,14 @@ class TestBulkFillMany:
             arr.fill(0x12340, dirty=True)
         a.bulk_fill_many(fills)
         for start, n, df, sd in fills:
-            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+            b.bulk_fill_many([(start, n, df, sd)])
         assert _state(a) == _state(b)
 
     def test_restored_array_matches_sequential(self):
         """A restored array already holds contents, so bulk_fill_many
         must compose with them exactly as sequential bulk_fill calls do."""
         donor = DRAMCacheArray(GEOM, "sa")
-        donor.bulk_fill(0, 3000, dirty_fraction=0.2, seed=5)
+        donor.bulk_fill_many([(0, 3000, 0.2, 5)])
         state = donor.capture_state()
         a = DRAMCacheArray(GEOM, "sa")
         b = DRAMCacheArray(GEOM, "sa")
@@ -365,7 +365,7 @@ class TestBulkFillMany:
         fills = [(0, 3000, 0.7, 8), (1 << 44, 2000, 0.1, 9)]
         a.bulk_fill_many(fills)
         for start, n, df, sd in fills:
-            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+            b.bulk_fill_many([(start, n, df, sd)])
         assert _state(a) == _state(b)
         assert _state(a) != _state(donor)
 
@@ -386,7 +386,7 @@ class TestBulkFillMany:
         b = DRAMCacheArray(GEOM, "sa")
         a.bulk_fill_many(fills)
         for start, n, df, sd in fills:
-            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+            b.bulk_fill_many([(start, n, df, sd)])
         assert _state(a) == _state(b)
 
 
@@ -560,9 +560,9 @@ def test_fill_many_matches_sequential_fill(orgn, policy, start, fills):
     a = DRAMCacheArray(GEOM, orgn, replacement=policy)
     capacity = a._num_sets * a._ways
     if start == "prefilled":
-        a.bulk_fill(0, capacity // 3, dirty_fraction=0.5, seed=1)
+        a.bulk_fill_many([(0, capacity // 3, 0.5, 1)])
     elif start == "full":
-        a.bulk_fill(0, 2 * capacity, dirty_fraction=0.5, seed=2)
+        a.bulk_fill_many([(0, 2 * capacity, 0.5, 2)])
     b = copy.deepcopy(a)
     addrs = [(tag * a._num_sets + set_idx) * 64 + tag % 64
              for set_idx, tag, _ in fills]
