@@ -356,7 +356,12 @@ class DRAMCacheArray:
 
         self._dirty = bytearray(capacity)
         self._stamp = array("q", [0]) * capacity
-        tags = np.full(capacity, -1, dtype=np.int64)
+        # A range's tags are the few integers first // num_sets + k, so
+        # the tag column is built as codes into one list of them: the
+        # column's cells then share those int objects instead of each
+        # holding its own (half a million on the quick-scale array).
+        codes = np.zeros(capacity, dtype=np.int64)
+        values = [-1]                       # code 0: an invalid way
         dirty = np.frombuffer(self._dirty, dtype=np.bool_)
         stamp = np.frombuffer(self._stamp, dtype=np.int64)
         clock = self._clock
@@ -368,7 +373,8 @@ class DRAMCacheArray:
             # are computed once per column, never per set of the array.
             col = first + np.arange(min(m, n_sets), dtype=np.int64)
             s = col % n_sets
-            k = np.arange(-(-m // n_sets), dtype=np.int64)[:, None]
+            rows = -(-m // n_sets)
+            k = np.arange(rows, dtype=np.int64)[:, None]
             counts = [count(f, n, s) for f, n, *_ in runs]
             earlier = sum(counts[:i])       # the set's inserts so far
             # Way of the set's k = 0 insert once its oldest `excess`
@@ -382,11 +388,14 @@ class DRAMCacheArray:
             # One range-sized column at a time: each is built, cut to the
             # kept inserts and scattered before the next one exists.
             slot = (s * ways + way0 + k).ravel()[:m][keep]
-            tags[slot] = (col // n_sets + k).ravel()[:m][keep]
+            low = first // n_sets
+            codes[slot] = ((col // n_sets + (len(values) - low) + k)
+                           .ravel()[:m][keep])
+            values.extend(range(low, low + rows + 1))
             dirty[slot] = drt[keep]
             stamp[slot] = (stamp0 + k).ravel()[:m][keep]
             clock += m
-        self._tags = tags.tolist()
+        self._tags = np.array(values, dtype=object)[codes].tolist()
         self._clock = clock
         self.dirty_evictions += evictions
 
