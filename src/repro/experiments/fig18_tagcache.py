@@ -11,9 +11,9 @@ writebacks.  For a 256 MB cache, even 192 KB of tag cache roughly
 
 This experiment is functional (no timing).  For each Table I mix,
 :func:`tag_requests` generates the per-core traces and filters them
-through the L2 once, giving the ordered stream of DRAM-cache tag lookups:
-each L2 miss's demand read, then the writeback of the dirty victim it
-displaces.  The tag cache reads only the set-associative tag layout, never
+through the L2 once, giving the ordered stream of DRAM-cache tag lookups
+(one segment per core): each L2 miss's demand read, then the writeback of
+the dirty victim it displaces.  The tag cache reads only the set-associative tag layout, never
 the DRAM cache's contents, so that one stream serves every size:
 :func:`tag_traffic` replays it through a fresh tag cache per size, and the
 report normalizes DRAM tag accesses to the no-tag-cache baseline.
@@ -43,34 +43,35 @@ SIZES_KB = (0, 32, 64, 96, 128, 192)
 
 def tag_requests(mix_id: int, params: SimParams,
                  accesses_per_core: int = 40_000
-                 ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
-    """The DRAM-cache tag lookups of one mix, in order, as two columns:
-    addresses and write flags.
+                 ) -> list[tuple[NDArray[np.int64], NDArray[np.bool_]]]:
+    """The DRAM-cache tag lookups of one mix, in order, as one pair of
+    columns (addresses, write flags) per core.
 
     Each core's trace is filtered through the shared L2: an L2 miss looks
     up its block's tags (a read), then, if its fill displaced a dirty
-    line, the victim's tags (a write).
+    line, the victim's tags (a write).  Filtering one core at a time keeps
+    only that core's miss and victim columns alive next to the stream.
     """
-    traces = [make_trace(p, seed=mix_id * 100 + i, core_offset=i << 44,
-                         footprint_scale=params.footprint_scale)
-              for i, p in enumerate(mix_profiles(mix_id))]
-    # The L2 is not kept: its sets are freed before the columns interleave.
-    misses, victims = SRAMCache(scaled_config(params.capacity_scale).l2) \
-        .filter_traces(traces, accesses_per_core)
-    return interleave(misses, victims)
+    l2 = SRAMCache(scaled_config(params.capacity_scale).l2)
+    return [interleave(*l2.filter_traces(
+                [make_trace(p, seed=mix_id * 100 + i, core_offset=i << 44,
+                            footprint_scale=params.footprint_scale)],
+                accesses_per_core))
+            for i, p in enumerate(mix_profiles(mix_id))]
 
 
 def tag_traffic(mix_id: int, params: SimParams,
                 sizes_kb: Sequence[int] = SIZES_KB,
                 accesses_per_core: int = 40_000) -> dict[int, int]:
     """DRAM tag accesses of one mix behind each tag-cache size (KB)."""
-    addrs, writes = tag_requests(mix_id, params, accesses_per_core)
+    streams = tag_requests(mix_id, params, accesses_per_core)
     geometry = DRAMCacheArray(
         scaled_config(params.capacity_scale).dram_cache, "sa")
     counts: dict[int, int] = {}
     for kb in sizes_kb:
         tc = TagCache(geometry, kb * 1024)
-        tc.replay(addrs, writes)
+        for addrs, writes in streams:
+            tc.replay(addrs, writes)
         counts[kb] = tc.stats.dram_tag_accesses
     return counts
 

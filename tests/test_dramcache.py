@@ -340,6 +340,13 @@ class TestBulkFillMany:
         assert _state(a) == _state(b)
         assert a.dirty_evictions > 0
 
+    def test_prefilled_column_shares_tag_ints(self):
+        """An empty-array batch leaves one int object per distinct tag in
+        the column, not one per cell (half a million at quick scale)."""
+        a = DRAMCacheArray(GEOM, "sa")
+        a.bulk_fill_many([(0, 40_000, 0.3, 1), (1 << 44, 40_000, 0.3, 2)])
+        assert len({id(t) for t in a._tags}) == len(set(a._tags)) < 100
+
     def test_warm_array_falls_back_to_sequential(self):
         """A non-pristine array must take the exact sequential path."""
         fills = [(0, 2000, 0.3, 1), (1 << 44, 2000, 0.3, 2)]
