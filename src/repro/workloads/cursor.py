@@ -18,7 +18,7 @@ rebuilding the stream and fast-forwarding ``count`` operations:
   and replays on load, so full-simulator snapshots stay process-portable.
 
 Fast-forward cost is linear in ``count``, but a synthetic trace op costs
-well under 1 µs to generate (about 0.7 µs with the cursor's own step, on
+well under 1 µs to generate (about 0.6 µs with the cursor's own step, on
 a 2-core x86-64 box under CPython 3.11), orders of magnitude below
 simulating the same ops, so replay never dominates a restore.
 
