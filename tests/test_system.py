@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.cache.dramcache import DRAMCacheArray
 from repro.config import scaled_config
+from repro.mem.sram import SRAMCache
 from repro.sim.system import System
 from repro.workloads.profiles import profile
+from repro.workloads.scenarios import workload_profiles
 from repro.workloads.table1 import mix_profiles
 
 RUN = dict(warmup_insts=3_000, measure_insts=8_000, replay_accesses=20_000)
@@ -76,6 +79,24 @@ class TestWarmup:
         s.functional_warmup(replay_accesses=500)
         assert s.controller.array.lookups == 0
         assert s.l2.stats.accesses == 0
+
+    def test_warmup_makes_no_per_reference_calls(self, monkeypatch):
+        """The replay and a workload's exact warm set go through the
+        batched paths (filter_traces, fill_many), never through the
+        per-reference L2 and array operations."""
+        def per_reference(*_args, **_kwargs):
+            raise AssertionError("per-reference call in the warm-up")
+
+        s = System(scaled_config(8), "CD", workload_profiles(
+            "conflict_vs_streams"), footprint_scale=1 / 64, seed=3)
+        for cls, name in ((SRAMCache, "access"), (SRAMCache, "touch"),
+                          (SRAMCache, "fill"),
+                          (DRAMCacheArray, "lookup_read"),
+                          (DRAMCacheArray, "lookup_write"),
+                          (DRAMCacheArray, "fill")):
+            monkeypatch.setattr(cls, name, per_reference)
+        s.functional_warmup(replay_accesses=2_000)
+        assert [c.trace.count for c in s.cores] == [2_000] * 4
 
     def test_skipping_warmup_lowers_hit_rate(self):
         warm = small_system().run(**RUN)
