@@ -310,23 +310,22 @@ class DRAMCacheArray:
         is merged with its existing contents, stamped in ascending set
         order.  A batch equals the same ranges applied one call each.
 
-        A contiguous range puts its ``k``-th block of set
-        ``s`` at ``k * num_sets`` past the set's first block, so only its
-        last ``ways * num_sets`` blocks can survive (exactly the last
-        ``ways`` of every set), and the stamp of that insert is ``clock +
-        1 + (the range's inserts to sets < s) + k``.
+        A contiguous range puts its ``k``-th block of set ``s`` at ``k *
+        num_sets`` past the set's first block, so only its last ``ways *
+        num_sets`` blocks can survive (exactly the last ``ways`` of every
+        set), and the stamp of that insert is ``clock + 1 + (the range's
+        inserts to sets < s) + k``.
 
         On an unallocated array (the warm-up case) the whole batch is
-        computed in closed form over each range's columns (the
-        ``min(m, num_sets)`` sets a range of ``m`` blocks touches), so
-        the work scales with the ranges, not the set count: across
-        ranges the survivors of a set
-        are its newest ``ways`` inserts, the oldest ``max(0, total -
-        ways)`` are displaced (earliest range first, each dirty one
-        counting as an eviction), and the rest lie in stamp order from
-        way 0.  On a populated array each range is merged set by set in
-        numpy (:meth:`_merge`), with the tag column converted to numpy
-        and back once per batch.
+        computed in closed form over each range's columns (the ``min(m,
+        num_sets)`` sets a range of ``m`` blocks touches), so the work
+        scales with the ranges, not the set count: across ranges the
+        survivors of a set are its newest ``ways`` inserts, the oldest
+        ``max(0, total - ways)`` are displaced (earliest range first,
+        each dirty one counting as an eviction), and the rest lie in
+        stamp order from way 0.  On a populated array each range is
+        merged set by set in numpy (:meth:`_merge`), with the tag column
+        converted to numpy and back once per batch.
         """
         if self._tags:
             tags = np.array(self._tags, dtype=np.int64)
@@ -377,8 +376,9 @@ class DRAMCacheArray:
             k = np.arange(rows, dtype=np.int64)[:, None]
             counts = [count(f, n, s) for f, n, *_ in runs]
             earlier = sum(counts[:i])       # the set's inserts so far
-            # Way of the set's k = 0 insert once its oldest `excess`
-            # inserts (over all ranges) are displaced; below 0 = displaced.
+            # Way of the set's k = 0 insert once the oldest max(0, total
+            # - ways) of its inserts over all ranges are displaced; a way
+            # below 0 is a displaced insert.
             way0 = earlier - np.maximum(sum(counts) - ways, 0)
             stamp0 = clock + 1 + below(first + m, s) - below(first, s)
             keep = (way0 + k >= 0).ravel()[:m]
