@@ -1,6 +1,6 @@
 """Golden-run regression pins: committed metric snapshots must not drift.
 
-Five fixtures, one mechanism:
+Six fixtures, one mechanism:
 
 * ``tests/golden/fig08_quick.json`` — the complete results (headline
   fields + full metrics tree) of a small fig08-style run set on the
@@ -23,6 +23,9 @@ Five fixtures, one mechanism:
 * ``tests/golden/l2_policy_quick.json`` — the burst pin under the
   non-default L2 victim policies (``l2.replacement`` = ``lruc`` and
   ``lrud``), freezing the clean- and dirty-preferring SRAM eviction.
+* ``tests/golden/frfcfs_quick.json`` — the burst pin under the FR-FCFS
+  scheduler (every other pin runs BLISS), freezing FR-FCFS as BLISS
+  with an empty blacklist.
 
 One more fixture pins the functional warm-up itself rather than results:
 ``tests/golden/warm_state_quick.json`` holds a sha256 per warm state
@@ -84,6 +87,10 @@ L2_POLICY_SPECS = [
     for policy in ("lruc", "lrud")
     for d in ("CD", "DCA")
 ]
+
+#: the alternative scheduler: every other result pin runs BLISS
+FRFCFS_SPECS = [RunSpec(d, "sa", mix_id=1, scheduler="frfcfs")
+                for d in ("CD", "ROD", "DCA")]
 
 #: warm-state pins: every input that steers the functional warm-up.  The
 #: conflict_vs_streams workload seeds core 0 from its prefill_blocks and
@@ -182,6 +189,10 @@ def test_golden_mainmem_banked():
 
 def test_golden_l2_policies():
     check_golden(GOLDEN_DIR / "l2_policy_quick.json", L2_POLICY_SPECS)
+
+
+def test_golden_frfcfs():
+    check_golden(GOLDEN_DIR / "frfcfs_quick.json", FRFCFS_SPECS)
 
 
 def warm_state_digest(warm: WarmState) -> str:
