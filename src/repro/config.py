@@ -297,9 +297,8 @@ class BLISSConfig:
 
 @dataclass(frozen=True)
 class DCAConfig:
-    """DCA-specific knobs: RRPC counter width and OFS flushing factor."""
+    """DCA-specific knobs: RRPC counter maximum and OFS flushing factor."""
 
-    rrpc_bits: int = 3
     rrpc_max: int = 7
     flushing_factor: int = 4   # FF-4, the paper's operating point
 

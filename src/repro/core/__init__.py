@@ -2,8 +2,9 @@
 
 * :mod:`repro.core.access` — the access/request vocabulary (paper Fig. 2);
 * :mod:`repro.core.queues` — read/write queues with watermark state;
-* :mod:`repro.core.bliss` / :mod:`repro.core.frfcfs` — underlying
-  scheduling algorithms;
+* :mod:`repro.core.bliss` — the underlying scheduling algorithm and the
+  one candidate-selection loop; :mod:`repro.core.frfcfs` is BLISS with
+  blacklisting switched off;
 * :mod:`repro.core.rrpc` — DCA's per-bank re-reference prediction counters;
 * :mod:`repro.core.base` — the shared controller machinery (translation,
   write-flush state machine, scheduling loop, MAP-I integration);

@@ -19,12 +19,11 @@ candidate set they hand to BLISS at each slot, not in the ordering policy.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.config import BLISSConfig
 from repro.core.access import Access
 from repro.core.queues import BankBucket, FrozenBucket
-from repro.dram.bank import ROW_HIT
 from repro.dram.channel import Channel
 
 #: Any bank-bucket column group the schedulers can scan.
@@ -73,50 +72,26 @@ class BLISSScheduler:
 
     # -- selection ---------------------------------------------------------------
 
-    def pick(self, candidates: Iterable[Access], channel: Channel,
-             now: int) -> Optional[Access]:
-        """Choose the highest-priority access among ``candidates``.
-
-        Priority: non-blacklisted > row-hit > age (global seq).  Returns
-        None when the candidate set is empty.
-
-        This is the naive reference selector: it classifies the row state
-        of every candidate individually.  The scheduling hot path uses
-        :meth:`pick_banked` over the queue's per-bank buckets instead;
-        both must return the identical access for the same candidate set
-        (``seq`` is globally unique, so the argmin is unique — verified by
-        the side-by-side property tests).
-        """
-        self.maybe_clear(now)
-        best: Optional[Access] = None
-        best_key: tuple[int, int, int] | None = None
-        bl = self.blacklist
-        for a in candidates:
-            row_hit = (channel.banks[
-                channel.bank_index(a.rank, a.bank)].row_state(a.row) == ROW_HIT)
-            key = (1 if bl[a.core_id] else 0, 0 if row_hit else 1, a.seq)
-            if best_key is None or key < best_key:
-                best, best_key = a, key
-        return best
-
     def pick_banked(self, buckets: "Mapping[int, BucketColumns]",
                     channel: Channel, now: int) -> Optional[Access]:
-        """Fast-path selection over bank-bucketed candidate columns.
+        """Choose the highest-priority access among bank-bucketed candidates.
 
         ``buckets`` maps ``global_bank`` to a non-empty column bucket of
         accesses targeting that bank (the queue's incremental indexes, or
-        any filtered subset keyed the same way).  The open row is fetched
-        once per bank — ``global_bank % len(banks)`` is the channel-local
-        bank index by construction of ``AddressMapper.global_bank`` — and
-        the (blacklist, row-miss, seq) lexicographic order is evaluated
-        as the oldest candidate per (blacklisted, row-miss) class over
-        the bucket's flat int columns, returned in class order.  While no
+        any filtered subset keyed the same way).  Priority:
+        non-blacklisted > row-hit > age (global ``seq``); returns None
+        when ``buckets`` is empty.  The open row is fetched once per
+        bank — ``global_bank % len(open_rows)`` is the channel-local bank
+        index by construction of ``AddressMapper.global_bank`` — and the
+        (blacklist, row-miss, seq) lexicographic order is evaluated as
+        the oldest candidate per (blacklisted, row-miss) class over the
+        bucket's flat int columns, returned in class order.  While no
         core is blacklisted, a bucket whose bank has no open row (or no
         hit on it) is a single-class group: its argmin batches into
         C-level ``min``/``index`` with no per-candidate bytecode at all.
-        Bit-identical to :meth:`pick` on the flattened candidate set:
-        ``seq`` is globally unique, so the argmin is unique and
-        iteration order is irrelevant.
+        ``seq`` is globally unique, so the argmin is unique and iteration
+        order is irrelevant; the lockstep tests check the result against
+        a per-candidate scan of the flattened set.
         """
         self.maybe_clear(now)
         bl = self.blacklist

@@ -26,35 +26,12 @@ all bank counters decay by one and the PR's bank is set to 7.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.core.access import Access, Priority
 from repro.core.base import BaseController
 from repro.core.queues import AccessQueue, BankBucket, FrozenBucket
 from repro.core.rrpc import RRPCTable
-from repro.dram.bank import ROW_CONFLICT
-
-
-def ofs_naive_candidates(entries: Iterable[Access], channel, rrpc: RRPCTable,
-                         flushing_factor: int) -> list[Access]:
-    """LRs passing the OFS criteria (§IV-C) — naive full-scan reference.
-
-    The executable specification :func:`ofs_bucket_filter` is tested
-    against; classifies every access's row state individually.  Used by
-    the controller's reference path and the fast-path lockstep tests.
-    """
-    out = []
-    for a in entries:
-        if a.priority != Priority.LR:
-            continue
-        bank = channel.banks[channel.bank_index(a.rank, a.bank)]
-        if bank.row_state(a.row) != ROW_CONFLICT:
-            out.append(a)          # row hit or closed row: safe
-        elif rrpc.allows_flush(a.global_bank, flushing_factor):
-            out.append(a)          # conflicting, but the bank is cold
-    return out
 
 
 def ofs_bucket_filter(lr_buckets: Mapping[int, BankBucket],
@@ -69,7 +46,7 @@ def ofs_bucket_filter(lr_buckets: Mapping[int, BankBucket],
     filtered copy is built.  The bucket's channel-local bank is
     ``global_bank % len(open_rows)`` (see ``AddressMapper.global_bank``).
     The controller hot path calls it; the lockstep tests drive it
-    directly against :func:`ofs_naive_candidates`.
+    directly against a per-access scan of the same criteria.
     """
     nbanks = len(open_rows)
     out: dict[int, BankBucket | FrozenBucket] = {}
@@ -113,21 +90,10 @@ class DCAController(BaseController):
         elif occ < self.cfg.queues.lr_drain_low:
             self.schedule_all[ch] = False
 
-    def _ofs_candidates(self, ch: int) -> list[Access]:
-        """LRs passing the OFS criteria (§IV-C) — naive reference.
-
-        Kept as the specification the fast path is tested against
-        (see :meth:`_ofs_buckets`); the hot path never calls this.
-        """
-        return ofs_naive_candidates(self.read_q[ch].entries,
-                                    self.device.channels[ch], self.rrpc,
-                                    self.cfg.dca.flushing_factor)
-
     def _ofs_buckets(self, ch: int) -> dict[int, BankBucket | FrozenBucket]:
-        """OFS candidates as per-bank buckets, from the LR index.
-
-        Same candidate set as :meth:`_ofs_candidates`, computed with one
-        row-state and one RRPC check per *bank* instead of per access.
+        """LRs passing the OFS criteria (§IV-C) as per-bank buckets, from
+        the LR index: one row-state and one RRPC check per *bank* instead
+        of per access.
         """
         return ofs_bucket_filter(self.read_q[ch].lr_bank_buckets(),
                                  self.device.channels[ch].open_rows,

@@ -38,7 +38,7 @@ tiebreak: the argmin is unique, hence independent of iteration order
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.core.access import Access, Priority
 
@@ -275,21 +275,13 @@ class AccessQueue:
         """Per-bank buckets restricted to LR-class accesses (read-only)."""
         return self._lr_banks
 
-    # -- filtered views used by the designs -------------------------------------
+    # -- read-class copies (inspection; the designs read the buckets) -----------
 
     def priority_reads(self) -> list[Access]:
         return list(self._pr)
 
     def low_priority_reads(self) -> list[Access]:
         return list(self._lr)
-
-    def filtered(self, pred: Callable[[Access], bool]) -> list[Access]:
-        return [a for a in self.entries if pred(a)]
-
-    def oldest(self) -> Optional[Access]:
-        if not self.entries:
-            return None
-        return min(self.entries, key=lambda a: a.seq)
 
     # -- self-checks (tests only; O(n)) -----------------------------------------
 

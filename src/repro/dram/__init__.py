@@ -9,7 +9,7 @@ of Zhang et al. (MICRO'00).
 """
 
 from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import Bank, RowState
+from repro.dram.bank import RowState
 from repro.dram.channel import Channel
 from repro.dram.command import CommandChannel
 from repro.dram.device import DRAMDevice
@@ -19,7 +19,6 @@ from repro.dram.substrate import Substrate, make_channel
 __all__ = [
     "AddressMapper",
     "DecodedAddress",
-    "Bank",
     "Channel",
     "CommandChannel",
     "RowState",

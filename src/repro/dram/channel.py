@@ -20,12 +20,12 @@ Issue model (shared by every controller design):
 Bank state is stored **struct-of-arrays**: five parallel ``list[int]``
 columns (``open_rows`` with ``-1`` = closed, ``act_times``, ``ready_cas``,
 ``ready_pre``, ``ready_act``), one slot per bank, so the issue/estimate
-hot paths are list index arithmetic with no per-bank objects.  The
-semantics are exactly :class:`repro.dram.bank.Bank`'s (the standalone
-reference state machine the lockstep tests compare against); ``banks``
-exposes one :class:`~repro.dram.bank.BankView` proxy per bank for the
-naive reference selectors and tests.  The columns are mutated strictly in place — never
-rebound — so the views stay live across ``restore_state``.
+hot paths are list index arithmetic with no per-bank objects.  These
+columns are the only bank state; the lockstep tests check them against an
+independent per-bank object model kept under ``tests/``.  The columns are
+mutated strictly in place — never rebound — so a reference taken to one
+(the schedulers read ``open_rows`` directly) stays live across
+``restore_state``.
 
 This class is the ``fidelity="burst"`` substrate model — the default, and
 the hot path every controller comparison runs on.  It implements the
@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, ClassVar
 
 from repro.config import DRAMOrganization, DRAMTimings
-from repro.dram.bank import BankView, ROW_CLOSED, ROW_CONFLICT, ROW_HIT, RowState
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, RowState
 from repro.dram.stats import ChannelStats
 
 __all__ = ["Channel", "RowState"]
@@ -54,7 +54,7 @@ class Channel:
     """One channel: ``ranks_per_channel * banks_per_rank`` banks + data bus."""
 
     __slots__ = ("timings", "org", "nbanks", "open_rows", "act_times",
-                 "ready_cas", "ready_pre", "ready_act", "banks",
+                 "ready_cas", "ready_pre", "ready_act",
                  "bus_free", "bus_dir", "stats",
                  "_last_read_end", "_last_write_end", "_last_rank", "_gen",
                  "_est_memo", "_est_gen", "_bpr",
@@ -87,18 +87,13 @@ class Channel:
         # Struct-of-arrays bank state: parallel int columns, one slot per
         # bank.  ``-1`` encodes "no open row" (real row ids are >= 0, so
         # the schedulers' ``access.row == open_rows[i]`` hit test needs no
-        # None check).  Mutated in place only — the BankView proxies and
-        # any outstanding references stay coherent.
+        # None check).  Mutated in place only, so outstanding references
+        # to a column stay coherent.
         self.open_rows: list[int] = [-1] * nbanks
         self.act_times: list[int] = [0] * nbanks
         self.ready_cas: list[int] = [0] * nbanks
         self.ready_pre: list[int] = [0] * nbanks
         self.ready_act: list[int] = [0] * nbanks
-        #: per-bank object views for reference paths and tests (the hot
-        #: paths index the columns directly and never touch these)
-        self.banks = [BankView(self.open_rows, self.act_times,
-                               self.ready_cas, self.ready_pre,
-                               self.ready_act, i) for i in range(nbanks)]
         self.bus_free: int = 0          # end of the last burst
         self.bus_dir: int = _DIR_NONE
         self._last_read_end: int = 0
@@ -117,9 +112,6 @@ class Channel:
         self.stats = stats if stats is not None else ChannelStats()
 
     # -- queries (no mutation) ------------------------------------------------
-
-    def bank_index(self, rank: int, bank: int) -> int:
-        return rank * self._bpr + bank
 
     def row_state(self, rank: int, bank: int, row: int) -> RowState:
         """Row-buffer state an access to (rank, bank, row) would see now."""
@@ -235,8 +227,7 @@ class Channel:
         (tRTP/tWR windows) lines up with the actual burst position on
         the bus.  Rank bookkeeping lives here — the only commit point —
         so the estimate paths stay pure.  ``state`` is the row state the
-        caller classified *before* planning (Bank.commit's internal
-        re-classification, inlined).
+        caller classified *before* planning.
         """
         start = self._bus_constrained_start(cas + self._tCAS, is_write, rank)
         end = start + self._tBURST
@@ -312,11 +303,9 @@ class Channel:
 
         Comparable across independent copies — two channels with equal
         captures will time every future access identically.  Subclasses
-        extend the dict with their own state under new keys.  Per-bank
-        entries keep the historical :class:`~repro.dram.bank.Bank` tuple
-        layout (``open_row`` as ``None`` when closed), so captures are
-        interchangeable between the SoA store and the object reference
-        model and pre-SoA snapshot files restore unchanged.
+        extend the dict with their own state under new keys.  Each bank
+        is one ``(open_row, act_time, ready_cas, ready_pre, ready_act)``
+        tuple, with ``open_row`` as ``None`` when closed.
         """
         orows = self.open_rows
         acts = self.act_times
@@ -337,8 +326,8 @@ class Channel:
 
         Atomic: validation happens before any mutation, so a rejected
         image leaves the channel exactly as it was.  The columns are
-        written element-wise in place, keeping every outstanding
-        BankView/column reference live.
+        written element-wise in place, keeping every outstanding column
+        reference live.
         """
         if len(state["banks"]) != self.nbanks:
             raise ValueError(

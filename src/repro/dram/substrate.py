@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Protocol, runtime_checkable
 
 from repro.config import DRAMOrganization, DRAMTimings, SubstrateConfig
-from repro.dram.bank import BankView, RowState
+from repro.dram.bank import RowState
 from repro.dram.channel import Channel
 from repro.dram.command import CommandChannel
 from repro.dram.stats import ChannelStats
@@ -47,19 +47,14 @@ class Substrate(Protocol):
 
     Structural: any object with these members is a substrate.  The two
     shipped models share :class:`~repro.dram.channel.Channel`'s bus core,
-    but a foreign implementation only needs this surface plus two bank
-    views of the same state: the ``open_rows`` struct-of-arrays column
-    (one ``int`` per bank, ``-1`` = closed) the scheduler fast paths
-    index directly, and the ``banks`` object list (``open_row`` /
-    ``row_state`` per bank) the naive reference selectors read.
+    but a foreign implementation only needs this surface plus the
+    ``open_rows`` struct-of-arrays column (one ``int`` per bank, ``-1`` =
+    closed) the schedulers index directly.
     """
 
     open_rows: list[int]
-    banks: list[BankView]
     bus_free: int
     stats: ChannelStats
-
-    def bank_index(self, rank: int, bank: int) -> int: ...
 
     def row_state(self, rank: int, bank: int, row: int) -> RowState: ...
 

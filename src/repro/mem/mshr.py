@@ -99,19 +99,6 @@ class MSHRFile:
         """Free demand slots — how many stalled cores a fill may wake."""
         return self.capacity - self._demand_used
 
-    # Back-compat counter views (tests, signatures).
-    @property
-    def allocations(self) -> int:
-        return self.stats.allocations
-
-    @property
-    def coalesced(self) -> int:
-        return self.stats.coalesced
-
-    @property
-    def full_stalls(self) -> int:
-        return self.stats.full_stalls
-
     def lookup(self, block_addr: int) -> Optional[MSHREntry]:
         return self._entries.get(block_addr)
 

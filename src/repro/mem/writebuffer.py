@@ -29,7 +29,7 @@ at the warm-up boundary like the controller queues' integrals.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.config import WriteBufferConfig
 from repro.metrics.registry import MetricGroup, derived
@@ -177,10 +177,3 @@ class L2WriteBuffer:
         self._last_t = state["last_t"]
         self._last_push = state["last_push"]
         self._idle_scheduled = state["idle_scheduled"]
-
-
-def make_write_buffer(sim: Simulator, cfg: WriteBufferConfig,
-                      submit: Callable[[int, int], None],
-                      ) -> Optional[L2WriteBuffer]:
-    """Build the configured buffer; always returns one (uniform wiring)."""
-    return L2WriteBuffer(sim, cfg, submit)

@@ -74,7 +74,10 @@ from typing import Any, Optional
 #: v6: the pickled ``SRAMCache`` (L2) holds ``{set: {tag: dirty}}`` dicts
 #: whose key order is the LRU order, with no clock; a v5 payload holds
 #: ``[tag, dirty, stamp]`` entries and a ``_clock`` the class no longer has.
-SNAPSHOT_SCHEMA_VERSION = 6
+#: v7: a pickled ``Channel`` holds no ``banks`` proxy list and an
+#: ``FRFCFSScheduler`` holds BLISS's state; a v6 payload holds
+#: per-bank proxy objects of a class that no longer exists.
+SNAPSHOT_SCHEMA_VERSION = 7
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
@@ -312,8 +315,7 @@ def state_signature(system) -> dict:
     sig["schedulers"] = [
         {slot: getattr(s, slot)
          for slot in ("blacklist", "_last_core", "_streak", "_last_clear",
-                      "served")
-         if hasattr(s, slot)}
+                      "served")}
         for s in ctl.sched
     ]
     if hasattr(ctl, "schedule_all"):            # DCA extras

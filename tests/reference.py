@@ -1,0 +1,160 @@
+"""Independent reference models for the lockstep tests.
+
+The simulator keeps one implementation per mechanism: struct-of-arrays
+bank columns in the channels, and one bucketed selection loop
+(``BLISSScheduler.pick_banked``, which FR-FCFS inherits).  The models
+here restate the same behaviour the plain way, so the tests can drive
+both side by side and fail on the first divergence:
+
+* :class:`Bank` — one DRAM bank as an object (open row + readiness
+  times), the state machine the channel's columns must match
+  (``test_channel.py``, ``test_bank.py``);
+* :func:`bliss_pick` — the scheduler's priority order evaluated per
+  candidate over a flat list (``test_fastpath.py``,
+  ``test_schedulers.py``);
+* :func:`ofs_naive_candidates` — DCA's OFS filter (paper §IV-C) as a
+  per-access scan (``test_fastpath.py``).
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from repro.config import DRAMTimings
+from repro.core.access import Access, Priority
+from repro.core.bliss import BLISSScheduler
+from repro.core.rrpc import RRPCTable
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
+from repro.dram.channel import Channel
+
+#: The complete value state of one bank, as captured/restored:
+#: (open_row, act_time, ready_cas, ready_pre, ready_act).
+BankState = tuple[int | None, int, int, int, int]
+
+
+class Bank:
+    """One DRAM bank: open row + command readiness times (picoseconds)."""
+
+    __slots__ = ("t", "open_row", "act_time", "ready_cas", "ready_pre",
+                 "ready_act")
+
+    def __init__(self, timings: DRAMTimings):
+        self.t = timings
+        self.open_row: int | None = None
+        self.act_time: int = 0
+        self.ready_cas: int = 0   # earliest CAS to the open row
+        self.ready_pre: int = 0   # earliest PRE
+        self.ready_act: int = 0   # earliest ACT (tRP after last PRE)
+
+    def row_state(self, row: int) -> int:
+        """Classify an access to ``row``: ROW_HIT / ROW_CLOSED / ROW_CONFLICT."""
+        if self.open_row is None:
+            return ROW_CLOSED
+        return ROW_HIT if self.open_row == row else ROW_CONFLICT
+
+    def earliest_cas(self, row: int, now: int) -> int:
+        """Earliest legal CAS time for ``row`` if committed at ``now``.
+
+        Pure query — does not mutate state.
+        """
+        state = self.row_state(row)
+        if state == ROW_HIT:
+            return max(now, self.ready_cas)
+        if state == ROW_CLOSED:
+            act = max(now, self.ready_act)
+            return act + self.t.tRCD
+        pre = max(now, self.ready_pre)
+        act = pre + self.t.tRP
+        return act + self.t.tRCD
+
+    def commit(self, row: int, cas_time: int, is_write: bool,
+               burst_end: int) -> None:
+        """Commit an access whose CAS lands at ``cas_time``.
+
+        The caller (channel) has already folded bus constraints into
+        ``cas_time``; this method updates row state and readiness times.
+        """
+        state = self.row_state(row)
+        if state != ROW_HIT:
+            # We activated (and possibly precharged). The ACT time is bound
+            # by cas_time - tRCD; reconstruct it for tRAS accounting.
+            act = cas_time - self.t.tRCD
+            self.act_time = act
+            self.open_row = row
+            self.ready_cas = act + self.t.tRCD
+        # CAS-to-CAS on the same row: back-to-back bursts are gated by the
+        # channel bus, not the bank, in this model.
+        if is_write:
+            pre_ok = max(self.act_time + self.t.tRAS, burst_end + self.t.tWR)
+        else:
+            pre_ok = max(self.act_time + self.t.tRAS, cas_time + self.t.tRTP)
+        if pre_ok > self.ready_pre:
+            self.ready_pre = pre_ok
+        # Next ACT can only follow the next PRE; maintained when PRE happens
+        # implicitly on a conflict. Approximate by deriving from ready_pre.
+        self.ready_act = self.ready_pre + self.t.tRP
+
+    def precharge(self, now: int) -> None:
+        """Explicit PRE."""
+        pre = max(now, self.ready_pre)
+        self.open_row = None
+        self.ready_act = pre + self.t.tRP
+
+    def reset(self) -> None:
+        """Return to the all-banks-closed power-up state at time 0."""
+        self.open_row = None
+        self.act_time = 0
+        self.ready_cas = 0
+        self.ready_pre = 0
+        self.ready_act = 0
+
+    def capture(self) -> BankState:
+        """Value tuple of the complete bank state, in the per-bank layout
+        of ``Channel.capture_state()["banks"]`` (timings excluded)."""
+        return (self.open_row, self.act_time, self.ready_cas,
+                self.ready_pre, self.ready_act)
+
+    def restore(self, state: BankState) -> None:
+        """Adopt a :meth:`capture` tuple."""
+        (self.open_row, self.act_time, self.ready_cas,
+         self.ready_pre, self.ready_act) = state
+
+
+def bliss_pick(sched: BLISSScheduler, candidates: Iterable[Access],
+               channel: Channel, now: int) -> Optional[Access]:
+    """The access ``sched`` should choose among ``candidates``.
+
+    Priority: non-blacklisted > row-hit > age (global ``seq``); None when
+    the candidate set is empty.  Classifies every candidate's row state
+    individually.  Applies the blacklist clearing first, as
+    ``pick_banked`` does, so both see the same blacklist.
+    """
+    sched.maybe_clear(now)
+    best: Optional[Access] = None
+    best_key: tuple[int, int, int] | None = None
+    bl = sched.blacklist
+    for a in candidates:
+        row_hit = channel.row_state(a.rank, a.bank, a.row) == ROW_HIT
+        key = (1 if bl[a.core_id] else 0, 0 if row_hit else 1, a.seq)
+        if best_key is None or key < best_key:
+            best, best_key = a, key
+    return best
+
+
+def ofs_naive_candidates(entries: Iterable[Access], channel: Channel,
+                         rrpc: RRPCTable,
+                         flushing_factor: int) -> list[Access]:
+    """LRs passing the OFS criteria (§IV-C), one access at a time.
+
+    A row hit or a closed row is safe; a conflicting LR passes only when
+    its bank's RRPC counter has decayed below the flushing factor.
+    """
+    out = []
+    for a in entries:
+        if a.priority != Priority.LR:
+            continue
+        if channel.row_state(a.rank, a.bank, a.row) != ROW_CONFLICT:
+            out.append(a)          # row hit or closed row: safe
+        elif rrpc.allows_flush(a.global_bank, flushing_factor):
+            out.append(a)          # conflicting, but the bank is cold
+    return out

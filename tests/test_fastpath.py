@@ -3,8 +3,9 @@ and DCA ScheduleAll hysteresis boundary pinning.
 
 The fast path (``AccessQueue`` bank buckets + ``pick_banked`` +
 ``DCAController._ofs_buckets``) must select exactly the access the naive
-reference selectors (``pick`` over flat candidate lists,
-``_ofs_candidates``) would.  ``Access.seq`` is globally unique and the
+reference selectors in ``reference.py`` (``bliss_pick`` over flat
+candidate lists, ``ofs_naive_candidates``) would.  ``Access.seq`` is
+globally unique and the
 final tiebreak of every policy, so the argmin is unique — these tests
 pin that equivalence over randomized queue states, bank states,
 blacklists and RRPC states.
@@ -20,12 +21,14 @@ from repro.config import BLISSConfig, DRAMOrganization, DRAMTimings
 from repro.core import make_controller
 from repro.core.access import Access, AccessRole, CacheRequest, Priority, RequestType
 from repro.core.bliss import BLISSScheduler
-from repro.core.dca import ofs_bucket_filter, ofs_naive_candidates
+from repro.core.dca import ofs_bucket_filter
 from repro.core.frfcfs import FRFCFSScheduler
 from repro.core.queues import AccessQueue
 from repro.core.rrpc import RRPCTable
 from repro.dram.channel import Channel
 from repro.sim.engine import Simulator
+
+from reference import bliss_pick, ofs_naive_candidates
 
 NUM_CORES = 8
 #: OFS flushing factor of the lockstep's OFS mode (the paper's FF-4)
@@ -59,7 +62,7 @@ def random_state(rng, n_accesses, read_fraction=0.6, writes=False):
 
 
 class TestPickEquivalence:
-    """pick_banked(buckets) is the access pick(flat list) returns."""
+    """pick_banked(buckets) is the access bliss_pick(flat list) returns."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bliss_full_queue(self, seed):
@@ -68,7 +71,7 @@ class TestPickEquivalence:
         s = BLISSScheduler(BLISSConfig(), NUM_CORES)
         for c in range(NUM_CORES):
             s.blacklist[c] = rng.random() < 0.3
-        assert (s.pick(list(q.entries), channel, 0)
+        assert (bliss_pick(s, list(q.entries), channel, 0)
                 is s.pick_banked(q.bank_buckets(), channel, 0))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -77,15 +80,15 @@ class TestPickEquivalence:
         q, channel = random_state(rng, rng.randrange(0, 65))
         s = BLISSScheduler(BLISSConfig(), NUM_CORES)
         naive = [a for a in q.entries if a.priority == Priority.PR]
-        assert (s.pick(naive, channel, 0)
+        assert (bliss_pick(s, naive, channel, 0)
                 is s.pick_banked(q.pr_bank_buckets(), channel, 0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frfcfs_full_queue(self, seed):
         rng = random.Random(200 + seed)
         q, channel = random_state(rng, rng.randrange(0, 65), writes=True)
-        s = FRFCFSScheduler()
-        assert (s.pick(list(q.entries), channel, 0)
+        s = FRFCFSScheduler(BLISSConfig(), NUM_CORES)
+        assert (bliss_pick(s, list(q.entries), channel, 0)
                 is s.pick_banked(q.bank_buckets(), channel, 0))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -99,7 +102,7 @@ class TestPickEquivalence:
         s.blacklist[2] = True
         order_naive, order_indexed = [], []
         while naive_pool:
-            a = s.pick(naive_pool, channel, 0)
+            a = bliss_pick(s, naive_pool, channel, 0)
             naive_pool.remove(a)
             order_naive.append(a)
         while q.entries:
@@ -120,7 +123,7 @@ class TestOFSEquivalence:
         rng = random.Random(seed)
         ctrl = self.build_dca(tiny_cfg)
         channel = ctrl.device.channels[0]
-        nbanks = len(channel.banks)
+        nbanks = len(channel.open_rows)
         t = 0
         for b in range(nbanks):
             if rng.random() < 0.5:
@@ -137,7 +140,8 @@ class TestOFSEquivalence:
             req = CacheRequest(rtype, 0, rng.randrange(4))
             rq.push(Access(AccessRole.TAG_READ, req, 0, rank, bank,
                            rng.randrange(8), 0, gb, 0))
-        naive = ctrl._ofs_candidates(0)
+        naive = ofs_naive_candidates(rq.entries, channel, ctrl.rrpc,
+                                     ctrl.cfg.dca.flushing_factor)
         buckets = ctrl._ofs_buckets(0)
         flat = [a for bucket in buckets.values() for a in bucket]
         assert set(flat) == set(naive)
@@ -146,7 +150,7 @@ class TestOFSEquivalence:
             assert all(a.global_bank == gb for a in bucket)
         # ... and the resulting pick is the same access.
         sched = ctrl.sched[0]
-        assert (sched.pick(naive, channel, 0)
+        assert (bliss_pick(sched, naive, channel, 0)
                 is sched.pick_banked(buckets, channel, 0))
 
 
@@ -176,10 +180,10 @@ class TestSteadyStateLockstep:
             read_fraction=0.10 if mode == "dca_ofs" else 0.60,
             writes=mode == "write_drain")
         pool = list(q.entries)
-        nbanks = len(channel.banks)
+        nbanks = len(channel.open_rows)
         banks_per_rank = DRAMOrganization().banks_per_rank
         if mode == "frfcfs_all":
-            sched = FRFCFSScheduler()
+            sched = FRFCFSScheduler(BLISSConfig(), NUM_CORES)
         else:
             sched = BLISSScheduler(BLISSConfig(), NUM_CORES)
             sched.blacklist[1] = sched.blacklist[5] = True
@@ -221,7 +225,7 @@ class TestSteadyStateLockstep:
         picked = 0
         for step in range(self.STEPS):
             repl = replacements()
-            a = sched.pick(naive_candidates(), channel, 0)
+            a = bliss_pick(sched, naive_candidates(), channel, 0)
             assert sched.pick_banked(indexed_buckets(), channel, 0) is a, (
                 f"{mode}: pick #{step} diverged")
             if a is None:

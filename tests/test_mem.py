@@ -615,7 +615,7 @@ class TestMSHR:
         e2, fresh2 = m.allocate(0x1000, 5)
         assert fresh1 and not fresh2
         assert e1 is e2
-        assert m.coalesced == 1
+        assert m.stats.coalesced == 1
 
     def test_write_coalesce_marks_dirty(self):
         m = MSHRFile(4)
@@ -629,7 +629,7 @@ class TestMSHR:
         m.allocate(0x40, 0)
         entry, fresh = m.allocate(0x80, 0)
         assert entry is None and not fresh
-        assert m.full_stalls == 1
+        assert m.stats.full_stalls == 1
 
     def test_complete_frees(self):
         m = MSHRFile(1)

@@ -51,24 +51,6 @@ class TestViews:
         a = mk(rtype=RequestType.REFILL)
         assert a.priority == Priority.LR
 
-    def test_filtered(self):
-        q = AccessQueue(8)
-        a = mk(role=AccessRole.TAG_READ)
-        b = mk(role=AccessRole.DATA_WRITE)
-        q.push(a)
-        q.push(b)
-        assert q.filtered(lambda x: x.is_write) == [b]
-
-    def test_oldest(self):
-        q = AccessQueue(8)
-        a, b = mk(), mk()
-        q.push(b)
-        q.push(a)
-        assert q.oldest() is (a if a.seq < b.seq else b)
-
-    def test_oldest_empty(self):
-        assert AccessQueue(4).oldest() is None
-
     def test_iteration(self):
         q = AccessQueue(4)
         items = [mk(), mk()]

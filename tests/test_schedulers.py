@@ -6,8 +6,11 @@ from repro.config import BLISSConfig, DRAMOrganization, DRAMTimings
 from repro.core.access import Access, AccessRole, CacheRequest, RequestType
 from repro.core.bliss import BLISSScheduler
 from repro.core.frfcfs import FRFCFSScheduler
+from repro.core.queues import AccessQueue
 from repro.core.rrpc import RRPCTable
 from repro.dram.channel import Channel
+
+from reference import bliss_pick
 
 
 def mk_access(core=0, bank=0, row=0, role=AccessRole.TAG_READ,
@@ -15,6 +18,17 @@ def mk_access(core=0, bank=0, row=0, role=AccessRole.TAG_READ,
     req = CacheRequest(rtype, 0, core)
     return Access(role, req, channel=0, rank=0, bank=bank, row=row, col=0,
                   global_bank=bank, arrival=0)
+
+
+def pick(sched, candidates, channel, now):
+    """``sched``'s choice among ``candidates`` through the bucketed
+    selection loop, checked against the per-candidate reference."""
+    q = AccessQueue(max(len(candidates), 1))
+    for a in candidates:
+        q.push(a)
+    got = sched.pick_banked(q.bank_buckets(), channel, now)
+    assert got is bliss_pick(sched, candidates, channel, now)
+    return got
 
 
 @pytest.fixture
@@ -25,19 +39,19 @@ def channel():
 class TestBLISS:
     def test_empty_candidates(self, channel):
         s = BLISSScheduler(BLISSConfig(), 4)
-        assert s.pick([], channel, 0) is None
+        assert pick(s, [], channel, 0) is None
 
     def test_oldest_first_when_equal(self, channel):
         s = BLISSScheduler(BLISSConfig(), 4)
         a, b = mk_access(core=0), mk_access(core=1)
-        assert s.pick([b, a], channel, 0) is a if a.seq < b.seq else b
+        assert pick(s, [b, a], channel, 0) is a if a.seq < b.seq else b
 
     def test_row_hit_first(self, channel):
         s = BLISSScheduler(BLISSConfig(), 4)
         channel.issue(0, 2, 9, False, 0)  # open row 9 in bank 2
         older_miss = mk_access(bank=3, row=1)
         newer_hit = mk_access(bank=2, row=9)
-        assert s.pick([older_miss, newer_hit], channel, 0) is newer_hit
+        assert pick(s, [older_miss, newer_hit], channel, 0) is newer_hit
 
     def test_blacklist_after_streak(self, channel):
         s = BLISSScheduler(BLISSConfig(blacklist_threshold=4), 4)
@@ -61,7 +75,7 @@ class TestBLISS:
             s.on_served(0)
         bl_access = mk_access(core=0)     # older but blacklisted
         ok_access = mk_access(core=1)
-        assert s.pick([bl_access, ok_access], channel, 0) is ok_access
+        assert pick(s, [bl_access, ok_access], channel, 0) is ok_access
 
     def test_clearing_interval(self, channel):
         cfg = BLISSConfig(clearing_interval_ps=1000)
@@ -80,29 +94,43 @@ class TestBLISS:
         channel.issue(0, 2, 9, False, 0)
         bl_hit = mk_access(core=0, bank=2, row=9)
         ok_miss = mk_access(core=1, bank=3, row=1)
-        assert s.pick([bl_hit, ok_miss], channel, 0) is ok_miss
+        assert pick(s, [bl_hit, ok_miss], channel, 0) is ok_miss
 
 
 class TestFRFCFS:
     def test_row_hit_first(self, channel):
-        s = FRFCFSScheduler()
+        s = FRFCFSScheduler(BLISSConfig(), 4)
         channel.issue(0, 2, 9, False, 0)
         older_miss = mk_access(bank=3, row=1)
         newer_hit = mk_access(bank=2, row=9)
-        assert s.pick([older_miss, newer_hit], channel, 0) is newer_hit
+        assert pick(s, [older_miss, newer_hit], channel, 0) is newer_hit
 
     def test_oldest_otherwise(self, channel):
-        s = FRFCFSScheduler()
+        s = FRFCFSScheduler(BLISSConfig(), 4)
         a = mk_access(bank=3, row=1)
         b = mk_access(bank=4, row=1)
-        assert s.pick([b, a], channel, 0) in (a, b)
-        assert s.pick([b, a], channel, 0).seq == min(a.seq, b.seq)
+        assert pick(s, [b, a], channel, 0) in (a, b)
+        assert pick(s, [b, a], channel, 0).seq == min(a.seq, b.seq)
 
     def test_interface_parity(self, channel):
-        s = FRFCFSScheduler()
+        s = FRFCFSScheduler(BLISSConfig(), 4)
         s.maybe_clear(0)
         s.on_served(1)
         assert s.served == 1
+
+    def test_never_blacklists(self, channel):
+        """FR-FCFS is BLISS with an empty blacklist: a streak far past
+        BLISS's threshold is only counted."""
+        s = FRFCFSScheduler(BLISSConfig(blacklist_threshold=4), 4)
+        for _ in range(100):
+            s.on_served(2)
+        assert s.served == 100
+        assert s.blacklist == [False] * 4
+        assert s.blacklist_events == 0
+        channel.issue(0, 2, 9, False, 0)
+        streak_hit = mk_access(core=2, bank=2, row=9)
+        other_miss = mk_access(core=1, bank=3, row=1)
+        assert pick(s, [streak_hit, other_miss], channel, 0) is streak_hit
 
 
 class TestRRPC:

@@ -219,7 +219,7 @@ class TestRankConstraints:
         acts: dict[int, list[int]] = {r: [] for r in
                                       range(ORG.ranks_per_channel)}
         for rank, bank, row, is_write, now in random_stream(rng, stream_len):
-            pre_state = ch.banks[ch.bank_index(rank, bank)].row_state(row)
+            pre_state = ch.row_state(rank, bank, row)
             start, _ = ch.issue(rank, bank, row, is_write, now)
             if pre_state != ROW_HIT:
                 acts[rank].append(start - T.tCAS - T.tRCD)
@@ -279,9 +279,9 @@ class TestRefresh:
     def test_refresh_closes_rows(self):
         ch = self.make()
         ch.issue(0, 0, 7, False, 0)
-        assert ch.banks[0].open_row == 7
+        assert ch.open_rows[0] == 7
         ch.issue(0, 1, 3, False, 2 * T.tREFI)   # sync via a sibling bank
-        assert ch.banks[0].open_row is None, "refresh must precharge"
+        assert ch.open_rows[0] == -1, "refresh must precharge"
 
     def test_act_after_refresh_waits_for_blackout(self):
         ch = self.make()
@@ -319,7 +319,7 @@ class TestPagePolicies:
         ch = make_channel(T, ORG, SubstrateConfig(
             fidelity="command", page_policy="closed"))
         ch.issue(0, 0, 5, False, 0)
-        assert ch.banks[0].open_row is None
+        assert ch.open_rows[0] == -1
         ch.issue(0, 0, 5, False, 10**6)
         assert ch.stats.policy_closes == 2
         assert ch.stats.read_row_hits == 0
@@ -337,7 +337,7 @@ class TestPagePolicies:
         start, _ = ch.issue(0, 0, 5, False, end + ns(500))
         assert ch.stats.policy_closes == 1
         assert ch.stats.read_row_closed == 2   # cold open + re-open
-        assert ch.banks[0].open_row == 5
+        assert ch.open_rows[0] == 5
 
     def test_open_policy_never_closes(self):
         ch = make_channel(T, ORG, SubstrateConfig(fidelity="command",
