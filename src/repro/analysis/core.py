@@ -346,14 +346,6 @@ def base_names(cls: ast.ClassDef) -> set[str]:
     return names
 
 
-def walk_functions(
-    tree: ast.Module,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def self_attr_target(node: ast.expr) -> str | None:
     """``self.x`` attribute expressions -> ``"x"``, else None."""
     if (isinstance(node, ast.Attribute)

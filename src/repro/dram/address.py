@@ -191,11 +191,6 @@ class AddressMapper:
         """Fast row extraction without building a tuple."""
         return addr >> self._row_shift
 
-    @property
-    def row_bits_start(self) -> int:
-        """LSB position of the row field (for workload generators)."""
-        return self._row_shift
-
 
 # The two name surfaces must agree: config validates spellings, this
 # module implements them.  Checked at import so they cannot drift.

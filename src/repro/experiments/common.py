@@ -39,7 +39,7 @@ from repro.sim.system import (
     System,
     SystemResult,
 )
-from repro.snapshot import WARM_STATE_VERSION, WarmCache
+from repro.snapshot import WARM_STATE_VERSION, WarmCache, warm_identity
 from repro.workloads.profiles import PROFILES, profile
 from repro.workloads.scenarios import workload_profiles
 from repro.workloads.table1 import mix_profiles
@@ -189,32 +189,25 @@ def build_system(spec: RunSpec, params: SimParams) -> System:
 def warm_group_key(spec: RunSpec, params: SimParams) -> str:
     """Warm-state cache key: the run prefix that shapes the warm-up.
 
-    Hashes exactly the inputs the functional warm-up depends on — the
-    workload (mix/scenario/alone target + trace-file content token), the
-    resolved trace seed, the footprint scaling, the replay budget, the
-    cache organization/lee mode and the DRAM-cache + L2 geometries —
-    while **masking every controller-relevant field** (design, scheduler,
-    MAP-I, XOR remap, queue/timing/main-memory configuration): specs that
-    differ only in those share one warm state, which is what lets a
-    multi-design sweep warm up once per (mix, substrate) group.
-
-    KEEP IN SYNC: this input list mirrors the identity fields of
-    :class:`repro.snapshot.WarmState` (captured by
-    ``System.capture_warm_state``, compared by ``restore_warm_state``).
-    A warm-relevant input added to one and not the others silently
-    breaks the bit-identity guarantee — the CI ``snapshot-smoke`` job's
-    warm-vs-cold comparison is the backstop.
+    Hashes :func:`repro.snapshot.warm_identity` of the spec's system (the
+    fields a captured :class:`~repro.snapshot.WarmState` records and a
+    restore checks) plus what names the workload beyond its benchmark
+    names (mix/scenario/alone target and the trace-file content token)
+    and the replay budget, while **masking every controller-relevant
+    field** (design, scheduler, MAP-I, XOR remap, queue/timing/main-memory
+    configuration): specs that differ only in those share one warm state,
+    which is what lets a multi-design sweep warm up once per (mix,
+    substrate) group.
     """
-    cfg = resolved_config(spec, params)
+    identity = warm_identity(
+        resolved_config(spec, params), spec.organization, default_seed(spec),
+        [b.name for b in spec.benchmarks()], params.footprint_scale,
+        bool(spec.lee_writeback))
     payload = json.dumps(
-        [WARM_STATE_VERSION,
-         spec.organization, bool(spec.lee_writeback),
+        [WARM_STATE_VERSION, identity,
          spec.mix_id, spec.workload, spec.alone_benchmark,
          _workload_content_token(spec.workload),
-         default_seed(spec),
-         params.footprint_scale, params.replay_accesses,
-         dataclasses.asdict(cfg.dram_cache), dataclasses.asdict(cfg.l2),
-         cfg.org.replacement],
+         params.replay_accesses],
         sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -447,28 +440,12 @@ class GridExecutionError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-#: Process-wide default for ``run_grid(warm_cache=None)``; the CLIs set
-#: it from ``--warm-cache`` so the figure modules (which call ``run_grid``
-#: themselves) pick the flag up without 14 signature changes.
-_default_warm_cache = False
-
-
-def set_default_warm_cache(enabled: bool) -> bool:
-    """Set the process-wide default for warm-state reuse in grids.
-
-    Returns the previous default, so a caller can restore it.
-    """
-    global _default_warm_cache
-    previous, _default_warm_cache = _default_warm_cache, bool(enabled)
-    return previous
-
-
 def run_grid(specs: Sequence[RunSpec], params: SimParams,
              jobs: int = 0, use_cache: bool = True,
              progress: bool = False,
              cache_dir: Optional[Path] = None,
              store: Optional[ResultStore] = None,
-             warm_cache: Optional[bool] = None) -> dict[RunSpec, SystemResult]:
+             warm_cache: bool = False) -> dict[RunSpec, SystemResult]:
     """Run many simulation points, with caching and multiprocessing.
 
     Results come back keyed in **input-spec order** whatever order the
@@ -476,8 +453,7 @@ def run_grid(specs: Sequence[RunSpec], params: SimParams,
     other point still runs (and is stored), then a
     :class:`GridExecutionError` carrying all failures is raised.
 
-    With ``warm_cache`` (default: the process-wide flag set by
-    ``--warm-cache``), points sharing a warm-up prefix — same workload,
+    With ``warm_cache``, points sharing a warm-up prefix — same workload,
     seed and substrate, any controller design — are grouped under
     :func:`warm_group_key` and executed in one worker each: the first
     point captures the functional warm state, the rest fork from it.
@@ -490,8 +466,6 @@ def run_grid(specs: Sequence[RunSpec], params: SimParams,
     spanning several mixes keep both).  ``jobs=1`` keeps per-point
     streaming.
     """
-    if warm_cache is None:
-        warm_cache = _default_warm_cache
     if store is None:
         store = ResultStore(cache_dir, enabled=use_cache)
     done: dict[RunSpec, SystemResult] = {}

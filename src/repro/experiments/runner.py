@@ -58,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measured instructions per core")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the results cache")
-    p.add_argument("--warm-cache", action="store_true",
-                   help="share functional warm-up state across controller "
-                        "designs of the same (mix, substrate) group "
-                        "(bit-identical results; parallelism then spans "
-                        "groups, not points)")
     p.add_argument("--out", default="results",
                    help="output directory (default ./results)")
     p.add_argument("--profile", metavar="OUT.prof", default=None,
@@ -142,19 +137,11 @@ def main(argv: list[str] | None = None) -> int:
             ok_all = ok_all and ok
         return ok_all
 
-    # The figure modules call run_grid themselves; the process-wide
-    # default is how the flag reaches them (see common.run_grid).  It is
-    # restored afterwards so a programmatic caller invoking main() does
-    # not silently change later run_grid calls in the same process.
-    previous_warm = common.set_default_warm_cache(args.warm_cache)
-    try:
-        if args.profile:
-            all_ok = common.write_profiled(run_all, Path(args.profile))
-            print(f"profile written to {args.profile}")
-        else:
-            all_ok = run_all()
-    finally:
-        common.set_default_warm_cache(previous_warm)
+    if args.profile:
+        all_ok = common.write_profiled(run_all, Path(args.profile))
+        print(f"profile written to {args.profile}")
+    else:
+        all_ok = run_all()
     return 0 if all_ok else 1
 
 

@@ -136,7 +136,7 @@ def run_sweep(sweep: SweepSpec, params: SimParams,
               out_dir: Path = Path("results/sweeps"),
               cache_dir: Optional[Path] = None, use_cache: bool = True,
               progress: bool = False,
-              warm_cache: Optional[bool] = None) -> SweepOutcome:
+              warm_cache: bool = False) -> SweepOutcome:
     """Execute (or resume) one shard of a sweep; returns the outcome.
 
     Interruptions are safe at point granularity: each completed point is

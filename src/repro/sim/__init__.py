@@ -5,10 +5,9 @@ controller package, which imports the memory package, which imports the
 engine — loading it eagerly here would close an import cycle.
 """
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 __all__ = [
-    "Event",
     "Simulator",
     "Core",
     "System",

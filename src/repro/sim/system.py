@@ -39,7 +39,8 @@ from repro.mem.sram import SRAMCache, interleave
 from repro.mem.writebuffer import L2WriteBuffer
 from repro.sim.cpu import Core, L2_HIT, MISS, MSHR_FULL
 from repro.sim.engine import Simulator
-from repro.snapshot import WARM_STATE_VERSION, WarmState, WarmStateError
+from repro.snapshot import (
+    WARM_STATE_VERSION, WarmState, WarmStateError, warm_identity)
 from repro.workloads.cursor import TraceCursor
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -159,7 +160,7 @@ class System:
                  organization: str = "sa", xor_remap: bool = False,
                  use_mapi: bool = True, scheduler: str = "bliss",
                  lee_writeback: bool = False, seed: int = 0,
-                 footprint_scale: float = 1.0, model_l1: bool = False):
+                 footprint_scale: float = 1.0):
         if not benchmarks:
             raise ValueError("need at least one benchmark")
         cfg = replace(cfg, num_cores=len(benchmarks))
@@ -206,8 +207,6 @@ class System:
         # sink is a bound method (snapshot-safe, see L2WriteBuffer).
         self.writebuf = L2WriteBuffer(self.sim, cfg.writebuf,
                                       self._submit_writeback)
-        self.l1s = ([SRAMCache(cfg.l1) for _ in benchmarks]
-                    if model_l1 else None)
 
         self._l2_stall_ps = round(cfg.l2.latency_cycles * cfg.cpu.cycle_ps
                                   * cfg.cpu.l2_hit_stall_fraction)
@@ -273,21 +272,6 @@ class System:
         the prefetcher is not re-trained on the repeated access.
         """
         addr &= self._block_mask
-        if self.l1s is not None:
-            l1 = self.l1s[core.core_id]
-            hit, victim = l1.access(addr, is_write)
-            if victim is not None:
-                # L1 dirty victim: write-through into the L2 functionally
-                # (an L2 miss on this path allocates directly — the victim
-                # travels with its data, no fetch needed).
-                if not self.l2.touch(victim, True):
-                    wb_victim = self.l2.fill(victim, dirty=True)
-                    if wb_victim is not None:
-                        self._emit_writebacks(wb_victim, core.core_id)
-            if hit:
-                return L2_HIT, 0
-            is_write = False  # L1 write-allocate turns the L2 access into a fetch
-
         if self.l2.touch(addr, is_write):
             if self.prefetcher is not None:
                 if addr in self._prefetched:
@@ -470,6 +454,12 @@ class System:
 
     # ------------------------------------------------------------- warm state
 
+    def _warm_identity(self) -> dict[str, Any]:
+        return warm_identity(
+            self.cfg, self.organization, self._seed,
+            [b.name for b in self.benchmarks], self._footprint_scale,
+            self.lee is not None)
+
     def capture_warm_state(self) -> WarmState:
         """Freeze the design-independent warm-up products of this system.
 
@@ -487,14 +477,7 @@ class System:
                 f"(events_run={self.sim.events_run}, now={self.sim.now})")
         return WarmState(
             schema_version=WARM_STATE_VERSION,
-            organization=self.organization,
-            seed=self._seed,
-            benchmarks=[b.name for b in self.benchmarks],
-            footprint_scale=self._footprint_scale,
-            lee_writeback=self.lee is not None,
-            dram_cache_geometry=dataclasses.asdict(self.cfg.dram_cache),
-            l2_geometry=dataclasses.asdict(self.cfg.l2),
-            array_replacement=self.cfg.org.replacement,
+            **self._warm_identity(),
             trace_counts=[c.trace.count for c in self.cores],
             array_state=self.controller.array.capture_state(),
             l2_state=self.l2.capture_state(),
@@ -515,14 +498,7 @@ class System:
             raise WarmStateError(
                 f"warm state schema {warm.schema_version} != current "
                 f"{WARM_STATE_VERSION}")
-        mine = dict(
-            organization=self.organization, seed=self._seed,
-            benchmarks=[b.name for b in self.benchmarks],
-            footprint_scale=self._footprint_scale,
-            lee_writeback=self.lee is not None,
-            dram_cache_geometry=dataclasses.asdict(self.cfg.dram_cache),
-            l2_geometry=dataclasses.asdict(self.cfg.l2),
-            array_replacement=self.cfg.org.replacement)
+        mine = self._warm_identity()
         theirs = {k: getattr(warm, k) for k in mine}
         if mine != theirs:
             diffs = {k: (theirs[k], mine[k])
@@ -589,13 +565,10 @@ class System:
         running slices *afterwards* executes trailing post-retirement
         events (cores generate work indefinitely) and ``finish`` then
         reports that later state — don't slice past the stop if the
-        result must match a straight-through run.  The drain predicate
-        is only the safety net for a stop consumed by an earlier manual
-        ``sim.run`` slice.
+        result must match a straight-through run.
         """
         if self._finished < len(self.cores):
-            self.sim.drain(lambda: self._finished >= len(self.cores),
-                           check_every=1024)
+            self.sim.drain()
         return self._result()
 
     def run(self, warmup_insts: int = 20_000,

@@ -54,9 +54,12 @@ from __future__ import annotations
 import copy
 import io
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.config import SystemConfig
 
 #: Version of the full-snapshot payload.  Bump whenever the simulator's
 #: state shape changes in a way that would make an old payload lie.
@@ -77,7 +80,10 @@ from typing import Any, Optional
 #: v7: a pickled ``Channel`` holds no ``banks`` proxy list and an
 #: ``FRFCFSScheduler`` holds BLISS's state; a v6 payload holds
 #: per-bank proxy objects of a class that no longer exists.
-SNAPSHOT_SCHEMA_VERSION = 7
+#: v8: the pickled ``Simulator`` heap holds ``(time, seq, fn, arg)``
+#: tuples and no cancellation counters; a v7 payload holds ``Event``
+#: objects of a class that no longer exists.
+SNAPSHOT_SCHEMA_VERSION = 8
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
@@ -109,13 +115,8 @@ class WarmState:
     functional warm-up; consumed by ``System.restore_warm_state`` on a
     *fresh* system built over the same prefix.  The identifying fields
     double as a safety net: restore refuses a mismatched system instead
-    of silently diverging from the cold-run result.
-
-    KEEP IN SYNC: the identity fields here, the comparison in
-    ``System.restore_warm_state`` and the hash inputs of
-    ``repro.experiments.common.warm_group_key`` must cover the same
-    warm-relevant inputs (the replay budget is carried by
-    ``trace_counts`` and re-asserted by ``System.begin``).
+    of silently diverging from the cold-run result; they are exactly the
+    keys of :func:`warm_identity`.
     """
 
     schema_version: int
@@ -139,6 +140,27 @@ class WarmState:
     #: ``SRAMCache.capture_state()`` payload
     l2_state: dict
     meta: dict = field(default_factory=dict)
+
+
+def warm_identity(cfg: SystemConfig, organization: str, seed: int,
+                  benchmarks: Sequence[str], footprint_scale: float,
+                  lee_writeback: bool) -> dict[str, Any]:
+    """The identity fields of a :class:`WarmState` built from these inputs.
+
+    ``System.capture_warm_state`` stores them, ``restore_warm_state``
+    refuses a state whose fields differ from its own, and
+    ``repro.experiments.common.warm_group_key`` hashes them, so all three
+    cover the same warm-relevant inputs by construction.  ``cfg`` is the
+    resolved config and ``benchmarks`` the per-core workload names.  The
+    replay budget is not here: ``trace_counts`` carries it
+    and ``System.begin`` re-asserts it.
+    """
+    return dict(
+        organization=organization, seed=seed, benchmarks=list(benchmarks),
+        footprint_scale=footprint_scale, lee_writeback=lee_writeback,
+        dram_cache_geometry=asdict(cfg.dram_cache),
+        l2_geometry=asdict(cfg.l2),
+        array_replacement=cfg.org.replacement)
 
 
 @dataclass

@@ -13,12 +13,15 @@ both side by side and fail on the first divergence:
   candidate over a flat list (``test_fastpath.py``,
   ``test_schedulers.py``);
 * :func:`ofs_naive_candidates` — DCA's OFS filter (paper §IV-C) as a
-  per-access scan (``test_fastpath.py``).
+  per-access scan (``test_fastpath.py``);
+* :class:`NaiveSimulator` — the event engine's contract as an unordered
+  list scanned for the least ``(time, seq)`` on every pop
+  (``test_engine.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.config import DRAMTimings
 from repro.core.access import Access, Priority
@@ -158,3 +161,77 @@ def ofs_naive_candidates(entries: Iterable[Access], channel: Channel,
         elif rrpc.allows_flush(a.global_bank, flushing_factor):
             out.append(a)          # conflicting, but the bank is cold
     return out
+
+
+class NaiveSimulator:
+    """``repro.sim.engine.Simulator``'s contract without a heap.
+
+    Pending events sit in an unordered list; each dispatch removes the
+    one with the least ``(time, seq)``.  ``run(until=, max_events=)``,
+    ``drain()`` and ``stop()`` follow the engine's documented semantics,
+    including the pinned quirk that an exhausted budget still advances
+    the clock to ``until``.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.events_run = 0
+        self._events: list[tuple[int, int, Callable[[Any], Any], Any]] = []
+        self._seq = 0
+        self._stop_requested = False
+
+    def stop(self) -> None:
+        self._stop_requested = True
+
+    def at(self, time: int, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        self._events.append((time, self._seq, fn, arg))
+        self._seq += 1
+
+    def after(self, delay: int, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        self.at(self.now + delay, fn, arg)
+
+    def pending(self) -> int:
+        return len(self._events)
+
+    def _next(self) -> int:
+        """Index of the pending event with the least (time, seq)."""
+        return min(range(len(self._events)),
+                   key=lambda i: self._events[i][:2])
+
+    def _dispatch(self) -> bool:
+        """Run the next event; True if it requested a stop."""
+        time, _, fn, arg = self._events.pop(self._next())
+        self.now = time
+        self.events_run += 1
+        fn(arg)
+        if self._stop_requested:
+            self._stop_requested = False
+            return True
+        return False
+
+    def run(self, until: Optional[int] = None,
+            max_events: Optional[int] = None) -> int:
+        dispatched = 0
+        while self._events and (max_events is None or dispatched < max_events):
+            if until is not None and self._events[self._next()][0] > until:
+                self.now = until
+                return self.now
+            dispatched += 1
+            if self._dispatch():
+                return self.now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+    def drain(self) -> int:
+        if self._stop_requested:
+            self._stop_requested = False
+            return self.now
+        while self._events:
+            if self._dispatch():
+                break
+        return self.now

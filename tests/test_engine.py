@@ -1,4 +1,4 @@
-"""Discrete-event engine: ordering, cancellation, determinism, boundaries.
+"""Discrete-event engine: ordering, determinism, boundaries, lockstep.
 
 ``TestRunStopBoundaries`` pins the exact ``run(until=...)`` /
 ``max_events`` / ``stop()`` interaction semantics (including the
@@ -7,13 +7,17 @@ historical quirk where an exhausted budget still advances the clock to
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
+
+from reference import NaiveSimulator
 
 
 @pytest.fixture(params=["heap"])
 def make_sim():
-    """Factory for the binary-heap engine (the test id names the queue)."""
+    """Factory for the engine.  The ``heap`` id names its queue; it is kept
+    so the tests' ids stay stable."""
     return Simulator
 
 
@@ -71,104 +75,6 @@ class TestScheduling:
         sim.at(200, log.append, "late")
         sim.run()
         assert log == ["a", "b", "c", "d", "late"]
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self, make_sim):
-        sim = make_sim()
-        log = []
-        ev = sim.at(100, log.append, "dead")
-        sim.at(200, log.append, "alive")
-        ev.cancel()
-        sim.run()
-        assert log == ["alive"]
-
-    def test_pending_counts_live_only(self, make_sim):
-        sim = make_sim()
-        ev = sim.at(100, lambda _: None)
-        sim.at(200, lambda _: None)
-        ev.cancel()
-        assert sim.pending() == 1
-
-    def test_double_cancel_counts_once(self, make_sim):
-        sim = make_sim()
-        ev = sim.at(100, lambda _: None)
-        sim.at(200, lambda _: None)
-        ev.cancel()
-        ev.cancel()
-        assert sim.pending() == 1
-
-    def test_cancel_after_run_is_a_noop(self, make_sim):
-        sim = make_sim()
-        ev = sim.at(100, lambda _: None)
-        sim.run()
-        ev.cancel()                     # event already executed
-        assert sim.pending() == 0       # counters unharmed
-        assert sim._cancelled == 0
-        sim.at(200, lambda _: None)
-        assert sim.pending() == 1
-
-    def test_cancel_mid_batch(self, make_sim):
-        """Cancelling a later same-timestamp event from an earlier one
-        must suppress it."""
-        sim = make_sim()
-        log = []
-        victims = []
-        sim.at(100, lambda _: victims[0].cancel())
-        victims.append(sim.at(100, log.append, "dead"))
-        sim.at(100, log.append, "alive")
-        sim.run()
-        assert log == ["alive"]
-        assert sim.pending() == 0
-
-    def test_pending_is_a_counter_not_a_scan(self, make_sim):
-        sim = make_sim()
-        events = [sim.at(t, lambda _: None) for t in range(1, 50)]
-        events[0].cancel()
-        assert sim.pending() == 48
-        assert sim._live == 48
-
-    def test_compacts_when_mostly_cancelled(self, make_sim):
-        sim = make_sim()
-        events = [sim.at(t, lambda _: None) for t in range(1, 201)]
-        for ev in events[:150]:
-            ev.cancel()
-        # Compaction bounds the dead fraction: once cancelled events
-        # exceed half the queue they are dropped, so the engine never
-        # holds more than ~2x the live events.
-        assert len(sim._heap) <= 2 * sim.pending()
-        assert sim.pending() == 50
-
-    def test_compaction_preserves_order_and_results(self, make_sim):
-        sim = make_sim()
-        log = []
-        events = [sim.at(t, log.append, t) for t in range(1, 201)]
-        for ev in events[::2]:   # cancel every even-index event
-            ev.cancel()
-        for ev in events[1::4]:  # and some more, crossing the 50% line
-            ev.cancel()
-        sim.run()
-        survivors = [t for t in range(1, 201)
-                     if (t - 1) % 2 and (t - 2) % 4]
-        assert log == survivors
-
-    def test_cancel_during_run_is_safe(self, make_sim):
-        """A callback cancelling enough events to trigger compaction must
-        not desynchronise the loop's view of the queue."""
-        sim = make_sim()
-        log = []
-        later = [sim.at(1000 + t, log.append, t) for t in range(100)]
-
-        def axe(_):
-            for ev in later[:80]:
-                ev.cancel()
-
-        sim.at(1, axe)
-        sim.at(2, log.append, "early")
-        sim.run()
-        assert log == ["early"] + list(range(80, 100))
-        assert sim.pending() == 0
-        assert len(sim._heap) == 0
 
 
 class TestRunControl:
@@ -231,17 +137,21 @@ class TestRunControl:
         assert sim.events_run == 3
 
     def test_drain_stop_condition(self, make_sim):
+        """drain() runs until a callback calls stop(), at that event."""
         sim = make_sim()
         count = [0]
 
         def tick(_):
             count[0] += 1
+            if count[0] == 5:
+                sim.stop()
             if count[0] < 100:
                 sim.after(10, tick)
 
         sim.at(0, tick)
-        sim.drain(lambda: count[0] >= 5, check_every=1)
+        assert sim.drain() == 40
         assert count[0] == 5
+        assert sim.pending() == 1
 
 
 class TestRunStopBoundaries:
@@ -271,34 +181,6 @@ class TestRunStopBoundaries:
         sim.run(until=500)
         assert log == ["a", "b", "c"]
         assert sim.now == 500
-
-    def test_until_between_cancelled_events(self, make_sim):
-        """Cancelled corpses on either side of ``until`` never run; the
-        clock still lands exactly on ``until``."""
-        sim = make_sim()
-        log = []
-        before = sim.at(100, log.append, "cancelled-before")
-        sim.at(200, log.append, "live-before")
-        after = sim.at(900, log.append, "cancelled-after")
-        sim.at(950, log.append, "live-after")
-        before.cancel()
-        after.cancel()
-        sim.run(until=500)
-        assert log == ["live-before"]
-        assert sim.now == 500
-        assert sim.pending() == 1
-        sim.run()
-        assert log == ["live-before", "live-after"]
-
-    def test_until_with_only_cancelled_events(self, make_sim):
-        sim = make_sim()
-        evs = [sim.at(t, lambda _: None) for t in (100, 200, 300)]
-        for ev in evs:
-            ev.cancel()
-        sim.run(until=250)
-        assert sim.now == 250
-        assert sim.pending() == 0
-        assert sim.events_run == 0
 
     def test_max_events_hits_mid_batch(self, make_sim):
         """A budget expiring between same-timestamp events splits the
@@ -384,10 +266,10 @@ class TestRunStopBoundaries:
         log = []
         sim.at(100, log.append, "x")
         sim.stop()
-        sim.drain(lambda: False, check_every=1)
+        sim.drain()
         assert log == []
         assert sim.pending() == 1
-        sim.drain(lambda: True, check_every=1)   # predicate True after 1 event
+        sim.drain()                      # the request was consumed
         assert log == ["x"]
 
     def test_stop_requested_before_run_is_consumed_after_one_event(self, make_sim):
@@ -440,3 +322,80 @@ class TestDeterminism:
             return log
 
         assert run_once() == run_once()
+
+
+# --- lockstep against the naive engine -------------------------------------
+
+#: event kinds of a generated program; kind k spawns only kinds > k, so
+#: every program's event tree is finite and drain() always terminates
+N_KINDS = 6
+
+
+@st.composite
+def behaviours(draw):
+    """Per kind: the (delay, kind) children its callback schedules and
+    whether it calls stop().  Delay 0 schedules into the running batch."""
+    table = []
+    for kind in range(N_KINDS):
+        later = list(range(kind + 1, N_KINDS))
+        children = draw(st.lists(
+            st.tuples(st.sampled_from((0, 0, 1, 7)), st.sampled_from(later)),
+            max_size=2)) if later else []
+        table.append((children, draw(st.sampled_from((False, False, True)))))
+    return table
+
+
+ACTIONS = st.one_of(
+    st.tuples(st.just("at"), st.integers(0, 60), st.integers(0, N_KINDS - 1)),
+    st.tuples(st.just("after"), st.integers(0, 30),
+              st.integers(0, N_KINDS - 1)),
+    st.tuples(st.just("stop")),
+    st.tuples(st.just("run"), st.none() | st.integers(0, 80),
+              st.none() | st.integers(0, 5)),
+    st.tuples(st.just("drain")),
+)
+
+
+def execute(sim, table, program) -> list:
+    """Drive ``sim`` through ``program``; the observable state after each
+    action (dispatch log, return value, clock, counters)."""
+    log = []
+
+    def fire(kind):
+        log.append((kind, sim.now))
+        children, stop = table[kind]
+        for delay, child in children:
+            sim.after(delay, fire, child)
+        if stop:
+            sim.stop()
+
+    states = []
+    for op, *args in program:
+        ret = None
+        if op == "at":
+            try:
+                sim.at(args[0], fire, args[1])
+            except ValueError:
+                ret = "past"
+        elif op == "after":
+            sim.after(args[0], fire, args[1])
+        elif op == "stop":
+            sim.stop()
+        elif op == "run":
+            ret = sim.run(until=args[0], max_events=args[1])
+        else:
+            ret = sim.drain()
+        states.append((op, ret, list(log), sim.now, sim.events_run,
+                       sim.pending()))
+    return states
+
+
+class TestNaiveLockstep:
+    @given(behaviours(), st.lists(ACTIONS, max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_engine(self, table, program):
+        """Any program of at/after/stop calls, sliced by run(until=,
+        max_events=) and drain(), dispatches the same events at the same
+        times as the naive engine, with the same clock and counters."""
+        assert (execute(Simulator(), table, program)
+                == execute(NaiveSimulator(), table, program))

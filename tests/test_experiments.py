@@ -390,6 +390,14 @@ class TestRunnerCLI:
         assert exc_info.value.code == 2
         assert "--measure" in capsys.readouterr().err
 
+    def test_figure_cli_has_no_warm_cache_flag(self, capsys):
+        """Warm sharing is a sweep option; the figure CLI rejects it."""
+        from repro.experiments.runner import main
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fig08", "--warm-cache"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --warm-cache" in capsys.readouterr().err
+
     def test_measure_negative_rejected(self):
         from repro.experiments.runner import main
         with pytest.raises(SystemExit):
@@ -421,16 +429,6 @@ class TestRunnerCLI:
         assert rc == 0
         assert captured["params"].measure_insts == 12345
         assert captured["mixes"] == [1, 2]
-
-    def test_main_restores_caller_warm_default(self, tmp_path, monkeypatch):
-        """main() sets the warm default from --warm-cache only for its own
-        run; a caller's True must survive it, not come back False."""
-        from repro.experiments import runner
-        monkeypatch.setattr(common, "_default_warm_cache", True)
-        rc = runner.main(["table1", "--quick", "--mixes", "1",
-                          "--out", str(tmp_path)])
-        assert rc == 0
-        assert common._default_warm_cache is True
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fig08"])

@@ -126,10 +126,6 @@ class TestTrafficShape:
                    lee_writeback=True).run(**RUN)
         assert r.lee_eager_writebacks >= 0   # mechanism wired in
 
-    def test_model_l1_runs(self):
-        r = small_system(model_l1=True).run(**RUN)
-        assert all(i > 0 for i in r.ipcs)
-
 
 class TestDesignsEndToEnd:
     @pytest.mark.parametrize("design", ["CD", "ROD", "DCA"])

@@ -28,7 +28,7 @@ from repro.experiments.common import (
     run_one,
     warm_group_key,
 )
-from repro.snapshot import WarmCache, WarmStateError
+from repro.snapshot import WarmCache, WarmState, WarmStateError, warm_identity
 
 #: tiny budgets + tiny footprints keep every run in the ~100 ms range
 PARAMS = SimParams(footprint_scale=1 / 400, warmup_insts=2_000,
@@ -163,6 +163,22 @@ class TestRestoreValidation:
                      RunSpec("CD", "sa", mix_id=1, seed=123)):
             with pytest.raises(WarmStateError, match="does not match"):
                 build_system(spec, PARAMS).restore_warm_state(warm)
+
+    def test_identity_fields_are_warm_identity(self):
+        """The captured identity is warm_identity's dict, and the fields it
+        fills are all of WarmState's fields but the version and payload."""
+        spec = RunSpec("CD", "sa", mix_id=1)
+        warm = self.make_warm(spec)
+        system = build_system(spec, PARAMS)
+        identity = warm_identity(
+            system.cfg, "sa", system._seed,
+            [b.name for b in system.benchmarks], PARAMS.footprint_scale,
+            False)
+        assert {k: getattr(warm, k) for k in identity} == identity
+        payload = {"schema_version", "trace_counts", "array_state",
+                   "l2_state", "meta"}
+        assert (set(identity) | payload
+                == {f.name for f in dataclasses.fields(WarmState)})
 
     def test_rejects_running_system(self):
         warm = self.make_warm()
