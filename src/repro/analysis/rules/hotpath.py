@@ -2,8 +2,9 @@
 
 Two checks:
 
-* Classes in ``dram/`` and in ``sim/engine.py`` — the per-event inner
-  loop — must declare ``__slots__``.  Slotted attribute access is
+* Classes in ``dram/``, ``sim/engine.py``, ``core/queues.py`` and
+  ``core/access.py`` — the per-event and per-decision inner loops —
+  must declare ``__slots__``.  Slotted attribute access is
   measurably faster and keeps per-object memory flat at event-queue
   scale.  Enum/Protocol/NamedTuple/dataclass/exception classes and the
   dynamic-counter MetricGroup family are exempt by construction.
@@ -33,6 +34,10 @@ from repro.analysis.core import (
 )
 
 _SIM_PACKAGES = ("sim", "dram", "cache", "mem")
+
+#: Single hot modules outside ``dram/``: the event loop, and the queue
+#: index and access objects every scheduling decision walks.
+_HOT_FILES = ("sim/engine.py", "core/queues.py", "core/access.py")
 
 #: Base classes whose subclasses manage attribute storage differently.
 _EXEMPT_BASES = frozenset({"Protocol", "Enum", "IntEnum", "IntFlag", "Flag",
@@ -67,13 +72,15 @@ class HotPathRule(Rule):
     id = "R3"
     name = "hot-path-hygiene"
     description = (
-        "classes in dram/ and sim/engine.py must declare __slots__; "
+        "classes in dram/, sim/engine.py, core/queues.py and "
+        "core/access.py must declare __slots__; "
         "no lambdas or local functions stored on instance attributes "
         "in simulation packages (PR 4 bug class)"
     )
 
     def check(self, module: SourceModule, run: LintRun) -> Iterator[Finding]:
-        hot = module.in_package("dram") or module.is_file("sim/engine.py")
+        hot = module.in_package("dram") or any(
+            module.is_file(f) for f in _HOT_FILES)
         if hot:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.ClassDef):

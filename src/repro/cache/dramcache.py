@@ -27,8 +27,7 @@ from __future__ import annotations
 import copy
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,17 +38,15 @@ from repro.cache.replacement import SA_POLICIES
 from repro.config import DRAMCacheGeometry
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of a functional probe."""
+class LookupResult(NamedTuple):
+    """Outcome of a functional probe (immutable, cheap to build)."""
 
     hit: bool
     way: int = -1            # way index (always 0 in DM); -1 on miss
     dirty: bool = False      # dirty state of the hit block
 
 
-@dataclass(frozen=True)
-class FillResult:
+class FillResult(NamedTuple):
     """Outcome of inserting a block: the displaced victim, if any."""
 
     way: int
@@ -58,8 +55,8 @@ class FillResult:
 
 
 # Shared immutable miss result: probe() runs once per functional access
-# and most probes miss cold structures, so skipping the dataclass
-# construction there is a measurable win.
+# and most probes miss cold structures, so skipping the construction
+# there is a measurable win.
 _MISS = LookupResult(False)
 
 #: the tag-store columns (copied, never shared, by every fork path)
@@ -106,6 +103,9 @@ class DRAMCacheArray:
             raise ValueError(f"unknown organization {organization!r}")
         self.geometry = geometry
         self.organization = organization
+        #: a plain attribute, not a property: the translator reads it on
+        #: every tag-read completion
+        self.is_direct_mapped = organization == "dm"
         self.replacement = replacement
         # Module-level function, never a closure (snapshot-safe).
         self._victim_way = SA_POLICIES[replacement]
@@ -131,10 +131,6 @@ class DRAMCacheArray:
         self.dirty_evictions = 0
 
     # -- common helpers --------------------------------------------------------
-
-    @property
-    def is_direct_mapped(self) -> bool:
-        return self.organization == "dm"
 
     def _allocate(self) -> None:
         """Materialise empty tag-store columns (first write)."""

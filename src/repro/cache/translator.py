@@ -35,7 +35,7 @@ from repro.core.access import Access, AccessRole, CacheRequest, RequestType
 from repro.dram.address import AddressMapper
 
 
-@dataclass
+@dataclass(slots=True)
 class TagOutcome:
     """What the controller must do after a request's tag read completes."""
 
@@ -66,11 +66,10 @@ class Translator:
 
     def _make(self, role: AccessRole, req: CacheRequest, array_addr: int,
               now: int, critical: bool = True) -> Access:
-        d = self.mapper.decode(array_addr)
+        channel, rank, bank, row, col, gb = self.mapper.coordinates(array_addr)
         self._seq += 1
-        return Access(role, req, d.channel, d.rank, d.bank, d.row, d.col,
-                      self.mapper.global_bank(d), now, critical=critical,
-                      seq=self._seq)
+        return Access(role, req, channel, rank, bank, row, col, gb, now,
+                      critical=critical, seq=self._seq)
 
     # -- stage 1 ------------------------------------------------------------------
 

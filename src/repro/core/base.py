@@ -28,7 +28,7 @@ Subclasses implement exactly two hooks:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.mapi import MAPIPredictor
@@ -37,7 +37,7 @@ from repro.config import SystemConfig
 from repro.core.access import Access, AccessRole, CacheRequest, Priority, RequestType
 from repro.core.bliss import BLISSScheduler
 from repro.core.frfcfs import FRFCFSScheduler
-from repro.core.queues import AccessQueue
+from repro.core.queues import CORE_BITS, AccessQueue, ClassBuckets
 from repro.dram.device import DRAMDevice
 from repro.mem.mainmem import AnyMainMemory, make_mainmem
 from repro.metrics.registry import MetricGroup, MetricRegistry, derived
@@ -113,6 +113,10 @@ class BaseController:
             sched_cls = _SCHEDULERS[scheduler.lower()]
         except KeyError:
             raise ValueError(f"unknown scheduler {scheduler!r}") from None
+        if cfg.num_cores > 1 << CORE_BITS:
+            raise ValueError(
+                f"num_cores={cfg.num_cores}: queue bucket keys hold a core "
+                f"id in {CORE_BITS} bits")
         self.read_q = [AccessQueue(cfg.queues.read_entries) for _ in range(nch)]
         self.write_q = [AccessQueue(cfg.queues.write_entries) for _ in range(nch)]
         # Admission overflow FIFOs, one per (channel, target queue): a
@@ -240,6 +244,8 @@ class BaseController:
         complete = self._access_complete
         admit = self._admit
         lr = Priority.LR
+        # The PR class dict is live, so its truthiness tracks the queue.
+        rq_pr = rq.classes[Priority.PR]
         while in_flight[ch] < window:
             picked = select(ch)
             if picked is None:
@@ -249,7 +255,7 @@ class BaseController:
 
             # Observable read-priority-inversion accounting: an LR-class
             # bus read issued while a PR-class read waits on this channel.
-            if access.priority == lr and rq.pr_count:
+            if access.priority == lr and rq_pr:
                 stats.read_priority_inversions += 1
 
             _start, end = issue(access.rank, access.bank, access.row,
@@ -265,7 +271,7 @@ class BaseController:
     def _flush_exit_check(self, ch: int) -> None:
         wq = self.write_q[ch]
         if self.flushing[ch] and (
-                not wq.entries
+                not len(wq)
                 or wq.occupancy <= self.cfg.queues.write_low_watermark):
             self.flushing[ch] = False
 
@@ -282,7 +288,7 @@ class BaseController:
         Overridden by DCA: its held LRs are deliberately *not* preemptive
         (they are background work, like the writes themselves).
         """
-        return bool(self.read_q[ch].entries)
+        return len(self.read_q[ch]) > 0
 
     def _continue_opportunistic(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
         """Keep an in-progress idle-time write drain going.
@@ -294,7 +300,7 @@ class BaseController:
             return None
         q = self.cfg.queues
         wq = self.write_q[ch]
-        if (wq.entries
+        if (len(wq)
                 and (self.draining or wq.occupancy > q.write_low_watermark)
                 and (self._opp_batch[ch] < q.opportunistic_min_batch
                      or not self._reads_preempt(ch))):
@@ -311,7 +317,7 @@ class BaseController:
         flush trigger).  In end-of-run ``draining`` mode the watermark is
         ignored so residual writes empty out."""
         wq = self.write_q[ch]
-        if wq.entries and (self.draining or
+        if len(wq) and (self.draining or
                            wq.occupancy > self.cfg.queues.write_low_watermark):
             picked = self._pick_write(ch)
             if picked is not None:
@@ -334,15 +340,16 @@ class BaseController:
 
     def _pick_write(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
         wq = self.write_q[ch]
-        a = self.sched[ch].pick_banked(wq.bank_buckets(),
+        a = self.sched[ch].pick_banked(wq.classes,
                                        self.device.channels[ch], self.sim.now)
         return (a, wq) if a is not None else None
 
-    def _pick_read(self, ch: int, buckets) -> Optional[tuple[Access, AccessQueue]]:
-        """Select from the read queue; ``buckets`` maps ``global_bank`` to
-        non-empty same-bank candidate groups (see ``pick_banked``)."""
+    def _pick_read(self, ch: int,
+                   view: Sequence[ClassBuckets]) -> Optional[tuple[Access, AccessQueue]]:
+        """Select from the read queue; ``view`` is a tuple of bucket
+        dicts over its candidates (see ``repro.core.queues``)."""
         rq = self.read_q[ch]
-        a = self.sched[ch].pick_banked(buckets, self.device.channels[ch],
+        a = self.sched[ch].pick_banked(view, self.device.channels[ch],
                                        self.sim.now)
         return (a, rq) if a is not None else None
 
@@ -497,7 +504,7 @@ class BaseController:
             q.reset_accounting(now)
 
     def queues_empty(self) -> bool:
-        return (all(not q.entries for q in self.read_q)
-                and all(not q.entries for q in self.write_q)
+        return (all(not len(q) for q in self.read_q)
+                and all(not len(q) for q in self.write_q)
                 and all(not w for w in self.waiting_r)
                 and all(not w for w in self.waiting_w))

@@ -19,15 +19,12 @@ candidate set they hand to BLISS at each slot, not in the ordering policy.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from repro.config import BLISSConfig
 from repro.core.access import Access
-from repro.core.queues import BankBucket, FrozenBucket
+from repro.core.queues import BankBucket
 from repro.dram.channel import Channel
-
-#: Any bank-bucket column group the schedulers can scan.
-BucketColumns = BankBucket | FrozenBucket
 
 #: Sentinel above any real ``Access.seq`` (a monotonic counter).
 _SEQ_MAX = 1 << 62
@@ -72,82 +69,63 @@ class BLISSScheduler:
 
     # -- selection ---------------------------------------------------------------
 
-    def pick_banked(self, buckets: "Mapping[int, BucketColumns]",
+    def pick_banked(self, view: Sequence[Mapping[int, BankBucket]],
                     channel: Channel, now: int) -> Optional[Access]:
-        """Choose the highest-priority access among bank-bucketed candidates.
+        """Choose the highest-priority access among bucketed candidates.
 
-        ``buckets`` maps ``global_bank`` to a non-empty column bucket of
-        accesses targeting that bank (the queue's incremental indexes, or
-        any filtered subset keyed the same way).  Priority:
+        ``view`` is a tuple of class dicts (see ``repro.core.queues``):
+        each maps a key to a non-empty bucket of one (global bank, core)
+        whose columns are in ascending ``seq`` order.  Priority:
         non-blacklisted > row-hit > age (global ``seq``); returns None
-        when ``buckets`` is empty.  The open row is fetched once per
-        bank — ``global_bank % len(open_rows)`` is the channel-local bank
-        index by construction of ``AddressMapper.global_bank`` — and the
-        (blacklist, row-miss, seq) lexicographic order is evaluated as
-        the oldest candidate per (blacklisted, row-miss) class over the
-        bucket's flat int columns, returned in class order.  While no
-        core is blacklisted, a bucket whose bank has no open row (or no
-        hit on it) is a single-class group: its argmin batches into
-        C-level ``min``/``index`` with no per-candidate bytecode at all.
-        ``seq`` is globally unique, so the argmin is unique and iteration
-        order is irrelevant; the lockstep tests check the result against
-        a per-candidate scan of the flattened set.
+        when every dict is empty.
+
+        A bucket's members share one core (so one blacklist test) and
+        one bank (so one open row, ``open_rows[gb % len(open_rows)]`` —
+        the channel-local bank by construction of
+        ``AddressMapper.global_bank``).  Age order makes
+        ``rows.index(open_row)`` its oldest hit and ``seqs[0]`` its
+        oldest entry, both found at C speed.  The pick is the first that
+        exists of: the oldest non-blacklisted hit, the oldest
+        non-blacklisted entry, the oldest blacklisted hit, the oldest
+        blacklisted entry.  When a class has no hit, its oldest entry is
+        a miss, so this is exactly the (blacklisted, row-miss, seq)
+        lexicographic minimum; ``seq`` is globally unique, so the
+        minimum is unique and bucket order is irrelevant.  The lockstep
+        tests check the result against a per-candidate scan.
         """
         self.maybe_clear(now)
         bl = self.blacklist
-        # SoA hot path: one list index per bucket fetches the open row
-        # (-1 = closed, which no real row id equals — the None check the
-        # object model needed disappears).
+        # One list index per bucket fetches the open row (-1 = closed,
+        # which no real row id equals).
         open_rows = channel.open_rows
         nbanks = len(open_rows)
-        any_bl = True in bl
-        # Oldest candidate per (blacklisted, row-miss) class; returning the
-        # first non-empty class in 00 < 01 < 10 < 11 order is exactly the
-        # (blacklist, row-miss, seq) lexicographic minimum, with no tuple
-        # or big-int key allocation in the inner loop.
-        b_hit = b_miss = b_bl_hit = b_bl_miss = None
-        s_hit = s_miss = s_bl_hit = s_bl_miss = _SEQ_MAX
-        for gb, bucket in buckets.items():
-            open_row = open_rows[gb % nbanks]
-            seqs = bucket.seqs
-            rows = bucket.rows
-            if not any_bl:
-                if open_row < 0 or open_row not in rows:
-                    m = min(seqs)          # pure-miss bucket: one class
-                    if m < s_miss:
-                        s_miss = m
-                        b_miss = bucket.accs[seqs.index(m)]
-                    continue
-                for i in range(len(seqs)):
-                    s = seqs[i]
-                    if rows[i] == open_row:
-                        if s < s_hit:
-                            s_hit = s
-                            b_hit = bucket.accs[i]
-                    elif s < s_miss:
-                        s_miss = s
-                        b_miss = bucket.accs[i]
-                continue
-            cores = bucket.cores
-            for i in range(len(seqs)):
-                s = seqs[i]
-                if bl[cores[i]]:
-                    if rows[i] == open_row:
-                        if s < s_bl_hit:
-                            s_bl_hit = s
+        b_hit = b_old = b_bl_hit = b_bl_old = None
+        s_hit = s_old = s_bl_hit = s_bl_old = _SEQ_MAX
+        for buckets in view:
+            for bucket in buckets.values():
+                rows = bucket.rows
+                seqs = bucket.seqs
+                open_row = open_rows[bucket.gb % nbanks]
+                if bl[bucket.core]:
+                    if open_row in rows:
+                        i = rows.index(open_row)
+                        if seqs[i] < s_bl_hit:
+                            s_bl_hit = seqs[i]
                             b_bl_hit = bucket.accs[i]
-                    elif s < s_bl_miss:
-                        s_bl_miss = s
-                        b_bl_miss = bucket.accs[i]
-                elif rows[i] == open_row:
-                    if s < s_hit:
-                        s_hit = s
-                        b_hit = bucket.accs[i]
-                elif s < s_miss:
-                    s_miss = s
-                    b_miss = bucket.accs[i]
+                    if seqs[0] < s_bl_old:
+                        s_bl_old = seqs[0]
+                        b_bl_old = bucket.accs[0]
+                else:
+                    if open_row in rows:
+                        i = rows.index(open_row)
+                        if seqs[i] < s_hit:
+                            s_hit = seqs[i]
+                            b_hit = bucket.accs[i]
+                    if seqs[0] < s_old:
+                        s_old = seqs[0]
+                        b_old = bucket.accs[0]
         if b_hit is not None:
             return b_hit
-        if b_miss is not None:
-            return b_miss
-        return b_bl_hit if b_bl_hit is not None else b_bl_miss
+        if b_old is not None:
+            return b_old
+        return b_bl_hit if b_bl_hit is not None else b_bl_old

@@ -42,7 +42,7 @@ class CDController(BaseController):
         picked = self._continue_opportunistic(ch)
         if picked is not None:
             return picked
-        picked = self._pick_read(ch, self.read_q[ch].bank_buckets())
+        picked = self._pick_read(ch, self.read_q[ch].classes)
         if picked is not None:
             return picked
         # No reads pending: drain writes opportunistically above the low

@@ -30,32 +30,38 @@ from typing import Mapping, Optional, Sequence
 
 from repro.core.access import Access, Priority
 from repro.core.base import BaseController
-from repro.core.queues import AccessQueue, BankBucket, FrozenBucket
+from repro.core.queues import AccessQueue, BankBucket
 from repro.core.rrpc import RRPCTable
 
 
 def ofs_bucket_filter(lr_buckets: Mapping[int, BankBucket],
                       open_rows: Sequence[int], rrpc: RRPCTable,
-                      flushing_factor: int) -> dict[int, BankBucket | FrozenBucket]:
-    """Apply the OFS criteria (§IV-C) per *bank* over LR bank buckets.
+                      flushing_factor: int) -> dict[int, BankBucket]:
+    """Apply the OFS criteria (§IV-C) per bucket over the LR class dict.
 
     A closed row (``open_rows[i] == -1`` in the channel's SoA columns) or
-    a decayed RRPC counter admits a bank's whole bucket — passed through
-    *by reference*, no copy; otherwise only its row hits are safe, and
-    the bucket's ``rows`` column is membership-tested once before any
-    filtered copy is built.  The bucket's channel-local bank is
-    ``global_bank % len(open_rows)`` (see ``AddressMapper.global_bank``).
-    The controller hot path calls it; the lockstep tests drive it
-    directly against a per-access scan of the same criteria.
+    a decayed RRPC counter admits a bucket whole — passed through *by
+    reference*, no copy.  Otherwise only the bucket's row hits are safe,
+    and of those only the oldest can ever be picked (the others share
+    its core, hence its blacklist state, and its row), so the bucket
+    contributes a one-entry bucket holding its oldest hit, or nothing.
+    The bucket's channel-local bank is ``gb % len(open_rows)`` (see
+    ``AddressMapper.global_bank``).  The result is keyed like the input,
+    so ``(result,)`` is a view ``pick_banked`` takes.  The controller
+    hot path calls it; the lockstep tests drive it directly against a
+    per-access scan of the same criteria.
     """
     nbanks = len(open_rows)
-    out: dict[int, BankBucket | FrozenBucket] = {}
-    for gb, bucket in lr_buckets.items():
+    out: dict[int, BankBucket] = {}
+    for key, bucket in lr_buckets.items():
+        gb = bucket.gb
         open_row = open_rows[gb % nbanks]
         if open_row < 0 or rrpc.allows_flush(gb, flushing_factor):
-            out[gb] = bucket
+            out[key] = bucket
         elif open_row in bucket.rows:
-            out[gb] = bucket.row_hits(open_row)
+            i = bucket.rows.index(open_row)
+            out[key] = BankBucket(gb, bucket.core, [bucket.accs[i]],
+                                  [bucket.seqs[i]], [open_row])
     return out
 
 
@@ -90,12 +96,12 @@ class DCAController(BaseController):
         elif occ < self.cfg.queues.lr_drain_low:
             self.schedule_all[ch] = False
 
-    def _ofs_buckets(self, ch: int) -> dict[int, BankBucket | FrozenBucket]:
-        """LRs passing the OFS criteria (§IV-C) as per-bank buckets, from
-        the LR index: one row-state and one RRPC check per *bank* instead
-        of per access.
+    def _ofs_buckets(self, ch: int) -> dict[int, BankBucket]:
+        """LRs passing the OFS criteria (§IV-C) as buckets, from the LR
+        class dict: one row-state and one RRPC check per *bucket*
+        instead of per access.
         """
-        return ofs_bucket_filter(self.read_q[ch].lr_bank_buckets(),
+        return ofs_bucket_filter(self.read_q[ch].classes[Priority.LR],
                                  self.device.channels[ch].open_rows,
                                  self.rrpc, self.cfg.dca.flushing_factor)
 
@@ -115,17 +121,17 @@ class DCAController(BaseController):
         self._update_schedule_all(ch)
         rq = self.read_q[ch]
         if self.schedule_all[ch]:
-            picked = self._pick_read(ch, rq.bank_buckets())
+            picked = self._pick_read(ch, rq.classes)
             if picked is not None:
                 if picked[0].priority == Priority.LR:
                     self.stats.lr_drain_issues += 1
                 return picked
         else:
-            picked = self._pick_read(ch, rq.pr_bank_buckets())
+            picked = self._pick_read(ch, rq.pr_view)
             if picked is not None:
                 return picked
             # Algorithm 1 line 15-18: no PR was ready -> OFS flush.
-            picked = self._pick_read(ch, self._ofs_buckets(ch))
+            picked = self._pick_read(ch, (self._ofs_buckets(ch),))
             if picked is not None:
                 self.stats.lr_ofs_issues += 1
                 return picked
@@ -135,6 +141,7 @@ class DCAController(BaseController):
     def _reads_preempt(self, ch: int) -> bool:
         """Only *priority* reads preempt an idle-time write drain: held LRs
         are background work like the writes themselves."""
+        rq = self.read_q[ch]
         if self.schedule_all[ch]:
-            return bool(self.read_q[ch].entries)
-        return self.read_q[ch].pr_count > 0
+            return len(rq) > 0
+        return bool(rq.classes[Priority.PR])

@@ -7,121 +7,71 @@ new requests*: continuation accesses of an in-flight request (the RD/WT
 that follow a completed tag read) always fit, mirroring how real
 controllers reserve slots for request continuations to avoid deadlock.
 
-Scheduling indexes
-------------------
-Every push/remove incrementally maintains three index structures so the
-per-slot scheduling decision never rescans the whole pool:
+Scheduling index
+----------------
+Every queued access lives in exactly one :class:`BankBucket`, the one of
+its (priority class, global bank, core).  The queue keeps one dict per
+:class:`~repro.core.access.Priority` class (``classes[PR]``,
+``classes[LR]``, ``classes[WRITE]``), each mapping a packed
+``global_bank << CORE_BITS | core_id`` key to its bucket.  A bucket's
+columns (``accs`` / ``seqs`` / ``rows``) are kept in ascending ``seq``
+order, so:
 
-* a **position map** (``access -> index`` into ``entries``) making removal
-  O(1) via swap-pop;
-* **per-priority partitions** — insertion-ordered sets of the PR and LR
-  read classes, giving O(1) ``pr_count``/``lr_count`` and O(k) views;
-* **per-bank buckets** (``global_bank -> `` :class:`BankBucket`) for all
-  entries and for each read class, so row-hit classification is done once
-  per *bank* instead of once per *access* and DCA's OFS candidate set is
-  a bucket walk instead of a full-queue filter.
+* ``seqs[0]`` is the bucket's oldest access;
+* ``rows.index(open_row)`` is its oldest row hit;
+* every member shares the bucket's blacklist state (one core) and the
+  bank's open row (one bank),
 
-Buckets are **struct-of-arrays**: each keeps the scheduler-relevant
-fields of its members (``seqs`` / ``rows`` / ``cores``) as parallel flat
-lists alongside the access objects, mirroring the channel's SoA bank
-state.  ``pick_banked`` scans those int columns — the candidate-readiness
-classification (row hit? blacklisted? age) batches into list index math
-per bank with no per-candidate attribute chases, and only the winning
-index dereferences an ``Access``.
+which lets ``BLISSScheduler.pick_banked`` classify a whole bucket with
+C-level list operations and no per-entry loop.  A **view** is a tuple
+of class dicts: ``classes`` itself (every queued access) or ``pr_view``
+(the PR class alone); DCA's OFS filter builds a one-dict view of its
+own.  Emptied buckets are dropped, so views hold only non-empty ones.
 
-Swap-pop perturbs the order of ``entries`` and of the bucket columns,
-which is safe because every selection policy in this codebase totally
-orders candidates with the globally unique ``Access.seq`` as the final
-tiebreak: the argmin is unique, hence independent of iteration order
-(see DESIGN.md, "Indexed scheduling fast path").
+Pushes almost always arrive in ``seq`` order (an append); the rare late
+one is placed by bisection.  Removal bisects too, then checks identity.
+See DESIGN.md, "Indexed scheduling fast path".
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Dict, Iterator
 
 from repro.core.access import Access, Priority
 
+#: Low bits of a bucket key that hold the core id (``gb << CORE_BITS |
+#: core``); ``BaseController`` rejects configs with more cores.
+CORE_BITS = 16
+
+#: One class dict: packed (global bank, core) key -> bucket.
+ClassBuckets = Dict[int, "BankBucket"]
+
+
+def bucket_key(global_bank: int, core_id: int) -> int:
+    """The class-dict key of the (global bank, core) bucket (``push``
+    and ``remove`` inline the same expression)."""
+    return global_bank << CORE_BITS | core_id
+
 
 class BankBucket:
-    """Same-bank candidates as parallel columns (one slot per access).
+    """The queued accesses of one (class, global bank, core), as columns.
 
-    ``accs[i]`` / ``seqs[i]`` / ``rows[i]`` / ``cores[i]`` describe one
-    queued access; removal is swap-pop on all four columns at once.
-    The scheduler fast paths read the int columns directly; iteration
-    yields the access objects (order is scan order, not age — safe, see
-    module docstring).
+    ``accs[i]`` / ``seqs[i]`` / ``rows[i]`` describe one access; the
+    columns are strictly increasing in ``seq``.  ``gb`` and ``core`` are
+    shared by every member.  Iteration yields the accesses oldest first.
     """
 
-    __slots__ = ("accs", "seqs", "rows", "cores", "_pos")
+    __slots__ = ("gb", "core", "accs", "seqs", "rows")
 
-    def __init__(self) -> None:
-        self.accs: list[Access] = []
-        self.seqs: list[int] = []
-        self.rows: list[int] = []
-        self.cores: list[int] = []
-        self._pos: Dict[Access, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.accs)
-
-    def __iter__(self) -> Iterator[Access]:
-        return iter(self.accs)
-
-    def __contains__(self, access: Access) -> bool:
-        return access in self._pos
-
-    def add(self, access: Access) -> None:
-        self._pos[access] = len(self.accs)
-        self.accs.append(access)
-        self.seqs.append(access.seq)
-        self.rows.append(access.row)
-        self.cores.append(access.core_id)
-
-    def discard(self, access: Access) -> bool:
-        """Swap-pop ``access`` out of every column; True when emptied."""
-        accs = self.accs
-        idx = self._pos.pop(access)
-        last = accs.pop()
-        last_seq = self.seqs.pop()
-        last_row = self.rows.pop()
-        last_core = self.cores.pop()
-        if last is not access:
-            accs[idx] = last
-            self.seqs[idx] = last_seq
-            self.rows[idx] = last_row
-            self.cores[idx] = last_core
-            self._pos[last] = idx
-        return not accs
-
-    def row_hits(self, open_row: int) -> "FrozenBucket":
-        """Filtered copy keeping only candidates whose row is ``open_row``.
-
-        Used by DCA's OFS filter when a bank admits only its safe (row
-        hit) candidates; the result is a read-only column group the
-        schedulers consume exactly like a live bucket.
-        """
-        accs = self.accs
-        cores = self.cores
-        seqs = self.seqs
-        keep = [i for i, row in enumerate(self.rows) if row == open_row]
-        return FrozenBucket([accs[i] for i in keep],
-                            [seqs[i] for i in keep],
-                            [open_row] * len(keep),
-                            [cores[i] for i in keep])
-
-
-class FrozenBucket:
-    """Read-only column group (a filtered view of a :class:`BankBucket`)."""
-
-    __slots__ = ("accs", "seqs", "rows", "cores")
-
-    def __init__(self, accs: list[Access], seqs: list[int],
-                 rows: list[int], cores: list[int]) -> None:
+    def __init__(self, gb: int, core: int, accs: list[Access],
+                 seqs: list[int], rows: list[int]) -> None:
+        self.gb = gb
+        self.core = core
         self.accs = accs
         self.seqs = seqs
         self.rows = rows
-        self.cores = cores
 
     def __len__(self) -> int:
         return len(self.accs)
@@ -133,101 +83,107 @@ class FrozenBucket:
 class AccessQueue:
     """A bounded scheduling pool (not FIFO: schedulers pick by policy)."""
 
-    __slots__ = ("capacity", "entries", "_pos", "_pr", "_lr",
-                 "_banks", "_pr_banks", "_lr_banks",
+    __slots__ = ("capacity", "classes", "pr_view", "_n",
                  "_occupancy_integral", "_last_t", "_t0")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
-        self.entries: list[Access] = []
-        #: access -> index into ``entries`` (O(1) membership + removal)
-        self._pos: Dict[Access, int] = {}
-        # Insertion-ordered sets (dicts with None values): per-priority
-        # partitions of the read classes.  Buckets are column stores.
-        self._pr: Dict[Access, None] = {}
-        self._lr: Dict[Access, None] = {}
-        self._banks: Dict[int, BankBucket] = {}
-        self._pr_banks: Dict[int, BankBucket] = {}
-        self._lr_banks: Dict[int, BankBucket] = {}
+        #: one bucket dict per Priority class, indexed by the class value;
+        #: the tuple itself is the every-access view
+        self.classes: tuple[ClassBuckets, ClassBuckets, ClassBuckets] = (
+            {}, {}, {})
+        #: the PR-class view (DCA's normal read slot)
+        self.pr_view: tuple[ClassBuckets] = (self.classes[Priority.PR],)
+        self._n = 0
         # time-weighted occupancy, for average-occupancy reporting
         self._occupancy_integral = 0
         self._last_t = 0
         self._t0 = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
     def __iter__(self) -> Iterator[Access]:
-        return iter(self.entries)
+        """The queued accesses, oldest (least ``seq``) first."""
+        return iter(sorted((a for buckets in self.classes
+                            for bucket in buckets.values() for a in bucket),
+                           key=attrgetter("seq")))
 
     def __contains__(self, access: Access) -> bool:
-        return access in self._pos
+        bucket = self.classes[access.priority].get(
+            bucket_key(access.global_bank, access.core_id))
+        if bucket is None:
+            return False
+        i = bisect_left(bucket.seqs, access.seq)
+        return i < len(bucket.accs) and bucket.accs[i] is access
 
     @property
     def occupancy(self) -> float:
         """Fill fraction; may exceed 1.0 transiently via continuations."""
-        return len(self.entries) / self.capacity
+        return self._n / self.capacity
 
     def has_room(self) -> bool:
         """Admission check for *new* requests."""
-        return len(self.entries) < self.capacity
+        return self._n < self.capacity
 
     def push(self, access: Access, now: int = 0) -> None:
         """Add an access (continuations may exceed nominal capacity)."""
         self._account(now)
-        entries = self.entries
-        self._pos[access] = len(entries)
-        entries.append(access)
+        seq = access.seq
         gb = access.global_bank
-        bucket = self._banks.get(gb)
+        core = access.core_id
+        key = gb << CORE_BITS | core
+        buckets = self.classes[access.priority]
+        bucket = buckets.get(key)
         if bucket is None:
-            bucket = self._banks[gb] = BankBucket()
-        bucket.add(access)
-        prio = access.priority
-        if prio == Priority.PR:
-            self._pr[access] = None
-            pb = self._pr_banks.get(gb)
-            if pb is None:
-                pb = self._pr_banks[gb] = BankBucket()
-            pb.add(access)
-        elif prio == Priority.LR:
-            self._lr[access] = None
-            lb = self._lr_banks.get(gb)
-            if lb is None:
-                lb = self._lr_banks[gb] = BankBucket()
-            lb.add(access)
+            buckets[key] = BankBucket(gb, core, [access], [seq], [access.row])
+        else:
+            seqs = bucket.seqs
+            if seq > seqs[-1]:
+                bucket.accs.append(access)
+                seqs.append(seq)
+                bucket.rows.append(access.row)
+            else:
+                # A late arrival (an access built before one already
+                # queued here): keep the columns in seq order.
+                i = bisect_left(seqs, seq)
+                if seqs[i] == seq:
+                    raise ValueError(f"seq {seq} is already queued")
+                bucket.accs.insert(i, access)
+                seqs.insert(i, seq)
+                bucket.rows.insert(i, access.row)
+        self._n += 1
 
     def remove(self, access: Access, now: int = 0) -> None:
         self._account(now)
-        try:
-            idx = self._pos.pop(access)
-        except KeyError:
-            raise ValueError("access not in queue") from None
-        entries = self.entries
-        last = entries.pop()
-        if last is not access:        # swap-pop: O(1), order-insensitive
-            entries[idx] = last
-            self._pos[last] = idx
-        gb = access.global_bank
-        if self._banks[gb].discard(access):
-            del self._banks[gb]
-        prio = access.priority
-        if prio == Priority.PR:
-            del self._pr[access]
-            if self._pr_banks[gb].discard(access):
-                del self._pr_banks[gb]
-        elif prio == Priority.LR:
-            del self._lr[access]
-            if self._lr_banks[gb].discard(access):
-                del self._lr_banks[gb]
+        key = access.global_bank << CORE_BITS | access.core_id
+        buckets = self.classes[access.priority]
+        bucket = buckets.get(key)
+        if bucket is not None:
+            accs = bucket.accs
+            if len(accs) == 1:
+                if accs[0] is access:
+                    del buckets[key]
+                    self._n -= 1
+                    return
+            else:
+                seqs = bucket.seqs
+                i = bisect_left(seqs, access.seq)
+                if i < len(accs) and accs[i] is access:
+                    del accs[i]
+                    del seqs[i]
+                    del bucket.rows[i]
+                    self._n -= 1
+                    return
+        raise ValueError("access not in queue")
 
     # -- occupancy accounting ---------------------------------------------------
 
     def _account(self, now: int) -> None:
         if now > self._last_t:
-            self._occupancy_integral += len(self.entries) * (now - self._last_t)
+            self._occupancy_integral += self._n * (now - self._last_t)
             self._last_t = now
 
     def reset_accounting(self, now: int) -> None:
@@ -247,67 +203,24 @@ class AccessQueue:
         span = now - self._t0
         return self._occupancy_integral / span if span > 0 else 0.0
 
-    # -- index accessors (the scheduling fast path) -----------------------------
-
-    @property
-    def pr_count(self) -> int:
-        """Queued PR-class (demand-read) accesses, O(1)."""
-        return len(self._pr)
-
-    @property
-    def lr_count(self) -> int:
-        """Queued LR-class (writeback/refill tag-read) accesses, O(1)."""
-        return len(self._lr)
-
-    def bank_buckets(self) -> Dict[int, BankBucket]:
-        """``global_bank -> column bucket`` over **all** entries.
-
-        Read-only view of live internal state: callers must not mutate it,
-        and must not push/remove while iterating.
-        """
-        return self._banks
-
-    def pr_bank_buckets(self) -> Dict[int, BankBucket]:
-        """Per-bank buckets restricted to PR-class accesses (read-only)."""
-        return self._pr_banks
-
-    def lr_bank_buckets(self) -> Dict[int, BankBucket]:
-        """Per-bank buckets restricted to LR-class accesses (read-only)."""
-        return self._lr_banks
-
-    # -- read-class copies (inspection; the designs read the buckets) -----------
-
-    def priority_reads(self) -> list[Access]:
-        return list(self._pr)
-
-    def low_priority_reads(self) -> list[Access]:
-        return list(self._lr)
-
     # -- self-checks (tests only; O(n)) -----------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert every index is consistent with ``entries`` (test hook)."""
-        assert len(self._pos) == len(self.entries)
-        for i, a in enumerate(self.entries):
-            assert self._pos[a] == i
-        prs = [a for a in self.entries if a.priority == Priority.PR]
-        lrs = [a for a in self.entries if a.priority == Priority.LR]
-        assert set(self._pr) == set(prs) and len(self._pr) == len(prs)
-        assert set(self._lr) == set(lrs) and len(self._lr) == len(lrs)
-        for name, index, universe in (
-                ("banks", self._banks, self.entries),
-                ("pr_banks", self._pr_banks, prs),
-                ("lr_banks", self._lr_banks, lrs)):
-            flat = [a for bucket in index.values() for a in bucket]
-            assert len(flat) == len(universe), name
-            assert set(flat) == set(universe), name
-            for gb, bucket in index.items():
-                assert bucket, f"{name}: empty bucket {gb}"
-                assert all(a.global_bank == gb for a in bucket), name
-                # Column coherence: every parallel lane describes its
-                # access, and the position map inverts the layout.
+        """Assert the bucket index is coherent (test hook)."""
+        total = 0
+        for prio, buckets in zip(Priority, self.classes):
+            for key, bucket in buckets.items():
+                assert bucket.accs, f"{prio.name}: empty bucket {key}"
+                assert key == bucket_key(bucket.gb, bucket.core), prio.name
+                n = len(bucket.accs)
+                assert len(bucket.seqs) == n and len(bucket.rows) == n
                 for i, a in enumerate(bucket.accs):
-                    assert bucket.seqs[i] == a.seq, name
-                    assert bucket.rows[i] == a.row, name
-                    assert bucket.cores[i] == a.core_id, name
-                    assert bucket._pos[a] == i, name
+                    assert a.priority == prio, prio.name
+                    assert a.global_bank == bucket.gb, prio.name
+                    assert a.core_id == bucket.core, prio.name
+                    assert bucket.seqs[i] == a.seq, prio.name
+                    assert bucket.rows[i] == a.row, prio.name
+                    if i:
+                        assert bucket.seqs[i - 1] < a.seq, prio.name
+                total += n
+        assert total == self._n

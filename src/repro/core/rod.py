@@ -48,7 +48,7 @@ class RODController(BaseController):
         picked = self._continue_opportunistic(ch)
         if picked is not None:
             return picked
-        picked = self._pick_read(ch, self.read_q[ch].bank_buckets())
+        picked = self._pick_read(ch, self.read_q[ch].classes)
         if picked is not None:
             return picked
         return self._start_opportunistic(ch)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.config import DRAMOrganization, DRAMTimings, SubstrateConfig
-from repro.dram.address import AddressMapper, DecodedAddress
+from repro.dram.address import AddressMapper
 from repro.dram.command import CommandChannel
 from repro.dram.stats import ChannelStats, RankStats
 from repro.dram.channel import Channel
@@ -49,9 +49,6 @@ class DRAMDevice:
                 for j, rs in enumerate(channel.rank_groups):
                     self.metrics.register(f"ch{i}_rank{j}", rs)
             self.channels.append(channel)
-
-    def decode(self, addr: int) -> DecodedAddress:
-        return self.mapper.decode(addr)
 
     def channel(self, idx: int) -> Channel:
         return self.channels[idx]

@@ -176,9 +176,8 @@ class BankedMainMemory:
     def fetch(self, addr: int, on_done: Callable[[Any], None], arg: Any = None) -> int:
         """Read one block through its bank; same contract as the flat model."""
         now = self.sim.now
-        d = self.mapper.decode(addr)
-        start, done = self.channels[d.channel].issue(
-            d.rank, d.bank, d.row, False, now)
+        channel, rank, bank, row, _col, _gb = self.mapper.coordinates(addr)
+        start, done = self.channels[channel].issue(rank, bank, row, False, now)
         self.stats.reads += 1
         self.stats.read_latency_sum_ps += done - now
         self.stats.read_bus_wait_ps += start - now
@@ -188,9 +187,8 @@ class BankedMainMemory:
     def write(self, addr: int) -> int:
         """Write one block (dirty victim) through its bank."""
         now = self.sim.now
-        d = self.mapper.decode(addr)
-        start, done = self.channels[d.channel].issue(
-            d.rank, d.bank, d.row, True, now)
+        channel, rank, bank, row, _col, _gb = self.mapper.coordinates(addr)
+        start, done = self.channels[channel].issue(rank, bank, row, True, now)
         self.stats.writes += 1
         self.stats.write_latency_sum_ps += done - now
         self.stats.write_bus_wait_ps += start - now

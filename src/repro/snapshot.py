@@ -83,7 +83,11 @@ if TYPE_CHECKING:
 #: v8: the pickled ``Simulator`` heap holds ``(time, seq, fn, arg)``
 #: tuples and no cancellation counters; a v7 payload holds ``Event``
 #: objects of a class that no longer exists.
-SNAPSHOT_SCHEMA_VERSION = 8
+#: v9: a pickled ``AccessQueue`` holds one seq-ordered bucket per (class,
+#: global bank, core) and a counter; a v8 payload holds the ``entries``
+#: list, position maps and per-class partitions the class no longer has
+#: (and an ``AddressMapper`` without its bank-count slots).
+SNAPSHOT_SCHEMA_VERSION = 9
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
@@ -315,8 +319,8 @@ def state_signature(system) -> dict:
     sig["translator_seq"] = ctl.translator._seq
     sig["queues"] = [
         {
-            "read": [access_sig(a) for a in rq.entries],
-            "write": [access_sig(a) for a in wq.entries],
+            "read": [access_sig(a) for a in rq],
+            "write": [access_sig(a) for a in wq],
             "waiting_r": [access_sig(a) for a in ctl.waiting_r[ch]],
             "waiting_w": [access_sig(a) for a in ctl.waiting_w[ch]],
             "read_acct": (rq._occupancy_integral, rq._last_t, rq._t0),

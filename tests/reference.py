@@ -14,6 +14,9 @@ both side by side and fail on the first divergence:
   ``test_schedulers.py``);
 * :func:`ofs_naive_candidates` — DCA's OFS filter (paper §IV-C) as a
   per-access scan (``test_fastpath.py``);
+* :func:`priority_reads` / :func:`low_priority_reads` — a queue's PR /
+  LR class as a flat list, through queue iteration
+  (``test_queues.py``, ``test_controllers.py``);
 * :class:`NaiveSimulator` — the event engine's contract as an unordered
   list scanned for the least ``(time, seq)`` on every pop
   (``test_engine.py``).
@@ -161,6 +164,17 @@ def ofs_naive_candidates(entries: Iterable[Access], channel: Channel,
         elif rrpc.allows_flush(a.global_bank, flushing_factor):
             out.append(a)          # conflicting, but the bank is cold
     return out
+
+
+def priority_reads(queue: Iterable[Access]) -> list[Access]:
+    """The PR-class (demand-read) accesses of ``queue``, oldest first."""
+    return [a for a in queue if a.priority == Priority.PR]
+
+
+def low_priority_reads(queue: Iterable[Access]) -> list[Access]:
+    """The LR-class (writeback/refill tag-read) accesses of ``queue``,
+    oldest first."""
+    return [a for a in queue if a.priority == Priority.LR]
 
 
 class NaiveSimulator:

@@ -11,6 +11,8 @@ from repro.core import CDController, DCAController, RODController, make_controll
 from repro.core.access import CacheRequest, RequestType
 from repro.sim.engine import Simulator
 
+from reference import low_priority_reads, priority_reads
+
 
 def build(design, tiny_cfg, **kw):
     sim = Simulator()
@@ -186,14 +188,14 @@ class TestRouting:
         wb = CacheRequest(RequestType.WRITEBACK, 0x8000, 0)
         ctrl.submit(wb)
         assert sum(len(q) for q in ctrl.read_q) == 1
-        lrs = [a for q in ctrl.read_q for a in q.low_priority_reads()]
+        lrs = [a for q in ctrl.read_q for a in low_priority_reads(q)]
         assert len(lrs) == 1   # ... but classified LR
 
     def test_read_request_accesses_are_pr(self, tiny_cfg):
         sim, ctrl = build("DCA", tiny_cfg, use_mapi=False)
         rd = CacheRequest(RequestType.READ, 0x4000, 0)
         ctrl.submit(rd)
-        prs = [a for q in ctrl.read_q for a in q.priority_reads()]
+        prs = [a for q in ctrl.read_q for a in priority_reads(q)]
         assert len(prs) == 1
 
 

@@ -1,14 +1,13 @@
 """Indexed scheduling fast path: bit-identity with the naive scan path,
 and DCA ScheduleAll hysteresis boundary pinning.
 
-The fast path (``AccessQueue`` bank buckets + ``pick_banked`` +
-``DCAController._ofs_buckets``) must select exactly the access the naive
-reference selectors in ``reference.py`` (``bliss_pick`` over flat
-candidate lists, ``ofs_naive_candidates``) would.  ``Access.seq`` is
-globally unique and the
-final tiebreak of every policy, so the argmin is unique — these tests
-pin that equivalence over randomized queue states, bank states,
-blacklists and RRPC states.
+The fast path (``AccessQueue`` (class, bank, core) buckets +
+``pick_banked`` + ``DCAController._ofs_buckets``) must select exactly the
+access the naive reference selectors in ``reference.py`` (``bliss_pick``
+over flat candidate lists, ``ofs_naive_candidates``) would.
+``Access.seq`` is globally unique and the final tiebreak of every
+policy, so the argmin is unique — these tests pin that equivalence over
+randomized queue states, bank states, blacklists and RRPC states.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import BLISSConfig, DRAMOrganization, DRAMTimings
 from repro.core import make_controller
@@ -71,33 +71,33 @@ class TestPickEquivalence:
         s = BLISSScheduler(BLISSConfig(), NUM_CORES)
         for c in range(NUM_CORES):
             s.blacklist[c] = rng.random() < 0.3
-        assert (bliss_pick(s, list(q.entries), channel, 0)
-                is s.pick_banked(q.bank_buckets(), channel, 0))
+        assert (bliss_pick(s, list(q), channel, 0)
+                is s.pick_banked(q.classes, channel, 0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bliss_pr_partition(self, seed):
         rng = random.Random(100 + seed)
         q, channel = random_state(rng, rng.randrange(0, 65))
         s = BLISSScheduler(BLISSConfig(), NUM_CORES)
-        naive = [a for a in q.entries if a.priority == Priority.PR]
+        naive = [a for a in q if a.priority == Priority.PR]
         assert (bliss_pick(s, naive, channel, 0)
-                is s.pick_banked(q.pr_bank_buckets(), channel, 0))
+                is s.pick_banked(q.pr_view, channel, 0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frfcfs_full_queue(self, seed):
         rng = random.Random(200 + seed)
         q, channel = random_state(rng, rng.randrange(0, 65), writes=True)
         s = FRFCFSScheduler(BLISSConfig(), NUM_CORES)
-        assert (bliss_pick(s, list(q.entries), channel, 0)
-                is s.pick_banked(q.bank_buckets(), channel, 0))
+        assert (bliss_pick(s, list(q), channel, 0)
+                is s.pick_banked(q.classes, channel, 0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_drain_order_identical(self, seed):
         """Pick+remove until empty: the full issue order matches, which
-        also exercises swap-pop / bucket maintenance between picks."""
+        also exercises bucket maintenance between picks."""
         rng = random.Random(300 + seed)
         q, channel = random_state(rng, 40)
-        naive_pool = list(q.entries)
+        naive_pool = list(q)
         s = BLISSScheduler(BLISSConfig(), NUM_CORES)
         s.blacklist[2] = True
         order_naive, order_indexed = [], []
@@ -105,8 +105,8 @@ class TestPickEquivalence:
             a = bliss_pick(s, naive_pool, channel, 0)
             naive_pool.remove(a)
             order_naive.append(a)
-        while q.entries:
-            a = s.pick_banked(q.bank_buckets(), channel, 0)
+        while len(q):
+            a = s.pick_banked(q.classes, channel, 0)
             q.remove(a)
             order_indexed.append(a)
         assert order_naive == order_indexed
@@ -140,18 +140,24 @@ class TestOFSEquivalence:
             req = CacheRequest(rtype, 0, rng.randrange(4))
             rq.push(Access(AccessRole.TAG_READ, req, 0, rank, bank,
                            rng.randrange(8), 0, gb, 0))
-        naive = ofs_naive_candidates(rq.entries, channel, ctrl.rrpc,
+        naive = ofs_naive_candidates(rq, channel, ctrl.rrpc,
                                      ctrl.cfg.dca.flushing_factor)
         buckets = ctrl._ofs_buckets(0)
-        flat = [a for bucket in buckets.values() for a in bucket]
-        assert set(flat) == set(naive)
-        assert len(flat) == len(naive)
-        for gb, bucket in buckets.items():
-            assert all(a.global_bank == gb for a in bucket)
+        # A bucket passes whole, or as its oldest row hit: the other
+        # hits of a (bank, core) bucket can never be picked.
+        lr = rq.classes[Priority.LR]
+        assert set(buckets) <= set(lr)
+        for key, bucket in lr.items():
+            admitted = [a for a in bucket if a in naive]
+            got = list(buckets.get(key, ()))
+            assert got == admitted or got == admitted[:1]
+        for bucket in buckets.values():
+            assert all(a.global_bank == bucket.gb and a.core_id == bucket.core
+                       for a in bucket)
         # ... and the resulting pick is the same access.
         sched = ctrl.sched[0]
         assert (bliss_pick(sched, naive, channel, 0)
-                is sched.pick_banked(buckets, channel, 0))
+                is sched.pick_banked((buckets,), channel, 0))
 
 
 class TestSteadyStateLockstep:
@@ -179,7 +185,7 @@ class TestSteadyStateLockstep:
             rng, self.QUEUE_SIZE,
             read_fraction=0.10 if mode == "dca_ofs" else 0.60,
             writes=mode == "write_drain")
-        pool = list(q.entries)
+        pool = list(q)
         nbanks = len(channel.open_rows)
         banks_per_rank = DRAMOrganization().banks_per_rank
         if mode == "frfcfs_all":
@@ -214,19 +220,19 @@ class TestSteadyStateLockstep:
                 return ofs_naive_candidates(pool, channel, rrpc, OFS_FF)
             return pool
 
-        def indexed_buckets():
+        def indexed_view():
             if mode == "pr_subset":
-                return q.pr_bank_buckets()
+                return q.pr_view
             if mode == "dca_ofs":
-                return ofs_bucket_filter(q.lr_bank_buckets(),
-                                         channel.open_rows, rrpc, OFS_FF)
-            return q.bank_buckets()
+                return (ofs_bucket_filter(q.classes[Priority.LR],
+                                          channel.open_rows, rrpc, OFS_FF),)
+            return q.classes
 
         picked = 0
         for step in range(self.STEPS):
             repl = replacements()
             a = bliss_pick(sched, naive_candidates(), channel, 0)
-            assert sched.pick_banked(indexed_buckets(), channel, 0) is a, (
+            assert sched.pick_banked(indexed_view(), channel, 0) is a, (
                 f"{mode}: pick #{step} diverged")
             if a is None:
                 continue
@@ -237,6 +243,125 @@ class TestSteadyStateLockstep:
             q.push(repl[a.priority])
         assert picked > self.STEPS // 2
         q.check_invariants()
+
+
+#: channel index of the hypothesis lockstep's accesses: a nonzero channel
+#: makes ``global_bank % len(open_rows)`` do real work
+LOCKSTEP_CHANNEL = 2
+
+#: (role, request type) of a PR, an LR and a write access
+CLASS_SHAPES = ((AccessRole.TAG_READ, RequestType.READ),
+                (AccessRole.TAG_READ, RequestType.WRITEBACK),
+                (AccessRole.DATA_WRITE, RequestType.WRITEBACK))
+
+
+@st.composite
+def lockstep_programs(draw):
+    """A scheduler kind, a blacklist, bank/RRPC state, accesses in a
+    mostly-ascending push order, and a list of push/pick/drop steps."""
+    org = DRAMOrganization()
+    nbanks = org.ranks_per_channel * org.banks_per_rank
+    kind = draw(st.sampled_from(["bliss", "frfcfs"]))
+    blacklist = draw(st.lists(st.booleans(), min_size=NUM_CORES,
+                              max_size=NUM_CORES))
+    if kind == "bliss" and draw(st.integers(0, 9)) < 8:
+        # The common case in real runs: some core is blacklisted.
+        blacklist[draw(st.integers(0, NUM_CORES - 1))] = True
+    rows = draw(st.integers(1, 8))
+    open_rows = draw(st.lists(st.integers(-1, rows - 1), min_size=nbanks,
+                              max_size=nbanks))
+    # Few banks and cores in use make multi-entry buckets common.
+    banks_used = draw(st.integers(1, nbanks))
+    cores_used = draw(st.integers(1, NUM_CORES))
+    # At most the last three PR-touched banks stay above FF-4.
+    hot_banks = draw(st.lists(st.integers(0, banks_used - 1), min_size=1,
+                              max_size=3))
+    shapes = draw(st.lists(
+        st.tuples(st.integers(0, banks_used - 1),   # local bank
+                  st.integers(0, cores_used - 1),   # core
+                  st.integers(0, rows - 1),         # row
+                  st.integers(0, 2)),               # class
+        min_size=4, max_size=48))
+    order = list(range(len(shapes)))
+    for _ in range(draw(st.integers(0, 6))):        # late arrivals
+        i = draw(st.integers(0, len(order) - 1))
+        j = draw(st.integers(0, len(order) - 1))
+        order[i], order[j] = order[j], order[i]
+    prefill = draw(st.integers(0, len(shapes)))
+    steps = ["push"] * prefill + draw(st.lists(
+        st.sampled_from(["push", "push", "pick", "drop"]), min_size=8,
+        max_size=120))
+    drops = draw(st.lists(st.integers(0, 1 << 16), min_size=len(steps),
+                          max_size=len(steps)))
+    return (kind, blacklist, open_rows, hot_banks, shapes, order, steps,
+            drops)
+
+
+class TestHypothesisLockstep:
+    """``pick_banked`` over every view == ``bliss_pick`` over the same
+    candidates, under BLISS (blacklist mostly non-empty) and FR-FCFS,
+    with out-of-order pushes, picks that issue and re-blacklist, and
+    arbitrary removals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lockstep_programs())
+    def test_pick_banked_matches_reference(self, program):
+        (kind, blacklist, open_rows, hot_banks, shapes, order, steps,
+         drops) = program
+        org = DRAMOrganization()
+        channel = Channel(DRAMTimings.stacked(), org)
+        nbanks = len(channel.open_rows)
+        channel.open_rows[:] = open_rows
+        cls = BLISSScheduler if kind == "bliss" else FRFCFSScheduler
+        sched = cls(BLISSConfig(), NUM_CORES)
+        if kind == "bliss":
+            sched.blacklist[:] = blacklist
+        base = LOCKSTEP_CHANNEL * nbanks
+        rrpc = RRPCTable(base + nbanks)
+        for b in hot_banks:
+            rrpc.on_priority_read(base + b)
+        accesses = []
+        for seq, (b, core, row, klass) in enumerate(shapes, start=1):
+            role, rtype = CLASS_SHAPES[klass]
+            rank, bank = divmod(b, org.banks_per_rank)
+            req = CacheRequest(rtype, 0, core)
+            accesses.append(Access(role, req, LOCKSTEP_CHANNEL, rank, bank,
+                                   row, 0, base + b, 0, seq=seq))
+        to_push = [accesses[i] for i in order]
+        q = AccessQueue(len(accesses))
+        live: list[Access] = []
+
+        def views():
+            yield live, q.classes
+            yield ([a for a in live if a.priority == Priority.PR],
+                   q.pr_view)
+            yield (ofs_naive_candidates(live, channel, rrpc, OFS_FF),
+                   (ofs_bucket_filter(q.classes[Priority.LR],
+                                      channel.open_rows, rrpc, OFS_FF),))
+
+        for step, drop in zip(steps, drops):
+            if step == "push" and to_push:
+                a = to_push.pop(0)
+                q.push(a)
+                live.append(a)
+            elif step == "pick":
+                for naive, view in views():
+                    assert (sched.pick_banked(view, channel, 0)
+                            is bliss_pick(sched, naive, channel, 0))
+                a = sched.pick_banked(q.classes, channel, 0)
+                if a is None:
+                    continue
+                q.remove(a)
+                live.remove(a)
+                channel.issue(a.rank, a.bank, a.row, a.is_write, 0)
+                sched.on_served(a.core_id)
+                if a.priority == Priority.PR:
+                    rrpc.on_priority_read(a.global_bank)
+            elif step == "drop" and live:
+                a = live.pop(drop % len(live))
+                q.remove(a)
+            q.check_invariants()
+        assert list(q) == sorted(live, key=lambda a: a.seq)
 
 
 class TestScheduleAllHysteresis:
@@ -257,7 +382,7 @@ class TestScheduleAllHysteresis:
     def fill(self, ctrl, n):
         rq = ctrl.read_q[0]
         while len(rq) > n:
-            rq.remove(rq.entries[-1])
+            rq.remove(list(rq)[-1])
         while len(rq) < n:
             req = CacheRequest(RequestType.WRITEBACK, 0, 0)
             rq.push(Access(AccessRole.TAG_READ, req, 0, 0, 0, 0, 0, 0, 0))

@@ -1,9 +1,11 @@
-"""Access queues: capacity, occupancy accounting, filtered views."""
+"""Access queues: capacity, occupancy accounting, the bucket index."""
 
 import pytest
 
 from repro.core.access import Access, AccessRole, CacheRequest, Priority, RequestType
-from repro.core.queues import AccessQueue
+from repro.core.queues import AccessQueue, bucket_key
+
+from reference import low_priority_reads, priority_reads
 
 
 def mk(role=AccessRole.TAG_READ, rtype=RequestType.READ):
@@ -43,8 +45,8 @@ class TestViews:
         lr = mk(rtype=RequestType.WRITEBACK)
         q.push(pr)
         q.push(lr)
-        assert q.priority_reads() == [pr]
-        assert q.low_priority_reads() == [lr]
+        assert priority_reads(q) == [pr]
+        assert low_priority_reads(q) == [lr]
 
     def test_refill_reads_are_lr(self):
         q = AccessQueue(8)
@@ -110,9 +112,11 @@ class TestIndexes:
         wr = mk(role=AccessRole.DATA_WRITE)
         for a in (pr, lr, wr):
             q.push(a)
-        assert (q.pr_count, q.lr_count) == (1, 1)
+        assert len(q) == 3
+        assert [len(c) for c in q.classes] == [1, 1, 1]
         q.remove(pr)
-        assert (q.pr_count, q.lr_count) == (0, 1)
+        assert len(q) == 2
+        assert [len(c) for c in q.classes] == [0, 1, 1]
 
     def test_contains(self):
         q = AccessQueue(4)
@@ -121,17 +125,24 @@ class TestIndexes:
         assert a in q and b not in q
 
     def test_bank_buckets_partition(self):
+        """One bucket per (class, bank, core), each oldest first."""
         q = AccessQueue(16)
         accs = []
-        for gb in (0, 0, 3, 5, 3):
-            req = CacheRequest(RequestType.READ, 0, 0)
+        for gb, core in ((0, 0), (0, 0), (3, 0), (5, 0), (3, 0), (3, 1)):
+            req = CacheRequest(RequestType.READ, 0, core)
             a = Access(AccessRole.TAG_READ, req, 0, 0, gb, 0, 0, gb, 0)
             accs.append(a)
             q.push(a)
-        buckets = q.bank_buckets()
-        assert sorted(buckets) == [0, 3, 5]
-        assert list(buckets[0]) == [accs[0], accs[1]]
-        assert list(buckets[3]) == [accs[2], accs[4]]
+        pr, lr, wr = q.classes
+        assert lr == {} and wr == {}
+        assert sorted(pr) == sorted(bucket_key(gb, c) for gb, c in
+                                    ((0, 0), (3, 0), (5, 0), (3, 1)))
+        assert list(pr[bucket_key(0, 0)]) == [accs[0], accs[1]]
+        assert list(pr[bucket_key(3, 0)]) == [accs[2], accs[4]]
+        assert list(pr[bucket_key(3, 1)]) == [accs[5]]
+        bucket = pr[bucket_key(3, 0)]
+        assert (bucket.gb, bucket.core) == (3, 0)
+        assert bucket.seqs == [accs[2].seq, accs[4].seq]
         q.check_invariants()
 
     def test_empty_buckets_are_dropped(self):
@@ -139,38 +150,82 @@ class TestIndexes:
         a = mk()
         q.push(a)
         q.remove(a)
-        assert q.bank_buckets() == {}
-        assert q.pr_bank_buckets() == {}
+        assert q.classes == ({}, {}, {})
+        assert q.pr_view == ({},)
         q.check_invariants()
 
     def test_swap_pop_keeps_indexes_consistent(self):
-        """Randomized push/remove churn; every index stays exact."""
+        """Randomized push/remove churn, with late (out-of-seq-order)
+        pushes; the bucket index stays exact and iteration is seq order."""
         import random
         rng = random.Random(42)
         q = AccessQueue(32)
         live = []
+        held = []          # built now, pushed later: a late arrival
         for step in range(500):
             if live and (len(live) >= 32 or rng.random() < 0.5):
                 a = live.pop(rng.randrange(len(live)))
                 q.remove(a, now=step)
+            elif held and rng.random() < 0.3:
+                a = held.pop(rng.randrange(len(held)))
+                live.append(a)
+                q.push(a, now=step)
             else:
                 gb = rng.randrange(8)
                 rtype = rng.choice([RequestType.READ, RequestType.WRITEBACK,
                                     RequestType.REFILL])
                 role = rng.choice([AccessRole.TAG_READ, AccessRole.DATA_WRITE])
-                req = CacheRequest(rtype, 0, 0)
+                req = CacheRequest(rtype, 0, rng.randrange(3))
                 a = Access(role, req, 0, 0, gb, rng.randrange(4), 0, gb, 0)
+                if rng.random() < 0.2:
+                    held.append(a)
+                    continue
                 live.append(a)
                 q.push(a, now=step)
             q.check_invariants()
-        assert set(q.entries) == set(live)
+            assert len(q) == len(live)
+        assert list(q) == sorted(live, key=lambda a: a.seq)
 
     def test_views_match_entries(self):
         q = AccessQueue(16)
         for rtype in (RequestType.READ, RequestType.WRITEBACK,
                       RequestType.READ, RequestType.REFILL):
             q.push(mk(rtype=rtype))
-        assert (set(q.priority_reads())
-                == {a for a in q.entries if a.priority == Priority.PR})
-        assert (set(q.low_priority_reads())
-                == {a for a in q.entries if a.priority == Priority.LR})
+        q.push(mk(role=AccessRole.DATA_WRITE, rtype=RequestType.WRITEBACK))
+        for prio, buckets in zip(Priority, q.classes):
+            assert ({a for b in buckets.values() for a in b}
+                    == {a for a in q if a.priority == prio})
+        assert ({a for b in q.pr_view[0].values() for a in b}
+                == set(priority_reads(q)))
+        assert ({a for b in q.classes[Priority.LR].values() for a in b}
+                == set(low_priority_reads(q)))
+
+    def test_late_push_keeps_seq_order(self):
+        q = AccessQueue(8)
+        old, new = mk(), mk()            # old.seq < new.seq, same bucket
+        q.push(new)
+        q.push(old)
+        bucket = q.classes[Priority.PR][bucket_key(0, 0)]
+        assert bucket.accs == [old, new]
+        assert list(q) == [old, new]
+        q.check_invariants()
+
+    def test_duplicate_seq_rejected(self):
+        q = AccessQueue(8)
+        a, b = mk(), mk()
+        q.push(a)
+        q.push(b)
+        with pytest.raises(ValueError, match="already queued"):
+            q.push(a)
+        assert len(q) == 2
+
+    def test_remove_of_a_same_seq_stranger_raises(self):
+        """Removal matches by identity, not by seq alone."""
+        q = AccessQueue(4)
+        a = mk()
+        q.push(a)
+        twin = Access(AccessRole.TAG_READ, a.request, 0, 0, 0, 0, 0, 0, 0,
+                      seq=a.seq)
+        with pytest.raises(ValueError):
+            q.remove(twin)
+        assert twin not in q and a in q

@@ -26,7 +26,7 @@ def pick(sched, candidates, channel, now):
     q = AccessQueue(max(len(candidates), 1))
     for a in candidates:
         q.push(a)
-    got = sched.pick_banked(q.bank_buckets(), channel, now)
+    got = sched.pick_banked(q.classes, channel, now)
     assert got is bliss_pick(sched, candidates, channel, now)
     return got
 

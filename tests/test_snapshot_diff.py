@@ -248,8 +248,9 @@ class TestPersistence:
         # holds per-set objects instead of flat columns; 4: a file whose
         # direct-mapped array holds an entry dict instead of flat columns;
         # 6: a file whose channels hold per-bank proxy objects; 7: a file
-        # whose engine heap holds Event objects.
-        for version in (99, 2, 3, 4, 6, 7):
+        # whose engine heap holds Event objects; 8: a file whose access
+        # queues hold an entries list and position maps.
+        for version in (99, 2, 3, 4, 6, 7, 8):
             raw[len(b"DCASNAP1")] = version
             path.write_bytes(bytes(raw))
             with pytest.raises(snapshot.SnapshotError, match="schema"):
