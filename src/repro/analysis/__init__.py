@@ -1,9 +1,9 @@
 """dca-lint: repo-specific static analysis for the DCA reproduction.
 
 The simulator's correctness rests on invariants that ordinary linters do
-not know about: determinism (results must be bit-reproducible), snapshot
-safety (every piece of live state must survive capture/restore),
-hot-path hygiene (``__slots__``, no closures in live state), estimate
+not know about: determinism (results must be bit-reproducible), no hidden
+globals (no mutable module state shared by the runs in one process),
+hot-path hygiene (``__slots__`` on hot classes), estimate
 purity (probing must never bend results), metrics discipline (counters
 flow through the registry) and schema discipline (version bumps are
 documented).  PRs 4-6 each fixed a bug from one of these classes by

@@ -102,7 +102,7 @@ def main(
     parser = argparse.ArgumentParser(
         prog="dca-lint",
         description="Repo-specific invariant linter for the DCA "
-                    "reproduction (determinism, snapshot safety, hot-path "
+                    "reproduction (determinism, no hidden globals, hot-path "
                     "hygiene, estimate purity, metrics and schema "
                     "discipline).",
     )

@@ -314,15 +314,6 @@ def iter_imports(tree: ast.Module) -> dict[str, str]:
     return aliases
 
 
-def class_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    """Directly-defined methods of *cls*, by name (no inheritance)."""
-    return {
-        stmt.name: stmt
-        for stmt in cls.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
 def decorator_names(node: ast.ClassDef | ast.FunctionDef) -> set[str]:
     names: set[str] = set()
     for dec in node.decorator_list:

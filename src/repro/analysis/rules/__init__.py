@@ -10,11 +10,11 @@ from repro.analysis.rules.hotpath import HotPathRule
 from repro.analysis.rules.metrics import MetricsDisciplineRule
 from repro.analysis.rules.purity import EstimatePurityRule
 from repro.analysis.rules.schema import SchemaDisciplineRule
-from repro.analysis.rules.snapshot import SnapshotSafetyRule
+from repro.analysis.rules.snapshot import HiddenGlobalsRule
 
 ALL_RULES = (
     DeterminismRule,
-    SnapshotSafetyRule,
+    HiddenGlobalsRule,
     HotPathRule,
     EstimatePurityRule,
     MetricsDisciplineRule,
@@ -24,7 +24,7 @@ ALL_RULES = (
 __all__ = [
     "ALL_RULES",
     "DeterminismRule",
-    "SnapshotSafetyRule",
+    "HiddenGlobalsRule",
     "HotPathRule",
     "EstimatePurityRule",
     "MetricsDisciplineRule",

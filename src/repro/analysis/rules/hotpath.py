@@ -1,20 +1,11 @@
-"""R3 — hot-path hygiene: ``__slots__`` everywhere hot, no stored closures.
+"""R3 — hot-path hygiene: ``__slots__`` everywhere hot.
 
-Two checks:
-
-* Classes in ``dram/``, ``sim/engine.py``, ``core/queues.py`` and
-  ``core/access.py`` — the per-event and per-decision inner loops —
-  must declare ``__slots__``.  Slotted attribute access is
-  measurably faster and keeps per-object memory flat at event-queue
-  scale.  Enum/Protocol/NamedTuple/dataclass/exception classes and the
-  dynamic-counter MetricGroup family are exempt by construction.
-
-* No lambdas or locally-defined functions may be stored on instance
-  attributes anywhere in the simulation packages.  This is the PR 4 bug
-  class: closures in live state made the simulator graph undeepcopyable
-  and unpicklable, which is what snapshot/restore and the warm-state
-  cache are built on.  Bound methods (``self.f = self.g``) remain legal
-  — they pickle through the instance.
+Classes in ``dram/``, ``sim/engine.py``, ``core/queues.py`` and
+``core/access.py`` — the per-event and per-decision inner loops — must
+declare ``__slots__``.  Slotted attribute access is measurably faster and
+keeps per-object memory flat at event-queue scale.
+Enum/Protocol/NamedTuple/dataclass/exception classes and the
+dynamic-counter MetricGroup family are exempt by construction.
 """
 
 from __future__ import annotations
@@ -30,10 +21,7 @@ from repro.analysis.core import (
     assign_targets,
     base_names,
     decorator_names,
-    self_attr_target,
 )
-
-_SIM_PACKAGES = ("sim", "dram", "cache", "mem")
 
 #: Single hot modules outside ``dram/``: the event loop, and the queue
 #: index and access objects every scheduling decision walks.
@@ -73,57 +61,20 @@ class HotPathRule(Rule):
     name = "hot-path-hygiene"
     description = (
         "classes in dram/, sim/engine.py, core/queues.py and "
-        "core/access.py must declare __slots__; "
-        "no lambdas or local functions stored on instance attributes "
-        "in simulation packages (PR 4 bug class)"
+        "core/access.py must declare __slots__"
     )
 
     def check(self, module: SourceModule, run: LintRun) -> Iterator[Finding]:
-        hot = module.in_package("dram") or any(
-            module.is_file(f) for f in _HOT_FILES)
-        if hot:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if _slots_exempt(node) or _declares_slots(node):
-                    continue
-                yield module.finding(
-                    self, node,
-                    f"hot-path class {node.name} must declare __slots__ "
-                    "(attribute-offset dispatch)",
-                )
-        if module.in_package(*_SIM_PACKAGES):
-            yield from self._closure_findings(module)
-
-    def _closure_findings(self, module: SourceModule) -> Iterator[Finding]:
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not (module.in_package("dram")
+                or any(module.is_file(f) for f in _HOT_FILES)):
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            local_defs = {
-                stmt.name for stmt in ast.walk(func)
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt is not func
-            }
-            for node in ast.walk(func):
-                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    continue
-                value = node.value
-                if value is None:
-                    continue
-                stored: str | None = None
-                if isinstance(value, ast.Lambda):
-                    stored = "a lambda"
-                elif isinstance(value, ast.Name) and value.id in local_defs:
-                    stored = f"local function {value.id!r}"
-                if stored is None:
-                    continue
-                for target in assign_targets(node):
-                    attr = self_attr_target(target)
-                    if attr is not None:
-                        yield module.finding(
-                            self, node,
-                            f"storing {stored} on self.{attr} puts a "
-                            f"closure into live state — undeepcopyable/"
-                            f"unpicklable (the PR 4 bug class); use a "
-                            f"bound method or module-level function",
-                        )
+            if _slots_exempt(node) or _declares_slots(node):
+                continue
+            yield module.finding(
+                self, node,
+                f"hot-path class {node.name} must declare __slots__ "
+                "(attribute-offset dispatch)",
+            )

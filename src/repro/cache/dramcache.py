@@ -24,7 +24,6 @@ address is computed, nowhere else.
 
 from __future__ import annotations
 
-import copy
 import math
 from array import array
 from typing import Any, NamedTuple, Optional
@@ -58,10 +57,6 @@ class FillResult(NamedTuple):
 # and most probes miss cold structures, so skipping the construction
 # there is a measurable win.
 _MISS = LookupResult(False)
-
-#: the tag-store columns (copied, never shared, by every fork path)
-_COLUMNS = ("_tags", "_dirty", "_stamp")
-
 
 def _dirty_bits(blocks: NDArray[np.int64], seed: int,
                 dirty_fraction: float) -> NDArray[np.bool_]:
@@ -107,7 +102,6 @@ class DRAMCacheArray:
         #: every tag-read completion
         self.is_direct_mapped = organization == "dm"
         self.replacement = replacement
-        # Module-level function, never a closure (snapshot-safe).
         self._victim_way = SA_POLICIES[replacement]
         self.sa = SetAssociativeGeometry(geometry)
         self.dm = DirectMappedGeometry(geometry)
@@ -452,27 +446,7 @@ class DRAMCacheArray:
             col[touched] = out
         self._clock += m
 
-    # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
-
-    def contents_signature(self) -> tuple[Any, ...]:
-        """Value-only digest of the functional contents (snapshot tests).
-
-        Deterministically ordered and identity-free, so signatures of
-        independent copies compare equal iff the contents match.  Lists
-        every set that was ever written (any nonzero stamp), whether or
-        not the columns behind it were allocated lazily.
-        """
-        if not self._tags:
-            return (self.organization, self._clock, [])
-        ways = self._ways
-        stamps = np.frombuffer(self._stamp, dtype=np.int64).reshape(-1, ways)
-        written = np.flatnonzero(stamps.any(axis=1)).tolist()
-        tags, dirty, stamp = self._tags, self._dirty, self._stamp
-        return (self.organization, self._clock,
-                [(s, tuple(tags[s * ways:s * ways + ways]),
-                  tuple(map(bool, dirty[s * ways:s * ways + ways])),
-                  tuple(stamp[s * ways:s * ways + ways]))
-                 for s in written])
+    # -- warm-state hooks (see repro/snapshot.py and DESIGN.md) ---------------
 
     def capture_state(self) -> dict[str, Any]:
         """Freeze the functional contents for warm-state forking.
@@ -501,17 +475,6 @@ class DRAMCacheArray:
         self._tags = list(state["tags"])
         self._dirty = bytearray(state["dirty"])
         self._stamp = array("q", state["stamp"])
-
-    def __deepcopy__(self, memo: dict[int, Any]) -> DRAMCacheArray:
-        # Full snapshots deep-copy the whole System.  The generic path
-        # would visit every cell of the tag column one int at a time;
-        # the cells are immutable scalars, so a slice copy is identical.
-        new = type(self).__new__(type(self))
-        memo[id(self)] = new
-        for name, value in self.__dict__.items():
-            new.__dict__[name] = (value[:] if name in _COLUMNS
-                                  else copy.deepcopy(value, memo))
-        return new
 
     def _touch(self, addr: int, way: int) -> None:
         self._clock += 1

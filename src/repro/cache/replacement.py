@@ -24,10 +24,6 @@ Two call conventions, one per cache organisation:
   returns the victim *way index*.  The caller fills invalid ways first —
   policies only see full sets.  Both organizations use this convention;
   a direct-mapped set is a one-way slice, so every policy returns 0.
-
-All policies are module-level functions, so a cache holding one as an
-attribute stays snapshot-safe (no closures in live state — see
-repro/snapshot.py and dca-lint rule R3).
 """
 
 from __future__ import annotations

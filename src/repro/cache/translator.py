@@ -57,9 +57,9 @@ class Translator:
         self.array = array
         self.mapper = mapper
         # Per-system access age counter (the schedulers' final tiebreak).
-        # Owned here — not by the Access class — so it travels with the
-        # simulation through snapshot capture/restore and two live
-        # simulations never interleave their sequence numbers.
+        # Owned here, not by the Access class, so two systems run in one
+        # process (warm forks, pool workers) never interleave their
+        # sequence numbers.
         self._seq = 0
 
     # -- access construction ----------------------------------------------------
@@ -69,7 +69,7 @@ class Translator:
         channel, rank, bank, row, col, gb = self.mapper.coordinates(array_addr)
         self._seq += 1
         return Access(role, req, channel, rank, bank, row, col, gb, now,
-                      critical=critical, seq=self._seq)
+                      self._seq, critical=critical)
 
     # -- stage 1 ------------------------------------------------------------------
 

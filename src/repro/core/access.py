@@ -97,13 +97,11 @@ class Access:
                  "global_bank", "arrival", "seq", "priority", "on_complete",
                  "critical", "core_id", "is_write")
 
-    _seq = 0
-
     def __init__(self, role: AccessRole, request: CacheRequest,
                  channel: int, rank: int, bank: int, row: int, col: int,
-                 global_bank: int, arrival: int,
+                 global_bank: int, arrival: int, seq: int,
                  on_complete: Optional[Callable[["Access", int], None]] = None,
-                 critical: bool = True, seq: Optional[int] = None):
+                 critical: bool = True):
         self.role = role
         self.request = request
         self.channel = channel
@@ -113,15 +111,10 @@ class Access:
         self.col = col
         self.global_bank = global_bank
         self.arrival = arrival
-        if seq is None:
-            # Convenience fallback for hand-built accesses (tests).  The
-            # simulator proper always passes an explicit seq from the
-            # per-system Translator counter: a class-global
-            # here would be hidden state that snapshot capture/restore
-            # could not make bit-faithful (see repro/snapshot.py).
-            Access._seq += 1
-            seq = Access._seq
-        self.seq = seq                    # age tiebreak for schedulers
+        # Age tiebreak for the schedulers, drawn from the per-system
+        # Translator counter (never a class global: systems sharing a
+        # process must not share numbering).
+        self.seq = seq
         # Flattened from the owning request: the scheduler inner loop reads
         # this per candidate, and a slot is much cheaper than a property.
         self.core_id = request.core_id

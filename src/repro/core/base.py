@@ -170,9 +170,6 @@ class BaseController:
                     # MAP-I: probe main memory in parallel with the tag read.
                     req.meta["probing"] = True
                     st.memory_fetches += 1
-                    # Bound method + request arg, not a closure: scheduled
-                    # callbacks must survive snapshot capture (see
-                    # MainMemory.fetch and repro/snapshot.py).
                     self.mainmem.fetch(req.addr, self._mem_fetch_done, req)
         elif req.rtype == RequestType.WRITEBACK:
             st.writebacks_submitted += 1

@@ -9,7 +9,6 @@ of Zhang et al. (MICRO'00).
 """
 
 from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import RowState
 from repro.dram.channel import Channel
 from repro.dram.command import CommandChannel
 from repro.dram.device import DRAMDevice
@@ -21,7 +20,6 @@ __all__ = [
     "DecodedAddress",
     "Channel",
     "CommandChannel",
-    "RowState",
     "DRAMDevice",
     "ChannelStats",
     "CommandChannelStats",

@@ -21,24 +21,8 @@ The channels hold that per-bank state as struct-of-arrays columns (see
 access can see.
 """
 
-from __future__ import annotations
-
-from enum import IntEnum
-
-#: Row-state constants (kept as plain ints for speed in hot paths).
+#: Row-state constants (plain ints for speed in hot paths).
 ROW_HIT = 0
 ROW_CLOSED = 1
 ROW_CONFLICT = 2
 
-
-class RowState(IntEnum):
-    """Public row-state names, derived from the hot-path int constants.
-
-    This is the single definition (``repro.dram.channel`` re-exports it);
-    the substrate hot paths keep comparing plain ints, public query
-    surfaces (``Channel.row_state``) wrap them in this enum.
-    """
-
-    HIT = ROW_HIT
-    CLOSED = ROW_CLOSED
-    CONFLICT = ROW_CONFLICT

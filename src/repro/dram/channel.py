@@ -24,8 +24,7 @@ hot paths are list index arithmetic with no per-bank objects.  These
 columns are the only bank state; the lockstep tests check them against an
 independent per-bank object model kept under ``tests/``.  The columns are
 mutated strictly in place — never rebound — so a reference taken to one
-(the schedulers read ``open_rows`` directly) stays live across
-``restore_state``.
+(the schedulers read ``open_rows`` directly) stays live.
 
 This class is the ``fidelity="burst"`` substrate model — the default, and
 the hot path every controller comparison runs on.  It implements the
@@ -36,13 +35,13 @@ constraints, refresh and page policies on the same bus/statistics core.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.config import DRAMOrganization, DRAMTimings
-from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, RowState
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
 from repro.dram.stats import ChannelStats
 
-__all__ = ["Channel", "RowState"]
+__all__ = ["Channel"]
 
 # Bus direction states.
 _DIR_NONE = 0
@@ -99,11 +98,11 @@ class Channel:
         self._last_read_end: int = 0
         self._last_write_end: int = 0
         self._last_rank: int = -1       # rank of the last burst (-1: none)
-        # Timing-state generation: bumped by every committed access and
-        # every state restore, i.e. whenever a previously computed
-        # estimate could go stale.  estimate_burst_start memoizes on it,
-        # so repeated probes of the same candidate between two commits
-        # (schedulers re-rank whole queues per decision) compute once.
+        # Timing-state generation: bumped by every committed access,
+        # i.e. whenever a previously computed estimate could go stale.
+        # estimate_burst_start memoizes on it, so repeated probes of the
+        # same candidate between two commits (schedulers re-rank whole
+        # queues per decision) compute once.
         self._gen: int = 0
         self._est_memo: dict[tuple[int, int, int, bool, int], int] = {}
         self._est_gen: int = -1
@@ -113,22 +112,15 @@ class Channel:
 
     # -- queries (no mutation) ------------------------------------------------
 
-    def row_state(self, rank: int, bank: int, row: int) -> RowState:
-        """Row-buffer state an access to (rank, bank, row) would see now."""
-        orow = self.open_rows[rank * self._bpr + bank]
-        if orow < 0:
-            return RowState(ROW_CLOSED)
-        return RowState(ROW_HIT) if orow == row else RowState(ROW_CONFLICT)
-
     def estimate_burst_start(self, rank: int, bank: int, row: int,
                              is_write: bool, now: int) -> int:
         """Earliest burst start for the access (pure query, for schedulers).
 
         Memoized per timing-state generation: between two commits the
         channel state is frozen, so equal probes return the cached time;
-        any :meth:`issue` or :meth:`restore_state` invalidates the cache
-        wholesale.  ``now`` is part of the key, so probes at different
-        decision times never alias.
+        any :meth:`issue` invalidates the cache wholesale.  ``now`` is
+        part of the key, so probes at different decision times never
+        alias.
         """
         memo = self._est_memo
         if self._est_gen != self._gen:
@@ -295,56 +287,3 @@ class Channel:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-
-    # -- state capture (substrate protocol) -----------------------------------
-
-    def capture_state(self) -> dict[str, Any]:
-        """Value-only image of the complete timing state (not the stats).
-
-        Comparable across independent copies — two channels with equal
-        captures will time every future access identically.  Subclasses
-        extend the dict with their own state under new keys.  Each bank
-        is one ``(open_row, act_time, ready_cas, ready_pre, ready_act)``
-        tuple, with ``open_row`` as ``None`` when closed.
-        """
-        orows = self.open_rows
-        acts = self.act_times
-        cass = self.ready_cas
-        pres = self.ready_pre
-        racts = self.ready_act
-        return {
-            "bus": (self.bus_free, self.bus_dir,
-                    self._last_read_end, self._last_write_end,
-                    self._last_rank),
-            "banks": [(orows[i] if orows[i] >= 0 else None, acts[i],
-                       cass[i], pres[i], racts[i])
-                      for i in range(self.nbanks)],
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a :meth:`capture_state` image.
-
-        Atomic: validation happens before any mutation, so a rejected
-        image leaves the channel exactly as it was.  The columns are
-        written element-wise in place, keeping every outstanding column
-        reference live.
-        """
-        if len(state["banks"]) != self.nbanks:
-            raise ValueError(
-                f"bank count mismatch: captured {len(state['banks'])}, "
-                f"channel has {self.nbanks}")
-        (self.bus_free, self.bus_dir,
-         self._last_read_end, self._last_write_end,
-         self._last_rank) = state["bus"]
-        orows = self.open_rows
-        acts = self.act_times
-        cass = self.ready_cas
-        pres = self.ready_pre
-        racts = self.ready_act
-        for i, (orow, act, cas, pre, ract) in enumerate(state["banks"]):
-            orows[i] = -1 if orow is None else orow
-            acts[i] = act
-            cass[i] = cas
-            pres[i] = pre
-            racts[i] = ract
-        self._gen += 1

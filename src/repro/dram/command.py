@@ -33,8 +33,7 @@ instead of row-hit/conflict accesses.
 All rank/bank timing state is struct-of-arrays like the base channel:
 the refresh sync, the scratch capture/rollback the pure estimates run,
 and the tFAW window checks operate on flat int lists (the per-rank ACT
-history is a bounded ``list[int]``, oldest first — the capture format it
-serializes to is unchanged).
+history is a bounded ``list[int]``, oldest first).
 
 Determinism: lazy state advances happen only at commits, are monotone in
 simulated time, and the simulator's ``now`` never decreases — so every
@@ -45,7 +44,7 @@ any outcome (pinned by tests/test_substrate.py).
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.config import DRAMOrganization, DRAMTimings, SubstrateConfig
 from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
@@ -334,39 +333,3 @@ class CommandChannel(Channel):
         super().reset_stats()
         for rs in self.rank_groups:
             rs.reset()
-
-    # -------------------------------------------------------- state capture
-
-    def capture_state(self) -> dict[str, Any]:
-        state = super().capture_state()
-        state["command"] = {
-            "act_history": [list(h) for h in self._act_history],
-            "refresh_due": list(self._refresh_due),
-            "blackout_end": list(self._blackout_end),
-            "bank_last_end": list(self._bank_last_end),
-        }
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        cmd = state["command"]
-        nranks = self.org.ranks_per_channel
-        # Validate the rank/bank structure before any mutation (the base
-        # class's bank-count check alone would accept a same-total but
-        # differently-ranked capture, e.g. 1x16 into 2x8).
-        if (len(cmd["act_history"]) != nranks
-                or len(cmd["refresh_due"]) != nranks
-                or len(cmd["blackout_end"]) != nranks
-                or len(cmd["bank_last_end"]) != self.nbanks):
-            raise ValueError(
-                f"rank/bank structure mismatch: captured "
-                f"{len(cmd['refresh_due'])} ranks / "
-                f"{len(cmd['bank_last_end'])} banks, channel has "
-                f"{nranks} ranks / {self.nbanks} banks")
-        super().restore_state(state)
-        # Keep only the newest FAW_DEPTH entries, exactly as the bounded
-        # window would (captures never exceed the depth anyway).
-        self._act_history = [list(h)[-FAW_DEPTH:]
-                             for h in cmd["act_history"]]
-        self._refresh_due = list(cmd["refresh_due"])
-        self._blackout_end = list(cmd["blackout_end"])
-        self._bank_last_end = list(cmd["bank_last_end"])

@@ -1,16 +1,14 @@
 """The pluggable-fidelity substrate protocol and its factory.
 
-Everything above the DRAM — schedulers, the controller designs, the
-snapshot layer — consumes a channel through one narrow surface, the
-:class:`Substrate` protocol:
+Everything above the DRAM — schedulers and the controller designs —
+consumes a channel through one narrow surface, the :class:`Substrate`
+protocol:
 
-* ``row_state`` / ``estimate_burst_start`` — pure scheduling queries
-  (plus direct reads of the ``open_rows`` struct-of-arrays column on the
-  scheduler hot path, ``-1`` = closed);
+* ``estimate_burst_start`` — a pure scheduling query (plus direct reads
+  of the ``open_rows`` struct-of-arrays column on the scheduler hot
+  path, ``-1`` = closed);
 * ``issue`` — commit one access, returning ``(burst_start, burst_end)``;
-* ``reset_stats`` — warm-up boundary;
-* ``capture_state`` / ``restore_state`` — value-only timing-state images
-  for the snapshot/differential machinery.
+* ``reset_stats`` — warm-up boundary.
 
 Two models implement it:
 
@@ -32,10 +30,9 @@ config path.
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.config import DRAMOrganization, DRAMTimings, SubstrateConfig
-from repro.dram.bank import RowState
 from repro.dram.channel import Channel
 from repro.dram.command import CommandChannel
 from repro.dram.stats import ChannelStats
@@ -56,8 +53,6 @@ class Substrate(Protocol):
     bus_free: int
     stats: ChannelStats
 
-    def row_state(self, rank: int, bank: int, row: int) -> RowState: ...
-
     def estimate_burst_start(self, rank: int, bank: int, row: int,
                              is_write: bool, now: int) -> int: ...
 
@@ -65,10 +60,6 @@ class Substrate(Protocol):
               now: int) -> tuple[int, int]: ...
 
     def reset_stats(self) -> None: ...
-
-    def capture_state(self) -> dict[str, Any]: ...
-
-    def restore_state(self, state: dict[str, Any]) -> None: ...
 
 
 def make_channel(timings: DRAMTimings, org: DRAMOrganization,

@@ -16,7 +16,7 @@ one substrate channel per memory channel built through the same
 uses — so bank conflicts, row-buffer locality, bus turnarounds and
 rank-to-rank switches (``tCS``) below the cache become visible.  Both
 models expose the identical interface (``fetch``/``write``/``stats``/
-``reset_stats``/``capture_state``/``restore_state``), and the controller
+``reset_stats``), and the controller
 is built against :data:`AnyMainMemory` through :func:`make_mainmem`.
 
 Reads carry a completion callback (the DRAM-cache controller delivers the
@@ -89,10 +89,8 @@ class MainMemory:
 
         ``arg`` replaces the address as the callback payload when given
         (``on_done(arg)``), so callers can route the completion to a
-        request object with a plain bound method instead of a closure —
-        closures in the event heap are invisible to the snapshot layer
-        (deepcopy/pickle treat functions as atomic, so a captured closure
-        would keep pointing at the *donor* simulation's objects).
+        request object with one shared bound method instead of building
+        a closure per fetch.
 
         Returns the completion time (useful for tests).
         """
@@ -117,19 +115,6 @@ class MainMemory:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-
-    # -- state capture --------------------------------------------------------
-
-    def capture_state(self) -> dict[str, Any]:
-        """Value-only image of the timing state (not the stats)."""
-        return {"model": "flat", "bus_free": self._bus_free}
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a :meth:`capture_state` image."""
-        if state["model"] != "flat":
-            raise ValueError(f"cannot restore {state['model']!r} state "
-                             "into a flat MainMemory")
-        self._bus_free = state["bus_free"]
 
 
 class BankedMainMemory:
@@ -203,25 +188,6 @@ class BankedMainMemory:
         self.stats.reset()
         for channel in self.channels:
             channel.reset_stats()
-
-    # -- state capture --------------------------------------------------------
-
-    def capture_state(self) -> dict[str, Any]:
-        """Value-only image of every channel's timing state."""
-        return {"model": "banked",
-                "channels": [c.capture_state() for c in self.channels]}
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a :meth:`capture_state` image (validates before mutating)."""
-        if state["model"] != "banked":
-            raise ValueError(f"cannot restore {state['model']!r} state "
-                             "into a BankedMainMemory")
-        if len(state["channels"]) != len(self.channels):
-            raise ValueError(
-                f"channel count mismatch: captured {len(state['channels'])}, "
-                f"memory has {len(self.channels)}")
-        for channel, img in zip(self.channels, state["channels"]):
-            channel.restore_state(img)
 
 
 AnyMainMemory = Union[MainMemory, BankedMainMemory]

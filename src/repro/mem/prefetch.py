@@ -53,12 +53,6 @@ class Prefetcher(Protocol):
     def on_fill(self, addr: int) -> Sequence[int]:
         """React to a completed L2 fill; return candidate addresses."""
 
-    def capture_state(self) -> dict[int, list[int]]:
-        """Value-copy of mutable predictor state (snapshot diffing)."""
-
-    def restore_state(self, state: dict[int, list[int]]) -> None:
-        """Adopt state captured by :meth:`capture_state`."""
-
 
 class NextLinePrefetcher:
     """Sequential next-``degree``-blocks prefetcher (miss- and fill-tagged)."""
@@ -77,12 +71,6 @@ class NextLinePrefetcher:
         # Extending on fills keeps a sequential stream ahead of the
         # demand misses instead of re-triggering off each one.
         return [addr + self._block * self._degree]
-
-    def capture_state(self) -> dict[int, list[int]]:
-        return {}   # stateless: nothing to diff or restore
-
-    def restore_state(self, state: dict[int, list[int]]) -> None:
-        pass
 
 
 class StridePrefetcher:
@@ -118,12 +106,6 @@ class StridePrefetcher:
 
     def on_fill(self, addr: int) -> Sequence[int]:
         return ()   # stride streams are driven by the access pattern alone
-
-    def capture_state(self) -> dict[int, list[int]]:
-        return {slot: row[:] for slot, row in self._table.items()}
-
-    def restore_state(self, state: dict[int, list[int]]) -> None:
-        self._table = {slot: row[:] for slot, row in state.items()}
 
 
 def make_prefetcher(cfg: PrefetchConfig, block_bytes: int) -> Prefetcher:

@@ -61,7 +61,6 @@ class SRAMCache:
         self.num_sets = geom.num_sets
         self.block = geom.block_bytes
         self._assoc = geom.assoc
-        # Module-level function, never a closure (snapshot-safe).
         self._pick_victim = SRAM_POLICIES[geom.replacement]
         # set idx -> {tag: dirty}, keys in LRU order (least recent first)
         self._sets: dict[int, dict[int, bool]] = {}
@@ -275,7 +274,7 @@ class SRAMCache:
         """Number of dirty lines (O(cache); tests only)."""
         return sum(1 for s in self._sets.values() for d in s.values() if d)
 
-    # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
+    # -- warm-state hooks (see repro/snapshot.py and DESIGN.md) ---------------
 
     def capture_state(self) -> dict[str, Any]:
         """Independent copy of contents (LRU order) + dirty-row index.
@@ -283,8 +282,7 @@ class SRAMCache:
         SRAM caches are small (thousands of lines), so an eager copy is
         cheap; the copy is fully detached — donor and restored caches
         never share mutable structure.  Stats are *not* captured: every
-        warm-capture point in the system resets them anyway, and the
-        full-snapshot path copies the live object graph wholesale.
+        warm-capture point in the system resets them anyway.
         """
         return {
             "sets": {k: dict(v) for k, v in self._sets.items()},

@@ -29,7 +29,7 @@ at the warm-up boundary like the controller queues' integrals.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.config import WriteBufferConfig
 from repro.metrics.registry import MetricGroup, derived
@@ -49,10 +49,7 @@ class WriteBufferStats(MetricGroup):
 class L2WriteBuffer:
     """FIFO write buffer with pluggable drain policies.
 
-    ``submit`` is the downstream sink — a *bound method* of the system
-    (``System._submit_writeback``), never a closure, so a snapshotted
-    buffer keeps draining into its own copy of the controller (see
-    repro/snapshot.py).
+    ``submit`` is the downstream sink (``System._submit_writeback``).
     """
 
     def __init__(self, sim: Simulator, cfg: WriteBufferConfig,
@@ -161,19 +158,3 @@ class L2WriteBuffer:
         self._drain_to(0)
         self._idle_scheduled = False
 
-    # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
-
-    def capture_state(self) -> dict[str, Any]:
-        """Value copy of buffered writebacks + accounting clocks."""
-        return {
-            "entries": dict(self._entries),
-            "last_t": self._last_t,
-            "last_push": self._last_push,
-            "idle_scheduled": self._idle_scheduled,
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        self._entries = dict(state["entries"])
-        self._last_t = state["last_t"]
-        self._last_push = state["last_push"]
-        self._idle_scheduled = state["idle_scheduled"]

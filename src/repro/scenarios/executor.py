@@ -148,10 +148,10 @@ def run_sweep(sweep: SweepSpec, params: SimParams,
 
     ``warm_cache`` shares the functional warm-up across points with the
     same (workload, substrate) prefix — e.g. a design or scheduler axis
-    forks every value from one warm snapshot.  Results are bit-identical
+    forks every value from one warm state.  Results are bit-identical
     to cold execution (see repro/snapshot.py); each point's
     ``result.meta["warm"]`` records whether it was served from the warm
-    snapshot.  With ``jobs > 1`` checkpointing coarsens from per point
+    state.  With ``jobs > 1`` checkpointing coarsens from per point
     to per warm group (a group is one pool task; see ``run_grid``).
     """
     t0 = time.time()

@@ -26,12 +26,6 @@ from typing import Any, Callable, Optional
 _Entry = tuple[int, int, Callable[[Any], Any], Any]
 
 
-def _arg_kind(arg: Any) -> str:
-    if arg is None or isinstance(arg, (int, str)):
-        return repr(arg)
-    return type(arg).__name__
-
-
 class Simulator:
     """The event loop: a binary heap of events.  All components share one.
 
@@ -57,9 +51,9 @@ class Simulator:
         Callable from inside an event callback (the usual case: a model
         component detects its termination condition).  The stopping point
         is a precise *event*, so the end state cannot depend on how
-        callers sliced the event loop — the determinism the snapshot
-        layer's bit-identity invariant rests on.  The request is consumed
-        by the loop that honours it.
+        callers sliced the event loop: a run advanced in ``max_events``
+        slices ends exactly where a straight-through run does.  The
+        request is consumed by the loop that honours it.
         """
         self._stop_requested = True
 
@@ -84,27 +78,6 @@ class Simulator:
     def events_run(self) -> int:
         """Total callbacks executed so far (for progress reporting)."""
         return self._events_run
-
-    def signature(self) -> dict[str, Any]:
-        """Comparable digest of the engine state (snapshot test hook).
-
-        Two simulators with equal signatures hold the same clock, the
-        same counters and the same scheduled work: every pending event
-        is summarised as ``(time, seq, callback qualname, arg kind)``,
-        enumerated in the canonical ``(time, seq)`` order (the heap's
-        array layout is an implementation detail a faithful copy need not
-        share).  Callbacks are named, not identity-compared, so
-        signatures of *independent* simulations (original vs.
-        restored-from-snapshot) can be equated.
-        """
-        return {
-            "now": self.now,
-            "seq": self._seq,
-            "events_run": self._events_run,
-            "heap": [(time, seq, getattr(fn, "__qualname__", repr(fn)),
-                      _arg_kind(arg))
-                     for time, seq, fn, arg in sorted(self._heap)],
-        }
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run the event loop.

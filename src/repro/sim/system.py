@@ -174,15 +174,11 @@ class System:
             design, self.sim, cfg, organization=organization,
             xor_remap=xor_remap, use_mapi=use_mapi, scheduler=scheduler)
 
-        # A *bound method*, not a closure: closures deep-copy/pickle as
-        # atoms, so a snapshotted L2 would keep calling into the donor
-        # system's array (see repro/snapshot.py).
-        self._row_of = self._array_row
         self.l2 = SRAMCache(cfg.l2,
-                            row_of=self._row_of if lee_writeback else None)
+                            row_of=self._array_row if lee_writeback else None)
         self.lee: Optional[DRAMAwareWritebackIndex] = None
         if lee_writeback:
-            self.lee = DRAMAwareWritebackIndex(self.l2, self._row_of)
+            self.lee = DRAMAwareWritebackIndex(self.l2, self._array_row)
         # MSHR capacity partition (Sniper-style): a configured prefetcher
         # carves its entries out of the shared file, so speculative
         # traffic can never stall a demand miss — and never inflates the
@@ -203,8 +199,7 @@ class System:
         #: blocks brought in by an un-promoted prefetch, awaiting their
         #: first demand hit (membership tests only — never iterated)
         self._prefetched: set[int] = set()
-        # Writebacks drain through the buffer into the controller; the
-        # sink is a bound method (snapshot-safe, see L2WriteBuffer).
+        # Writebacks drain through the buffer into the controller.
         self.writebuf = L2WriteBuffer(self.sim, cfg.writebuf,
                                       self._submit_writeback)
 
@@ -220,8 +215,8 @@ class System:
             # profile, phased/adversarial scenario, trace-file replay)
             # builds its own stream; see repro/workloads/scenarios.py.
             # The TraceCursor wrapper makes the stream positioned and
-            # reconstructible, which is what lets a snapshot of this
-            # system be captured at all (see repro/workloads/cursor.py).
+            # reconstructible, which is what lets a warm state resume it
+            # (see repro/workloads/cursor.py).
             trace = TraceCursor(prof, seed=seed * 1000003 + i * 7919 + 1,
                                 core_offset=i << 44,
                                 footprint_scale=footprint_scale)
@@ -395,8 +390,7 @@ class System:
             # Exact termination: the run ends at this event, not at the
             # next multiple of the drain's check interval.  Without this
             # the end state would depend on how the event loop was
-            # sliced, breaking the snapshot layer's bit-identity
-            # invariant (restored continuations slice differently).
+            # sliced (tests/test_system.py runs systems in slices).
             self.sim.stop()
 
     def functional_warmup(self, replay_accesses: int = 20_000,
@@ -529,8 +523,8 @@ class System:
 
         Split out of :meth:`run` so callers can drive the event loop in
         slices (``self.sim.run(max_events=...)``) between ``begin`` and
-        :meth:`finish` — the snapshot differential tests capture
-        mid-simulation this way.
+        :meth:`finish`, e.g. to interleave several systems in one
+        process.
 
         ``replay_accesses`` defaults to 20 000 for the functional warm-up
         path.  When a ``warm_state`` is supplied *and* an explicit

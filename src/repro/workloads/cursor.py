@@ -1,21 +1,17 @@
-"""Replayable trace cursors: the snapshot layer's view of a workload.
+"""Replayable trace cursors: how a warm state repositions a workload.
 
 Traces are infinite *generators* (``repro.workloads.generator`` and the
-scenario frontends), which CPython can neither deep-copy nor pickle — so a
-simulator holding raw generators can never be snapshotted.  The system
-therefore consumes every trace through a :class:`TraceCursor`: a thin
-iterator wrapper that remembers **how the stream was built** (the trace
-source and its ``make_trace`` arguments) and **how far it has been
+scenario frontends), which CPython can neither copy nor pickle.  The
+system therefore consumes every trace through a :class:`TraceCursor`: a
+thin iterator wrapper that remembers **how the stream was built** (the
+trace source and its ``make_trace`` arguments) and **how far it has been
 consumed**.  Because every trace source is deterministic by contract
 (same source + same arguments ⇒ the identical stream — property-tested in
-``tests/test_workloads.py``), a cursor can be reconstructed anywhere by
-rebuilding the stream and fast-forwarding ``count`` operations:
-
-* ``copy.deepcopy`` of a cursor yields an independent cursor at the same
-  position whose future output is bit-identical (the snapshot/restore
-  invariant);
-* pickling a cursor ships only ``(source, kwargs, count)`` — a few bytes —
-  and replays on load, so full-simulator snapshots stay process-portable.
+``tests/test_workloads.py``), a fresh cursor over the same source,
+fast-forwarded with :meth:`TraceCursor.skip` by another cursor's
+``count``, continues bit-identically from that cursor's position.  This
+is how ``System.restore_warm_state`` resumes each core's trace where the
+functional warm-up left it.
 
 Fast-forward cost is linear in ``count``, but a synthetic trace op costs
 well under 1 µs to generate (about 0.6 µs with the cursor's own step, on
@@ -23,7 +19,7 @@ a 2-core x86-64 box under CPython 3.11), orders of magnitude below
 simulating the same ops, so replay never dominates a restore.
 
 Trace sources are required to be immutable (all shipped sources are frozen
-dataclasses); cursors share them instead of copying, which also keeps a
+dataclasses), which also keeps a
 :class:`~repro.workloads.scenarios.TraceFileWorkload`'s parsed ops tuple
 shared across all cursors over one file.
 """
@@ -60,22 +56,6 @@ class TraceCursor:
         for _ in range(n):
             next(it)
         self.count += n
-
-    @classmethod
-    def _rebuild(cls, source: Any, kwargs: dict, count: int) -> "TraceCursor":
-        cur = cls(source, **kwargs)
-        cur.skip(count)
-        return cur
-
-    def __deepcopy__(self, memo: dict) -> "TraceCursor":
-        # The source is immutable by contract: share it.  Rebuild + replay
-        # instead of copying the (uncopyable) live generator.
-        cur = type(self)._rebuild(self.source, self.kwargs, self.count)
-        memo[id(self)] = cur
-        return cur
-
-    def __reduce__(self):
-        return (type(self)._rebuild, (self.source, self.kwargs, self.count))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.source, "name", type(self.source).__name__)

@@ -10,7 +10,7 @@ _CACHE = {}          # R2 does not apply outside simulation packages
 
 class NoSlotsNeeded:
     def __init__(self):
-        self.journal = []   # R2/R3 out of scope here
+        self.journal = []   # R3 out of scope here
 
     def now(self):
         return time.time()  # R1 out of scope here

@@ -1,21 +1,5 @@
-"""R2 fixture: invisible module state and hookless stateful classes."""
+"""R2 fixture: mutable module state in a simulation package."""
 
 _PENDING = []                     # expect: R2
 _MEMO = dict()                    # expect: R2
 _TABLE = [0] * 16                 # expect: R2
-
-
-class HookySet:                   # expect: R2
-    """Mutable state, no capture/restore, not allowlisted."""
-
-    def __init__(self, ways):
-        self.tags = [-1] * ways   # the state R2 wants capturable
-        self.dirty = set()
-
-
-class Inherited(HookySet):        # expect: R2
-    """Base (same module) has no hooks either, so this is flagged too."""
-
-    def __init__(self, ways):
-        super().__init__(ways)
-        self.extra = {}

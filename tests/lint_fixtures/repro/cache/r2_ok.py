@@ -1,76 +1,14 @@
 """R2 fixture: every legal way to hold state in a simulation package."""
 
-from dataclasses import dataclass, field
-
-__all__ = ["Captured", "CopyControlled", "SubclassOfCaptured"]
+__all__ = ["Owner"]                # __all__ is exempt
 
 _LIMIT = 64                        # scalars are fine
 _ROLES = frozenset({"PR", "LR"})   # immutable containers are fine
 
 
-class Captured:
-    """The canonical pattern: an explicit capture/restore pair."""
+class Owner:
+    """Mutable state on an owning object: one copy per system."""
 
     def __init__(self):
         self.rows = {}
-
-    def capture_state(self):
-        return {"rows": dict(self.rows)}
-
-    def restore_state(self, state):
-        self.rows = dict(state["rows"])
-
-
-class WarmCaptured:
-    """Any capture*/restore* pair counts (System uses *_warm_state)."""
-
-    def __init__(self):
-        self.sets = []
-
-    def capture_warm_state(self):
-        return list(self.sets)
-
-    def restore_warm_state(self, state):
-        self.sets = list(state)
-
-
-class CopyControlled:
-    """Copy-control dunders make copying explicit instead."""
-
-    def __init__(self):
-        self.pool = []
-
-    def __deepcopy__(self, memo):
-        clone = CopyControlled()
-        memo[id(self)] = clone
-        return clone
-
-
-class SubclassOfCaptured(Captured):
-    """Hooks inherited from a same-module base are visible to the rule."""
-
-    def __init__(self):
-        super().__init__()
-        self.overlay = {}
-
-
-class ScalarsOnly:
-    """No mutable containers, nothing to capture."""
-
-    def __init__(self):
-        self.count = 0
-        self.name = "ch0"
-
-
-@dataclass
-class FieldDeclared:
-    """Dataclasses declare state as fields, not in a source __init__."""
-
-    waiters: list = field(default_factory=list)
-
-
-class SuppressedHoarder:              # dca-lint: disable=R2
-    """Explicitly waived, with the pragma on the class line."""
-
-    def __init__(self):
-        self.secrets = {}
+        self.seq = 0

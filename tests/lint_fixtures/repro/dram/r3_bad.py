@@ -1,4 +1,4 @@
-"""R3 fixture: slotless hot-path classes and closures in live state."""
+"""R3 fixture: slotless hot-path classes."""
 
 
 class BareTimingState:            # expect: R3
@@ -11,15 +11,3 @@ class BareTimingState:            # expect: R3
 class AlsoBare:                   # expect: R3
     pass
 
-
-class Controller:
-    __slots__ = ("on_done", "hook", "ok")
-
-    def wire(self, latency):
-        self.on_done = lambda access: access.arrival + latency   # expect: R3
-
-        def drain(queue):
-            return queue.pop()
-
-        self.hook = drain         # expect: R3
-        self.ok = drain(None)

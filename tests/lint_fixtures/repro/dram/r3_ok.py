@@ -1,4 +1,4 @@
-"""R3 fixture: slotted hot classes, exempt families, legal callables."""
+"""R3 fixture: slotted hot classes and exempt families."""
 
 from dataclasses import dataclass
 from enum import IntEnum
@@ -41,21 +41,3 @@ class ChannelStats(MetricGroup):  # noqa: F821 — parsed, never executed
 class TimingError(ValueError):
     pass
 
-
-def module_level_hook(access):
-    return access.arrival
-
-
-class Wired:
-    __slots__ = ("on_done", "row_of")
-
-    def __init__(self, mapper):
-        self.on_done = module_level_hook     # module function: picklable
-        self.row_of = mapper.row_of          # bound method: picklable
-
-
-class Waived:
-    __slots__ = ("fn",)
-
-    def wire(self):
-        self.fn = lambda: 0  # dca-lint: disable=R3

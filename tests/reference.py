@@ -20,12 +20,22 @@ both side by side and fail on the first divergence:
 * :class:`NaiveSimulator` — the event engine's contract as an unordered
   list scanned for the least ``(time, seq)`` on every pop
   (``test_engine.py``).
+
+It also holds the read-only queries only tests need: :class:`RowState` /
+:func:`row_state` and :func:`bank_states` over a channel's SoA columns,
+:func:`contents_signature` over a DRAM-cache array, and :func:`next_seq`
+for hand-built accesses.
 """
 
 from __future__ import annotations
 
+import itertools
+from enum import IntEnum
 from typing import Any, Callable, Iterable, Optional
 
+import numpy as np
+
+from repro.cache.dramcache import DRAMCacheArray
 from repro.config import DRAMTimings
 from repro.core.access import Access, Priority
 from repro.core.bliss import BLISSScheduler
@@ -33,9 +43,64 @@ from repro.core.rrpc import RRPCTable
 from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
 from repro.dram.channel import Channel
 
-#: The complete value state of one bank, as captured/restored:
+#: The complete value state of one bank:
 #: (open_row, act_time, ready_cas, ready_pre, ready_act).
 BankState = tuple[int | None, int, int, int, int]
+
+
+class RowState(IntEnum):
+    """Names for the channels' hot-path ``ROW_*`` int constants."""
+
+    HIT = ROW_HIT
+    CLOSED = ROW_CLOSED
+    CONFLICT = ROW_CONFLICT
+
+
+def row_state(channel: Channel, rank: int, bank: int, row: int) -> RowState:
+    """Row-buffer state an access to (rank, bank, row) would see now."""
+    orow = channel.open_rows[rank * channel.org.banks_per_rank + bank]
+    if orow < 0:
+        return RowState.CLOSED
+    return RowState.HIT if orow == row else RowState.CONFLICT
+
+
+def bank_states(channel: Channel) -> list[BankState]:
+    """Every bank of ``channel`` as a :meth:`Bank.capture` tuple, read
+    from its SoA columns (``open_row`` is None when closed)."""
+    return [(orow if orow >= 0 else None, act, cas, pre, ract)
+            for orow, act, cas, pre, ract in zip(
+                channel.open_rows, channel.act_times, channel.ready_cas,
+                channel.ready_pre, channel.ready_act)]
+
+
+def contents_signature(array: DRAMCacheArray) -> tuple[Any, ...]:
+    """Value-only digest of a DRAM-cache array's functional contents.
+
+    Deterministically ordered and identity-free, so digests of
+    independent arrays compare equal iff their contents match.  Lists
+    every set that was ever written (any nonzero stamp), whether or not
+    the columns behind it were allocated lazily.
+    """
+    if not array._tags:
+        return (array.organization, array._clock, [])
+    ways = array._ways
+    stamps = np.frombuffer(array._stamp, dtype=np.int64).reshape(-1, ways)
+    written = np.flatnonzero(stamps.any(axis=1)).tolist()
+    tags, dirty, stamp = array._tags, array._dirty, array._stamp
+    return (array.organization, array._clock,
+            [(s, tuple(tags[s * ways:s * ways + ways]),
+              tuple(map(bool, dirty[s * ways:s * ways + ways])),
+              tuple(stamp[s * ways:s * ways + ways]))
+             for s in written])
+
+
+_access_seqs = itertools.count(1)
+
+
+def next_seq() -> int:
+    """A fresh age tiebreak for a hand-built :class:`Access` (the
+    simulator draws them from its per-system Translator counter)."""
+    return next(_access_seqs)
 
 
 class Bank:
@@ -115,15 +180,9 @@ class Bank:
         self.ready_act = 0
 
     def capture(self) -> BankState:
-        """Value tuple of the complete bank state, in the per-bank layout
-        of ``Channel.capture_state()["banks"]`` (timings excluded)."""
+        """Value tuple of the complete bank state (timings excluded)."""
         return (self.open_row, self.act_time, self.ready_cas,
                 self.ready_pre, self.ready_act)
-
-    def restore(self, state: BankState) -> None:
-        """Adopt a :meth:`capture` tuple."""
-        (self.open_row, self.act_time, self.ready_cas,
-         self.ready_pre, self.ready_act) = state
 
 
 def bliss_pick(sched: BLISSScheduler, candidates: Iterable[Access],
@@ -140,7 +199,7 @@ def bliss_pick(sched: BLISSScheduler, candidates: Iterable[Access],
     best_key: tuple[int, int, int] | None = None
     bl = sched.blacklist
     for a in candidates:
-        row_hit = channel.row_state(a.rank, a.bank, a.row) == ROW_HIT
+        row_hit = row_state(channel, a.rank, a.bank, a.row) == ROW_HIT
         key = (1 if bl[a.core_id] else 0, 0 if row_hit else 1, a.seq)
         if best_key is None or key < best_key:
             best, best_key = a, key
@@ -159,7 +218,7 @@ def ofs_naive_candidates(entries: Iterable[Access], channel: Channel,
     for a in entries:
         if a.priority != Priority.LR:
             continue
-        if channel.row_state(a.rank, a.bank, a.row) != ROW_CONFLICT:
+        if row_state(channel, a.rank, a.bank, a.row) != ROW_CONFLICT:
             out.append(a)          # row hit or closed row: safe
         elif rrpc.allows_flush(a.global_bank, flushing_factor):
             out.append(a)          # conflicting, but the bank is cold

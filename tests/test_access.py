@@ -1,5 +1,8 @@
 """Access / CacheRequest vocabulary semantics (paper Fig. 2 taxonomy)."""
 
+from repro.cache.dramcache import DRAMCacheArray
+from repro.cache.translator import Translator
+from repro.config import DRAMCacheGeometry, DRAMOrganization
 from repro.core.access import (
     Access,
     AccessRole,
@@ -7,11 +10,15 @@ from repro.core.access import (
     Priority,
     RequestType,
 )
+from repro.dram.address import AddressMapper
+
+from reference import next_seq
 
 
 def mk(role, rtype):
     req = CacheRequest(rtype, 0x1000, core_id=2, pc=0x44)
-    return Access(role, req, 1, 0, 3, 7, 5, 19, arrival=100), req
+    return Access(role, req, 1, 0, 3, 7, 5, 19, arrival=100,
+                  seq=next_seq()), req
 
 
 class TestPriorityTaxonomy:
@@ -57,9 +64,19 @@ class TestBusDirection:
 
 class TestBookkeeping:
     def test_seq_monotonic(self):
-        a1, _ = mk(AccessRole.TAG_READ, RequestType.READ)
-        a2, _ = mk(AccessRole.TAG_READ, RequestType.READ)
+        """Ages come from each Translator's own counter: monotone within
+        one system, untouched by accesses another system builds."""
+        def translator():
+            array = DRAMCacheArray(DRAMCacheGeometry(size_bytes=2**20), "sa")
+            return Translator(array, AddressMapper(DRAMOrganization()))
+
+        one, two = translator(), translator()
+        req = CacheRequest(RequestType.READ, 0x1000, core_id=0)
+        a1 = one.initial_access(req, 0)
+        b1 = two.initial_access(req, 0)
+        a2 = one.initial_access(req, 0)
         assert a2.seq > a1.seq
+        assert b1.seq == a1.seq
 
     def test_core_id_proxied(self):
         a, req = mk(AccessRole.TAG_READ, RequestType.READ)

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from repro.config import DRAMOrganization, DRAMTimings
-from repro.dram.channel import Channel, RowState
+from repro.dram.channel import Channel
 
-from reference import Bank
+from reference import Bank, RowState, bank_states, row_state
 
 T = DRAMTimings.stacked()
 
@@ -89,14 +89,14 @@ class TestRowStats:
         assert s.write_accesses == 2
 
     def test_row_state_query(self, ch):
-        assert ch.row_state(0, 3, 9) == RowState.CLOSED
+        assert row_state(ch, 0, 3, 9) == RowState.CLOSED
         ch.issue(0, 3, 9, False, 0)
-        assert ch.row_state(0, 3, 9) == RowState.HIT
-        assert ch.row_state(0, 3, 10) == RowState.CONFLICT
+        assert row_state(ch, 0, 3, 9) == RowState.HIT
+        assert row_state(ch, 0, 3, 10) == RowState.CONFLICT
 
     def test_banks_independent(self, ch):
         ch.issue(0, 0, 7, False, 0)
-        assert ch.row_state(0, 1, 7) == RowState.CLOSED
+        assert row_state(ch, 0, 1, 7) == RowState.CLOSED
 
 
 class TestEstimate:
@@ -122,7 +122,7 @@ class TestStatsReset:
     def test_reset_keeps_bank_state(self, ch):
         ch.issue(0, 0, 7, False, 0)
         ch.reset_stats()
-        assert ch.row_state(0, 0, 7) == RowState.HIT
+        assert row_state(ch, 0, 0, 7) == RowState.HIT
 
 
 # --- SoA channel vs per-Bank-object reference ------------------------------
@@ -220,7 +220,7 @@ def _verify_lockstep(org, timings, stream):
         got_soa = soa.issue(rank, bank, row, is_write, now)
         got_obj = obj.issue(rank, bank, row, is_write, now)
         assert got_soa == got_obj, f"issue #{i} diverged"
-    assert soa.capture_state()["banks"] == obj.capture_banks()
+    assert bank_states(soa) == obj.capture_banks()
 
 
 def test_soa_object_lockstep_default_org():

@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.core import LintRun, SourceModule, all_rules
-from repro.analysis.rules.snapshot import ALLOWLIST
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
@@ -122,36 +121,6 @@ def test_suppression_requires_finding_line():
     mod = SourceModule(Path("repro/sim/x.py"), src)
     run = LintRun(modules=[mod], rules=all_rules(), project_root=None)
     assert {f.rule for f in run.execute()} == {"R1"}  # wrong line: no effect
-
-
-# --- R2 allowlist ---------------------------------------------------------
-
-def test_allowlist_entries_all_carry_reasons():
-    for dotted, reason in ALLOWLIST.items():
-        assert dotted.startswith("repro."), dotted
-        assert len(reason) > 10, f"allowlist entry {dotted} needs a reason"
-
-
-def test_allowlist_entries_are_not_stale():
-    """Every allowlisted class still exists at its recorded location."""
-    import importlib
-
-    for dotted in ALLOWLIST:
-        module_name, _, cls_name = dotted.rpartition(".")
-        assert hasattr(importlib.import_module(module_name), cls_name), (
-            f"allowlist entry {dotted} no longer exists; remove it"
-        )
-
-
-def test_allowlisted_class_is_exempt():
-    src = textwrap.dedent("""\
-        class Simulator:
-            def __init__(self):
-                self._heap = []
-    """)
-    mod = SourceModule(Path("src/repro/sim/engine.py"), src)
-    run = LintRun(modules=[mod], rules=all_rules(), project_root=None)
-    assert "R2" not in {f.rule for f in run.execute()}
 
 
 # --- R6: schema discipline (repo-level) -----------------------------------

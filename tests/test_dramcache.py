@@ -10,6 +10,8 @@ from repro.cache.dramcache import DRAMCacheArray, _dirty_bits
 from repro.cache.replacement import SA_POLICIES
 from repro.config import DRAMCacheGeometry
 
+from reference import contents_signature
+
 GEOM = DRAMCacheGeometry(size_bytes=2 * 2**20)  # small: fast eviction tests
 
 
@@ -205,7 +207,7 @@ class TestBulkFill:
 
 
 def _state(a):
-    return (a.contents_signature(), a._clock, a.dirty_evictions)
+    return (contents_signature(a), a._clock, a.dirty_evictions)
 
 
 def _per_set_bulk_fill(a, start_addr, n_blocks, dirty_fraction, seed):
@@ -524,7 +526,7 @@ def _lockstep(orgn, policy, ops):
             for t in range(ref.ways + 1):
                 arr.fill((t * n + set_idx) * 64, dirty=True)
             arr = fork
-    assert arr.contents_signature() == ref.signature()
+    assert contents_signature(arr) == ref.signature()
     assert (arr.lookups, arr.hits, arr.fills, arr.dirty_evictions) == (
         ref.lookups, ref.hits, ref.fills, ref.dirty_evictions)
 
@@ -598,5 +600,5 @@ def test_fill_many_replays_lookup_then_fill():
             lookup = b.lookup_write if w else b.lookup_read
             if not lookup(blk * 64).hit:
                 b.fill(blk * 64, w)
-        assert a.contents_signature() == b.contents_signature()
+        assert contents_signature(a) == contents_signature(b)
         assert a.dirty_evictions == b.dirty_evictions

@@ -28,7 +28,7 @@ from repro.core.rrpc import RRPCTable
 from repro.dram.channel import Channel
 from repro.sim.engine import Simulator
 
-from reference import bliss_pick, ofs_naive_candidates
+from reference import bliss_pick, next_seq, ofs_naive_candidates
 
 NUM_CORES = 8
 #: OFS flushing factor of the lockstep's OFS mode (the paper's FF-4)
@@ -57,7 +57,8 @@ def random_state(rng, n_accesses, read_fraction=0.6, writes=False):
                      else RequestType.WRITEBACK)
         req = CacheRequest(rtype, rng.randrange(1 << 20),
                            rng.randrange(NUM_CORES))
-        q.push(Access(role, req, 0, rank, bank, rng.randrange(8), 0, gb, 0))
+        q.push(Access(role, req, 0, rank, bank, rng.randrange(8), 0, gb, 0,
+                      seq=next_seq()))
     return q, channel
 
 
@@ -139,7 +140,7 @@ class TestOFSEquivalence:
                      else RequestType.WRITEBACK)
             req = CacheRequest(rtype, 0, rng.randrange(4))
             rq.push(Access(AccessRole.TAG_READ, req, 0, rank, bank,
-                           rng.randrange(8), 0, gb, 0))
+                           rng.randrange(8), 0, gb, 0, seq=next_seq()))
         naive = ofs_naive_candidates(rq, channel, ctrl.rrpc,
                                      ctrl.cfg.dca.flushing_factor)
         buckets = ctrl._ofs_buckets(0)
@@ -202,7 +203,8 @@ class TestSteadyStateLockstep:
             rank, bank = divmod(gb, banks_per_rank)
             req = CacheRequest(rtype, rng.randrange(1 << 20),
                                rng.randrange(NUM_CORES))
-            return Access(role, req, 0, rank, bank, rng.randrange(8), 0, gb, 0)
+            return Access(role, req, 0, rank, bank, rng.randrange(8), 0, gb, 0,
+                          seq=next_seq())
 
         def replacements():
             if mode == "write_drain":
@@ -385,7 +387,8 @@ class TestScheduleAllHysteresis:
             rq.remove(list(rq)[-1])
         while len(rq) < n:
             req = CacheRequest(RequestType.WRITEBACK, 0, 0)
-            rq.push(Access(AccessRole.TAG_READ, req, 0, 0, 0, 0, 0, 0, 0))
+            rq.push(Access(AccessRole.TAG_READ, req, 0, 0, 0, 0, 0, 0, 0,
+                           seq=next_seq()))
 
     def test_exactly_at_high_watermark_stays_off(self, tiny_cfg):
         ctrl = self.build(tiny_cfg)

@@ -69,21 +69,6 @@ class TestMainMemory:
         assert mm.stats.write_latency_sum_ps == cfg.latency_ps
         assert mm.stats.mean_write_latency_ps == float(cfg.latency_ps)
 
-    def test_capture_restore_round_trip(self):
-        sim = Simulator()
-        mm = MainMemory(sim, MainMemoryConfig())
-        mm.fetch(0x0, lambda a: None)
-        img = mm.capture_state()
-        t_then = mm.fetch(0x40, lambda a: None)
-        mm.restore_state(img)
-        assert mm.fetch(0x40, lambda a: None) == t_then
-
-    def test_restore_rejects_banked_image(self):
-        sim = Simulator()
-        mm = MainMemory(sim, MainMemoryConfig())
-        with pytest.raises(ValueError):
-            mm.restore_state({"model": "banked", "channels": []})
-
 
 BANKED = MainMemoryConfig(model="banked")
 
@@ -190,24 +175,6 @@ class TestBankedMainMemory:
         mm.fetch(org.row_bytes, lambda a: None)   # other channel
         total = mm.total_stats()
         assert total.read_accesses == 2
-
-    def test_capture_restore_round_trip(self):
-        sim = Simulator()
-        mm = _banked(sim)
-        mm.fetch(0x0, lambda a: None)
-        mm.write(0x2000)
-        img = mm.capture_state()
-        t_then = mm.fetch(0x40, lambda a: None)
-        mm.restore_state(img)
-        assert mm.fetch(0x40, lambda a: None) == t_then
-
-    def test_restore_validates_shape(self):
-        sim = Simulator()
-        mm = _banked(sim)
-        with pytest.raises(ValueError):
-            mm.restore_state({"model": "flat", "bus_free": 0})
-        with pytest.raises(ValueError):
-            mm.restore_state({"model": "banked", "channels": []})
 
     def test_callback_arg_routing(self):
         """Like the flat model, ``arg`` replaces the address payload."""
@@ -533,7 +500,6 @@ class TestLRUOrderMatchesStampReference:
             (0 if hit else 1)
         one_stats.pop("hit_rate"), two_stats.pop("hit_rate")
         assert one_stats == two_stats
-
 
 
 class TestFilterTraces:

@@ -24,11 +24,6 @@ class TestNextLine:
         pf = NextLinePrefetcher(BLOCK, degree=2)
         assert list(pf.on_fill(0x1040)) == [0x1040 + 2 * BLOCK]
 
-    def test_stateless_capture(self):
-        pf = NextLinePrefetcher(BLOCK)
-        assert pf.capture_state() == {}
-        pf.restore_state({})               # must be a no-op, not an error
-
 
 class TestStride:
     def make(self, **kw):
@@ -72,20 +67,6 @@ class TestStride:
 
     def test_fill_is_quiet(self):
         assert list(self.make().on_fill(0x1000)) == []
-
-    def test_capture_restore_round_trip(self):
-        pf = self.make()
-        pc = 0x400
-        pf.on_access(0x1000, pc, False)
-        pf.on_access(0x1080, pc, False)
-        state = pf.capture_state()
-        pf.on_access(0x9000, pc, False)    # wild jump corrupts the row
-        pf.restore_state(state)
-        # Restored at confidence 1: the next striding access issues.
-        assert list(pf.on_access(0x1100, pc, False)) == [0x1180]
-        # The captured state is a value copy, not a shared reference.
-        pf.on_access(0x8000, pc, False)
-        assert state == {pc % 64: [pc, 0x1080, 0x80, 1]}
 
 
 class TestFactory:

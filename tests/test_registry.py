@@ -8,6 +8,8 @@ from repro.core.base import ControllerStats
 from repro.dram.stats import ChannelStats
 from repro.metrics.registry import MetricGroup, MetricRegistry, derived
 
+from reference import next_seq
+
 
 class SampleStats(MetricGroup):
     COUNTERS = ("hits", "misses", "latency_sum_ps")
@@ -305,7 +307,8 @@ class TestRestoreEdgeCases:
 
         def mk():
             req = CacheRequest(RequestType.READ, 0x40, 0)
-            return Access(AccessRole.TAG_READ, req, 0, 0, 0, 1, 0, 0, 0)
+            return Access(AccessRole.TAG_READ, req, 0, 0, 0, 1, 0, 0, 0,
+                          seq=next_seq())
 
         q = AccessQueue(4)
         a, b = mk(), mk()

@@ -10,14 +10,14 @@ from repro.core.queues import AccessQueue
 from repro.core.rrpc import RRPCTable
 from repro.dram.channel import Channel
 
-from reference import bliss_pick
+from reference import bliss_pick, next_seq
 
 
 def mk_access(core=0, bank=0, row=0, role=AccessRole.TAG_READ,
               rtype=RequestType.READ):
     req = CacheRequest(rtype, 0, core)
     return Access(role, req, channel=0, rank=0, bank=bank, row=row, col=0,
-                  global_bank=bank, arrival=0)
+                  global_bank=bank, arrival=0, seq=next_seq())
 
 
 def pick(sched, candidates, channel, now):

@@ -31,11 +31,13 @@ from repro.config import (
     SubstrateConfig,
     ns,
 )
-from repro.dram.bank import ROW_HIT, RowState
+from repro.dram.bank import ROW_HIT
 from repro.dram.channel import Channel
 from repro.dram.command import FAW_DEPTH, CommandChannel
 from repro.dram.stats import ChannelStats, CommandChannelStats
 from repro.dram.substrate import Substrate, make_channel
+
+from reference import RowState, row_state
 
 T = DRAMTimings.stacked()
 ORG = DRAMOrganization(ranks_per_channel=2, banks_per_rank=8)
@@ -149,10 +151,14 @@ class TestProtocol:
         assert "refreshes_issued" in cmd.stats.snapshot()
 
     def test_row_state_enum_single_definition(self):
-        from repro.dram import channel as chmod
-        from repro.dram import bank as bmod
-        assert chmod.RowState is bmod.RowState
-        assert RowState.HIT == ROW_HIT == 0
+        import repro.dram
+        from repro.dram import bank as bmod, channel as chmod
+        # The test-side enum is the only one: src keeps plain ints.
+        for mod in (repro.dram, bmod, chmod):
+            assert not hasattr(mod, "RowState")
+        assert [int(s) for s in RowState] == [
+            bmod.ROW_HIT, bmod.ROW_CLOSED, bmod.ROW_CONFLICT] == [0, 1, 2]
+        assert RowState.HIT == ROW_HIT
 
 
 class TestBusInvariants:
@@ -219,7 +225,7 @@ class TestRankConstraints:
         acts: dict[int, list[int]] = {r: [] for r in
                                       range(ORG.ranks_per_channel)}
         for rank, bank, row, is_write, now in random_stream(rng, stream_len):
-            pre_state = ch.row_state(rank, bank, row)
+            pre_state = row_state(ch, rank, bank, row)
             start, _ = ch.issue(rank, bank, row, is_write, now)
             if pre_state != ROW_HIT:
                 acts[rank].append(start - T.tCAS - T.tRCD)
@@ -371,30 +377,6 @@ class TestDeterminism:
         assert outs_plain == outs_probed
         assert plain.stats == probed.stats
 
-    def test_capture_restore_replays_identically(self):
-        rng = random.Random(0xCAF)
-        stream = list(random_stream(rng, 240))
-        sub = SubstrateConfig(fidelity="command", page_policy="timeout")
-        ch = make_channel(T, ORG, sub)
-        for rank, bank, row, is_write, now in stream[:120]:
-            ch.issue(rank, bank, row, is_write, now)
-        snap = ch.capture_state()
-
-        fork = make_channel(T, ORG, sub)
-        fork.restore_state(snap)
-        assert fork.capture_state() == snap
-        tail = [ch.issue(*op) for op in stream[120:]]
-        fork_tail = [fork.issue(*op) for op in stream[120:]]
-        assert tail == fork_tail
-        assert ch.capture_state() == fork.capture_state()
-
-    def test_restore_rejects_bank_mismatch(self):
-        ch = make_channel(T, ORG)
-        other = make_channel(T, DRAMOrganization(ranks_per_channel=1,
-                                                 banks_per_rank=4))
-        with pytest.raises(ValueError, match="bank count"):
-            other.restore_state(ch.capture_state())
-
 
 class TestSweepIntegration:
     def test_fidelity_axis_compiles(self):
@@ -451,25 +433,3 @@ def test_command_channel_rejects_plain_stats():
     with pytest.raises(TypeError, match="CommandChannelStats"):
         make_channel(T, ORG, SubstrateConfig(fidelity="command"),
                      stats=ChannelStats())
-
-
-def test_command_restore_rejects_rank_mismatch():
-    sub = SubstrateConfig(fidelity="command")
-    one_by_16 = make_channel(T, DRAMOrganization(ranks_per_channel=1,
-                                                 banks_per_rank=16), sub)
-    two_by_8 = make_channel(T, ORG, sub)
-    # Same total bank count: only the rank-structure check can catch it.
-    with pytest.raises(ValueError, match="rank/bank structure"):
-        two_by_8.restore_state(one_by_16.capture_state())
-
-
-def test_failed_restore_leaves_channel_unchanged():
-    ch = make_channel(T, ORG)
-    ch.issue(0, 0, 5, False, 0)
-    before = ch.capture_state()
-    foreign = make_channel(T, DRAMOrganization(ranks_per_channel=1,
-                                               banks_per_rank=4))
-    foreign.issue(0, 1, 2, True, 0)
-    with pytest.raises(ValueError):
-        ch.restore_state(foreign.capture_state())
-    assert ch.capture_state() == before, "rejected restore must be atomic"

@@ -1,5 +1,7 @@
 """End-to-end system runs: cores + L2 + controller + memory."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache.dramcache import DRAMCacheArray
@@ -9,6 +11,8 @@ from repro.sim.system import System
 from repro.workloads.profiles import profile
 from repro.workloads.scenarios import workload_profiles
 from repro.workloads.table1 import mix_profiles
+
+from reference import contents_signature
 
 RUN = dict(warmup_insts=3_000, measure_insts=8_000, replay_accesses=20_000)
 
@@ -64,7 +68,7 @@ class TestWarmup:
     def test_functional_warmup_fills_cache(self):
         s = small_system()
         s.functional_warmup(replay_accesses=500)
-        assert s.controller.array.contents_signature()[2]   # sets written
+        assert contents_signature(s.controller.array)[2]   # sets written
 
     def test_writebacks_need_l2_pressure(self):
         """A warmed L2 (full sets) is what produces dirty evictions."""
@@ -152,3 +156,59 @@ class TestDesignsEndToEnd:
         r = s.run(**RUN)
         if s.controller.stats.lr_drain_issues == 0:
             assert r.read_priority_inversions == 0
+
+
+#: Design points the sliced-run test covers: every design x scheduler on
+#: the default substrate, plus DCA on the command-level substrate (a
+#: short tREFI so refresh fires at this scale) and on banked main memory.
+SLICED_POINTS = [
+    *(pytest.param(d, sched, (), id=f"{d}-{sched}")
+      for d in ("CD", "ROD", "DCA") for sched in ("bliss", "frfcfs")),
+    pytest.param("DCA", "bliss", (("substrate.fidelity", "command"),
+                                  ("substrate.page_policy", "timeout"),
+                                  ("timings.tREFI", 400_000)),
+                 id="DCA-command"),
+    pytest.param("DCA", "bliss", (("mainmem.model", "banked"),),
+                 id="DCA-banked"),
+]
+
+
+class TestSlicedRuns:
+    @staticmethod
+    def begun(design, scheduler, overrides):
+        base = scaled_config(8)
+        cfg = replace(base, l2=replace(base.l2, size_bytes=128 * 1024),
+                      dram_cache=replace(base.dram_cache,
+                                         size_bytes=8 * 2**20))
+        s = System(cfg.with_overrides(overrides), design,
+                   [profile("mcf"), profile("libquantum")],
+                   scheduler=scheduler, seed=7, footprint_scale=1 / 400)
+        s.begin(2_000, 6_000, replay_accesses=1_000)
+        return s
+
+    @pytest.mark.parametrize("design,scheduler,overrides", SLICED_POINTS)
+    def test_interleaved_slices_match_straight_run(self, design, scheduler,
+                                                   overrides):
+        """Two identical systems advanced in alternating event-loop
+        slices each finish exactly as a straight-through run: the stop
+        at the last core's retirement is exact however the loop is
+        sliced, and each system draws its access ages from its own
+        counter, so running another system in between changes nothing."""
+        straight = self.begun(design, scheduler, overrides)
+        want = straight.finish().to_cache_dict()
+        events = straight.sim.events_run
+        seqs = straight.controller.translator._seq    # accesses it built
+        a = self.begun(design, scheduler, overrides)
+        b = self.begun(design, scheduler, overrides)
+        slices = 0
+        while a._finished < len(a.cores):
+            a.sim.run(max_events=101)
+            b.sim.run(max_events=101)
+            slices += 1
+        assert slices > 20
+        assert b._finished == len(b.cores)
+        assert a.finish().to_cache_dict() == want
+        assert b.finish().to_cache_dict() == want
+        assert a.sim.events_run == b.sim.events_run == events
+        assert (a.controller.translator._seq == b.controller.translator._seq
+                == seqs)

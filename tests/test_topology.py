@@ -3,8 +3,8 @@
 The PR-8 surface: `mainmem.model` (flat vs banked off-chip memory),
 pluggable interleave policies, and the rank dimension — all sweepable
 through the ordinary RunSpec/SweepSpec config paths, all visible in the
-result metrics, and all transparent to the snapshot and warm-cache
-layers.
+result metrics, and all transparent to the warm-cache layer (sliced
+banked runs are covered in tests/test_system.py).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import snapshot
-from repro.config import MainMemoryConfig, SubstrateConfig, scaled_config
+from repro.config import MainMemoryConfig, scaled_config
 from repro.experiments.common import RunSpec, SimParams, run_one
 from repro.mem.mainmem import make_mainmem
 from repro.scenarios import SweepSpec
@@ -179,43 +178,6 @@ class TestChannelScaling:
             assert mm.stats.reads == len(addrs)
             latencies.append(mm.stats.mean_read_latency_ps)
         assert latencies[0] > latencies[1] > latencies[2], latencies
-
-
-def banked_system(seed: int = 1) -> System:
-    base = scaled_config(8)
-    cfg = replace(base,
-                  l2=replace(base.l2, size_bytes=128 * 1024),
-                  dram_cache=replace(base.dram_cache, size_bytes=8 * 2**20))
-    cfg = cfg.with_overrides([("mainmem.model", "banked")])
-    return System(cfg, "DCA", [profile("mcf"), profile("libquantum")],
-                  seed=seed, footprint_scale=1 / 400)
-
-
-class TestBankedSnapshot:
-    """Capture/restore transparency with the banked backend in the loop."""
-
-    def test_restore_then_continue_is_bit_identical(self):
-        a = banked_system(seed=5)
-        a.begin(2_000, 6_000, replay_accesses=1_000)
-        res_a = a.finish()
-        assert res_a.metrics["mainmem_total"]["total_accesses"] > 0
-
-        b = banked_system(seed=5)
-        b.begin(2_000, 6_000, replay_accesses=1_000)
-        b.sim.run(max_events=a.sim.events_run // 2)
-        c = snapshot.restore(snapshot.capture(b))
-        assert snapshot.state_signature(c) == snapshot.state_signature(b)
-        res_b, res_c = b.finish(), c.finish()
-        assert res_b.to_cache_dict() == res_c.to_cache_dict()
-        assert res_c.to_cache_dict() == res_a.to_cache_dict()
-
-    def test_signature_includes_banked_mainmem_state(self):
-        b = banked_system(seed=5)
-        b.begin(2_000, 6_000, replay_accesses=1_000)
-        b.sim.run(max_events=5_000)
-        sig = snapshot.state_signature(b)
-        assert sig["mainmem"]["model"] == "banked"
-        assert len(sig["mainmem"]["channels"]) == 2
 
 
 class TestBankedWarmCache:

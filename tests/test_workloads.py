@@ -353,9 +353,9 @@ class TestScenarioRegistry:
 
 
 class TestTraceCursor:
-    """Positioned, reconstructible trace iteration (the snapshot layer's
-    trace contract: same source + args ⇒ identical stream, so a cursor
-    can always be rebuilt and fast-forwarded to its position)."""
+    """Positioned, reconstructible trace iteration (the warm-state trace
+    contract: same source + args ⇒ identical stream, so a fresh cursor
+    fast-forwarded with ``skip`` resumes any cursor's position)."""
 
     SOURCES = [
         ("profile", lambda: profile("soplex")),
@@ -367,53 +367,36 @@ class TestTraceCursor:
 
     @pytest.mark.parametrize("name,make", SOURCES,
                              ids=[n for n, _ in SOURCES])
-    def test_deepcopy_mid_stream_continues_identically(self, name, make):
-        import copy
+    def test_skip_mid_stream_continues_identically(self, name, make):
         from repro.workloads.cursor import TraceCursor
-        cur = TraceCursor(make(), seed=7, core_offset=1 << 44,
-                          footprint_scale=1 / 64)
+        kw = dict(seed=7, core_offset=1 << 44, footprint_scale=1 / 64)
+        cur = TraceCursor(make(), **kw)
         consumed = [next(cur) for _ in range(500)]
-        clone = copy.deepcopy(cur)
-        assert clone.count == cur.count == 500
+        resumed = TraceCursor(make(), **kw)
+        resumed.skip(cur.count)
+        assert resumed.count == cur.count == 500
         # Bit-identical continuations, then full independence.
-        assert [next(clone) for _ in range(300)] == \
+        assert [next(resumed) for _ in range(300)] == \
                [next(cur) for _ in range(300)]
         next(cur)
-        assert cur.count == 801 and clone.count == 800
-        # The deepcopy's rebuild-and-replay did not corrupt the already
-        # consumed history: it matches a fresh cursor's first 500 ops.
-        fresh = TraceCursor(make(), seed=7, core_offset=1 << 44,
-                            footprint_scale=1 / 64)
+        assert cur.count == 801 and resumed.count == 800
+        # The skipped prefix is exactly what the first cursor consumed.
+        fresh = TraceCursor(make(), **kw)
         assert consumed == [next(fresh) for _ in range(500)]
 
-    @pytest.mark.parametrize("name,make", SOURCES,
-                             ids=[n for n, _ in SOURCES])
-    def test_pickle_round_trip(self, name, make):
-        import pickle
-        from repro.workloads.cursor import TraceCursor
-        cur = TraceCursor(make(), seed=3, core_offset=0,
-                          footprint_scale=1 / 64)
-        for _ in range(200):
-            next(cur)
-        clone = pickle.loads(pickle.dumps(cur))
-        assert clone.count == 200
-        assert [next(clone) for _ in range(100)] == \
-               [next(cur) for _ in range(100)]
-
     def test_trace_file_cursor(self, tmp_path):
-        import copy
         from repro.workloads.cursor import TraceCursor
         path = tmp_path / "t.trc"
         path.write_text("\n".join(f"{i} {i * 64} {'w' if i % 3 else 'r'}"
                                   for i in range(17)))
-        cur = TraceCursor(TraceFileWorkload(str(path)), seed=5,
-                          core_offset=0, footprint_scale=1.0)
+        source = TraceFileWorkload(str(path))
+        kw = dict(seed=5, core_offset=0, footprint_scale=1.0)
+        cur = TraceCursor(source, **kw)
         for _ in range(25):               # wraps past the file end
             next(cur)
-        clone = copy.deepcopy(cur)
-        # The parsed ops tuple is immutable and shared, not re-read.
-        assert clone.source is cur.source
-        assert [next(clone) for _ in range(40)] == \
+        resumed = TraceCursor(source, **kw)
+        resumed.skip(cur.count)
+        assert [next(resumed) for _ in range(40)] == \
                [next(cur) for _ in range(40)]
 
     def test_skip_equals_consumption(self):

@@ -107,17 +107,6 @@ class TestBuffering:
         # Only the 500 ps between the reset and the second push count.
         assert buf.stats.occupancy_integral_ps == 500
 
-    def test_capture_restore_round_trip(self):
-        _sim, sink, buf = make_buf(depth=8)   # high mark 6: no auto-drain
-        buf.push(0x000, 0)
-        buf.push(0x040, 1)
-        state = buf.capture_state()
-        buf.push(0x080, 2)
-        buf.restore_state(state)
-        assert len(buf) == 2
-        buf._drain_to(0)
-        assert [a for a, _ in sink.calls] == [0x000, 0x040]  # FIFO kept
-
 
 class TestSystemIntegration:
     def test_lee_batches_drain_through_buffer(self):
