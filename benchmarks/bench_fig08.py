@@ -1,9 +1,7 @@
 """Benchmark: regenerate the paper's Fig. 8 at reduced scale."""
 
-from repro.experiments import fig08_speedup as module
-
 from conftest import run_and_check
 
 
 def test_fig08(benchmark, params, mixes):
-    run_and_check(benchmark, module, params, mixes, required_pass=0.5)
+    run_and_check(benchmark, "fig08", params, mixes, required_pass=0.5)

@@ -1,9 +1,7 @@
 """Benchmark: regenerate the paper's Fig. 11 at reduced scale."""
 
-from repro.experiments import fig11_dm_workloads as module
-
 from conftest import run_and_check
 
 
 def test_fig11(benchmark, params, mixes):
-    run_and_check(benchmark, module, params, mixes, required_pass=0.5)
+    run_and_check(benchmark, "fig11", params, mixes, required_pass=0.5)

@@ -1,9 +1,7 @@
 """Benchmark: regenerate the paper's Fig. 13 at reduced scale."""
 
-from repro.experiments import fig13_misslat_dm as module
-
 from conftest import run_and_check
 
 
 def test_fig13(benchmark, params, mixes):
-    run_and_check(benchmark, module, params, mixes, required_pass=0.5)
+    run_and_check(benchmark, "fig13", params, mixes, required_pass=0.5)

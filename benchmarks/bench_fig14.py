@@ -1,9 +1,7 @@
 """Benchmark: regenerate the paper's Fig. 14 at reduced scale."""
 
-from repro.experiments import fig14_turnaround_sa as module
-
 from conftest import run_and_check
 
 
 def test_fig14(benchmark, params, mixes):
-    run_and_check(benchmark, module, params, mixes, required_pass=0.5)
+    run_and_check(benchmark, "fig14", params, mixes, required_pass=0.5)

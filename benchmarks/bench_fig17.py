@@ -1,9 +1,7 @@
 """Benchmark: regenerate the paper's Fig. 17 at reduced scale."""
 
-from repro.experiments import fig17_rowhit_dm as module
-
 from conftest import run_and_check
 
 
 def test_fig17(benchmark, params, mixes):
-    run_and_check(benchmark, module, params, mixes, required_pass=0.5)
+    run_and_check(benchmark, "fig17", params, mixes, required_pass=0.5)

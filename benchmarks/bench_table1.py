@@ -1,9 +1,7 @@
 """Benchmark: Table I workload-mix construction (deterministic)."""
 
-from repro.experiments import table1_workloads as module
-
 from conftest import run_and_check
 
 
 def test_table1(benchmark, params, mixes):
-    run_and_check(benchmark, module, params, mixes, required_pass=1.0)
+    run_and_check(benchmark, "table1", params, mixes, required_pass=1.0)

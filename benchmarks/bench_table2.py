@@ -1,9 +1,7 @@
 """Benchmark: Table II parameter reproduction (deterministic)."""
 
-from repro.experiments import table2_params as module
-
 from conftest import run_and_check
 
 
 def test_table2(benchmark, params, mixes):
-    run_and_check(benchmark, module, params, mixes, required_pass=1.0)
+    run_and_check(benchmark, "table2", params, mixes, required_pass=1.0)

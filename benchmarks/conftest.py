@@ -1,10 +1,11 @@
 """Benchmark harness configuration.
 
 Each ``bench_<id>.py`` regenerates one paper artefact at reduced scale
-(quick SimParams, 3 Table I mixes) and asserts its shape checks.  A
-session-scoped scratch cache directory lets figures that share the
-simulation grid (8-17) reuse each other's runs *within* the session while
-still measuring real simulation work on first touch.
+(quick SimParams, 3 Table I mixes) through the experiment runner, by id,
+and asserts its shape checks.  A session-scoped scratch cache directory
+lets figures that share the simulation grid (8-17) reuse each other's
+runs *within* the session while still measuring real simulation work on
+first touch.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import tempfile
 import pytest
 
 from repro.experiments.common import SimParams
+from repro.experiments.runner import EXPERIMENTS, run_union
 
 _SCRATCH = tempfile.mkdtemp(prefix="repro-bench-cache-")
 os.environ["REPRO_CACHE_DIR"] = _SCRATCH
@@ -33,18 +35,20 @@ def mixes() -> list[int]:
     return BENCH_MIXES
 
 
-def run_and_check(benchmark, module, params, mixes, required_pass=1.0):
+def run_and_check(benchmark, exp_id, params, mixes, required_pass=1.0):
     """Run one experiment under pytest-benchmark and verify its checks."""
+    exp = EXPERIMENTS[exp_id]
     out = {}
 
     def once():
-        report, data, checks = module.run(params, mixes, jobs=0)
-        out["checks"] = checks
+        results, failures = run_union({exp_id: exp.plan(mixes)}, params)
+        assert not failures, f"{exp_id}: {len(failures)} points failed"
+        _report, data, out["checks"] = exp.report(results, params, mixes)
         return data
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     checks = out["checks"]
     passed = sum(1 for _d, ok in checks if ok)
     assert passed >= required_pass * len(checks), (
-        f"{module.ID}: only {passed}/{len(checks)} shape checks passed: "
+        f"{exp_id}: only {passed}/{len(checks)} shape checks passed: "
         f"{[(d, ok) for d, ok in checks if not ok]}")

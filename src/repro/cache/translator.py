@@ -46,8 +46,6 @@ class TagOutcome:
     victim_read: Optional[Access] = None
     #: block address whose data must be written to main memory (dirty victim)
     victim_mem_write: Optional[int] = None
-    #: the read request missed: fetch the block from main memory
-    memory_fetch: bool = False
 
 
 class Translator:
@@ -65,15 +63,15 @@ class Translator:
     # -- access construction ----------------------------------------------------
 
     def _make(self, role: AccessRole, req: CacheRequest, array_addr: int,
-              now: int, critical: bool = True) -> Access:
+              critical: bool = True) -> Access:
         channel, rank, bank, row, col, gb = self.mapper.coordinates(array_addr)
         self._seq += 1
-        return Access(role, req, channel, rank, bank, row, col, gb, now,
+        return Access(role, req, channel, rank, bank, row, col, gb,
                       self._seq, critical=critical)
 
     # -- stage 1 ------------------------------------------------------------------
 
-    def initial_access(self, req: CacheRequest, now: int) -> Access:
+    def initial_access(self, req: CacheRequest) -> Access:
         """The tag read that begins every request.
 
         In the direct-mapped organization a *read* request's tag read is the
@@ -81,33 +79,33 @@ class Translator:
         finishes with this single access.
         """
         tag_addr = self.array.tag_location(req.addr)
-        return self._make(AccessRole.TAG_READ, req, tag_addr, now)
+        return self._make(AccessRole.TAG_READ, req, tag_addr)
 
     # -- stage 2 ------------------------------------------------------------------
 
-    def after_tag_read(self, req: CacheRequest, now: int) -> TagOutcome:
+    def after_tag_read(self, req: CacheRequest) -> TagOutcome:
         """Resolve hit/miss functionally and build the follow-on accesses."""
         if req.rtype == RequestType.READ:
-            return self._after_read_tag(req, now)
-        return self._after_write_tag(req, now)
+            return self._after_read_tag(req)
+        return self._after_write_tag(req)
 
-    def _after_read_tag(self, req: CacheRequest, now: int) -> TagOutcome:
+    def _after_read_tag(self, req: CacheRequest) -> TagOutcome:
         res = self.array.lookup_read(req.addr)
         req.hit = res.hit
         if not res.hit:
-            return TagOutcome(hit=False, memory_fetch=True)
+            return TagOutcome(hit=False)
         if self.array.is_direct_mapped:
             # TAD read already returned the data; no further access.
             return TagOutcome(hit=True)
         data = self._make(AccessRole.DATA_READ, req,
-                          self.array.data_location(req.addr, res.way), now)
+                          self.array.data_location(req.addr, res.way))
         # Replacement-bit update; off the critical path.
         tagw = self._make(AccessRole.TAG_WRITE, req,
-                          self.array.tag_location(req.addr), now,
+                          self.array.tag_location(req.addr),
                           critical=False)
         return TagOutcome(hit=True, next_accesses=[data, tagw])
 
-    def _after_write_tag(self, req: CacheRequest, now: int) -> TagOutcome:
+    def _after_write_tag(self, req: CacheRequest) -> TagOutcome:
         """Writeback / refill: update in place on hit, allocate on miss."""
         res = self.array.lookup_write(req.addr)
         req.hit = res.hit
@@ -128,18 +126,18 @@ class Translator:
                 # organization the TAD read already returned it.
                 victim_read = self._make(
                     AccessRole.DATA_READ, req,
-                    self.array.data_location(req.addr, way), now)
+                    self.array.data_location(req.addr, way))
 
         if self.array.is_direct_mapped:
             # One TAD write carries tag+data together.
             writes = [self._make(AccessRole.DATA_WRITE, req,
-                                 self.array.tag_location(req.addr), now)]
+                                 self.array.tag_location(req.addr))]
         else:
             writes = [
                 self._make(AccessRole.DATA_WRITE, req,
-                           self.array.data_location(req.addr, way), now),
+                           self.array.data_location(req.addr, way)),
                 self._make(AccessRole.TAG_WRITE, req,
-                           self.array.tag_location(req.addr), now),
+                           self.array.tag_location(req.addr)),
             ]
         return TagOutcome(hit=res.hit, next_accesses=writes,
                           victim_read=victim_read,

@@ -63,8 +63,6 @@ class CacheRequest:
     __slots__ = ("rtype", "addr", "core_id", "pc", "arrival", "done_time",
                  "on_done", "hit", "accesses_left", "prefetch", "meta")
 
-    _counter = 0
-
     def __init__(self, rtype: RequestType, addr: int, core_id: int,
                  pc: int = 0, arrival: int = 0,
                  on_done: Optional[Callable[["CacheRequest"], None]] = None,
@@ -94,14 +92,12 @@ class Access:
     """One DRAM array access; the unit the controller schedules."""
 
     __slots__ = ("role", "request", "channel", "rank", "bank", "row", "col",
-                 "global_bank", "arrival", "seq", "priority", "on_complete",
-                 "critical", "core_id", "is_write")
+                 "global_bank", "seq", "priority", "critical", "core_id",
+                 "is_write")
 
     def __init__(self, role: AccessRole, request: CacheRequest,
                  channel: int, rank: int, bank: int, row: int, col: int,
-                 global_bank: int, arrival: int, seq: int,
-                 on_complete: Optional[Callable[["Access", int], None]] = None,
-                 critical: bool = True):
+                 global_bank: int, seq: int, critical: bool = True):
         self.role = role
         self.request = request
         self.channel = channel
@@ -110,7 +106,6 @@ class Access:
         self.row = row
         self.col = col
         self.global_bank = global_bank
-        self.arrival = arrival
         # Age tiebreak for the schedulers, drawn from the per-system
         # Translator counter (never a class global: systems sharing a
         # process must not share numbering).
@@ -118,7 +113,6 @@ class Access:
         # Flattened from the owning request: the scheduler inner loop reads
         # this per candidate, and a slot is much cheaper than a property.
         self.core_id = request.core_id
-        self.on_complete = on_complete
         #: completion of this access gates the request's completion
         self.critical = critical
         # Priority class per DCA's taxonomy; identical labels are kept for

@@ -178,7 +178,7 @@ class BaseController:
             st.refills_submitted += 1
             self._pending_writes[req.addr] = req
 
-        first = self.translator.initial_access(req, now)
+        first = self.translator.initial_access(req)
         ch = first.channel
         q, waitq = self._queue_and_waitq(first)
         if q.has_room() and not waitq:
@@ -385,7 +385,7 @@ class BaseController:
 
     def _tag_read_done(self, req: CacheRequest) -> None:
         now = self.sim.now
-        outcome = self.translator.after_tag_read(req, now)
+        outcome = self.translator.after_tag_read(req)
         st = self.stats
         if req.rtype == RequestType.READ:
             if self.mapi is not None and not req.prefetch:

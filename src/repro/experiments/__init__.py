@@ -25,8 +25,13 @@ Run from the command line::
 
     python -m repro.experiments fig08 [--mixes 30] [--jobs 8] [--quick]
 
-Figures 8-17 share one simulation grid; results are cached on disk under
-``results/cache`` so subsequent figures reuse completed runs.
+Every experiment has ``plan(mixes)``, the simulation points it reads
+(``[]`` for the tables and Fig. 18's functional replay), and
+``report(results, params, mixes)``, which turns exactly those points'
+results into its text, data and shape checks.  Figs. 10-17 come in SA/DM
+pairs: one module per pair registers both ids.  The runner runs the
+deduplicated union of the requested plans as one grid, cached on disk
+under ``results/cache``, then reports each experiment.
 """
 
 from repro.experiments.common import SimParams, RunSpec, run_grid, run_one

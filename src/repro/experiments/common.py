@@ -2,12 +2,12 @@
 
 The evaluation figures 8-17 all read off the same **grid** of simulations
 (design x organization x remapping x mix), plus single-core *alone* runs
-for weighted-speedup denominators.  ``run_grid`` executes a list of
-:class:`RunSpec` with a process pool and a :class:`ResultStore` — a JSON
-disk cache keyed by the spec+parameter hash **and the result schema
-version** (see DESIGN.md), so regenerating a second figure reuses the
-first's simulations and entries written by older code are invalidated
-instead of silently reused.
+for weighted-speedup denominators.  The runner runs the union of the
+requested experiments' plans once through ``run_grid``, which executes
+them with a process pool and a :class:`ResultStore` — a JSON disk cache
+keyed by the spec+parameter hash **and the result schema version** (see
+DESIGN.md), so a later invocation reuses earlier simulations and entries
+written by older code are invalidated instead of silently reused.
 
 Execution uses ``as_completed`` futures: one crashed worker no longer
 kills the whole grid (completed points are still stored and reported, and
@@ -29,7 +29,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.config import scaled_config
 from repro.metrics.speedup import geomean, weighted_speedup
@@ -381,6 +381,8 @@ class ResultStore:
                  enabled: bool = True):
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.enabled = enabled
+        #: entries :meth:`load` served (the points a grid did not re-run)
+        self.hits = 0
 
     def key(self, spec: RunSpec, params: SimParams) -> str:
         payload = json.dumps(
@@ -400,13 +402,14 @@ class ResultStore:
         if not path.exists():
             return None
         try:
-            data = json.loads(path.read_text())
-            return SystemResult.from_cache_dict(data)
+            result = SystemResult.from_cache_dict(json.loads(path.read_text()))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError,
                 ResultSchemaError, TypeError):
             # Unreadable, truncated, corrupt or stale-schema entry:
             # a miss, never an abort.
             return None
+        self.hits += 1
+        return result
 
     def store(self, spec: RunSpec, params: SimParams,
               result: SystemResult) -> None:
@@ -614,13 +617,16 @@ def grid_specs(mixes: Sequence[int], organizations: Sequence[str],
 
 def normalized_speedup_table(
         results: dict[RunSpec, SystemResult],
-        alone: dict[str, float],
         mixes: Sequence[int], organization: str,
         variants: Sequence[tuple[str, bool]],
         baseline: tuple[str, bool] = ("CD", False),
         lee_writeback: bool = False,
 ) -> dict[tuple[str, bool], float]:
-    """Geomean normalized WS per (design, remap) variant (Figs. 8/9/19)."""
+    """Geomean normalized WS per (design, remap) variant (Figs. 8/9/19),
+    against the alone runs of ``organization`` among ``results``."""
+    alone = alone_ipc_table({s: r for s, r in results.items()
+                             if s.organization == organization})
+
     def ws_list(design: str, remap: bool) -> list[float]:
         out = []
         for m in mixes:
@@ -635,6 +641,35 @@ def normalized_speedup_table(
         ws = ws_list(design, remap)
         table[(design, remap)] = geomean([a / b for a, b in zip(ws, base)])
     return table
+
+
+# ---------------------------------------------------------------- experiments
+
+#: an experiment's share of a grid: its planned points' results
+Results = dict[RunSpec, SystemResult]
+
+#: what an experiment's ``report`` returns: the text report, the JSON
+#: data, and the shape checks as ``(description, passed)`` pairs
+Report = tuple[str, dict, list[tuple[str, bool]]]
+
+
+class OrgFigure(NamedTuple):
+    """One figure of an SA/DM pair (Figs. 10-17): binds the pair's shared
+    ``plan_org(organization, mixes)`` and ``report_org(organization,
+    title, results, mixes)`` to one organization and title."""
+
+    ID: str
+    TITLE: str
+    organization: str
+    plan_org: Callable[[str, Sequence[int]], list[RunSpec]]
+    report_org: Callable[..., Report]
+
+    def plan(self, mixes: Sequence[int]) -> list[RunSpec]:
+        return self.plan_org(self.organization, mixes)
+
+    def report(self, results: Results, params: SimParams,
+               mixes: Sequence[int]) -> Report:
+        return self.report_org(self.organization, self.TITLE, results, mixes)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],

@@ -12,13 +12,14 @@ from typing import Sequence
 
 from repro.experiments.common import (
     DESIGNS,
+    Report,
+    Results,
+    RunSpec,
     SimParams,
-    alone_ipc_table,
     alone_specs,
     format_table,
     grid_specs,
     normalized_speedup_table,
-    run_grid,
 )
 
 ID = "fig08"
@@ -29,21 +30,18 @@ PAPER = {("sa", "CD"): 1.0, ("sa", "ROD"): 1.092, ("sa", "DCA"): 1.164,
          ("dm", "CD"): 1.0, ("dm", "ROD"): 1.086, ("dm", "DCA"): 1.208}
 
 
-def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
-        progress: bool = False, use_cache: bool = True):
-    specs = grid_specs(mixes, ("sa", "dm"))
-    specs += alone_specs("sa") + alone_specs("dm")
-    results = run_grid(specs, params, jobs=jobs, progress=progress,
-                       use_cache=use_cache)
+def plan(mixes: Sequence[int]) -> list[RunSpec]:
+    return (grid_specs(mixes, ("sa", "dm"))
+            + alone_specs("sa") + alone_specs("dm"))
 
+
+def report(results: Results, params: SimParams,
+           mixes: Sequence[int]) -> Report:
     data: dict = {"mixes": list(mixes), "speedups": {}}
     rows = []
     for org in ("sa", "dm"):
-        alone = alone_ipc_table(
-            {s: r for s, r in results.items()
-             if s.alone_benchmark and s.organization == org})
         table = normalized_speedup_table(
-            results, alone, mixes, org,
+            results, mixes, org,
             variants=[(d, False) for d in DESIGNS])
         for design in DESIGNS:
             val = table[(design, False)]
@@ -51,7 +49,7 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
             rows.append([org, design, f"{val:.3f}",
                          f"{PAPER[(org, design)]:.3f}"])
 
-    report = format_table(
+    text = format_table(
         ["org", "design", "speedup (this repro)", "speedup (paper)"],
         rows, title=TITLE)
 
@@ -66,4 +64,4 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
         ("DCA margin larger in DM than SA",
          s["dm:DCA"] / s["dm:CD"] > s["sa:DCA"] / s["sa:CD"]),
     ]
-    return report, data, checks
+    return text, data, checks

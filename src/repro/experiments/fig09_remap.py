@@ -13,13 +13,14 @@ from typing import Sequence
 
 from repro.experiments.common import (
     DESIGNS,
+    Report,
+    Results,
+    RunSpec,
     SimParams,
-    alone_ipc_table,
     alone_specs,
     format_table,
     grid_specs,
     normalized_speedup_table,
-    run_grid,
 )
 
 ID = "fig09"
@@ -29,21 +30,18 @@ PAPER = {("sa", "CD"): 1.162, ("sa", "ROD"): 1.15, ("sa", "DCA"): 1.237,
          ("dm", "CD"): 1.221, ("dm", "ROD"): 1.17, ("dm", "DCA"): 1.29}
 
 
-def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
-        progress: bool = False, use_cache: bool = True):
-    specs = grid_specs(mixes, ("sa", "dm"), remaps=(False, True))
-    specs += alone_specs("sa") + alone_specs("dm")
-    results = run_grid(specs, params, jobs=jobs, progress=progress,
-                       use_cache=use_cache)
+def plan(mixes: Sequence[int]) -> list[RunSpec]:
+    return (grid_specs(mixes, ("sa", "dm"), remaps=(False, True))
+            + alone_specs("sa") + alone_specs("dm"))
 
+
+def report(results: Results, params: SimParams,
+           mixes: Sequence[int]) -> Report:
     data: dict = {"mixes": list(mixes), "speedups": {}}
     rows = []
     for org in ("sa", "dm"):
-        alone = alone_ipc_table(
-            {s: r for s, r in results.items()
-             if s.alone_benchmark and s.organization == org})
         variants = [(d, True) for d in DESIGNS]
-        table = normalized_speedup_table(results, alone, mixes, org,
+        table = normalized_speedup_table(results, mixes, org,
                                          variants=variants)
         for design in DESIGNS:
             val = table[(design, True)]
@@ -51,7 +49,7 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
             rows.append([org, f"XOR+{design}", f"{val:.3f}",
                          f"~{PAPER[(org, design)]:.2f}"])
 
-    report = format_table(
+    text = format_table(
         ["org", "design", "speedup (this repro)", "speedup (paper)"],
         rows, title=TITLE)
 
@@ -68,4 +66,4 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
         ("DM: XOR+DCA still beats XOR+CD by >2%",
          s["dm:XOR+DCA"] / s["dm:XOR+CD"] > 1.02),
     ]
-    return report, data, checks
+    return text, data, checks

@@ -29,7 +29,8 @@ from numpy.typing import NDArray
 from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.tagcache import TagCache
 from repro.config import scaled_config
-from repro.experiments.common import SimParams, format_table
+from repro.experiments.common import (Report, Results, RunSpec, SimParams,
+                                      format_table)
 from repro.mem.sram import SRAMCache, interleave
 from repro.workloads.generator import make_trace
 from repro.workloads.table1 import mix_profiles
@@ -76,8 +77,12 @@ def tag_traffic(mix_id: int, params: SimParams,
     return counts
 
 
-def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
-        progress: bool = False, use_cache: bool = True):
+def plan(mixes: Sequence[int]) -> list[RunSpec]:
+    return []      # functional replay in the report, not grid points
+
+
+def report(results: Results, params: SimParams,
+           mixes: Sequence[int]) -> Report:
     use = list(mixes)[:3] or [1]
     counts = dict.fromkeys(SIZES_KB, 0)
     for m in use:
@@ -88,7 +93,7 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
 
     rows = [[f"{kb} KB" if kb else "no tag cache",
              counts[kb], f"{norm[kb]:.2f}x"] for kb in SIZES_KB]
-    report = format_table(
+    text = format_table(
         ["tag cache", "DRAM tag accesses", "normalized"],
         rows, title=f"{TITLE}  [mixes {use}]")
     data = {"mixes": use, "normalized": {str(k): v for k, v in norm.items()},
@@ -102,4 +107,9 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
         ("traffic shrinks as the tag cache grows (hit rate improves)",
          counts[SIZES_KB[-1]] <= counts[SIZES_KB[1]]),
     ]
-    return report, data, checks
+    return text, data, checks
+
+
+def run(params: SimParams, mixes: Sequence[int], jobs: int = 0) -> Report:
+    """The whole figure in this process (``jobs`` is accepted, unused)."""
+    return report({}, params, mixes)

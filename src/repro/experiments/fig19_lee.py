@@ -17,35 +17,33 @@ from typing import Sequence
 
 from repro.experiments.common import (
     DESIGNS,
+    Report,
+    Results,
+    RunSpec,
     SimParams,
-    alone_ipc_table,
     alone_specs,
     format_table,
     grid_specs,
     normalized_speedup_table,
-    run_grid,
 )
 
 ID = "fig19"
 TITLE = "Fig. 19: speedup under DRAM-aware writeback (normalized to LEE+CD)"
 
 
-def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
-        progress: bool = False, use_cache: bool = True):
-    specs = grid_specs(mixes, ("sa", "dm"), lee_writeback=True)
-    specs += alone_specs("sa", lee_writeback=True)
-    specs += alone_specs("dm", lee_writeback=True)
-    results = run_grid(specs, params, jobs=jobs, progress=progress,
-                       use_cache=use_cache)
+def plan(mixes: Sequence[int]) -> list[RunSpec]:
+    return (grid_specs(mixes, ("sa", "dm"), lee_writeback=True)
+            + alone_specs("sa", lee_writeback=True)
+            + alone_specs("dm", lee_writeback=True))
 
+
+def report(results: Results, params: SimParams,
+           mixes: Sequence[int]) -> Report:
     data: dict = {"mixes": list(mixes), "speedups": {}}
     rows = []
     for org in ("sa", "dm"):
-        alone = alone_ipc_table(
-            {s: r for s, r in results.items()
-             if s.alone_benchmark and s.organization == org})
         table = normalized_speedup_table(
-            results, alone, mixes, org,
+            results, mixes, org,
             variants=[(d, False) for d in DESIGNS],
             lee_writeback=True)
         for design in DESIGNS:
@@ -53,8 +51,8 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
             data["speedups"][f"{org}:LEE+{design}"] = val
             rows.append([org, f"LEE+{design}", f"{val:.3f}"])
 
-    report = format_table(["org", "variant", "speedup vs LEE+CD"],
-                          rows, title=TITLE)
+    text = format_table(["org", "variant", "speedup vs LEE+CD"],
+                        rows, title=TITLE)
     s = data["speedups"]
     checks = [
         ("DM: LEE+DCA beats LEE+CD (paper: ~+7%)",
@@ -63,4 +61,4 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
         ("DM: LEE+DCA best variant",
          s["dm:LEE+DCA"] >= max(s["dm:LEE+CD"], s["dm:LEE+ROD"])),
     ]
-    return report, data, checks
+    return text, data, checks

@@ -16,21 +16,22 @@ from typing import Sequence
 
 from repro.experiments.common import (
     RunSpec,
-    SimParams,
+    OrgFigure,
+    Report,
+    Results,
     format_table,
     grid_specs,
-    run_grid,
 )
 from repro.experiments.perworkload import VARIANTS, _label
 from repro.metrics.speedup import geomean
 
 
-def run_org(organization: str, params: SimParams, mixes: Sequence[int],
-            jobs: int = 0, progress: bool = False, use_cache: bool = True,
-            title: str = ""):
-    specs = grid_specs(mixes, (organization,), remaps=(False, True))
-    results = run_grid(specs, params, jobs=jobs, progress=progress,
-                       use_cache=use_cache)
+def plan(organization: str, mixes: Sequence[int]) -> list[RunSpec]:
+    return grid_specs(mixes, (organization,), remaps=(False, True))
+
+
+def report(organization: str, title: str, results: Results,
+           mixes: Sequence[int]) -> Report:
 
     improvements: dict[str, float] = {}
     for design, remap in VARIANTS:
@@ -44,8 +45,8 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
 
     rows = [[lab, f"{improvements[lab] * 100:+.1f}%"]
             for lab in [_label(d, r) for d, r in VARIANTS]]
-    report = format_table(["variant", "L2 miss-latency improvement vs CD"],
-                          rows, title=title)
+    text = format_table(["variant", "L2 miss-latency improvement vs CD"],
+                        rows, title=title)
     data = {"mixes": list(mixes), "improvement": improvements}
 
     imp = improvements
@@ -63,4 +64,12 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
          imp["XOR+DCA"] >= max(imp["XOR+CD"], imp["XOR+ROD"]) - 0.03),
         ("remapping helps CD", imp["XOR+CD"] > 0),
     ]
-    return report, data, checks
+    return text, data, checks
+
+
+FIGURES = (
+    OrgFigure("fig12", "Fig. 12: L2 miss latency improvement, set-associative "
+              "(vs CD)", "sa", plan, report),
+    OrgFigure("fig13", "Fig. 13: L2 miss latency improvement, direct-mapped "
+              "(vs CD)", "dm", plan, report),
+)

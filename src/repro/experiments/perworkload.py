@@ -12,14 +12,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.common import (
+    OrgFigure,
+    Report,
+    Results,
     RunSpec,
-    SimParams,
     alone_ipc_table,
     alone_specs,
     format_table,
     grid_specs,
     mix_weighted_speedup,
-    run_grid,
 )
 from repro.workloads.table1 import mix_name
 
@@ -31,15 +32,14 @@ def _label(design: str, remap: bool) -> str:
     return ("XOR+" if remap else "") + design
 
 
-def run_org(organization: str, params: SimParams, mixes: Sequence[int],
-            jobs: int = 0, progress: bool = False, use_cache: bool = True,
-            title: str = ""):
-    specs = grid_specs(mixes, (organization,), remaps=(False, True))
-    specs += alone_specs(organization)
-    results = run_grid(specs, params, jobs=jobs, progress=progress,
-                       use_cache=use_cache)
-    alone = alone_ipc_table(
-        {s: r for s, r in results.items() if s.alone_benchmark})
+def plan(organization: str, mixes: Sequence[int]) -> list[RunSpec]:
+    return (grid_specs(mixes, (organization,), remaps=(False, True))
+            + alone_specs(organization))
+
+
+def report(organization: str, title: str, results: Results,
+           mixes: Sequence[int]) -> Report:
+    alone = alone_ipc_table(results)
 
     per_mix: dict[int, dict[str, float]] = {}
     for m in mixes:
@@ -56,7 +56,7 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
     for m in mixes:
         rows.append([f"mix{m:02d}", mix_name(m)[:34]]
                     + [f"{per_mix[m][lab]:.3f}" for lab in labels])
-    report = format_table(["mix", "benchmarks"] + labels, rows, title=title)
+    text = format_table(["mix", "benchmarks"] + labels, rows, title=title)
 
     data = {"mixes": list(mixes),
             "per_mix": {str(m): per_mix[m] for m in mixes}}
@@ -73,4 +73,12 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
         (f"a DCA variant is the best on >=60% of mixes ({dca_best}/{n})",
          dca_best >= 0.6 * n),
     ]
-    return report, data, checks
+    return text, data, checks
+
+
+FIGURES = (
+    OrgFigure("fig10", "Fig. 10: per-workload speedup, set-associative "
+              "(normalized to CD)", "sa", plan, report),
+    OrgFigure("fig11", "Fig. 11: per-workload speedup, direct-mapped "
+              "(normalized to CD)", "dm", plan, report),
+)

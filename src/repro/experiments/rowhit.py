@@ -13,20 +13,21 @@ from typing import Sequence
 
 from repro.experiments.common import (
     RunSpec,
-    SimParams,
+    OrgFigure,
+    Report,
+    Results,
     format_table,
     grid_specs,
-    run_grid,
 )
 from repro.experiments.perworkload import VARIANTS, _label
 
 
-def run_org(organization: str, params: SimParams, mixes: Sequence[int],
-            jobs: int = 0, progress: bool = False, use_cache: bool = True,
-            title: str = ""):
-    specs = grid_specs(mixes, (organization,), remaps=(False, True))
-    results = run_grid(specs, params, jobs=jobs, progress=progress,
-                       use_cache=use_cache)
+def plan(organization: str, mixes: Sequence[int]) -> list[RunSpec]:
+    return grid_specs(mixes, (organization,), remaps=(False, True))
+
+
+def report(organization: str, title: str, results: Results,
+           mixes: Sequence[int]) -> Report:
 
     rates: dict[str, float] = {}
     for design, remap in VARIANTS:
@@ -36,8 +37,8 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
 
     rows = [[lab, f"{rates[lab] * 100:.1f}%"]
             for lab in [_label(d, r) for d, r in VARIANTS]]
-    report = format_table(["variant", "read row-buffer hit rate"],
-                          rows, title=title)
+    text = format_table(["variant", "read row-buffer hit rate"],
+                        rows, title=title)
     data = {"mixes": list(mixes), "row_hit_rate": rates}
 
     checks = [
@@ -46,4 +47,12 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
         ("DCA row-hit rate within 10% of CD or better",
          rates["DCA"] >= rates["CD"] - 0.10),
     ]
-    return report, data, checks
+    return text, data, checks
+
+
+FIGURES = (
+    OrgFigure("fig16", "Fig. 16: read row-buffer hit rate, set-associative",
+              "sa", plan, report),
+    OrgFigure("fig17", "Fig. 17: read row-buffer hit rate, direct-mapped",
+              "dm", plan, report),
+)

@@ -6,9 +6,14 @@ Usage::
     dca-repro fig08 --mixes 30 --jobs 8
     dca-repro sweep --axis scheduler=bliss,frfcfs --axis queues.read_entries=16,64
 
-Reports are printed and written to ``results/<id>.txt`` (+ ``.json``).
-Each experiment also evaluates its shape checks (the qualitative claims
-the paper makes about that figure) and reports PASS/FAIL per claim.
+Each experiment ``plan``s the points it reads.  The runner runs the
+union of the requested experiments' plans once through ``run_grid``,
+prints one summary line for that grid, then hands each ``report``
+exactly its own points.  Reports are printed and written to
+``results/<id>.txt`` (+ ``.json``) with PASS/FAIL per shape check (the
+qualitative claims the paper makes about that figure).  A crashed point
+fails only the experiments that planned it: they list it on stderr and
+write nothing, and the exit code is 1.
 
 The ``sweep`` subcommand (``dca-repro sweep --help``) executes arbitrary
 scenario grids with sharding and resumable checkpoints; it is implemented
@@ -22,21 +27,21 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 from repro.experiments import common
 from repro.experiments import (
-    fig08_speedup, fig09_remap, fig10_sa_workloads, fig11_dm_workloads,
-    fig12_misslat_sa, fig13_misslat_dm, fig14_turnaround_sa,
-    fig15_turnaround_dm, fig16_rowhit_sa, fig17_rowhit_dm,
-    fig18_tagcache, fig19_lee, table1_workloads, table2_params,
+    fig08_speedup, fig09_remap, fig18_tagcache, fig19_lee, misslat,
+    perworkload, rowhit, table1_workloads, table2_params, turnaround,
 )
+from repro.experiments.common import RunSpec, SimParams
 
-MODULES = {m.ID: m for m in (
-    table1_workloads, table2_params,
-    fig08_speedup, fig09_remap, fig10_sa_workloads, fig11_dm_workloads,
-    fig12_misslat_sa, fig13_misslat_dm, fig14_turnaround_sa,
-    fig15_turnaround_dm, fig16_rowhit_sa, fig17_rowhit_dm,
-    fig18_tagcache, fig19_lee,
+#: id -> experiment (anything with ID, TITLE, plan and report), in the
+#: order ``all`` runs them
+EXPERIMENTS = {e.ID: e for e in (
+    table1_workloads, table2_params, fig08_speedup, fig09_remap,
+    *perworkload.FIGURES, *misslat.FIGURES, *turnaround.FIGURES,
+    *rowhit.FIGURES, fig18_tagcache, fig19_lee,
 )}
 
 
@@ -47,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="For arbitrary scenario grids (sharded, resumable), see the "
                "'sweep' subcommand: dca-repro sweep --help")
     p.add_argument("ids", nargs="+",
-                   help=f"experiment ids ({', '.join(MODULES)}) or 'all'")
+                   help=f"experiment ids ({', '.join(EXPERIMENTS)}) or 'all'")
     p.add_argument("--mixes", type=int, default=30,
                    help="number of Table I mixes to simulate (default 30)")
     p.add_argument("--jobs", type=int, default=0,
@@ -68,19 +73,47 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_experiment(exp_id: str, params: common.SimParams, mixes: list[int],
-                   jobs: int, out_dir: Path, use_cache: bool = True) -> bool:
-    mod = MODULES[exp_id]
-    print(f"=== {exp_id}: {mod.TITLE}")
+def run_union(plans: dict[str, list[RunSpec]], params: SimParams,
+              jobs: int = 0, use_cache: bool = True, progress: bool = False
+              ) -> tuple[common.Results, dict[RunSpec, str]]:
+    """Run the union of ``plans`` once; return its results and failures.
+
+    Prints the grid's summary line: points requested by all plans, unique
+    points, points simulated, points served from the result store, and
+    the grid's wall time.
+    """
+    unique = list(dict.fromkeys(s for specs in plans.values() for s in specs))
+    store = common.ResultStore(enabled=use_cache)
+    failures: dict[RunSpec, str] = {}
     t0 = time.time()
     try:
-        report, data, checks = mod.run(params, mixes, jobs=jobs,
-                                       progress=True, use_cache=use_cache)
+        results = common.run_grid(unique, params, jobs=jobs,
+                                  progress=progress, store=store)
     except common.GridExecutionError as exc:
-        # Completed points were still stored; report the casualties and
-        # fail this experiment without killing the remaining ids.
-        print(f"  ERROR: {exc}", file=sys.stderr)
+        results, failures = exc.results, exc.failures
+    print(f"grid: {sum(map(len, plans.values()))} points requested, "
+          f"{len(unique)} unique, {len(unique) - store.hits} executed, "
+          f"{store.hits} served from store, {len(failures)} failed "
+          f"({time.time() - t0:.1f}s)\n")
+    return results, failures
+
+
+def report_experiment(exp_id: str, specs: list[RunSpec],
+                      results: common.Results, failures: dict[RunSpec, str],
+                      params: SimParams, mixes: Sequence[int],
+                      out_dir: Path) -> bool:
+    """Report one experiment from its planned points; False if it failed."""
+    exp = EXPERIMENTS[exp_id]
+    print(f"=== {exp_id}: {exp.TITLE}")
+    failed = {s: failures[s] for s in specs if s in failures}
+    if failed:
+        done = {s: results[s] for s in specs if s in results}
+        print(f"  ERROR: {exp_id}: {common.GridExecutionError(failed, done)}",
+              file=sys.stderr)
         return False
+    t0 = time.time()
+    report, data, checks = exp.report({s: results[s] for s in specs},
+                                      params, mixes)
     elapsed = time.time() - t0
     print(report)
     ok = True
@@ -94,10 +127,25 @@ def run_experiment(exp_id: str, params: common.SimParams, mixes: list[int],
         report + "\n" + "\n".join(
             f"[{'PASS' if p else 'FAIL'}] {d}" for d, p in checks) + "\n")
     (out_dir / f"{exp_id}.json").write_text(json.dumps(
-        {"id": exp_id, "title": mod.TITLE, "data": data,
+        {"id": exp_id, "title": exp.TITLE, "data": data,
          "checks": {d: p for d, p in checks}, "elapsed_s": elapsed},
         indent=2, default=str))
     return ok
+
+
+def run_experiments(ids: Sequence[str], params: SimParams,
+                    mixes: Sequence[int], jobs: int, out_dir: Path,
+                    use_cache: bool = True) -> bool:
+    """Plan, run one grid, and report every id; False if any failed."""
+    plans = {i: EXPERIMENTS[i].plan(mixes) for i in ids}
+    results, failures = run_union(plans, params, jobs=jobs,
+                                  use_cache=use_cache, progress=True)
+    ok_all = True
+    for exp_id, specs in plans.items():
+        ok = report_experiment(exp_id, specs, results, failures, params,
+                               mixes, out_dir)
+        ok_all = ok_all and ok
+    return ok_all
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,13 +157,13 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    ids = list(MODULES) if "all" in args.ids else args.ids
-    unknown = [i for i in ids if i not in MODULES]
+    ids = list(EXPERIMENTS) if "all" in args.ids else args.ids
+    unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         if "sweep" in unknown:
             print("'sweep' is a subcommand and must come first: "
                   "dca-repro sweep [options]", file=sys.stderr)
-        print(f"unknown experiment ids: {unknown}; known: {list(MODULES)}",
+        print(f"unknown experiment ids: {unknown}; known: {list(EXPERIMENTS)}",
               file=sys.stderr)
         return 2
 
@@ -130,12 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         jobs = 1
 
     def run_all() -> bool:
-        ok_all = True
-        for exp_id in ids:
-            ok = run_experiment(exp_id, params, mixes, jobs, out_dir,
-                                use_cache=not args.no_cache)
-            ok_all = ok_all and ok
-        return ok_all
+        return run_experiments(ids, params, mixes, jobs, out_dir,
+                               use_cache=not args.no_cache)
 
     if args.profile:
         all_ok = common.write_profiled(run_all, Path(args.profile))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.common import SimParams, format_table
+from repro.experiments.common import (Report, Results, RunSpec, SimParams,
+                                      format_table)
 from repro.workloads.profiles import PROFILES
 from repro.workloads.table1 import TABLE1_MIXES, mix_name
 
@@ -12,8 +13,12 @@ ID = "table1"
 TITLE = "Table I: workload groupings"
 
 
-def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
-        progress: bool = False, use_cache: bool = True):
+def plan(mixes: Sequence[int]) -> list[RunSpec]:
+    return []
+
+
+def report(results: Results, params: SimParams,
+           mixes: Sequence[int]) -> Report:
     rows = []
     for m in sorted(TABLE1_MIXES):
         names = TABLE1_MIXES[m]
@@ -21,7 +26,7 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
         wr = sum(PROFILES[n].l2_apki * PROFILES[n].store_fraction
                  for n in names) / apki
         rows.append([m, mix_name(m), f"{apki:.0f}", f"{wr * 100:.0f}%"])
-    report = format_table(
+    text = format_table(
         ["mix", "benchmarks", "sum L2 APKI", "store share"],
         rows, title=TITLE)
     data = {"mixes": {str(m): list(TABLE1_MIXES[m]) for m in TABLE1_MIXES}}
@@ -33,4 +38,4 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
          all(len(v) == 4 for v in TABLE1_MIXES.values())),
         ("all 11 paper benchmarks appear", used == set(PROFILES)),
     ]
-    return report, data, checks
+    return text, data, checks

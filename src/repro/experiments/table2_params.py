@@ -5,14 +5,19 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import QueueConfig, ns, paper_config
-from repro.experiments.common import SimParams, format_table
+from repro.experiments.common import (Report, Results, RunSpec, SimParams,
+                                      format_table)
 
 ID = "table2"
 TITLE = "Table II: system and die-stacked DRAM parameters"
 
 
-def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
-        progress: bool = False, use_cache: bool = True):
+def plan(mixes: Sequence[int]) -> list[RunSpec]:
+    return []
+
+
+def report(results: Results, params: SimParams,
+           mixes: Sequence[int]) -> Report:
     cfg = paper_config()
     t = cfg.timings
     rod_q = QueueConfig.for_design("ROD")
@@ -43,7 +48,7 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
          f"{cfg.queues.write_entries} ({rod_q.write_entries} ROD), "
          f"{cfg.queues.write_low_watermark:.0%}/{cfg.queues.write_high_watermark:.0%}"],
     ]
-    report = format_table(["parameter", "paper", "this config"], rows,
+    text = format_table(["parameter", "paper", "this config"], rows,
                           title=TITLE)
     data = {"paper_config": True}
     checks = [
@@ -60,4 +65,4 @@ def run(params: SimParams, mixes: Sequence[int], jobs: int = 0,
          cfg.queues.read_entries == 64 and cfg.queues.write_entries == 64
          and rod_q.read_entries == 32 and rod_q.write_entries == 96),
     ]
-    return report, data, checks
+    return text, data, checks

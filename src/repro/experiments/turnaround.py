@@ -14,20 +14,21 @@ from typing import Sequence
 from repro.experiments.common import (
     DESIGNS,
     RunSpec,
-    SimParams,
+    OrgFigure,
+    Report,
+    Results,
     format_table,
     grid_specs,
-    run_grid,
 )
 from repro.metrics.speedup import geomean
 
 
-def run_org(organization: str, params: SimParams, mixes: Sequence[int],
-            jobs: int = 0, progress: bool = False, use_cache: bool = True,
-            title: str = ""):
-    specs = grid_specs(mixes, (organization,))
-    results = run_grid(specs, params, jobs=jobs, progress=progress,
-                       use_cache=use_cache)
+def plan(organization: str, mixes: Sequence[int]) -> list[RunSpec]:
+    return grid_specs(mixes, (organization,))
+
+
+def report(organization: str, title: str, results: Results,
+           mixes: Sequence[int]) -> Report:
 
     apt: dict[str, float] = {}
     for design in DESIGNS:
@@ -36,7 +37,7 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
         apt[design] = geomean(vals)
 
     rows = [[d, f"{apt[d]:.1f}"] for d in DESIGNS]
-    report = format_table(
+    text = format_table(
         ["design", "accesses per turnaround (higher is better)"],
         rows, title=title)
     data = {"mixes": list(mixes), "accesses_per_turnaround": apt}
@@ -47,4 +48,12 @@ def run_org(organization: str, params: SimParams, mixes: Sequence[int],
         ("DCA comparable to or better than CD", apt["DCA"] >= 0.9 * apt["CD"]),
         ("DCA >> ROD", apt["DCA"] > 1.4 * apt["ROD"]),
     ]
-    return report, data, checks
+    return text, data, checks
+
+
+FIGURES = (
+    OrgFigure("fig14", "Fig. 14: accesses per turnaround, set-associative",
+              "sa", plan, report),
+    OrgFigure("fig15", "Fig. 15: accesses per turnaround, direct-mapped",
+              "dm", plan, report),
+)

@@ -214,9 +214,9 @@ class System:
             # Trace-source protocol: any workload frontend (synthetic
             # profile, phased/adversarial scenario, trace-file replay)
             # builds its own stream; see repro/workloads/scenarios.py.
-            # The TraceCursor wrapper makes the stream positioned and
-            # reconstructible, which is what lets a warm state resume it
-            # (see repro/workloads/cursor.py).
+            # The TraceCursor wrapper counts the ops consumed, which is
+            # what lets a warm state resume the stream on a fresh system
+            # by skipping that many (see repro/workloads/cursor.py).
             trace = TraceCursor(prof, seed=seed * 1000003 + i * 7919 + 1,
                                 core_offset=i << 44,
                                 footprint_scale=footprint_scale)

@@ -1,17 +1,18 @@
-"""Replayable trace cursors: how a warm state repositions a workload.
+"""Positioned trace cursors: how a warm state repositions a workload.
 
 Traces are infinite *generators* (``repro.workloads.generator`` and the
 scenario frontends), which CPython can neither copy nor pickle.  The
 system therefore consumes every trace through a :class:`TraceCursor`: a
-thin iterator wrapper that remembers **how the stream was built** (the
-trace source and its ``make_trace`` arguments) and **how far it has been
-consumed**.  Because every trace source is deterministic by contract
-(same source + same arguments ⇒ the identical stream — property-tested in
-``tests/test_workloads.py``), a fresh cursor over the same source,
-fast-forwarded with :meth:`TraceCursor.skip` by another cursor's
-``count``, continues bit-identically from that cursor's position.  This
-is how ``System.restore_warm_state`` resumes each core's trace where the
-functional warm-up left it.
+thin iterator wrapper that counts **how far the stream has been
+consumed**.  It keeps no record of how the stream was built: the system
+that owns it does.  Because every trace source is deterministic by
+contract (same source + same arguments ⇒ the identical stream —
+property-tested in ``tests/test_workloads.py``), a fresh cursor over the
+same source and arguments, fast-forwarded with :meth:`TraceCursor.skip`
+by another cursor's ``count``, continues bit-identically from that
+cursor's position.  This is how ``System.restore_warm_state`` resumes
+each core's trace where the functional warm-up left it: the restoring
+system builds its own cursors and skips each by the captured count.
 
 Fast-forward cost is linear in ``count``, but a synthetic trace op costs
 well under 1 µs to generate (about 0.6 µs with the cursor's own step, on
@@ -30,13 +31,11 @@ from typing import Any, Iterator
 
 
 class TraceCursor:
-    """A positioned, reconstructible iterator over one trace stream."""
+    """A positioned iterator over one trace stream."""
 
-    __slots__ = ("source", "kwargs", "count", "_it")
+    __slots__ = ("count", "_it")
 
     def __init__(self, source: Any, **kwargs: Any):
-        self.source = source
-        self.kwargs = kwargs
         self.count = 0
         self._it: Iterator[tuple] = source.make_trace(**kwargs)
 
@@ -58,5 +57,4 @@ class TraceCursor:
         self.count += n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.source, "name", type(self.source).__name__)
-        return f"TraceCursor({name!r}, count={self.count})"
+        return f"TraceCursor(count={self.count})"

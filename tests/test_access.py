@@ -17,8 +17,7 @@ from reference import next_seq
 
 def mk(role, rtype):
     req = CacheRequest(rtype, 0x1000, core_id=2, pc=0x44)
-    return Access(role, req, 1, 0, 3, 7, 5, 19, arrival=100,
-                  seq=next_seq()), req
+    return Access(role, req, 1, 0, 3, 7, 5, 19, seq=next_seq()), req
 
 
 class TestPriorityTaxonomy:
@@ -72,9 +71,9 @@ class TestBookkeeping:
 
         one, two = translator(), translator()
         req = CacheRequest(RequestType.READ, 0x1000, core_id=0)
-        a1 = one.initial_access(req, 0)
-        b1 = two.initial_access(req, 0)
-        a2 = one.initial_access(req, 0)
+        a1 = one.initial_access(req)
+        b1 = two.initial_access(req)
+        a2 = one.initial_access(req)
         assert a2.seq > a1.seq
         assert b1.seq == a1.seq
 

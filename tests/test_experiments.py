@@ -19,7 +19,7 @@ from repro.experiments.common import (
     run_one,
 )
 from repro.experiments import table1_workloads, table2_params
-from repro.experiments.runner import MODULES, build_parser
+from repro.experiments.runner import EXPERIMENTS, build_parser
 from repro.sim.system import RESULT_SCHEMA_VERSION, ResultSchemaError, SystemResult
 
 QUICK = SimParams(warmup_insts=2_000, measure_insts=5_000,
@@ -268,33 +268,85 @@ class TestFailureIsolation:
         out = run_grid(specs, QUICK, jobs=3, cache_dir=tmp_path)
         assert list(out) == specs
 
-    def test_run_experiment_survives_partial_failure(self, tmp_path,
-                                                     monkeypatch, capsys):
-        """The runner's GridExecutionError path: the experiment is
-        reported failed (return False, failures on stderr) without an
-        exception escaping to kill the remaining experiment ids."""
+
+class _Recorder:
+    """An experiment that keeps the real plan and records what its
+    report is handed, so runner tests need no simulation."""
+
+    def __init__(self, exp):
+        self.ID, self.TITLE, self.plan = exp.ID, exp.TITLE, exp.plan
+        self.got = None
+
+    def report(self, results, params, mixes):
+        self.got = dict(results)
+        return f"{self.ID} report", {}, [(f"{self.ID} check", True)]
+
+
+class TestPlannedGrid:
+    """The runner runs one deduplicated grid for every requested id and
+    hands each report its own points (``run_grid`` stubbed out)."""
+
+    MIXES = [1, 2, 3]
+    #: planned by every dm + remap figure: fig09, fig11, fig13, fig17
+    BAD = RunSpec("DCA", "dm", True, mix_id=2)
+
+    def _run(self, tmp_path, monkeypatch, fail=()):
         from repro.experiments import runner
-        bad, good = self.BAD, self.GOOD
+        recorders = {i: _Recorder(e) for i, e in EXPERIMENTS.items()}
+        for exp_id, rec in recorders.items():
+            monkeypatch.setitem(runner.EXPERIMENTS, exp_id, rec)
+        calls = []
 
-        class BoomModule:
-            ID = "boom"
-            TITLE = "synthetic partial failure"
+        def fake_run_grid(specs, params, jobs=0, progress=False, store=None):
+            calls.append(list(specs))
+            done = {s: f"result of {s}" for s in specs if s not in fail}
+            failures = {s: "Traceback ...\nValueError: boom"
+                        for s in specs if s in fail}
+            if failures:
+                raise GridExecutionError(failures, done)
+            return done
 
-            @staticmethod
-            def run(params, mixes, jobs=0, progress=False, use_cache=True):
-                raise GridExecutionError(
-                    {bad: "Traceback ...\nValueError: unknown design"},
-                    {good: None})
+        monkeypatch.setattr(common, "run_grid", fake_run_grid)
+        rc = runner.main(["all", "--quick", "--mixes", str(len(self.MIXES)),
+                          "--no-cache", "--out", str(tmp_path)])
+        return rc, calls, recorders
 
-        monkeypatch.setitem(runner.MODULES, "boom", BoomModule)
-        ok = runner.run_experiment("boom", QUICK, [1], jobs=1,
-                                   out_dir=tmp_path)
-        assert ok is False
+    def test_all_runs_one_deduplicated_grid(self, tmp_path, monkeypatch,
+                                            capsys):
+        rc, calls, _ = self._run(tmp_path, monkeypatch)
+        assert rc == 0
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 98
+        assert ("grid: 286 points requested, 98 unique, 98 executed, "
+                "0 served from store, 0 failed") in capsys.readouterr().out
+
+    def test_each_report_gets_exactly_its_plan(self, tmp_path, monkeypatch):
+        _rc, _calls, recorders = self._run(tmp_path, monkeypatch)
+        for exp_id, rec in recorders.items():
+            planned = list(dict.fromkeys(rec.plan(self.MIXES)))
+            assert list(rec.got) == planned, exp_id
+            assert all(r == f"result of {s}" for s, r in rec.got.items())
+        assert recorders["table1"].got == recorders["fig18"].got == {}
+
+    def test_failed_point_fails_only_its_planners(self, tmp_path,
+                                                  monkeypatch, capsys):
+        rc, _calls, recorders = self._run(tmp_path, monkeypatch,
+                                          fail=(self.BAD,))
+        assert rc == 1
+        planners = {i for i, rec in recorders.items()
+                    if self.BAD in rec.plan(self.MIXES)}
+        assert planners == {"fig09", "fig11", "fig13", "fig17"}
         err = capsys.readouterr().err
-        assert "1 of 2 grid points failed" in err
-        assert "unknown design" in err
-        # no report artefacts for the failed experiment
-        assert not (tmp_path / "boom.json").exists()
+        for exp_id, rec in recorders.items():
+            if exp_id in planners:
+                assert rec.got is None, exp_id
+                assert not (tmp_path / f"{exp_id}.txt").exists()
+                assert not (tmp_path / f"{exp_id}.json").exists()
+                assert f"ERROR: {exp_id}: 1 of " in err
+            else:
+                assert (tmp_path / f"{exp_id}.txt").read_text() == (
+                    f"{exp_id} report\n[PASS] {exp_id} check\n")
+        assert "XOR+DCA (mix=2, alone=None): ValueError: boom" in err
 
 
 class TestSpeedupPlumbing:
@@ -332,11 +384,13 @@ class TestFormatTable:
 
 class TestStaticExperiments:
     def test_table1_all_checks_pass(self):
-        _r, _d, checks = table1_workloads.run(QUICK, [1])
+        assert table1_workloads.plan([1]) == []
+        _r, _d, checks = table1_workloads.report({}, QUICK, [1])
         assert all(ok for _desc, ok in checks)
 
     def test_table2_all_checks_pass(self):
-        report, _d, checks = table2_params.run(QUICK, [1])
+        assert table2_params.plan([1]) == []
+        report, _d, checks = table2_params.report({}, QUICK, [1])
         assert all(ok for _desc, ok in checks)
         assert "tRCD" in report
 
@@ -380,7 +434,7 @@ class TestSeedDerivation:
 class TestRunnerCLI:
     def test_all_ids_registered(self):
         expected = {"table1", "table2"} | {f"fig{n:02d}" for n in range(8, 20)}
-        assert set(MODULES) == expected
+        assert set(EXPERIMENTS) == expected
 
     def test_measure_zero_rejected(self, capsys):
         """`if args.measure:` silently ignored --measure 0; it now errors."""
@@ -417,13 +471,13 @@ class TestRunnerCLI:
         from repro.experiments import runner
         captured = {}
 
-        def fake_run_experiment(exp_id, params, mixes, jobs, out_dir,
-                                use_cache=True):
+        def fake_run_experiments(ids, params, mixes, jobs, out_dir,
+                                 use_cache=True):
             captured["params"] = params
             captured["mixes"] = mixes
             return True
 
-        monkeypatch.setattr(runner, "run_experiment", fake_run_experiment)
+        monkeypatch.setattr(runner, "run_experiments", fake_run_experiments)
         rc = runner.main(["table1", "--measure", "12345", "--mixes", "2",
                           "--out", str(tmp_path)])
         assert rc == 0
@@ -442,8 +496,9 @@ class TestRunnerCLI:
 
     def test_results_json_shape(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-        from repro.experiments.runner import run_experiment
-        ok = run_experiment("table1", QUICK, [1], jobs=1, out_dir=tmp_path)
+        from repro.experiments.runner import run_experiments
+        ok = run_experiments(["table1"], QUICK, [1], jobs=1,
+                             out_dir=tmp_path)
         assert ok
         data = json.loads((tmp_path / "table1.json").read_text())
         assert data["id"] == "table1"

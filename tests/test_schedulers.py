@@ -17,7 +17,7 @@ def mk_access(core=0, bank=0, row=0, role=AccessRole.TAG_READ,
               rtype=RequestType.READ):
     req = CacheRequest(rtype, 0, core)
     return Access(role, req, channel=0, rank=0, bank=bank, row=row, col=0,
-                  global_bank=bank, arrival=0, seq=next_seq())
+                  global_bank=bank, seq=next_seq())
 
 
 def pick(sched, candidates, channel, now):

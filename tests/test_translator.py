@@ -30,18 +30,17 @@ def refill_req(addr=0x4000):
 class TestSetAssociativeRead:
     def test_initial_is_tag_read(self):
         _, tr = make("sa")
-        acc = tr.initial_access(read_req(), 0)
+        acc = tr.initial_access(read_req())
         assert acc.role == AccessRole.TAG_READ
         assert acc.priority == Priority.PR
 
     def test_hit_generates_data_read_and_tag_write(self):
         array, tr = make("sa")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(read_req(), 0)
+        out = tr.after_tag_read(read_req())
         assert out.hit
         roles = [a.role for a in out.next_accesses]
         assert roles == [AccessRole.DATA_READ, AccessRole.TAG_WRITE]
-        assert not out.memory_fetch
 
     def test_hit_accesses_total_three(self):
         """Paper Fig. 2: a SA read hit is RTr + RDr + WTr."""
@@ -52,23 +51,22 @@ class TestSetAssociativeRead:
     def test_data_read_critical_tag_write_not(self):
         array, tr = make("sa")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(read_req(), 0)
+        out = tr.after_tag_read(read_req())
         data, tagw = out.next_accesses
         assert data.critical and not tagw.critical
 
     def test_miss_requests_memory_fetch(self):
         _, tr = make("sa")
-        out = tr.after_tag_read(read_req(), 0)
+        out = tr.after_tag_read(read_req())
         assert not out.hit
-        assert out.memory_fetch
         assert out.next_accesses == []
 
     def test_tag_and_data_same_channel(self):
         array, tr = make("sa")
         array.fill(0x4000, dirty=False)
         req = read_req()
-        rt = tr.initial_access(req, 0)
-        out = tr.after_tag_read(req, 0)
+        rt = tr.initial_access(req)
+        out = tr.after_tag_read(req)
         assert all(a.channel == rt.channel for a in out.next_accesses)
 
 
@@ -76,7 +74,7 @@ class TestSetAssociativeWriteback:
     def test_hit_generates_two_writes(self):
         array, tr = make("sa")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(wb_req(), 0)
+        out = tr.after_tag_read(wb_req())
         assert out.hit
         roles = [a.role for a in out.next_accesses]
         assert roles == [AccessRole.DATA_WRITE, AccessRole.TAG_WRITE]
@@ -84,7 +82,7 @@ class TestSetAssociativeWriteback:
 
     def test_miss_clean_victim_no_extra_read(self):
         _, tr = make("sa")
-        out = tr.after_tag_read(wb_req(), 0)
+        out = tr.after_tag_read(wb_req())
         assert not out.hit
         assert out.victim_read is None
         assert out.victim_mem_write is None
@@ -99,7 +97,7 @@ class TestSetAssociativeWriteback:
         for t in range(15):
             array.fill(array.sa.block_addr(set_idx, t) * 64, dirty=True)
         new_addr = array.sa.block_addr(set_idx, 20) * 64
-        out = tr.after_tag_read(wb_req(new_addr), 0)
+        out = tr.after_tag_read(wb_req(new_addr))
         assert not out.hit
         assert out.victim_read is not None
         assert out.victim_read.role == AccessRole.DATA_READ
@@ -107,24 +105,24 @@ class TestSetAssociativeWriteback:
 
     def test_wb_tag_read_is_low_priority(self):
         _, tr = make("sa")
-        acc = tr.initial_access(wb_req(), 0)
+        acc = tr.initial_access(wb_req())
         assert acc.priority == Priority.LR
 
     def test_refill_identical_shape_to_writeback(self):
         """Paper: 'this translation is identical to the write request'."""
         _, tr1 = make("sa")
         _, tr2 = make("sa")
-        out_wb = tr1.after_tag_read(wb_req(), 0)
-        out_rf = tr2.after_tag_read(refill_req(), 0)
+        out_wb = tr1.after_tag_read(wb_req())
+        out_rf = tr2.after_tag_read(refill_req())
         assert ([a.role for a in out_wb.next_accesses]
                 == [a.role for a in out_rf.next_accesses])
 
     def test_refill_inserts_clean_writeback_dirty(self):
         array1, tr1 = make("sa")
-        tr1.after_tag_read(wb_req(0x4000), 0)
+        tr1.after_tag_read(wb_req(0x4000))
         assert array1.probe(0x4000).dirty
         array2, tr2 = make("sa")
-        tr2.after_tag_read(refill_req(0x4000), 0)
+        tr2.after_tag_read(refill_req(0x4000))
         assert not array2.probe(0x4000).dirty
 
 
@@ -133,7 +131,7 @@ class TestDirectMapped:
         """Alloy: tag+data in one burst, so a read hit is ONE access."""
         array, tr = make("dm")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(read_req(), 0)
+        out = tr.after_tag_read(read_req())
         assert out.hit
         assert out.next_accesses == []
         assert tr.accesses_per_read_hit() == 1
@@ -141,7 +139,7 @@ class TestDirectMapped:
     def test_writeback_two_accesses(self):
         array, tr = make("dm")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(wb_req(), 0)
+        out = tr.after_tag_read(wb_req())
         assert [a.role for a in out.next_accesses] == [AccessRole.DATA_WRITE]
         assert tr.accesses_per_writeback_hit() == 2
 
@@ -150,7 +148,7 @@ class TestDirectMapped:
         array, tr = make("dm")
         conflict = array.dm.num_entries * 64  # same entry, other tag
         array.fill(conflict, dirty=True)
-        out = tr.after_tag_read(wb_req(0x0), 0)
+        out = tr.after_tag_read(wb_req(0x0))
         assert not out.hit
         assert out.victim_read is None
         assert out.victim_mem_write == conflict
@@ -162,5 +160,5 @@ class TestRequestHitState:
         array.fill(0x4000, dirty=False)
         req = read_req()
         assert req.hit is None
-        tr.after_tag_read(req, 0)
+        tr.after_tag_read(req)
         assert req.hit is True

@@ -353,7 +353,7 @@ class TestScenarioRegistry:
 
 
 class TestTraceCursor:
-    """Positioned, reconstructible trace iteration (the warm-state trace
+    """Positioned, resumable trace iteration (the warm-state trace
     contract: same source + args ⇒ identical stream, so a fresh cursor
     fast-forwarded with ``skip`` resumes any cursor's position)."""
 
