@@ -5,24 +5,28 @@ Each ``bench_<id>.py`` regenerates one paper artefact at reduced scale
 and asserts its shape checks.  A session-scoped scratch cache directory
 lets figures that share the simulation grid (8-17) reuse each other's
 runs *within* the session while still measuring real simulation work on
-first touch.
+first touch.  Importing this file does nothing: the directory is made,
+and ``REPRO_CACHE_DIR`` pointed at it, only when a benchmark runs.
 """
 
 from __future__ import annotations
-
-import os
-import tempfile
 
 import pytest
 
 from repro.experiments.common import SimParams
 from repro.experiments.runner import EXPERIMENTS, run_union
 
-_SCRATCH = tempfile.mkdtemp(prefix="repro-bench-cache-")
-os.environ["REPRO_CACHE_DIR"] = _SCRATCH
-
 #: mixes used by benchmark-scale experiment runs
 BENCH_MIXES = [1, 2, 3]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def scratch_cache_dir(tmp_path_factory):
+    """Point the default result store at a fresh directory for the session."""
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("repro-bench-cache")
+        mp.setenv("REPRO_CACHE_DIR", str(path))
+        yield path
 
 
 @pytest.fixture(scope="session")

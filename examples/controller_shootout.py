@@ -25,7 +25,8 @@ def run(design: str, organization: str, mix: int):
     system = System(scaled_config(8), design, mix_profiles(mix),
                     organization=organization, footprint_scale=1 / 20,
                     seed=mix)
-    result = system.run(warmup_insts=20_000, measure_insts=60_000)
+    result = system.run(warmup_insts=20_000, measure_insts=60_000,
+                        replay_accesses=20_000)
     ofs = system.controller.stats.lr_ofs_issues
     return result, ofs
 

@@ -25,7 +25,9 @@ def main() -> None:
         footprint_scale=1 / 20,     # workload footprints scaled with cache
         seed=1,
     )
-    result = system.run(warmup_insts=20_000, measure_insts=60_000)
+    # functional warm-up (cache contents), then timed warm-up + measure
+    result = system.run(warmup_insts=20_000, measure_insts=60_000,
+                        replay_accesses=20_000)
 
     print(f"\nPer-core IPC: "
           + ", ".join(f"{b}={i:.3f}"

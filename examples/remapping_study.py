@@ -25,7 +25,8 @@ def run(design: str, remap: bool, mix: int,
     system = System(scaled_config(8), design, mix_profiles(mix),
                     organization="sa", xor_remap=remap,
                     footprint_scale=1 / 20, seed=mix)
-    r = system.run(warmup_insts=20_000, measure_insts=measure_insts)
+    r = system.run(warmup_insts=20_000, measure_insts=measure_insts,
+                   replay_accesses=20_000)
     return sum(r.ipcs), r.read_row_hit_rate
 
 

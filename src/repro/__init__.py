@@ -14,7 +14,8 @@ Run one simulation::
 
     sys_ = System(scaled_config(), design="DCA", benchmarks=mix_profiles(1),
                   organization="sa", footprint_scale=1 / 8, seed=1)
-    result = sys_.run(warmup_insts=50_000, measure_insts=200_000)
+    result = sys_.run(warmup_insts=50_000, measure_insts=200_000,
+                      replay_accesses=20_000)
     print(result.ipcs, result.accesses_per_turnaround)
 
 Regenerate a paper figure::

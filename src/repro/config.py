@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 PS_PER_NS = 1000
 
@@ -252,15 +252,17 @@ class QueueConfig:
     """Per-channel controller queue sizes and watermarks (Table II).
 
     The read queue holds 64 entries (32 for ROD, which also carries the
-    writeback-request read-tags in its 96-entry write queue).  The write
+    writeback-request read-tags in its 96-entry write queue).  The sizes
+    depend on the design, so they default to ``None`` ("the design's
+    Table II size") and :meth:`for_design` settles them.  The write
     queue drains between a low watermark (50 %) and a forced-flush high
     watermark (85 %).  DCA's low-priority-read drain uses the Algorithm 1
     hysteresis: start draining all reads above 85 % occupancy, stop below
     75 %.
     """
 
-    read_entries: int = 64
-    write_entries: int = 64
+    read_entries: Optional[int] = None
+    write_entries: Optional[int] = None
     write_low_watermark: float = 0.50
     write_high_watermark: float = 0.85
     lr_drain_high: float = 0.85   # DCA Algorithm 1: ScheduleAll=True above this
@@ -279,12 +281,16 @@ class QueueConfig:
     #: (standard write buffering, paper §II-C ref [10]).
     forward_latency_ps: int = 2000
 
-    @classmethod
-    def for_design(cls, design: str) -> "QueueConfig":
-        """Table II sizes per design: ROD gets 32-read/96-write queues."""
-        if design.upper() == "ROD":
-            return cls(read_entries=32, write_entries=96)
-        return cls()
+    def for_design(self, design: str) -> "QueueConfig":
+        """This config with every unset size at the design's Table II
+        size: 32 reads / 96 writes for ROD, 64 / 64 for the others.
+        A size that is set is kept, whatever the design."""
+        read, write = (32, 96) if design.upper() == "ROD" else (64, 64)
+        if self.read_entries is not None:
+            read = self.read_entries
+        if self.write_entries is not None:
+            write = self.write_entries
+        return replace(self, read_entries=read, write_entries=write)
 
 
 @dataclass(frozen=True)
@@ -547,14 +553,6 @@ class SystemConfig:
     writebuf: WriteBufferConfig = field(default_factory=WriteBufferConfig)
     num_cores: int = 4
     l2_mshrs: int = 32
-    #: True once queue parameters were set explicitly (e.g. by a sweep
-    #: override); the controller then keeps them instead of substituting
-    #: the per-design Table II defaults.
-    queues_explicit: bool = False
-
-    def with_queues_for(self, design: str) -> "SystemConfig":
-        """Return a copy with the per-design queue sizes from Table II."""
-        return replace(self, queues=QueueConfig.for_design(design))
 
     def with_overrides(
             self,
@@ -568,19 +566,11 @@ class SystemConfig:
         ``"queues.write_high_watermark"``.  Values are coerced to the type
         of the field they replace (so a sweep axis of ``64`` can target a
         float watermark without producing a distinct-but-equal config).
-        Any override under ``queues.`` marks the result
-        :attr:`queues_explicit`, which stops the controller from
-        re-applying the per-design queue defaults on top.
         """
         items = overrides.items() if hasattr(overrides, "items") else overrides
         cfg = self
-        queues_touched = False
         for path, value in items:
             cfg = _replace_path(cfg, path, value)
-            if path.startswith("queues."):
-                queues_touched = True
-        if queues_touched:
-            cfg = replace(cfg, queues_explicit=True)
         return cfg
 
 
@@ -601,6 +591,9 @@ def coerce_bool(value: object) -> bool:
 
 def _coerce(current: Any, value: Any) -> Any:
     """Coerce an override value to the type of the field it replaces."""
+    if current is None:
+        # An unset count (the per-design queue sizes): overrides are ints.
+        return _coerce(0, value)
     if isinstance(current, bool):
         return coerce_bool(value)
     if isinstance(current, int):

@@ -17,17 +17,16 @@ Everything the three designs (CD / ROD / DCA) have in common lives here:
   preparation (PRE/ACT) overlaps the in-flight burst — one-deep lookahead,
   identical for every design.
 
-Subclasses implement exactly two hooks:
-
-* :meth:`BaseController._route` — which queue an access belongs to
-  (this is the entire CD-vs-ROD distinction);
-* :meth:`BaseController._select` — which queued access to issue at a
-  scheduling slot (this is where DCA's PR/LR handling lives).
+Subclasses implement :meth:`BaseController._route` — which queue an
+access belongs to (this is the entire CD-vs-ROD distinction).  DCA also
+overrides :meth:`BaseController._select_read` — which read to issue at a
+scheduling slot (this is where its PR/LR handling lives).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.cache.dramcache import DRAMCacheArray
@@ -92,10 +91,8 @@ class BaseController:
                  organization: str = "sa", xor_remap: bool = False,
                  use_mapi: bool = True, scheduler: str = "bliss",
                  mainmem: Optional[AnyMainMemory] = None):
-        if not cfg.queues_explicit:
-            # Stock config: substitute the per-design Table II queue
-            # sizes.  Explicitly overridden queues (sweep axes) win.
-            cfg = cfg.with_queues_for(self.design)
+        # Unset queue sizes take this design's Table II sizes.
+        cfg = replace(cfg, queues=cfg.queues.for_design(self.design))
         self.sim = sim
         self.cfg = cfg
         self.organization = organization
@@ -357,8 +354,32 @@ class BaseController:
         raise NotImplementedError
 
     def _select(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
-        """Pick the next access to issue on channel ``ch`` (or None)."""
-        raise NotImplementedError
+        """Pick the next access to issue on channel ``ch`` (or None).
+
+        A forced write flush first, then an idle-time drain in progress,
+        then a read (:meth:`_select_read`); with no read to serve, writes
+        drain opportunistically above the low watermark (the paper's
+        two-threshold passive scheme).
+        """
+        self._flush_exit_check(ch)
+        self._flush_enter_forced(ch)
+        if self.flushing[ch]:
+            picked = self._pick_write(ch)
+            if picked is not None:
+                return picked
+            self.flushing[ch] = False  # queue emptied mid-flush
+        picked = self._continue_opportunistic(ch)
+        if picked is not None:
+            return picked
+        picked = self._select_read(ch)
+        if picked is not None:
+            return picked
+        return self._start_opportunistic(ch)
+
+    def _select_read(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
+        """The read slot of :meth:`_select`: any queued read, in
+        scheduler order."""
+        return self._pick_read(ch, self.read_q[ch].classes)
 
     def _on_issued(self, access: Access) -> None:
         """Post-issue hook (DCA updates its RRPC counters here)."""

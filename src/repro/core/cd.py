@@ -16,11 +16,8 @@ stats).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.access import Access
 from repro.core.base import BaseController
-from repro.core.queues import AccessQueue
 
 
 class CDController(BaseController):
@@ -30,21 +27,3 @@ class CDController(BaseController):
 
     def _route(self, access: Access) -> str:
         return "write" if access.is_write else "read"
-
-    def _select(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
-        self._flush_exit_check(ch)
-        self._flush_enter_forced(ch)
-        if self.flushing[ch]:
-            picked = self._pick_write(ch)
-            if picked is not None:
-                return picked
-            self.flushing[ch] = False  # queue emptied mid-flush
-        picked = self._continue_opportunistic(ch)
-        if picked is not None:
-            return picked
-        picked = self._pick_read(ch, self.read_q[ch].classes)
-        if picked is not None:
-            return picked
-        # No reads pending: drain writes opportunistically above the low
-        # watermark (the paper's two-threshold passive scheme).
-        return self._start_opportunistic(ch)

@@ -105,38 +105,23 @@ class DCAController(BaseController):
                                  self.device.channels[ch].open_rows,
                                  self.rrpc, self.cfg.dca.flushing_factor)
 
-    def _select(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
-        self._flush_exit_check(ch)
-        self._flush_enter_forced(ch)
-        if self.flushing[ch]:
-            picked = self._pick_write(ch)
-            if picked is not None:
-                return picked
-            self.flushing[ch] = False
-
-        picked = self._continue_opportunistic(ch)
-        if picked is not None:
-            return picked
-
+    def _select_read(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
+        """PRs first; held LRs only under ScheduleAll or through OFS."""
         self._update_schedule_all(ch)
         rq = self.read_q[ch]
         if self.schedule_all[ch]:
             picked = self._pick_read(ch, rq.classes)
-            if picked is not None:
-                if picked[0].priority == Priority.LR:
-                    self.stats.lr_drain_issues += 1
-                return picked
-        else:
-            picked = self._pick_read(ch, rq.pr_view)
-            if picked is not None:
-                return picked
-            # Algorithm 1 line 15-18: no PR was ready -> OFS flush.
-            picked = self._pick_read(ch, (self._ofs_buckets(ch),))
-            if picked is not None:
-                self.stats.lr_ofs_issues += 1
-                return picked
-
-        return self._start_opportunistic(ch)
+            if picked is not None and picked[0].priority == Priority.LR:
+                self.stats.lr_drain_issues += 1
+            return picked
+        picked = self._pick_read(ch, rq.pr_view)
+        if picked is not None:
+            return picked
+        # Algorithm 1 line 15-18: no PR was ready -> OFS flush.
+        picked = self._pick_read(ch, (self._ofs_buckets(ch),))
+        if picked is not None:
+            self.stats.lr_ofs_issues += 1
+        return picked
 
     def _reads_preempt(self, ch: int) -> bool:
         """Only *priority* reads preempt an idle-time write drain: held LRs

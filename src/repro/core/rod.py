@@ -17,11 +17,8 @@ write queue carries more access types).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.access import Access, AccessRole, RequestType
 from repro.core.base import BaseController
-from repro.core.queues import AccessQueue
 
 
 class RODController(BaseController):
@@ -36,19 +33,3 @@ class RODController(BaseController):
                 return "write"
             return "read"
         return "write"
-
-    def _select(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
-        self._flush_exit_check(ch)
-        self._flush_enter_forced(ch)
-        if self.flushing[ch]:
-            picked = self._pick_write(ch)
-            if picked is not None:
-                return picked
-            self.flushing[ch] = False
-        picked = self._continue_opportunistic(ch)
-        if picked is not None:
-            return picked
-        picked = self._pick_read(ch, self.read_q[ch].classes)
-        if picked is not None:
-            return picked
-        return self._start_opportunistic(ch)

@@ -39,7 +39,8 @@ from repro.sim.system import (
     System,
     SystemResult,
 )
-from repro.snapshot import WARM_STATE_VERSION, WarmCache, warm_identity
+from repro.snapshot import (
+    WARM_STATE_VERSION, WarmCache, WarmStateError, warm_identity)
 from repro.workloads.profiles import PROFILES, profile
 from repro.workloads.scenarios import workload_profiles
 from repro.workloads.table1 import mix_profiles
@@ -167,13 +168,7 @@ def default_seed(spec: RunSpec) -> int:
 
 def resolved_config(spec: RunSpec, params: SimParams):
     """The :class:`SystemConfig` a spec actually simulates with."""
-    cfg = scaled_config(params.capacity_scale)
-    if spec.config:
-        # Resolve the per-design queue defaults first so queue overrides
-        # refine them (the controller honours explicit queues; see
-        # SystemConfig.with_overrides / BaseController.__init__).
-        cfg = cfg.with_queues_for(spec.design).with_overrides(spec.config)
-    return cfg
+    return scaled_config(params.capacity_scale).with_overrides(spec.config)
 
 
 def build_system(spec: RunSpec, params: SimParams) -> System:
@@ -216,6 +211,7 @@ def run_one(spec: RunSpec, params: SimParams,
             warm_cache: Optional[WarmCache] = None) -> SystemResult:
     """Execute one simulation point (safe to call in a worker process).
 
+    Build the system, warm its caches, start the cores, run to the end.
     With a ``warm_cache``, the functional warm-up is served from (or
     captured into) the cache under :func:`warm_group_key` — results are
     bit-identical to a cold run either way (the warm-state invariant;
@@ -223,70 +219,52 @@ def run_one(spec: RunSpec, params: SimParams,
     path ran.
     """
     system = build_system(spec, params)
-    warm_meta = None
+    key = warm = None
     if warm_cache is not None:
         key = warm_group_key(spec, params)
         warm = warm_cache.get(key)
-        if warm is None:
-            system.functional_warmup(replay_accesses=params.replay_accesses)
+    if warm is None:
+        system.functional_warmup(params.replay_accesses)
+        if warm_cache is not None:
             warm_cache.put(key, system.capture_warm_state())
-            result = system.run(warmup_insts=params.warmup_insts,
-                                measure_insts=params.measure_insts,
-                                functional_warmup=False)
-            warm_meta = {"key": key, "restored": False}
-        else:
-            # replay_accesses is passed alongside the warm state so the
-            # system re-asserts the state matches this params' replay
-            # budget (defence in depth on top of the warm key).
-            result = system.run(warmup_insts=params.warmup_insts,
-                                measure_insts=params.measure_insts,
-                                replay_accesses=params.replay_accesses,
-                                warm_state=warm)
-            warm_meta = {"key": key, "restored": True}
     else:
-        result = system.run(warmup_insts=params.warmup_insts,
-                            measure_insts=params.measure_insts,
-                            replay_accesses=params.replay_accesses)
+        # The key already covers the replay budget; the recorded trace
+        # counts must agree with it too, or the run would silently
+        # differ from this params' cold result.
+        if any(c != params.replay_accesses for c in warm.trace_counts):
+            raise WarmStateError(
+                f"warm state was captured with per-core trace counts "
+                f"{warm.trace_counts}, not the replay budget "
+                f"{params.replay_accesses}")
+        system.restore_warm_state(warm)
+    system.begin(params.warmup_insts, params.measure_insts)
+    result = system.finish()
     spec_dict = dataclasses.asdict(spec)
     # JSON-canonical form: the config override pairs are tuples on the
     # spec (hashability) but lists on disk, so cache round-trips are
     # lossless (SystemResult equality included).
     spec_dict["config"] = [list(kv) for kv in spec.config]
     result.meta["spec"] = spec_dict
-    if warm_meta is not None:
-        result.meta["warm"] = warm_meta
+    if warm_cache is not None:
+        result.meta["warm"] = {"key": key, "restored": warm is not None}
     return result
-
-
-def _run_warm_group(specs: Sequence[RunSpec], params: SimParams) -> list:
-    """Run one warm group sequentially in this process, sharing warm state.
-
-    Returns ``[(spec, result_or_None, traceback_or_None), ...]`` —
-    failure isolation is per *point*: a crashed point neither kills its
-    group nor poisons the warm state the rest fork from.  The warm cache
-    is task-scoped: grouping puts every spec of a key into one task, so
-    a longer-lived cache could never see a hit from another task — it
-    would only pin the group's DRAM-cache/L2 images until pool shutdown.
-    """
-    return _run_batch(specs, params, WarmCache())
-
-
-def _run_cold_batch(specs: Sequence[RunSpec], params: SimParams) -> list:
-    """Run specs independently (no warm sharing); same result shape."""
-    return _run_batch(specs, params, None)
 
 
 def _run_batch(specs: Sequence[RunSpec], params: SimParams,
                warm_cache: Optional[WarmCache]) -> list:
+    """Run specs one after another in this process, sharing ``warm_cache``.
+
+    The one worker of :func:`run_grid`, serial and pooled.  Returns
+    ``[(spec, result_or_None, traceback_or_None), ...]`` — failure
+    isolation is per *point*: a crashed point neither kills its batch
+    nor poisons the warm state the rest fork from.
+    """
     out = []
     for spec in specs:
         try:
-            # Keep the two-argument call on the cold path: run_one is a
-            # documented monkeypatch point for execution-flow tests.
-            if warm_cache is None:
-                result = run_one(spec, params)
-            else:
-                result = run_one(spec, params, warm_cache=warm_cache)
+            # Looked up at call time: run_one is a documented patch point
+            # for execution-flow tests and the benchmark's per-point timer.
+            result = run_one(spec, params, warm_cache)
         except Exception:
             out.append((spec, None, traceback.format_exc()))
         else:
@@ -456,18 +434,20 @@ def run_grid(specs: Sequence[RunSpec], params: SimParams,
     other point still runs (and is stored), then a
     :class:`GridExecutionError` carrying all failures is raised.
 
-    With ``warm_cache``, points sharing a warm-up prefix — same workload,
-    seed and substrate, any controller design — are grouped under
-    :func:`warm_group_key` and executed in one worker each: the first
-    point captures the functional warm state, the rest fork from it.
-    Results are bit-identical to cold runs; only wall-clock changes
-    (see tests/test_warm_cache.py).  Note that with ``jobs > 1`` a warm
-    group is one pool task, so store/checkpoint granularity coarsens
-    from per point to per group and parallelism is bounded by the number
-    of *groups* — a single-mix multi-design sweep is one group and runs
-    sequentially (the warm win must beat the lost parallelism; grids
-    spanning several mixes keep both).  ``jobs=1`` keeps per-point
-    streaming.
+    Every point runs through one worker, :func:`_run_batch` (which calls
+    :func:`run_one`): serially, once per point, storing each point as
+    it finishes; pooled, once per batch.  With ``warm_cache``, points
+    sharing a warm-up prefix — same workload, seed and substrate, any
+    controller design — are grouped under :func:`warm_group_key` into
+    one batch each: the first point captures the functional warm state,
+    the rest fork from it.  Results are bit-identical to cold runs; only
+    wall-clock changes (see tests/test_warm_cache.py).  Note that with
+    ``jobs > 1`` a warm group is one pool task, so store/checkpoint
+    granularity coarsens from per point to per group and parallelism is
+    bounded by the number of *groups* — a single-mix multi-design sweep
+    is one group and runs sequentially (the warm win must beat the lost
+    parallelism; grids spanning several mixes keep both).  ``jobs=1``
+    keeps per-point streaming.
     """
     if store is None:
         store = ResultStore(cache_dir, enabled=use_cache)
@@ -514,7 +494,7 @@ def run_grid(specs: Sequence[RunSpec], params: SimParams,
             try:
                 key = warm_group_key(spec, params)
             except Exception:
-                # Malformed spec (e.g. unknown design with overrides):
+                # Malformed spec (e.g. an unknown config field):
                 # keep the failure-isolation promise — give it its own
                 # group so the error surfaces as that point's failure in
                 # the worker, not as a grid-wide crash here.
@@ -539,23 +519,26 @@ def run_grid(specs: Sequence[RunSpec], params: SimParams,
         if jobs <= 0:
             jobs = min(8, os.cpu_count() or 1)
         if jobs == 1 or len(batches) == 1:
-            # Sequential: stream point by point (checkpoint granularity
-            # stays per *point* even under warm grouping — the batches
-            # only order capture before forks).  The warm cache is
-            # call-scoped, so captured states are released with the grid
-            # instead of pinned in the calling process.
+            # Sequential: stream point by point, so every point is stored
+            # as it finishes (the batches only order capture before
+            # forks).  The warm cache is call-scoped, so captured states
+            # are released with the grid instead of pinned in the
+            # calling process.
             grid_warm = WarmCache() if warm_cache else None
             for batch in batches:
                 for spec in batch:
                     absorb(_run_batch([spec], params, grid_warm))
         else:
-            # Pooled: one task per batch.  Under warm grouping a batch is
-            # a whole warm group, so checkpoint granularity is per group
-            # here (a killed run re-simulates at most one group's tail).
-            worker = _run_warm_group if warm_cache else _run_cold_batch
+            # Pooled: one task per batch, each with its own warm cache.
+            # Under warm grouping a batch is a whole warm group, so a
+            # longer-lived cache could never see a hit from another task,
+            # and checkpoint granularity is per group here (a killed run
+            # re-simulates at most one group's tail).
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {pool.submit(worker, batch, params): batch
-                           for batch in batches}
+                futures = {
+                    pool.submit(_run_batch, batch, params,
+                                WarmCache() if warm_cache else None): batch
+                    for batch in batches}
                 for fut in as_completed(futures):
                     batch = futures[fut]
                     try:

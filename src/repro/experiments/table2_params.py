@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.config import QueueConfig, ns, paper_config
+from repro.config import ns, paper_config
 from repro.experiments.common import (Report, Results, RunSpec, SimParams,
                                       format_table)
 
@@ -20,7 +20,8 @@ def report(results: Results, params: SimParams,
            mixes: Sequence[int]) -> Report:
     cfg = paper_config()
     t = cfg.timings
-    rod_q = QueueConfig.for_design("ROD")
+    cd_q = cfg.queues.for_design("CD")
+    rod_q = cfg.queues.for_design("ROD")
     rows = [
         ["processor", "4 GHz, 8-wide, 192 ROB",
          f"{cfg.cpu.freq_ghz:g} GHz, {cfg.cpu.width}-wide, {cfg.cpu.rob_entries} ROB"],
@@ -42,10 +43,10 @@ def report(results: Results, params: SimParams,
          f"{cfg.org.banks_per_rank} banks/rank, {cfg.org.ranks_per_channel} rank/ch, "
          f"{cfg.org.channels} ch, {cfg.org.row_bytes // 1024} KB row"],
         ["read queue", "64 (32 ROD)/channel, DCA 75%/85%",
-         f"{cfg.queues.read_entries} ({rod_q.read_entries} ROD), "
+         f"{cd_q.read_entries} ({rod_q.read_entries} ROD), "
          f"{cfg.queues.lr_drain_low:.0%}/{cfg.queues.lr_drain_high:.0%}"],
         ["write queue", "64 (96 ROD)/channel, 50%/85%",
-         f"{cfg.queues.write_entries} ({rod_q.write_entries} ROD), "
+         f"{cd_q.write_entries} ({rod_q.write_entries} ROD), "
          f"{cfg.queues.write_low_watermark:.0%}/{cfg.queues.write_high_watermark:.0%}"],
     ]
     text = format_table(["parameter", "paper", "this config"], rows,
@@ -62,7 +63,7 @@ def report(results: Results, params: SimParams,
          and cfg.dram_cache.size_bytes == 256 * 2**20
          and cfg.dram_cache.data_capacity == 240 * 2**20),
         ("queue sizes match Table II",
-         cfg.queues.read_entries == 64 and cfg.queues.write_entries == 64
+         cd_q.read_entries == 64 and cd_q.write_entries == 64
          and rod_q.read_entries == 32 and rod_q.write_entries == 96),
     ]
     return text, data, checks

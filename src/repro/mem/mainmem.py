@@ -9,11 +9,10 @@ is a single-server queue: ``start = max(now, bus_free)``, data returns at
 That flat model is :class:`MainMemory`, the default
 (``mainmem.model="flat"``).  :class:`BankedMainMemory`
 (``mainmem.model="banked"``) replaces the single-server queue with a real
-banked organisation: its own :class:`~repro.config.DRAMOrganization` and
-:class:`~repro.dram.address.AddressMapper`, DDR3-1600-style timings, and
-one substrate channel per memory channel built through the same
-:func:`~repro.dram.substrate.make_channel` factory the stacked DRAM cache
-uses — so bank conflicts, row-buffer locality, bus turnarounds and
+banked organisation: a :class:`~repro.dram.device.DRAMDevice`, the same
+channels-plus-address-mapper the stacked DRAM cache runs on, over its
+own :class:`~repro.config.DRAMOrganization` and DDR3-1600-style
+timings — so bank conflicts, row-buffer locality, bus turnarounds and
 rank-to-rank switches (``tCS``) below the cache become visible.  Both
 models expose the identical interface (``fetch``/``write``/``stats``/
 ``reset_stats``), and the controller
@@ -29,10 +28,8 @@ from __future__ import annotations
 from typing import Any, Callable, Union
 
 from repro.config import MainMemoryConfig
-from repro.dram.address import AddressMapper
-from repro.dram.command import CommandChannel
-from repro.dram.substrate import make_channel
-from repro.metrics.registry import MetricGroup, MetricRegistry, derived
+from repro.dram.device import DRAMDevice
+from repro.metrics.registry import MetricGroup, derived
 from repro.sim.engine import Simulator
 
 
@@ -117,46 +114,35 @@ class MainMemory:
         self.stats.reset()
 
 
-class BankedMainMemory:
+class BankedMainMemory(DRAMDevice):
     """Banked multi-channel/multi-rank main memory behind the Substrate.
 
-    Each memory channel is a full substrate channel — the same
-    burst/command models the DRAM cache runs on, built via
-    :func:`make_channel` from ``cfg.timings`` (DDR3-1600 by default,
-    including the ``tCS`` rank-to-rank bus turnaround) and ``cfg.org``.
-    Block addresses are decoded by an :class:`AddressMapper` over
-    ``cfg.org``, so the interleave policy below the cache is sweepable
-    independently of the cache's own.
+    A :class:`~repro.dram.device.DRAMDevice` over ``cfg.timings``
+    (DDR3-1600 by default, including the ``tCS`` rank-to-rank bus
+    turnaround), ``cfg.org`` and ``cfg.substrate`` — the same
+    burst/command channel models the DRAM cache runs on — plus the
+    main-memory front end (``fetch``/``write``).  Block addresses are
+    decoded by the device's :attr:`mapper` over ``cfg.org``, so
+    the interleave policy below the cache is sweepable independently of
+    the cache's own.
 
     Accesses are issued synchronously at ``sim.now`` — the substrate's
     bus state provides the single-server queuing the flat model got from
     ``bus_free``, and completions are scheduled at the burst end.
     ``stats`` stays a plain :class:`MainMemoryStats` (same ``mainmem``
     schema as the flat model); per-channel substrate counters live in
-    :attr:`metrics` (``ch0``, ``ch1``, ...; per-rank groups when the
-    channel model carries them), which the system mounts as
+    the device's :attr:`metrics` (``ch0``, ``ch1``, ...; per-rank groups
+    when the channel model carries them), which the system mounts as
     ``mainmem_dev``.
     """
 
-    __slots__ = ("sim", "cfg", "mapper", "channels", "stats", "metrics")
+    __slots__ = ("sim", "cfg", "stats")
 
     def __init__(self, sim: Simulator, cfg: MainMemoryConfig):
+        super().__init__(cfg.timings, cfg.org, substrate=cfg.substrate)
         self.sim = sim
         self.cfg = cfg
-        self.mapper = AddressMapper(cfg.org)
         self.stats = MainMemoryStats()
-        self.metrics = MetricRegistry()
-        self.channels = []
-        for i in range(cfg.org.channels):
-            channel = make_channel(cfg.timings, cfg.org, cfg.substrate)
-            self.metrics.register(f"ch{i}", channel.stats)
-            # Same publication rule as DRAMDevice: the rank dimension
-            # appears only where it is real (command fidelity, >1 rank).
-            if (isinstance(channel, CommandChannel)
-                    and cfg.org.ranks_per_channel > 1):
-                for j, rs in enumerate(channel.rank_groups):
-                    self.metrics.register(f"ch{i}_rank{j}", rs)
-            self.channels.append(channel)
 
     def fetch(self, addr: int, on_done: Callable[[Any], None], arg: Any = None) -> int:
         """Read one block through its bank; same contract as the flat model."""
@@ -179,15 +165,9 @@ class BankedMainMemory:
         self.stats.write_bus_wait_ps += start - now
         return done
 
-    def total_stats(self) -> MetricGroup:
-        """Cross-channel substrate rollup (mirrors DRAMDevice.total_stats)."""
-        return type(self.channels[0].stats).sum(
-            [c.stats for c in self.channels])
-
     def reset_stats(self) -> None:
         self.stats.reset()
-        for channel in self.channels:
-            channel.reset_stats()
+        super().reset_stats()
 
 
 AnyMainMemory = Union[MainMemory, BankedMainMemory]

@@ -40,13 +40,13 @@ from repro.workloads.table1 import TABLE1_MIXES
 RUNSPEC_AXES = tuple(f.name for f in fields(RunSpec) if f.name != "config")
 
 #: top-level SystemConfig scalars (l2_mshrs) — sweepable like dotted
-#: config paths.  Excluded: the internal queues_explicit marker, and
-#: num_cores, which System derives from the workload's benchmark count
-#: (one core per benchmark) — an override would be a silent no-op
-#: masquerading as a scaling axis.  No name collides with RUNSPEC_AXES.
+#: config paths.  Excluded: num_cores, which System derives from the
+#: workload's benchmark count (one core per benchmark) — an override
+#: would be a silent no-op masquerading as a scaling axis.  No name
+#: collides with RUNSPEC_AXES.
 CONFIG_SCALAR_AXES = tuple(
     f.name for f in fields(scaled_config())
-    if f.name not in ("queues_explicit", "num_cores")
+    if f.name != "num_cores"
     and not hasattr(getattr(scaled_config(), f.name), "__dataclass_fields__"))
 
 #: axes that give a point its workload; every point needs at least one

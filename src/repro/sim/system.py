@@ -393,11 +393,10 @@ class System:
             # sliced (tests/test_system.py runs systems in slices).
             self.sim.stop()
 
-    def functional_warmup(self, replay_accesses: int = 20_000,
-                          prefill: bool = True) -> None:
+    def functional_warmup(self, replay_accesses: int) -> None:
         """Warm caches without timing, like the paper's fast-forward phase.
 
-        ``prefill`` bulk-inserts each benchmark's footprint into the
+        First each benchmark's footprint is bulk-inserted into the
         DRAM-cache array (vectorised; models the steady-state contents a
         4-billion-instruction fast-forward would leave behind).  The
         *replay* then consumes ``replay_accesses`` operations from each
@@ -410,36 +409,34 @@ class System:
         """
         array = self.controller.array
         scale = self._footprint_scale
-        if prefill:
-            # Consecutive bulk ranges are fused into one grouped pass
-            # (bulk_fill_many visits each shared set once instead of once
-            # per benchmark); insertion order — and thus LRU clocks,
-            # evictions, and final contents — is exactly the sequential
-            # per-benchmark order, so a prefill_blocks workload in the
-            # middle just flushes the pending batch first.
-            pending: list[tuple[int, int, float, int]] = []
-            for i, prof in enumerate(self.benchmarks):
-                prefill_blocks = getattr(prof, "prefill_blocks", None)
-                if prefill_blocks is not None:
-                    if pending:
-                        array.bulk_fill_many(pending)
-                        pending = []
-                    # Workloads with non-contiguous footprints (trace
-                    # replay, adversaries) name their exact warm set; the
-                    # contiguous bulk fill below would warm blocks they
-                    # never touch.  Linear in distinct blocks — the same
-                    # order as generating/parsing the workload itself.
-                    blocks = np.array(prefill_blocks(),
-                                      dtype=np.int64).reshape(-1, 2)
-                    array.fill_many(blocks[:, 0] + (i << 44),
-                                    blocks[:, 1].astype(np.bool_))
-                    continue
-                n_blocks = max(1024, int(prof.footprint_bytes * scale)
-                               // self.cfg.l2.block_bytes)
-                pending.append((i << 44, n_blocks,
-                                prof.store_fraction, i + 1))
-            if pending:
-                array.bulk_fill_many(pending)
+        # Consecutive bulk ranges are fused into one grouped pass
+        # (bulk_fill_many visits each shared set once instead of once per
+        # benchmark); insertion order — and thus LRU clocks, evictions,
+        # and final contents — is exactly the sequential per-benchmark
+        # order, so a prefill_blocks workload in the middle just flushes
+        # the pending batch first.
+        pending: list[tuple[int, int, float, int]] = []
+        for i, prof in enumerate(self.benchmarks):
+            prefill_blocks = getattr(prof, "prefill_blocks", None)
+            if prefill_blocks is not None:
+                if pending:
+                    array.bulk_fill_many(pending)
+                    pending = []
+                # Workloads with non-contiguous footprints (trace replay,
+                # adversaries) name their exact warm set; the contiguous
+                # bulk fill below would warm blocks they never touch.
+                # Linear in distinct blocks — the same order as
+                # generating/parsing the workload itself.
+                blocks = np.array(prefill_blocks(),
+                                  dtype=np.int64).reshape(-1, 2)
+                array.fill_many(blocks[:, 0] + (i << 44),
+                                blocks[:, 1].astype(np.bool_))
+                continue
+            n_blocks = max(1024, int(prof.footprint_bytes * scale)
+                           // self.cfg.l2.block_bytes)
+            pending.append((i << 44, n_blocks, prof.store_fraction, i + 1))
+        if pending:
+            array.bulk_fill_many(pending)
         misses, victims = self.l2.filter_traces(
             [core.trace for core in self.cores], replay_accesses)
         array.fill_many(*interleave(misses, victims, victims_first=True))
@@ -514,37 +511,15 @@ class System:
 
     # ------------------------------------------------------------- execution
 
-    def begin(self, warmup_insts: int = 20_000,
-              measure_insts: int = 200_000,
-              functional_warmup: bool = True,
-              replay_accesses: Optional[int] = None,
-              warm_state: Optional[WarmState] = None) -> None:
-        """Warm up (or restore a warm state) and start every core.
+    def begin(self, warmup_insts: int, measure_insts: int) -> None:
+        """Start every core on its timed warm-up and measured budgets.
 
-        Split out of :meth:`run` so callers can drive the event loop in
-        slices (``self.sim.run(max_events=...)``) between ``begin`` and
-        :meth:`finish`, e.g. to interleave several systems in one
-        process.
-
-        ``replay_accesses`` defaults to 20 000 for the functional warm-up
-        path.  When a ``warm_state`` is supplied *and* an explicit
-        ``replay_accesses`` is requested, the warm state must have been
-        captured with exactly that replay budget (its per-core trace
-        counts record it) — otherwise the run would silently differ from
-        that configuration's cold result.
+        The caches must already be warm: run :meth:`functional_warmup`
+        or :meth:`restore_warm_state` first (:meth:`run` does the
+        former).  Split from :meth:`finish` so callers can drive the
+        event loop in slices (``self.sim.run(max_events=...)``) between
+        the two, e.g. to interleave several systems in one process.
         """
-        if warm_state is not None:
-            if replay_accesses is not None and any(
-                    c != replay_accesses for c in warm_state.trace_counts):
-                raise WarmStateError(
-                    f"warm state was captured with per-core trace counts "
-                    f"{warm_state.trace_counts}, not the requested replay "
-                    f"budget {replay_accesses}")
-            self.restore_warm_state(warm_state)
-        elif functional_warmup:
-            self.functional_warmup(
-                replay_accesses=(20_000 if replay_accesses is None
-                                 else replay_accesses))
         for core in self.cores:
             core.start(warmup_insts, measure_insts)
 
@@ -565,24 +540,17 @@ class System:
             self.sim.drain()
         return self._result()
 
-    def run(self, warmup_insts: int = 20_000,
-            measure_insts: int = 200_000,
-            functional_warmup: bool = True,
-            replay_accesses: Optional[int] = None,
-            warm_state: Optional[WarmState] = None) -> SystemResult:
-        """Simulate until every core retires its budget; gather metrics.
+    def run(self, warmup_insts: int, measure_insts: int,
+            replay_accesses: int) -> SystemResult:
+        """Warm up, simulate until every core retires its budget, report.
 
-        ``warmup_insts`` is the *timed* warm-up (queues, predictors, row
-        buffers reach steady state; stats reset at its end); the functional
-        warm-up handles cache contents (see :meth:`functional_warmup`).
-        A ``warm_state`` replaces the functional warm-up with a restore
-        of a previously captured image (see :meth:`capture_warm_state`);
-        passing ``replay_accesses`` alongside it asserts the state was
-        captured with that replay budget (see :meth:`begin`).
+        ``replay_accesses`` is the functional warm-up's per-core budget
+        (cache contents; see :meth:`functional_warmup`).  ``warmup_insts``
+        is the *timed* warm-up (queues, predictors, row buffers reach
+        steady state; stats reset at its end).
         """
-        self.begin(warmup_insts, measure_insts,
-                   functional_warmup=functional_warmup,
-                   replay_accesses=replay_accesses, warm_state=warm_state)
+        self.functional_warmup(replay_accesses)
+        self.begin(warmup_insts, measure_insts)
         return self.finish()
 
     def _result(self) -> SystemResult:

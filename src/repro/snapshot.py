@@ -91,8 +91,9 @@ def warm_identity(cfg: SystemConfig, organization: str, seed: int,
     ``repro.experiments.common.warm_group_key`` hashes them, so all three
     cover the same warm-relevant inputs by construction.  ``cfg`` is the
     resolved config and ``benchmarks`` the per-core workload names.  The
-    replay budget is not here: ``trace_counts`` carries it
-    and ``System.begin`` re-asserts it.
+    replay budget is not here: ``trace_counts`` carries it, and
+    ``repro.experiments.common.run_one`` checks it against the params'
+    budget before it adopts a cached state.
     """
     return dict(
         organization=organization, seed=seed, benchmarks=list(benchmarks),

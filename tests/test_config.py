@@ -1,5 +1,7 @@
 """Table II configuration values and unit conversions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
@@ -89,22 +91,32 @@ class TestOrganization:
 
 class TestQueueConfig:
     def test_default_sizes(self):
+        """Unset sizes mean "the design's Table II size"."""
         q = QueueConfig()
+        assert q.read_entries is None and q.write_entries is None
+        q = QueueConfig().for_design("CD")
         assert q.read_entries == 64
         assert q.write_entries == 64
 
     def test_rod_sizes(self):
-        q = QueueConfig.for_design("ROD")
+        q = QueueConfig().for_design("ROD")
         assert q.read_entries == 32
         assert q.write_entries == 96
 
     def test_rod_case_insensitive(self):
-        assert QueueConfig.for_design("rod").read_entries == 32
+        assert QueueConfig().for_design("rod").read_entries == 32
 
     def test_other_designs_default(self):
         for d in ("CD", "DCA", "cd", "dca"):
-            q = QueueConfig.for_design(d)
+            q = QueueConfig().for_design(d)
             assert (q.read_entries, q.write_entries) == (64, 64)
+
+    def test_set_sizes_survive_for_design(self):
+        for d in ("CD", "ROD", "DCA"):
+            q = QueueConfig(read_entries=16).for_design(d)
+            assert q.read_entries == 16
+            q = QueueConfig(write_entries=64).for_design(d)
+            assert q.write_entries == 64
 
     def test_watermarks(self):
         q = QueueConfig()
@@ -199,11 +211,6 @@ class TestSystemConfig:
         assert scaled.queues == full.queues
         assert scaled.org == full.org
 
-    def test_with_queues_for(self):
-        cfg = paper_config().with_queues_for("ROD")
-        assert cfg.queues.read_entries == 32
-        assert cfg.queues.write_entries == 96
-
     def test_with_overrides_nested_paths(self):
         cfg = paper_config().with_overrides({
             "queues.read_entries": 16,
@@ -213,9 +220,9 @@ class TestSystemConfig:
         assert cfg.queues.read_entries == 16
         assert cfg.org.channels == 8
         assert cfg.queues.write_high_watermark == 0.9
-        assert cfg.queues_explicit is True
         # untouched fields survive
-        assert cfg.queues.write_entries == 64
+        assert cfg.queues.write_entries is None
+        assert cfg.queues.issue_window == 8
         assert cfg.org.banks_per_rank == 16
 
     def test_with_overrides_coerces_to_field_type(self):
@@ -239,7 +246,7 @@ class TestSystemConfig:
 
     def test_with_overrides_non_queue_path_not_explicit(self):
         cfg = paper_config().with_overrides([("org.channels", 2)])
-        assert cfg.queues_explicit is False
+        assert cfg.queues == QueueConfig()
 
     def test_with_overrides_unknown_path(self):
         with pytest.raises(ValueError, match="unknown config field"):
@@ -268,17 +275,35 @@ class TestSystemConfig:
             paper_config().with_overrides([("queues", 1)])
 
     def test_explicit_queues_survive_controller(self):
-        """The per-design Table II substitution yields to explicit queue
-        overrides (sweep axes) but still applies to stock configs."""
+        """The per-design Table II sizes fill only unset sizes: explicit
+        queue overrides (sweep axes) win, stock configs get Table II."""
         from repro.core import make_controller
         from repro.sim.engine import Simulator
-        cfg = scaled_config().with_queues_for("ROD").with_overrides(
-            [("queues.read_entries", 16)])
+        cfg = scaled_config().with_overrides([("queues.read_entries", 16)])
         ctrl = make_controller("ROD", Simulator(), cfg)
         assert ctrl.cfg.queues.read_entries == 16
         assert ctrl.cfg.queues.write_entries == 96
         stock = make_controller("ROD", Simulator(), scaled_config())
         assert stock.cfg.queues.read_entries == 32
+        assert stock.cfg.queues.write_entries == 96
+
+    def test_queue_group_set_directly_survives_system(self):
+        """A QueueConfig built by hand (not through overrides) keeps every
+        field it sets: the controller used to swap the whole group for
+        the design's Table II defaults, so this CD system silently ran
+        with an issue window of 8 and 64 read entries."""
+        from repro.sim.system import System
+        from repro.workloads import mix_profiles
+        queues = replace(QueueConfig(), issue_window=2, read_entries=16)
+        s = System(replace(scaled_config(), queues=queues), "CD",
+                   mix_profiles(1), footprint_scale=1 / 400, seed=1)
+        q = s.controller.cfg.queues
+        assert (q.issue_window, q.read_entries, q.write_entries) == (2, 16, 64)
+        assert s.controller.read_q[0].capacity == 16
+        rod = System(replace(scaled_config(), queues=queues), "ROD",
+                     mix_profiles(1), footprint_scale=1 / 400, seed=1)
+        q = rod.controller.cfg.queues
+        assert (q.issue_window, q.read_entries, q.write_entries) == (2, 16, 96)
 
     def test_bliss_defaults(self):
         b = BLISSConfig()

@@ -156,10 +156,6 @@ class TestSweepSpec:
         sw = SweepSpec("s", axes={"l2_mshrs": [8, 32]}, base={"mix_id": 1})
         spec = sw.compile()[0].spec
         assert spec.config == (("l2_mshrs", 8),)
-        # internal marker: not an axis
-        with pytest.raises(ValueError):
-            SweepSpec("s", axes={"queues_explicit": [True]},
-                      base={"mix_id": 1})
         # System derives num_cores from the benchmark count, so an axis
         # over it would be a silent no-op posing as a scaling study
         with pytest.raises(ValueError, match="unknown axis"):
@@ -274,10 +270,10 @@ class TestRunSweep:
         real_run_one = common.run_one
         executed: list = []
 
-        def interrupting(spec, params):
+        def interrupting(spec, params, warm_cache=None):
             if len(executed) >= 2:
                 raise KeyboardInterrupt   # simulated ^C mid-sweep
-            result = real_run_one(spec, params)
+            result = real_run_one(spec, params, warm_cache)
             executed.append(spec)
             return result
 
@@ -288,9 +284,9 @@ class TestRunSweep:
         # the result cache is the checkpoint: one entry per finished point
         assert len(cache_entries(tmp_path / "c")) == 2
 
-        def counting(spec, params):
+        def counting(spec, params, warm_cache=None):
             executed.append(spec)
-            return real_run_one(spec, params)
+            return real_run_one(spec, params, warm_cache)
 
         executed.clear()
         monkeypatch.setattr(common, "run_one", counting)
@@ -309,10 +305,10 @@ class TestRunSweep:
                        base={"mix_id": 1})
         real_run_one = common.run_one
 
-        def failing(spec, params):
+        def failing(spec, params, warm_cache=None):
             if spec.scheduler == "frfcfs":
                 raise RuntimeError("injected point failure")
-            return real_run_one(spec, params)
+            return real_run_one(spec, params, warm_cache)
 
         monkeypatch.setattr(common, "run_one", failing)
         outcome = run_sweep(sw, TINY, jobs=1, out_dir=tmp_path / "o",

@@ -104,7 +104,9 @@ class TestWarmup:
 
     def test_skipping_warmup_lowers_hit_rate(self):
         warm = small_system().run(**RUN)
-        cold = small_system().run(functional_warmup=False, **RUN)
+        s = small_system()
+        s.begin(RUN["warmup_insts"], RUN["measure_insts"])
+        cold = s.finish()
         assert warm.dram_read_hit_rate >= cold.dram_read_hit_rate
 
 
@@ -183,7 +185,8 @@ class TestSlicedRuns:
         s = System(cfg.with_overrides(overrides), design,
                    [profile("mcf"), profile("libquantum")],
                    scheduler=scheduler, seed=7, footprint_scale=1 / 400)
-        s.begin(2_000, 6_000, replay_accesses=1_000)
+        s.functional_warmup(replay_accesses=1_000)
+        s.begin(2_000, 6_000)
         return s
 
     @pytest.mark.parametrize("design,scheduler,overrides", SLICED_POINTS)

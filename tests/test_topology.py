@@ -217,7 +217,6 @@ class TestCommandFidelityMultiRankSubstrate:
         def elapsed(cfg):
             sys_ = System(cfg, "CD", [profile("mcf")], seed=2,
                           footprint_scale=1 / 400)
-            sys_.begin(1_000, 4_000, replay_accesses=500)
-            return sys_.finish().elapsed_ps
+            return sys_.run(1_000, 4_000, replay_accesses=500).elapsed_ps
 
         assert elapsed(slow) >= elapsed(base)

@@ -130,17 +130,16 @@ class TestWarmForkBitIdentity:
         image = copy.deepcopy(warm.array_state)
         first = build_system(spec, PARAMS)
         second = build_system(spec, PARAMS)
-        first.begin(PARAMS.warmup_insts, PARAMS.measure_insts,
-                    warm_state=warm)
-        second.begin(PARAMS.warmup_insts, PARAMS.measure_insts,
-                     warm_state=warm)
+        for system in (first, second):
+            system.restore_warm_state(warm)
+            system.begin(PARAMS.warmup_insts, PARAMS.measure_insts)
         first.finish()
         for array in (first.controller.array, donor.controller.array):
             for i in range(256):                 # evict across many sets
                 array.fill((1 << 43) + i * 64, dirty=True)
         assert first.controller.array.capture_state() != image
-        donor.run(PARAMS.warmup_insts, PARAMS.measure_insts,
-                  functional_warmup=False)
+        donor.begin(PARAMS.warmup_insts, PARAMS.measure_insts)
+        donor.finish()
         assert warm.array_state == image
         assert strip_meta(second.finish()) == strip_meta(run_one(spec, PARAMS))
 
@@ -183,7 +182,8 @@ class TestRestoreValidation:
     def test_rejects_running_system(self):
         warm = self.make_warm()
         system = build_system(RunSpec("DCA", "sa", mix_id=1), PARAMS)
-        system.begin(1_000, 1_000, warm_state=warm)
+        system.restore_warm_state(warm)
+        system.begin(1_000, 1_000)
         system.sim.run(max_events=100)
         with pytest.raises(WarmStateError):
             system.restore_warm_state(warm)
@@ -198,7 +198,7 @@ class TestRestoreValidation:
 
     def test_capture_requires_pristine_system(self):
         system = build_system(RunSpec("CD", "sa", mix_id=1), PARAMS)
-        system.begin(1_000, 1_000, functional_warmup=False)
+        system.begin(1_000, 1_000)
         system.sim.run(max_events=50)
         with pytest.raises(WarmStateError, match="before timed"):
             system.capture_warm_state()
@@ -215,17 +215,22 @@ class TestRestoreValidation:
                 system.restore_warm_state(warm)
 
     def test_rejects_mismatched_replay_budget(self):
-        """Restoring with an explicit replay budget asserts the warm
-        state was captured with exactly that budget — a quick-scale warm
-        state must not silently stand in for a full-scale warm-up."""
+        """run_one asserts a cached warm state was captured with exactly
+        its params' replay budget — a quick-scale warm state must not
+        silently stand in for a full-scale warm-up, even if it were
+        filed under the wrong key."""
         warm = self.make_warm()              # captured with PARAMS budget
-        system = build_system(RunSpec("DCA", "sa", mix_id=1), PARAMS)
+        spec = RunSpec("DCA", "sa", mix_id=1)
+        doubled = dataclasses.replace(
+            PARAMS, replay_accesses=PARAMS.replay_accesses * 2)
+        cache = WarmCache()
+        cache.put(warm_group_key(spec, doubled), warm)
         with pytest.raises(WarmStateError, match="replay"):
-            system.begin(1_000, 1_000, warm_state=warm,
-                         replay_accesses=PARAMS.replay_accesses * 2)
-        # The matching budget (and the budget-agnostic form) both pass.
-        system.begin(1_000, 1_000, warm_state=warm,
-                     replay_accesses=PARAMS.replay_accesses)
+            run_one(spec, doubled, warm_cache=cache)
+        # The matching budget passes.
+        cache.put(warm_group_key(spec, PARAMS), warm)
+        assert run_one(spec, PARAMS, warm_cache=cache).meta["warm"][
+            "restored"] is True
 
     def test_rejects_mismatched_geometry(self):
         """Same organization string, different resolved geometry (e.g. a
@@ -311,11 +316,12 @@ class TestRunGridWarm:
             assert cached.meta["spec"]           # other meta survives
 
     def test_unkeyable_spec_is_isolated_not_fatal(self):
-        """A spec whose warm key cannot even be computed (unknown design
-        with queue overrides resolves Table II queues in the parent) must
-        fail as one point, not crash the grouping."""
-        bad = RunSpec("BOGUS", "sa", mix_id=1,
-                      config=(("queues.read_entries", 16),))
+        """A spec whose warm key cannot even be computed (an unknown
+        config field fails resolving the config in the parent) must fail
+        as one point, not crash the grouping."""
+        bad = RunSpec("CD", "sa", mix_id=1, config=(("queues.nope", 16),))
+        with pytest.raises(ValueError, match="unknown config field"):
+            warm_group_key(bad, PARAMS)
         with pytest.raises(GridExecutionError) as exc:
             run_grid([self.SPECS[0], bad], PARAMS, jobs=1, use_cache=False,
                      store=ResultStore(enabled=False), warm_cache=True)
