@@ -1,4 +1,5 @@
-"""R3 — hot-path hygiene: ``__slots__`` everywhere hot.
+"""R3 — hot-path hygiene: ``__slots__`` everywhere hot, enum members
+bound once.
 
 Classes in ``dram/``, ``sim/engine.py``, ``core/queues.py`` and
 ``core/access.py`` — the per-event and per-decision inner loops — must
@@ -6,6 +7,13 @@ declare ``__slots__``.  Slotted attribute access is measurably faster and
 keeps per-object memory flat at event-queue scale.
 Enum/Protocol/NamedTuple/dataclass/exception classes and the
 dynamic-counter MetricGroup family are exempt by construction.
+
+Function bodies in ``core/``, ``cache/translator.py`` and
+``sim/system.py`` — the code every DRAM access runs — must not load a
+member of the request vocabulary's enums (``Priority.PR``,
+``AccessRole.TAG_READ``, ``RequestType.READ``): each such load goes
+through the enum metaclass, about ten times the cost of a name bound
+once at module level (``_PR = Priority.PR``).
 """
 
 from __future__ import annotations
@@ -26,6 +34,14 @@ from repro.analysis.core import (
 #: Single hot modules outside ``dram/``: the event loop, and the queue
 #: index and access objects every scheduling decision walks.
 _HOT_FILES = ("sim/engine.py", "core/queues.py", "core/access.py")
+
+#: Modules whose function bodies must not load enum members: the
+#: controller package (a prefix), the translator and the system wiring.
+_ENUM_PACKAGES = ("core",)
+_ENUM_FILES = ("cache/translator.py", "sim/system.py")
+
+#: The request vocabulary's enums (``repro.core.access``).
+_HOT_ENUMS = frozenset({"Priority", "AccessRole", "RequestType"})
 
 #: Base classes whose subclasses manage attribute storage differently.
 _EXEMPT_BASES = frozenset({"Protocol", "Enum", "IntEnum", "IntFlag", "Flag",
@@ -56,15 +72,48 @@ def _declares_slots(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _enum_member_loads(tree: ast.AST) -> Iterator[tuple[ast.Attribute, str]]:
+    """``(node, "Enum.MEMBER")`` for each load of a hot enum's member
+    inside a function body."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # The body only: defaults and decorators are evaluated once.
+        for stmt in fn.body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in _HOT_ENUMS):
+                    yield node, f"{node.value.id}.{node.attr}"
+
+
 class HotPathRule(Rule):
     id = "R3"
     name = "hot-path-hygiene"
     description = (
         "classes in dram/, sim/engine.py, core/queues.py and "
-        "core/access.py must declare __slots__"
+        "core/access.py must declare __slots__; function bodies in core/, "
+        "cache/translator.py and sim/system.py must not load "
+        "Priority/AccessRole/RequestType members"
     )
 
     def check(self, module: SourceModule, run: LintRun) -> Iterator[Finding]:
+        if (module.in_package(*_ENUM_PACKAGES)
+                or any(module.is_file(f) for f in _ENUM_FILES)):
+            # A nested function is walked by its parent too: report each
+            # load once.
+            seen: set[tuple[int, int]] = set()
+            for node, member in _enum_member_loads(module.tree):
+                where = (node.lineno, node.col_offset)
+                if where in seen:
+                    continue
+                seen.add(where)
+                yield module.finding(
+                    self, node,
+                    f"enum member {member} loaded in a function body: "
+                    "bind it once at module level",
+                )
         if not (module.in_package("dram")
                 or any(module.is_file(f) for f in _HOT_FILES)):
             return

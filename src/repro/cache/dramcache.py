@@ -113,6 +113,14 @@ class DRAMCacheArray:
             self._num_sets, self._ways = self.dm.num_entries, 1
         else:
             self._num_sets, self._ways = self.sa.num_sets, self.sa.ways
+        #: array-address offset of each way's data block from its set's
+        #: tag structure (the same for every set): ``data_location(addr,
+        #: way) == tag_location(addr) + data_offsets[way]``, so a request
+        #: that knows its tag location finds its data without decoding
+        #: its set again.  DM's one way is the TAD itself (offset 0).
+        self.data_offsets: tuple[int, ...] = tuple(
+            self.data_location(0, w) - self.tag_location(0)
+            for w in range(self._ways))
         # Tag-store columns, empty until the first write.
         self._tags: list[int] = []
         self._dirty = bytearray()

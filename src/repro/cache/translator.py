@@ -34,6 +34,14 @@ from repro.cache.dramcache import DRAMCacheArray
 from repro.core.access import Access, AccessRole, CacheRequest, RequestType
 from repro.dram.address import AddressMapper
 
+# Members bound once (see repro.core.access).
+_READ = RequestType.READ
+_WRITEBACK = RequestType.WRITEBACK
+_TAG_READ = AccessRole.TAG_READ
+_DATA_READ = AccessRole.DATA_READ
+_TAG_WRITE = AccessRole.TAG_WRITE
+_DATA_WRITE = AccessRole.DATA_WRITE
+
 
 @dataclass(slots=True)
 class TagOutcome:
@@ -54,6 +62,8 @@ class Translator:
     def __init__(self, array: DRAMCacheArray, mapper: AddressMapper):
         self.array = array
         self.mapper = mapper
+        self._coordinates = mapper.coordinates
+        self._data_offsets = array.data_offsets
         # Per-system access age counter (the schedulers' final tiebreak).
         # Owned here, not by the Access class, so two systems run in one
         # process (warm forks, pool workers) never interleave their
@@ -64,10 +74,9 @@ class Translator:
 
     def _make(self, role: AccessRole, req: CacheRequest, array_addr: int,
               critical: bool = True) -> Access:
-        channel, rank, bank, row, col, gb = self.mapper.coordinates(array_addr)
         self._seq += 1
-        return Access(role, req, channel, rank, bank, row, col, gb,
-                      self._seq, critical=critical)
+        return Access(role, req, self._coordinates(array_addr), self._seq,
+                      critical)
 
     # -- stage 1 ------------------------------------------------------------------
 
@@ -76,16 +85,17 @@ class Translator:
 
         In the direct-mapped organization a *read* request's tag read is the
         TAD read itself (tag and data return together), so a read hit
-        finishes with this single access.
+        finishes with this single access.  Records the tag location on
+        the request: its later tag (or TAD) write targets the same block.
         """
-        tag_addr = self.array.tag_location(req.addr)
-        return self._make(AccessRole.TAG_READ, req, tag_addr)
+        req.tag_addr = tag_addr = self.array.tag_location(req.addr)
+        return self._make(_TAG_READ, req, tag_addr)
 
     # -- stage 2 ------------------------------------------------------------------
 
     def after_tag_read(self, req: CacheRequest) -> TagOutcome:
         """Resolve hit/miss functionally and build the follow-on accesses."""
-        if req.rtype == RequestType.READ:
+        if req.rtype == _READ:
             return self._after_read_tag(req)
         return self._after_write_tag(req)
 
@@ -97,19 +107,17 @@ class Translator:
         if self.array.is_direct_mapped:
             # TAD read already returned the data; no further access.
             return TagOutcome(hit=True)
-        data = self._make(AccessRole.DATA_READ, req,
-                          self.array.data_location(req.addr, res.way))
+        data = self._make(_DATA_READ, req,
+                          req.tag_addr + self._data_offsets[res.way])
         # Replacement-bit update; off the critical path.
-        tagw = self._make(AccessRole.TAG_WRITE, req,
-                          self.array.tag_location(req.addr),
-                          critical=False)
+        tagw = self._make(_TAG_WRITE, req, req.tag_addr, critical=False)
         return TagOutcome(hit=True, next_accesses=[data, tagw])
 
     def _after_write_tag(self, req: CacheRequest) -> TagOutcome:
         """Writeback / refill: update in place on hit, allocate on miss."""
         res = self.array.lookup_write(req.addr)
         req.hit = res.hit
-        dirty_insert = req.rtype == RequestType.WRITEBACK
+        dirty_insert = req.rtype == _WRITEBACK
         if res.hit:
             way = res.way
             victim_mem_write = None
@@ -125,19 +133,16 @@ class Translator:
                 # overwritten (paper Fig. 2).  In the direct-mapped
                 # organization the TAD read already returned it.
                 victim_read = self._make(
-                    AccessRole.DATA_READ, req,
-                    self.array.data_location(req.addr, way))
+                    _DATA_READ, req, req.tag_addr + self._data_offsets[way])
 
         if self.array.is_direct_mapped:
             # One TAD write carries tag+data together.
-            writes = [self._make(AccessRole.DATA_WRITE, req,
-                                 self.array.tag_location(req.addr))]
+            writes = [self._make(_DATA_WRITE, req, req.tag_addr)]
         else:
             writes = [
-                self._make(AccessRole.DATA_WRITE, req,
-                           self.array.data_location(req.addr, way)),
-                self._make(AccessRole.TAG_WRITE, req,
-                           self.array.tag_location(req.addr)),
+                self._make(_DATA_WRITE, req,
+                           req.tag_addr + self._data_offsets[way]),
+                self._make(_TAG_WRITE, req, req.tag_addr),
             ]
         return TagOutcome(hit=res.hit, next_accesses=writes,
                           victim_read=victim_read,

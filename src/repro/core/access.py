@@ -31,16 +31,16 @@ class RequestType(IntEnum):
 
 
 class AccessRole(IntEnum):
-    """Which array operation this access performs."""
+    """Which array operation this access performs.
+
+    The two roles that drive the bus in read mode have the lowest values:
+    :class:`Access` classifies a role with one ``role <= DATA_READ``.
+    """
 
     TAG_READ = 0    # RT* : read a tag block (or TAD in direct-mapped)
     DATA_READ = 1   # RD* : read a data block
     TAG_WRITE = 2   # WT* : write a tag block (replacement bits / tag insert)
     DATA_WRITE = 3  # WD* : write a data block (or TAD in direct-mapped)
-
-
-#: Roles that drive the DRAM bus in read mode.
-_READ_ROLES = frozenset({AccessRole.TAG_READ, AccessRole.DATA_READ})
 
 
 class Priority(IntEnum):
@@ -57,11 +57,29 @@ class Priority(IntEnum):
     WRITE = 2
 
 
+# Members bound once: a lookup such as ``Priority.PR`` goes through the
+# enum metaclass on every evaluation, a bound name does not.
+_READ = RequestType.READ
+_DATA_READ = AccessRole.DATA_READ
+_PR = Priority.PR
+_LR = Priority.LR
+_WRITE = Priority.WRITE
+
+
 class CacheRequest:
-    """One L2-level request to the DRAM cache."""
+    """One L2-level request to the DRAM cache.
+
+    Besides the request itself it carries the controller's per-request
+    state: the array address of its tag structure (computed once, at the
+    tag read), MAP-I's ``pred_miss``/``probing`` flags and early
+    ``mem_data_ready`` arrival, and a dirty-victim writeback's deferred
+    ``pending_writes`` and ``victim_addr``.
+    """
 
     __slots__ = ("rtype", "addr", "core_id", "pc", "arrival", "done_time",
-                 "on_done", "hit", "accesses_left", "prefetch", "meta")
+                 "on_done", "hit", "accesses_left", "prefetch", "tag_addr",
+                 "pred_miss", "probing", "mem_data_ready", "pending_writes",
+                 "victim_addr")
 
     def __init__(self, rtype: RequestType, addr: int, core_id: int,
                  pc: int = 0, arrival: int = 0,
@@ -77,15 +95,22 @@ class CacheRequest:
         self.hit: Optional[bool] = None   # resolved at tag-read completion
         self.accesses_left = 0            # live accesses gating completion
         self.prefetch = prefetch          # speculative read: LR class, no MAP-I
-        self.meta: dict = {}              # experiment hooks (kept small)
-
-    @property
-    def is_read(self) -> bool:
-        return self.rtype == RequestType.READ
+        self.tag_addr = -1                # set by Translator.initial_access
+        self.pred_miss = False            # MAP-I predicted a miss
+        self.probing = False              # memory fetched before the tag check
+        self.mem_data_ready = False       # ... and its data already returned
+        #: writes held behind a dirty victim's data read
+        self.pending_writes: Optional[list["Access"]] = None
+        self.victim_addr: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CacheRequest({self.rtype.name}, addr={self.addr:#x}, "
                 f"core={self.core_id}, t={self.arrival})")
+
+
+#: ``(channel, rank, bank, row, col, global_bank)``, as
+#: :meth:`repro.dram.address.AddressMapper.coordinates` returns them
+Coordinates = tuple[int, int, int, int, int, int]
 
 
 class Access:
@@ -96,16 +121,11 @@ class Access:
                  "is_write")
 
     def __init__(self, role: AccessRole, request: CacheRequest,
-                 channel: int, rank: int, bank: int, row: int, col: int,
-                 global_bank: int, seq: int, critical: bool = True):
+                 coords: Coordinates, seq: int, critical: bool = True):
         self.role = role
         self.request = request
-        self.channel = channel
-        self.rank = rank
-        self.bank = bank
-        self.row = row
-        self.col = col
-        self.global_bank = global_bank
+        (self.channel, self.rank, self.bank, self.row, self.col,
+         self.global_bank) = coords
         # Age tiebreak for the schedulers, drawn from the per-system
         # Translator counter (never a class global: systems sharing a
         # process must not share numbering).
@@ -117,24 +137,19 @@ class Access:
         self.critical = critical
         # Priority class per DCA's taxonomy; identical labels are kept for
         # CD/ROD so stats can distinguish inverted reads there too.
-        if role in _READ_ROLES:
-            # Prefetch reads are speculative: they ride in the LR class
-            # so DCA never inverts a demand read behind one.
-            self.priority = (Priority.PR
-                             if request.rtype == RequestType.READ
-                             and not request.prefetch
-                             else Priority.LR)
+        if role <= _DATA_READ:
+            # A tag or data read.  Prefetch reads are speculative: they
+            # ride in the LR class so DCA never inverts a demand read
+            # behind one.
+            self.priority = (_PR if request.rtype == _READ
+                             and not request.prefetch else _LR)
             # Flattened like core_id: does this access drive the bus in
             # write mode?  Read per scheduling decision and per issue, so
             # a slot beats recomputing the role test as a property.
             self.is_write = False
         else:
-            self.priority = Priority.WRITE
+            self.priority = _WRITE
             self.is_write = True
-
-    @property
-    def is_bus_read(self) -> bool:
-        return not self.is_write
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Access({self.role.name}, {self.priority.name}, "

@@ -20,14 +20,20 @@ Everything the three designs (CD / ROD / DCA) have in common lives here:
 Subclasses implement :meth:`BaseController._route` — which queue an
 access belongs to (this is the entire CD-vs-ROD distinction).  DCA also
 overrides :meth:`BaseController._select_read` — which read to issue at a
-scheduling slot (this is where its PR/LR handling lives).
+scheduling slot (this is where its PR/LR handling lives) — and
+registers a post-issue hook (``_issue_hook``).
+
+Every DRAM access walks this module's loop (kick -> decide -> select ->
+pick -> issue -> complete), so it routes each access once, tests the
+decision-pending flag inline where it kicks, and makes no call that
+would do nothing (see DESIGN.md, "Indexed scheduling fast path").
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.mapi import MAPIPredictor
@@ -41,6 +47,15 @@ from repro.dram.device import DRAMDevice
 from repro.mem.mainmem import AnyMainMemory, make_mainmem
 from repro.metrics.registry import MetricGroup, MetricRegistry, derived
 from repro.sim.engine import Simulator
+
+# Members bound once (see repro.core.access).
+_READ = RequestType.READ
+_WRITEBACK = RequestType.WRITEBACK
+_REFILL = RequestType.REFILL
+_TAG_READ = AccessRole.TAG_READ
+_DATA_READ = AccessRole.DATA_READ
+_PR = Priority.PR
+_LR = Priority.LR
 
 
 class ControllerStats(MetricGroup):
@@ -128,6 +143,13 @@ class BaseController:
         self._in_flight = [0] * nch
         self._opp_flushing = [False] * nch
         self._opp_batch = [0] * nch
+        #: called with each issued access, or None for no call at all;
+        #: DCA registers its RRPC update here
+        self._issue_hook: Optional[Callable[[Access], None]] = None
+        # Queue knobs flattened: the scheduling loop reads them per issue.
+        self._issue_window = cfg.queues.issue_window
+        self._low_wm = cfg.queues.write_low_watermark
+        self._high_wm = cfg.queues.write_high_watermark
         #: block addr -> youngest in-flight writeback/refill (write buffer
         #: contents; reads to these blocks are forwarded, never scheduled)
         self._pending_writes: dict[int, CacheRequest] = {}
@@ -147,7 +169,8 @@ class BaseController:
         now = self.sim.now
         req.arrival = now
         st = self.stats
-        if req.rtype == RequestType.READ:
+        rtype = req.rtype
+        if rtype == _READ:
             st.reads_submitted += 1
             if req.addr in self._pending_writes:
                 # Write-buffer forwarding: the freshest copy of this block
@@ -161,14 +184,12 @@ class BaseController:
                 # Prefetch reads never train or consult MAP-I: the
                 # predictor models demand-PC locality and speculative
                 # probes would both pollute it and burn memory bandwidth.
-                predicted_miss = self.mapi.predict_miss(req.core_id, req.pc)
-                req.meta["pred_miss"] = predicted_miss
-                if predicted_miss:
+                if self.mapi.predict_miss(req.core_id, req.pc):
                     # MAP-I: probe main memory in parallel with the tag read.
-                    req.meta["probing"] = True
+                    req.pred_miss = req.probing = True
                     st.memory_fetches += 1
                     self.mainmem.fetch(req.addr, self._mem_fetch_done, req)
-        elif req.rtype == RequestType.WRITEBACK:
+        elif rtype == _WRITEBACK:
             st.writebacks_submitted += 1
             self._pending_writes[req.addr] = req
         else:
@@ -177,38 +198,47 @@ class BaseController:
 
         first = self.translator.initial_access(req)
         ch = first.channel
-        q, waitq = self._queue_and_waitq(first)
+        # A new request waits in the FIFO of the queue it is routed to;
+        # _admit later pushes it there without routing it again.
+        if self._route(first):
+            q, waitq = self.write_q[ch], self.waiting_w[ch]
+        else:
+            q, waitq = self.read_q[ch], self.waiting_r[ch]
         if q.has_room() and not waitq:
-            self._enqueue(first)
+            q.push(first, now)
+            self._kick(ch)
         else:
             waitq.append(first)
 
-    def _queue_and_waitq(self, access: Access) -> tuple[AccessQueue, deque]:
-        if self._route(access) == "read":
-            return self.read_q[access.channel], self.waiting_r[access.channel]
-        return self.write_q[access.channel], self.waiting_w[access.channel]
-
-    def _queue_for(self, access: Access) -> AccessQueue:
-        return self._queue_and_waitq(access)[0]
-
     def _enqueue(self, access: Access) -> None:
-        self._queue_for(access).push(access, self.sim.now)
-        self._kick(access.channel)
+        """Queue a continuation access (reserved slot: never waits)."""
+        ch = access.channel
+        now = self.sim.now
+        (self.write_q if self._route(access) else self.read_q)[ch].push(
+            access, now)
+        pending = self._decision_pending
+        if not pending[ch]:             # _kick, inline
+            pending[ch] = True
+            self.sim.at(now, self._decide, ch)
 
     def _admit(self, ch: int) -> None:
-        """Move waiting requests into queues as slots free up (FIFO per queue)."""
-        rq, wq = self.read_q[ch], self.write_q[ch]
-        w = self.waiting_r[ch]
-        while w and rq.has_room():
-            self._enqueue(w.popleft())
-        w = self.waiting_w[ch]
-        while w and wq.has_room():
-            self._enqueue(w.popleft())
+        """Move waiting requests into queues as slots free up (FIFO per
+        queue); called only when a wait FIFO is non-empty."""
+        now = self.sim.now
+        moved = False
+        for q, w in ((self.read_q[ch], self.waiting_r[ch]),
+                     (self.write_q[ch], self.waiting_w[ch])):
+            while w and q.has_room():
+                q.push(w.popleft(), now)
+                moved = True
+        if moved:
+            self._kick(ch)
 
     # ------------------------------------------------------------------ scheduling
 
     def _kick(self, ch: int) -> None:
-        """Arrange a scheduling decision for channel ``ch`` at the current time."""
+        """Arrange a scheduling decision for channel ``ch`` at the current
+        time.  The per-access paths test the flag inline instead."""
         if self._decision_pending[ch]:
             return
         self._decision_pending[ch] = True
@@ -223,58 +253,36 @@ class BaseController:
         preparations of distinct banks overlap in flight.
         """
         self._decision_pending[ch] = False
-        window = self.cfg.queues.issue_window
+        # The window is usually full again after one issue, so the loop
+        # runs about once per call: nothing is hoisted into locals but
+        # the in-flight count, which no completion can move inside it.
+        in_flight = self._in_flight[ch]
+        window = self._issue_window
         now = self.sim.now
-        # Hot loop: every bound method / container indexed below is
-        # loop-invariant per channel, so resolve each exactly once.
-        issue = self.device.channels[ch].issue
-        in_flight = self._in_flight
-        rq = self.read_q[ch]
-        stats = self.stats
-        select = self._select
-        on_served = self.sched[ch].on_served
-        on_issued = self._on_issued
-        sim_at = self.sim.at
-        complete = self._access_complete
-        admit = self._admit
-        lr = Priority.LR
-        # The PR class dict is live, so its truthiness tracks the queue.
-        rq_pr = rq.classes[Priority.PR]
-        while in_flight[ch] < window:
-            picked = select(ch)
+        while in_flight < window:
+            picked = self._select(ch)
             if picked is None:
-                return
+                break
             access, queue = picked
             queue.remove(access, now)
 
             # Observable read-priority-inversion accounting: an LR-class
             # bus read issued while a PR-class read waits on this channel.
-            if access.priority == lr and rq_pr:
-                stats.read_priority_inversions += 1
+            if access.priority == _LR and self.read_q[ch].classes[_PR]:
+                self.stats.read_priority_inversions += 1
 
-            _start, end = issue(access.rank, access.bank, access.row,
-                                access.is_write, now)
-            in_flight[ch] += 1
-            on_served(access.core_id)
-            on_issued(access)
-            sim_at(end, complete, access)
-            admit(ch)
+            _start, end = self.device.channels[ch].issue(
+                access.rank, access.bank, access.row, access.is_write, now)
+            in_flight += 1
+            self.sched[ch].on_served(access.core_id)
+            if self._issue_hook is not None:
+                self._issue_hook(access)
+            self.sim.at(end, self._access_complete, access)
+            if self.waiting_r[ch] or self.waiting_w[ch]:
+                self._admit(ch)
+        self._in_flight[ch] = in_flight
 
     # -- write-flush state machine -------------------------------------------------
-
-    def _flush_exit_check(self, ch: int) -> None:
-        wq = self.write_q[ch]
-        if self.flushing[ch] and (
-                not len(wq)
-                or wq.occupancy <= self.cfg.queues.write_low_watermark):
-            self.flushing[ch] = False
-
-    def _flush_enter_forced(self, ch: int) -> None:
-        wq = self.write_q[ch]
-        if (not self.flushing[ch]
-                and wq.occupancy >= self.cfg.queues.write_high_watermark):
-            self.flushing[ch] = True
-            self.stats.forced_flushes += 1
 
     def _reads_preempt(self, ch: int) -> bool:
         """Are there reads that should preempt an opportunistic write drain?
@@ -282,43 +290,26 @@ class BaseController:
         Overridden by DCA: its held LRs are deliberately *not* preemptive
         (they are background work, like the writes themselves).
         """
-        return len(self.read_q[ch]) > 0
+        return self.read_q[ch].size > 0
 
     def _continue_opportunistic(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
-        """Keep an in-progress idle-time write drain going.
+        """Keep an in-progress idle-time write drain going (called only
+        while one is in progress).
 
         The drain continues to the low watermark; after the minimum batch
         has amortized the turnaround pair, arriving reads preempt it.
         """
-        if not self._opp_flushing[ch]:
-            return None
-        q = self.cfg.queues
         wq = self.write_q[ch]
-        if (len(wq)
-                and (self.draining or wq.occupancy > q.write_low_watermark)
-                and (self._opp_batch[ch] < q.opportunistic_min_batch
+        if (wq.size
+                and (self.draining or wq.occupancy > self._low_wm)
+                and (self._opp_batch[ch]
+                     < self.cfg.queues.opportunistic_min_batch
                      or not self._reads_preempt(ch))):
             picked = self._pick_write(ch)
             if picked is not None:
                 self._opp_batch[ch] += 1
                 return picked
         self._opp_flushing[ch] = False
-        return None
-
-    def _start_opportunistic(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
-        """No serviceable reads this slot: begin an idle-time write drain
-        if the write queue is above the low watermark (the paper's second
-        flush trigger).  In end-of-run ``draining`` mode the watermark is
-        ignored so residual writes empty out."""
-        wq = self.write_q[ch]
-        if len(wq) and (self.draining or
-                           wq.occupancy > self.cfg.queues.write_low_watermark):
-            picked = self._pick_write(ch)
-            if picked is not None:
-                self.stats.opportunistic_flushes += 1
-                self._opp_flushing[ch] = True
-                self._opp_batch[ch] = 1
-            return picked
         return None
 
     def flush_all(self) -> None:
@@ -349,8 +340,9 @@ class BaseController:
 
     # -- design hooks ---------------------------------------------------------------
 
-    def _route(self, access: Access) -> str:
-        """Return ``"read"`` or ``"write"``: which queue holds this access."""
+    def _route(self, access: Access) -> bool:
+        """Which queue holds this access: True for the write queue, False
+        for the read queue.  Called once per access."""
         raise NotImplementedError
 
     def _select(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
@@ -359,41 +351,59 @@ class BaseController:
         A forced write flush first, then an idle-time drain in progress,
         then a read (:meth:`_select_read`); with no read to serve, writes
         drain opportunistically above the low watermark (the paper's
-        two-threshold passive scheme).
+        two-threshold passive scheme).  In end-of-run ``draining`` mode
+        the watermark is ignored so residual writes empty out.
         """
-        self._flush_exit_check(ch)
-        self._flush_enter_forced(ch)
-        if self.flushing[ch]:
+        wq = self.write_q[ch]
+        size = wq.size
+        occupancy = size / wq.capacity      # wq.occupancy, inline
+        flushing = self.flushing
+        # The flush watermarks: leave at (or below) the low one, enter a
+        # forced flush at the high one.
+        if flushing[ch] and (not size or occupancy <= self._low_wm):
+            flushing[ch] = False
+        if not flushing[ch] and occupancy >= self._high_wm:
+            flushing[ch] = True
+            self.stats.forced_flushes += 1
+        if flushing[ch]:
             picked = self._pick_write(ch)
             if picked is not None:
                 return picked
-            self.flushing[ch] = False  # queue emptied mid-flush
-        picked = self._continue_opportunistic(ch)
-        if picked is not None:
-            return picked
+            flushing[ch] = False  # queue emptied mid-flush
+        if self._opp_flushing[ch]:
+            picked = self._continue_opportunistic(ch)
+            if picked is not None:
+                return picked
         picked = self._select_read(ch)
         if picked is not None:
             return picked
-        return self._start_opportunistic(ch)
+        if size and (self.draining or occupancy > self._low_wm):
+            # No serviceable read this slot: begin an idle-time write
+            # drain (the paper's second flush trigger).
+            picked = self._pick_write(ch)
+            if picked is not None:
+                self.stats.opportunistic_flushes += 1
+                self._opp_flushing[ch] = True
+                self._opp_batch[ch] = 1
+            return picked
+        return None
 
     def _select_read(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
         """The read slot of :meth:`_select`: any queued read, in
         scheduler order."""
         return self._pick_read(ch, self.read_q[ch].classes)
 
-    def _on_issued(self, access: Access) -> None:
-        """Post-issue hook (DCA updates its RRPC counters here)."""
-
     # ------------------------------------------------------------------ completion
 
     def _access_complete(self, access: Access) -> None:
-        self._in_flight[access.channel] -= 1
+        ch = access.channel
+        self._in_flight[ch] -= 1
         req = access.request
         role = access.role
-        if role == AccessRole.TAG_READ:
+        if role == _TAG_READ:
             self._tag_read_done(req)
-        elif role == AccessRole.DATA_READ:
-            if req.rtype == RequestType.READ:
+        elif role == _DATA_READ:
+            if req.rtype == _READ:
                 self._read_done(req)
             else:
                 self._victim_read_done(req)
@@ -402,19 +412,21 @@ class BaseController:
                 req.accesses_left -= 1
                 if req.accesses_left == 0:
                     self._write_request_done(req)
-        self._kick(access.channel)
+        pending = self._decision_pending
+        if not pending[ch]:             # _kick, inline
+            pending[ch] = True
+            self.sim.at(self.sim.now, self._decide, ch)
 
     def _tag_read_done(self, req: CacheRequest) -> None:
-        now = self.sim.now
         outcome = self.translator.after_tag_read(req)
         st = self.stats
-        if req.rtype == RequestType.READ:
+        if req.rtype == _READ:
             if self.mapi is not None and not req.prefetch:
                 self.mapi.update(req.core_id, req.pc, outcome.hit,
-                                 req.meta.get("pred_miss", False))
+                                 req.pred_miss)
             if outcome.hit:
                 st.read_hits += 1
-                if req.meta.get("probing"):
+                if req.probing:
                     st.wasted_fetches += 1  # memory data must be discarded
                 if not outcome.next_accesses:
                     # Direct-mapped: the TAD read carried the data.
@@ -424,8 +436,8 @@ class BaseController:
                         self._enqueue(a)
             else:
                 st.read_misses += 1
-                if req.meta.get("probing"):
-                    if req.meta.get("mem_data_ready"):
+                if req.probing:
+                    if req.mem_data_ready:
                         # Fetch already returned; deliver + refill now.
                         self._complete_missed_read(req)
                     # else: the in-flight fetch will complete the request.
@@ -442,8 +454,8 @@ class BaseController:
         req.accesses_left = len(outcome.next_accesses)
         if outcome.victim_read is not None:
             # Dirty victim (set-assoc): read its data before overwriting.
-            req.meta["pending_writes"] = outcome.next_accesses
-            req.meta["victim_addr"] = outcome.victim_mem_write
+            req.pending_writes = outcome.next_accesses
+            req.victim_addr = outcome.victim_mem_write
             self._enqueue(outcome.victim_read)
         else:
             if outcome.victim_mem_write is not None:
@@ -455,18 +467,18 @@ class BaseController:
 
     def _victim_read_done(self, req: CacheRequest) -> None:
         """RDw finished: ship the victim to memory, then do the writes."""
-        victim = req.meta.pop("victim_addr", None)
+        victim = req.victim_addr
         if victim is not None:
             self.stats.victim_mem_writes += 1
             self.mainmem.write(victim)
-        for a in req.meta.pop("pending_writes", []):
+        for a in req.pending_writes:
             self._enqueue(a)
 
     def _mem_fetch_done(self, req: CacheRequest) -> None:
         """Main-memory data arrived for a (predicted or actual) read miss."""
         if req.hit is None:
             # Tag check still pending; remember the data is here.
-            req.meta["mem_data_ready"] = True
+            req.mem_data_ready = True
             return
         if req.hit:
             # Predicted miss but the tags said hit — the fetch was wasted
@@ -479,8 +491,7 @@ class BaseController:
         if req.done_time >= 0:
             return
         self._read_done(req)
-        refill = CacheRequest(RequestType.REFILL, req.addr, req.core_id,
-                              pc=req.pc)
+        refill = CacheRequest(_REFILL, req.addr, req.core_id, pc=req.pc)
         self.submit(refill)
 
     def _read_done(self, req: CacheRequest) -> None:

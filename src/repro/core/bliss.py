@@ -47,12 +47,6 @@ class BLISSScheduler:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def maybe_clear(self, now: int) -> None:
-        """Clear all blacklist bits every clearing interval."""
-        if now - self._last_clear >= self.cfg.clearing_interval_ps:
-            self.blacklist = [False] * len(self.blacklist)
-            self._last_clear = now
-
     def on_served(self, core_id: int) -> None:
         """Observe one served request; blacklist on a long streak."""
         self.served += 1
@@ -90,40 +84,60 @@ class BLISSScheduler:
         blacklisted entry.  When a class has no hit, its oldest entry is
         a miss, so this is exactly the (blacklisted, row-miss, seq)
         lexicographic minimum; ``seq`` is globally unique, so the
-        minimum is unique and bucket order is irrelevant.  The lockstep
-        tests check the result against a per-candidate scan.
+        minimum is unique and bucket order is irrelevant.
+
+        A bucket holding a hit offers only its hit: its own class then
+        has a hit, which outranks that class's oldest entry.  With no
+        core blacklisted (always, under FR-FCFS) the scan runs without
+        the blacklist test.  The lockstep tests check the result against
+        a per-candidate scan.
         """
-        self.maybe_clear(now)
+        # The blacklist clears wholesale every clearing interval, first.
+        if now - self._last_clear >= self.cfg.clearing_interval_ps:
+            self.blacklist = [False] * len(self.blacklist)
+            self._last_clear = now
         bl = self.blacklist
         # One list index per bucket fetches the open row (-1 = closed,
         # which no real row id equals).
         open_rows = channel.open_rows
         nbanks = len(open_rows)
-        b_hit = b_old = b_bl_hit = b_bl_old = None
-        s_hit = s_old = s_bl_hit = s_bl_old = _SEQ_MAX
+        b_hit = b_old = None
+        s_hit = s_old = _SEQ_MAX
+        if True not in bl:
+            for buckets in view:
+                for bucket in buckets.values():
+                    # Most buckets miss: their path binds no locals.
+                    if open_rows[bucket.gb % nbanks] in bucket.rows:
+                        i = bucket.rows.index(open_rows[bucket.gb % nbanks])
+                        seq = bucket.seqs[i]
+                        if seq < s_hit:
+                            s_hit = seq
+                            b_hit = bucket.accs[i]
+                    elif bucket.seqs[0] < s_old:
+                        s_old = bucket.seqs[0]
+                        b_old = bucket.accs[0]
+            return b_hit if b_hit is not None else b_old
+        b_bl_hit = b_bl_old = None
+        s_bl_hit = s_bl_old = _SEQ_MAX
         for buckets in view:
             for bucket in buckets.values():
-                rows = bucket.rows
-                seqs = bucket.seqs
-                open_row = open_rows[bucket.gb % nbanks]
-                if bl[bucket.core]:
-                    if open_row in rows:
-                        i = rows.index(open_row)
-                        if seqs[i] < s_bl_hit:
-                            s_bl_hit = seqs[i]
+                if open_rows[bucket.gb % nbanks] in bucket.rows:
+                    i = bucket.rows.index(open_rows[bucket.gb % nbanks])
+                    seq = bucket.seqs[i]
+                    if bl[bucket.core]:
+                        if seq < s_bl_hit:
+                            s_bl_hit = seq
                             b_bl_hit = bucket.accs[i]
-                    if seqs[0] < s_bl_old:
-                        s_bl_old = seqs[0]
+                    elif seq < s_hit:
+                        s_hit = seq
+                        b_hit = bucket.accs[i]
+                elif bl[bucket.core]:
+                    if bucket.seqs[0] < s_bl_old:
+                        s_bl_old = bucket.seqs[0]
                         b_bl_old = bucket.accs[0]
-                else:
-                    if open_row in rows:
-                        i = rows.index(open_row)
-                        if seqs[i] < s_hit:
-                            s_hit = seqs[i]
-                            b_hit = bucket.accs[i]
-                    if seqs[0] < s_old:
-                        s_old = seqs[0]
-                        b_old = bucket.accs[0]
+                elif bucket.seqs[0] < s_old:
+                    s_old = bucket.seqs[0]
+                    b_old = bucket.accs[0]
         if b_hit is not None:
             return b_hit
         if b_old is not None:

@@ -25,5 +25,5 @@ class CDController(BaseController):
 
     design = "CD"
 
-    def _route(self, access: Access) -> str:
-        return "write" if access.is_write else "read"
+    def _route(self, access: Access) -> bool:
+        return access.is_write

@@ -33,6 +33,10 @@ from repro.core.base import BaseController
 from repro.core.queues import AccessQueue, BankBucket
 from repro.core.rrpc import RRPCTable
 
+# Members bound once (see repro.core.access).
+_PR = Priority.PR
+_LR = Priority.LR
+
 
 def ofs_bucket_filter(lr_buckets: Mapping[int, BankBucket],
                       open_rows: Sequence[int], rrpc: RRPCTable,
@@ -75,12 +79,14 @@ class DCAController(BaseController):
         self.rrpc = RRPCTable(self.cfg.org.total_banks,
                               max_value=self.cfg.dca.rrpc_max)
         self.schedule_all = [False] * self.cfg.org.channels
+        self._issue_hook = self._on_issued
 
-    def _route(self, access: Access) -> str:
-        return "write" if access.is_write else "read"
+    def _route(self, access: Access) -> bool:
+        return access.is_write
 
     def _on_issued(self, access: Access) -> None:
-        if access.priority == Priority.PR:
+        """Post-issue hook: PRs drive the RRPC table (§IV-C)."""
+        if access.priority == _PR:
             self.rrpc.on_priority_read(access.global_bank)
 
     # -- Algorithm 1 ---------------------------------------------------------------
@@ -101,7 +107,7 @@ class DCAController(BaseController):
         class dict: one row-state and one RRPC check per *bucket*
         instead of per access.
         """
-        return ofs_bucket_filter(self.read_q[ch].classes[Priority.LR],
+        return ofs_bucket_filter(self.read_q[ch].classes[_LR],
                                  self.device.channels[ch].open_rows,
                                  self.rrpc, self.cfg.dca.flushing_factor)
 
@@ -111,7 +117,7 @@ class DCAController(BaseController):
         rq = self.read_q[ch]
         if self.schedule_all[ch]:
             picked = self._pick_read(ch, rq.classes)
-            if picked is not None and picked[0].priority == Priority.LR:
+            if picked is not None and picked[0].priority == _LR:
                 self.stats.lr_drain_issues += 1
             return picked
         picked = self._pick_read(ch, rq.pr_view)
@@ -128,5 +134,5 @@ class DCAController(BaseController):
         are background work like the writes themselves."""
         rq = self.read_q[ch]
         if self.schedule_all[ch]:
-            return len(rq) > 0
-        return bool(rq.classes[Priority.PR])
+            return rq.size > 0
+        return bool(rq.classes[_PR])

@@ -41,6 +41,8 @@ from typing import Dict, Iterator
 
 from repro.core.access import Access, Priority
 
+_PR = Priority.PR
+
 #: Low bits of a bucket key that hold the core id (``gb << CORE_BITS |
 #: core``); ``BaseController`` rejects configs with more cores.
 CORE_BITS = 16
@@ -83,7 +85,7 @@ class BankBucket:
 class AccessQueue:
     """A bounded scheduling pool (not FIFO: schedulers pick by policy)."""
 
-    __slots__ = ("capacity", "classes", "pr_view", "_n",
+    __slots__ = ("capacity", "classes", "pr_view", "size",
                  "_occupancy_integral", "_last_t", "_t0")
 
     def __init__(self, capacity: int):
@@ -95,15 +97,17 @@ class AccessQueue:
         self.classes: tuple[ClassBuckets, ClassBuckets, ClassBuckets] = (
             {}, {}, {})
         #: the PR-class view (DCA's normal read slot)
-        self.pr_view: tuple[ClassBuckets] = (self.classes[Priority.PR],)
-        self._n = 0
+        self.pr_view: tuple[ClassBuckets] = (self.classes[_PR],)
+        #: queued accesses (``len(queue)``; the controller's hot path
+        #: reads the slot and skips the ``__len__`` call)
+        self.size = 0
         # time-weighted occupancy, for average-occupancy reporting
         self._occupancy_integral = 0
         self._last_t = 0
         self._t0 = 0
 
     def __len__(self) -> int:
-        return self._n
+        return self.size
 
     def __iter__(self) -> Iterator[Access]:
         """The queued accesses, oldest (least ``seq``) first."""
@@ -122,15 +126,20 @@ class AccessQueue:
     @property
     def occupancy(self) -> float:
         """Fill fraction; may exceed 1.0 transiently via continuations."""
-        return self._n / self.capacity
+        return self.size / self.capacity
 
     def has_room(self) -> bool:
         """Admission check for *new* requests."""
-        return self._n < self.capacity
+        return self.size < self.capacity
 
     def push(self, access: Access, now: int = 0) -> None:
         """Add an access (continuations may exceed nominal capacity)."""
-        self._account(now)
+        # Occupancy accounting, inline (as in remove): the integral of
+        # ``size`` over time, advanced to ``now``.
+        last = self._last_t
+        if now > last:
+            self._occupancy_integral += self.size * (now - last)
+            self._last_t = now
         seq = access.seq
         gb = access.global_bank
         core = access.core_id
@@ -154,10 +163,13 @@ class AccessQueue:
                 bucket.accs.insert(i, access)
                 seqs.insert(i, seq)
                 bucket.rows.insert(i, access.row)
-        self._n += 1
+        self.size += 1
 
     def remove(self, access: Access, now: int = 0) -> None:
-        self._account(now)
+        last = self._last_t
+        if now > last:
+            self._occupancy_integral += self.size * (now - last)
+            self._last_t = now
         key = access.global_bank << CORE_BITS | access.core_id
         buckets = self.classes[access.priority]
         bucket = buckets.get(key)
@@ -166,7 +178,7 @@ class AccessQueue:
             if len(accs) == 1:
                 if accs[0] is access:
                     del buckets[key]
-                    self._n -= 1
+                    self.size -= 1
                     return
             else:
                 seqs = bucket.seqs
@@ -175,16 +187,11 @@ class AccessQueue:
                     del accs[i]
                     del seqs[i]
                     del bucket.rows[i]
-                    self._n -= 1
+                    self.size -= 1
                     return
         raise ValueError("access not in queue")
 
     # -- occupancy accounting ---------------------------------------------------
-
-    def _account(self, now: int) -> None:
-        if now > self._last_t:
-            self._occupancy_integral += self._n * (now - self._last_t)
-            self._last_t = now
 
     def reset_accounting(self, now: int) -> None:
         """Restart the time-weighted occupancy integral at ``now``.
@@ -199,7 +206,9 @@ class AccessQueue:
     def mean_occupancy(self, now: int) -> float:
         """Time-averaged entry count since construction or the last
         :meth:`reset_accounting`."""
-        self._account(now)
+        if now > self._last_t:
+            self._occupancy_integral += self.size * (now - self._last_t)
+            self._last_t = now
         span = now - self._t0
         return self._occupancy_integral / span if span > 0 else 0.0
 
@@ -223,4 +232,4 @@ class AccessQueue:
                     if i:
                         assert bucket.seqs[i - 1] < a.seq, prio.name
                 total += n
-        assert total == self._n
+        assert total == self.size

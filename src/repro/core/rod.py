@@ -20,16 +20,17 @@ from __future__ import annotations
 from repro.core.access import Access, AccessRole, RequestType
 from repro.core.base import BaseController
 
+# Members bound once (see repro.core.access).
+_READ = RequestType.READ
+_TAG_WRITE = AccessRole.TAG_WRITE
+
 
 class RODController(BaseController):
     """Route by request type; serve the read queue first."""
 
     design = "ROD"
 
-    def _route(self, access: Access) -> str:
-        if access.request.rtype == RequestType.READ:
-            # Footnote 1: WTr goes to the write queue even in ROD.
-            if access.role == AccessRole.TAG_WRITE:
-                return "write"
-            return "read"
-        return "write"
+    def _route(self, access: Access) -> bool:
+        # Footnote 1: a read's WTr goes to the write queue even in ROD.
+        return (access.request.rtype != _READ
+                or access.role == _TAG_WRITE)

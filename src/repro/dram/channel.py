@@ -159,8 +159,9 @@ class Channel:
         ``rank`` enables the rank-to-rank bus turnaround: when ``tCS``
         is configured and the burst targets a different rank than the
         previous burst on this channel, the bus needs a ``tCS`` gap
-        (gem5's different-rank bus delay).  Pure — the estimate paths
-        call this too, so it only *reads* ``_last_rank``.
+        (gem5's different-rank bus delay).  Pure — it only *reads*
+        ``_last_rank``.  The estimate paths call it; the commit routine
+        :meth:`_place_and_commit` applies the same rule inline.
         """
         bus_free = self.bus_free
         start = data_ready if data_ready >= bus_free else bus_free
@@ -204,24 +205,48 @@ class Channel:
             state = ROW_CONFLICT
             rp = self.ready_pre[idx]
             cas = (now if now >= rp else rp) + self._tRP + self._tRCD
-        start, end = self._place_and_commit(idx, rank, row, cas, is_write,
-                                            state)
-        self._account_issue(state, end, is_write)
-        return start, end
+        return self._place_and_commit(idx, rank, row, cas, is_write, state)
 
     def _place_and_commit(self, idx: int, rank: int, row: int, cas: int,
                           is_write: bool, state: int) -> tuple[int, int]:
-        """Place the burst for an earliest-CAS plan and commit the bank.
+        """Place one burst for an earliest-CAS plan, commit it, count it.
 
-        The one burst-placement rule both fidelities share: bus/turnaround
-        constraints (direction *and* rank-to-rank) fold into the start,
-        and the effective CAS is back-dated so bank bookkeeping
-        (tRTP/tWR windows) lines up with the actual burst position on
-        the bus.  Rank bookkeeping lives here — the only commit point —
-        so the estimate paths stay pure.  ``state`` is the row state the
-        caller classified *before* planning.
+        The one commit routine per burst, which both fidelities' ``issue``
+        call once: bus constraints (direction turnaround and rank switch,
+        the rule :meth:`_bus_constrained_start` states for the estimate
+        path) fold into the start; the effective CAS is back-dated so bank
+        bookkeeping (tRTP/tWR windows) lines up with the actual burst
+        position on the bus; then the bus state and the issue counters
+        (row class per direction, turnarounds, bus time, rank switches)
+        advance.  Rank and bus bookkeeping live here — the only commit
+        point — so the estimate paths stay pure.  ``state`` is the row
+        state the caller classified *before* planning.  Returns
+        ``(burst_start, burst_end)``.
         """
-        start = self._bus_constrained_start(cas + self._tCAS, is_write, rank)
+        s = self.stats
+        bus_free = self.bus_free
+        start = cas + self._tCAS
+        if bus_free > start:
+            start = bus_free
+        if is_write:
+            if self.bus_dir == _DIR_READ:
+                s.turnarounds += 1
+                gated = self._last_read_end + self._tRTW
+                if gated > start:
+                    start = gated
+        elif self.bus_dir == _DIR_WRITE:
+            s.turnarounds += 1
+            gated = self._last_write_end + self._tWTR
+            if gated > start:
+                start = gated
+        last_rank = self._last_rank
+        if last_rank >= 0 and rank != last_rank:
+            s.rank_switches += 1
+            if self._tCS:
+                gated = bus_free + self._tCS
+                if gated > start:
+                    start = gated
+        self._last_rank = rank
         end = start + self._tBURST
         cas_time = start - self._tCAS
         if state != ROW_HIT:
@@ -242,33 +267,13 @@ class Channel:
         # Next ACT can only follow the next PRE; maintained when PRE happens
         # implicitly on a conflict.  Approximate by deriving from ready_pre.
         self.ready_act[idx] = ready_pre[idx] + self._tRP
-        if self._last_rank >= 0 and rank != self._last_rank:
-            self.stats.rank_switches += 1
-        self._last_rank = rank
-        return start, end
 
-    def _account_issue(self, state: int, end: int, is_write: bool) -> None:
-        """Bus/turnaround bookkeeping + row-state counters for one burst.
-
-        Shared by every fidelity: the bus core and its statistics are what
-        make substrate models comparable, so subclasses reuse this tail
-        verbatim and only differ in how the burst start was derived.
-        """
         self._gen += 1
-        new_dir = _DIR_WRITE if is_write else _DIR_READ
-        if self.bus_dir != _DIR_NONE and self.bus_dir != new_dir:
-            self.stats.turnarounds += 1
-        self.bus_dir = new_dir
         self.bus_free = end
+        s.bus_busy_ps += self._tBURST
         if is_write:
+            self.bus_dir = _DIR_WRITE
             self._last_write_end = end
-        else:
-            self._last_read_end = end
-        self.stats.bus_busy_ps += self._tBURST
-
-        # Row-state + access-type stats.
-        s = self.stats
-        if is_write:
             s.write_accesses += 1
             if state == ROW_HIT:
                 s.write_row_hits += 1
@@ -277,6 +282,8 @@ class Channel:
             else:
                 s.write_row_conflicts += 1
         else:
+            self.bus_dir = _DIR_READ
+            self._last_read_end = end
             s.read_accesses += 1
             if state == ROW_HIT:
                 s.read_row_hits += 1
@@ -284,6 +291,7 @@ class Channel:
                 s.read_row_closed += 1
             else:
                 s.read_row_conflicts += 1
+        return start, end
 
     def reset_stats(self) -> None:
         self.stats.reset()

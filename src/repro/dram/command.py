@@ -241,8 +241,9 @@ class CommandChannel(Channel):
         return act, binding
 
     def _earliest_cas(self, idx: int, rank: int, row: int,
-                      now: int) -> tuple[int, int]:
-        """Rank-constrained CAS time; returns ``(cas, binding)``.
+                      now: int) -> tuple[int, int, int]:
+        """Row class and rank-constrained CAS time, in one pass; returns
+        ``(state, cas, binding)``.
 
         ``binding`` (see :meth:`_rank_act_bound`) is nonzero when a rank
         constraint, not the bank, delayed the activation.
@@ -250,15 +251,17 @@ class CommandChannel(Channel):
         orow = self.open_rows[idx]
         if orow == row:
             rc = self.ready_cas[idx]
-            return (now if now >= rc else rc), 0
+            return ROW_HIT, (now if now >= rc else rc), 0
         if orow < 0:
+            state = ROW_CLOSED
             ra = self.ready_act[idx]
             act = now if now >= ra else ra
         else:
+            state = ROW_CONFLICT
             rp = self.ready_pre[idx]
             act = (now if now >= rp else rp) + self._tRP
         act, binding = self._rank_act_bound(rank, act)
-        return act + self._tRCD, binding
+        return state, act + self._tRCD, binding
 
     # ------------------------------------------------------------- protocol
 
@@ -277,25 +280,24 @@ class CommandChannel(Channel):
         idx = rank * self._bpr + bank
         saved = self._capture_rank(rank)
         self._sync_rank(rank, idx, now, account=False)
-        cas, _ = self._earliest_cas(idx, rank, row, now)
+        _state, cas, _binding = self._earliest_cas(idx, rank, row, now)
         start = self._bus_constrained_start(cas + self._tCAS, is_write, rank)
         self._restore_rank(rank, saved)
         return start
 
     def issue(self, rank: int, bank: int, row: int, is_write: bool,
               now: int) -> tuple[int, int]:
-        """Commit an access under rank constraints; ``(start, end)``."""
-        idx = rank * self._bpr + bank
-        self._sync_rank(rank, idx, now)
-        orow = self.open_rows[idx]
-        if orow == row:
-            state = ROW_HIT
-        elif orow < 0:
-            state = ROW_CLOSED
-        else:
-            state = ROW_CONFLICT
+        """Commit an access under rank constraints; ``(start, end)``.
 
-        cas, binding = self._earliest_cas(idx, rank, row, now)
+        The lazy refresh/page-policy sync runs only when it has work: a
+        refresh has fallen due on the rank, or the page policy is
+        ``timeout``.
+        """
+        idx = rank * self._bpr + bank
+        if ((self._refresh_on and self._refresh_due[rank] <= now)
+                or self._page_policy == "timeout"):
+            self._sync_rank(rank, idx, now)
+        state, cas, binding = self._earliest_cas(idx, rank, row, now)
         start, end = self._place_and_commit(idx, rank, row, cas, is_write,
                                             state)
 
@@ -325,8 +327,6 @@ class CommandChannel(Channel):
             self.open_rows[idx] = -1
             self.stats.policy_closes += 1
         self._bank_last_end[idx] = end
-
-        self._account_issue(state, end, is_write)
         return start, end
 
     def reset_stats(self) -> None:

@@ -14,9 +14,9 @@ the same class serves both levels.
 
 The functional replays (the system's warm-up and the Fig. 18 tag
 stream) reference whole traces: :meth:`SRAMCache.filter_traces` runs
-that loop with the LRU inlined and returns the misses and their dirty
-victims as int64 columns, and :func:`interleave` orders them into one
-request column.
+that loop with the LRU inlined and returns the misses and, sparsely,
+their dirty victims as int64 columns, and :func:`interleave` orders
+them into one request column.
 
 An optional *dirty-row index* supports Lee et al.'s DRAM-aware writeback
 policy (Fig. 19): it tracks, per DRAM-cache row, which dirty blocks the
@@ -172,24 +172,25 @@ class SRAMCache:
 
     def filter_traces(self, traces: Iterable[Iterator[tuple]],
                       per_trace: int
-                      ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+                      ) -> tuple[NDArray[np.int64], NDArray[np.int64],
+                                 NDArray[np.int64]]:
         """Reference ``per_trace`` operations of each trace in turn.
 
         Each ``(gap, addr, is_write, pc)`` operation is drawn from its
         iterator (a :class:`~repro.workloads.cursor.TraceCursor` counts
         it) and referenced exactly as :meth:`access` would, with the LRU
         inlined; other victim policies are called on full sets only.
-        Returns two int64 columns, one row per miss: the missed block
-        address, and the block address of the dirty line its allocation
-        displaced (``-1`` = none).
+        Returns three int64 columns: the missed block addresses, one row
+        per miss; and, one row per dirty eviction (most misses have
+        none), the row of the miss whose allocation displaced the dirty
+        line, in ascending order, and that line's block address.
         """
         block, n_sets, assoc = self.block, self.num_sets, self._assoc
         sets = self._sets
         pick = self._pick_victim
         lru = pick is SRAM_POLICIES["lru"]
         tracked = self._row_of is not None
-        # Dirty victims are rare: they are kept as (row, address) pairs
-        # and spread into the dense column once, at the end.
+        # Dirty victims are rare: they are kept as (row, address) pairs.
         misses, victim_rows, victim_addrs = array("q"), array("q"), array("q")
         add_miss = misses.append
         hits = dirty_evictions = clean_evictions = 0
@@ -233,10 +234,9 @@ class SRAMCache:
         stats.evictions += dirty_evictions + clean_evictions
         stats.dirty_evictions += dirty_evictions
         stats.clean_evictions += clean_evictions
-        victims = np.full(len(misses), -1, dtype=np.int64)
-        victims[np.frombuffer(victim_rows, dtype=np.int64)] = \
-            np.frombuffer(victim_addrs, dtype=np.int64)
-        return np.frombuffer(misses, dtype=np.int64), victims
+        return (np.frombuffer(misses, dtype=np.int64),
+                np.frombuffer(victim_rows, dtype=np.int64),
+                np.frombuffer(victim_addrs, dtype=np.int64))
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Insert a block (refill path); returns a dirty victim address."""
@@ -299,25 +299,24 @@ class SRAMCache:
                             for row, blocks in state["dirty_rows"].items()}
 
 
-def interleave(misses: NDArray[np.int64], victims: NDArray[np.int64],
-               victims_first: bool = False
+def interleave(misses: NDArray[np.int64], victim_rows: NDArray[np.int64],
+               victims: NDArray[np.int64], victims_first: bool = False
                ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
     """One request column from :meth:`SRAMCache.filter_traces`' output.
 
     Each miss is followed (or, with ``victims_first``, preceded) by its
-    dirty victim, if it has one.  Returns the addresses and a flag column
-    marking the victims' writebacks.  Both are allocated once and filled
-    in place; the other temporaries are byte masks and victim-length
-    index columns.
+    dirty victim, if it has one: ``victims[j]`` belongs to miss
+    ``victim_rows[j]`` (ascending).  Returns the addresses and a flag
+    column marking the victims' writebacks.  Both are allocated once and
+    filled in place; the other temporaries are a byte mask and
+    victim-length index columns.
     """
-    rows = np.flatnonzero(victims >= 0)
-    values = victims[rows]
     # The j-th victim lands j slots past its row (one more if it follows).
-    rows += np.arange(len(rows)) + (not victims_first)
-    n = len(misses) + len(rows)
+    slots = victim_rows + np.arange(len(victim_rows)) + (not victims_first)
+    n = len(misses) + len(slots)
     is_victim = np.zeros(n, dtype=np.bool_)
-    is_victim[rows] = True
+    is_victim[slots] = True
     addrs = np.empty(n, dtype=np.int64)
-    addrs[rows] = values
+    addrs[slots] = victims
     addrs[~is_victim] = misses
     return addrs, is_victim

@@ -38,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: one trace record: (gap_instructions, address, is_write, pc)
 TraceOp = tuple[int, int, bool, int]
 
+#: an instruction count no core reaches (budgets all crossed)
+_NEVER = 1 << 62
+
 #: outcomes of System.mem_access
 L2_HIT = 0
 MISS = 1
@@ -51,6 +54,7 @@ class Core:
                  "icount", "_next_op", "_retry_op", "outstanding",
                  "_token", "blocked", "_resume_base",
                  "budget", "warmup_at", "finish_time", "warmup_time",
+                 "_next_budget",
                  "warmup_icount", "loads_issued", "stores_issued",
                  "stall_blocked_ps", "_blocked_since",
                  "_width", "_cycle_ps", "_max_misses", "_rob")
@@ -76,6 +80,8 @@ class Core:
         self._resume_base = 0
         self.budget = 0
         self.warmup_at = 0
+        #: the least budget not yet crossed (see _check_budgets)
+        self._next_budget = 0
         self.finish_time: Optional[int] = None
         self.warmup_time: Optional[int] = None
         self.warmup_icount = 0
@@ -90,6 +96,7 @@ class Core:
         """Begin consuming the trace; budgets control IPC bookkeeping."""
         self.warmup_at = warmup_insts
         self.budget = warmup_insts + measure_insts
+        self._next_budget = warmup_insts
         self._next_op = next(self.trace)
         self._schedule_next(self.sim.now)
 
@@ -124,7 +131,8 @@ class Core:
             assert op is not None   # start() primed the stream
             self._next_op = next(self.trace)
             self.icount += op[0] + 1
-            self._check_budgets()
+            if self.icount >= self._next_budget:
+                self._check_budgets()
         _gap, addr, is_write, pc = op
         # ``retrying`` tells the system this op already stalled once: the
         # MSHR must not count a second full-stall for it, and the
@@ -165,6 +173,10 @@ class Core:
         if self.finish_time is None and self.icount >= self.budget:
             self.finish_time = self.sim.now
             self.system.core_finished(self)
+        # The next count that can cross one: warm-up, finish, then none.
+        self._next_budget = (self.warmup_at if self.warmup_time is None
+                             else self.budget if self.finish_time is None
+                             else _NEVER)
 
     # -- blocking rules -------------------------------------------------------------
 

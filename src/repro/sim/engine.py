@@ -19,7 +19,7 @@ in the heap will run and ``pending()`` is the heap's length.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 #: One scheduled callback: ``(time, seq, fn, arg)``.
@@ -61,7 +61,7 @@ class Simulator:
         """Schedule ``fn(arg)`` at absolute time ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        heapq.heappush(self._heap, (time, self._seq, fn, arg))
+        heappush(self._heap, (time, self._seq, fn, arg))
         self._seq += 1
 
     def after(self, delay: int, fn: Callable[[Any], Any], arg: Any = None) -> None:
@@ -111,7 +111,7 @@ class Simulator:
             if until is not None and heap[0][0] > until:
                 self.now = until
                 return self.now
-            time, _, fn, arg = heapq.heappop(heap)
+            time, _, fn, arg = heappop(heap)
             self.now = time
             self._events_run += 1
             fn(arg)
@@ -136,7 +136,7 @@ class Simulator:
             self._stop_requested = False
             return self.now
         while heap:
-            time, _, fn, arg = heapq.heappop(heap)
+            time, _, fn, arg = heappop(heap)
             self.now = time
             self._events_run += 1
             fn(arg)

@@ -44,6 +44,10 @@ from repro.snapshot import (
 from repro.workloads.cursor import TraceCursor
 from repro.workloads.profiles import BenchmarkProfile
 
+# Members bound once (see repro.core.access).
+_READ = RequestType.READ
+_WRITEBACK = RequestType.WRITEBACK
+
 #: Version of the :class:`SystemResult` on-disk schema.  Bump whenever the
 #: result fields, the metrics hierarchy, or the semantics of any reported
 #: value change — the experiment cache keys on it, so entries written by
@@ -299,7 +303,7 @@ class System:
             # controller first: its pending-write entry then serves the
             # read by forwarding instead of a stale array fetch.
             self.writebuf.flush(addr)
-            req = CacheRequest(RequestType.READ, addr, core.core_id, pc=pc,
+            req = CacheRequest(_READ, addr, core.core_id, pc=pc,
                                on_done=self._l2_fill_done)
             self.controller.submit(req)
         return MISS, 0
@@ -321,7 +325,7 @@ class System:
             st.issued += 1
             self.writebuf.flush(addr)
             self.controller.submit(
-                CacheRequest(RequestType.READ, addr, core_id,
+                CacheRequest(_READ, addr, core_id,
                              on_done=self._l2_fill_done, prefetch=True))
 
     def register_load(self, core: Core, token: int) -> None:
@@ -370,7 +374,7 @@ class System:
     def _submit_writeback(self, addr: int, core_id: int) -> None:
         """Write-buffer drain sink: hand one writeback to the controller."""
         self.controller.submit(
-            CacheRequest(RequestType.WRITEBACK, addr, core_id))
+            CacheRequest(_WRITEBACK, addr, core_id))
 
     # ------------------------------------------------------------- lifecycle
 
@@ -437,9 +441,9 @@ class System:
             pending.append((i << 44, n_blocks, prof.store_fraction, i + 1))
         if pending:
             array.bulk_fill_many(pending)
-        misses, victims = self.l2.filter_traces(
+        requests = self.l2.filter_traces(
             [core.trace for core in self.cores], replay_accesses)
-        array.fill_many(*interleave(misses, victims, victims_first=True))
+        array.fill_many(*interleave(*requests, victims_first=True))
         array.reset_counters()
         self.l2.stats.reset()
 

@@ -191,10 +191,10 @@ def bliss_pick(sched: BLISSScheduler, candidates: Iterable[Access],
 
     Priority: non-blacklisted > row-hit > age (global ``seq``); None when
     the candidate set is empty.  Classifies every candidate's row state
-    individually.  Applies the blacklist clearing first, as
-    ``pick_banked`` does, so both see the same blacklist.
+    individually.  Applies the blacklist clearing first, through an
+    empty ``pick_banked``, so both see the same blacklist.
     """
-    sched.maybe_clear(now)
+    sched.pick_banked((), channel, now)
     best: Optional[Access] = None
     best_key: tuple[int, int, int] | None = None
     bl = sched.blacklist

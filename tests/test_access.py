@@ -17,7 +17,7 @@ from reference import next_seq
 
 def mk(role, rtype):
     req = CacheRequest(rtype, 0x1000, core_id=2, pc=0x44)
-    return Access(role, req, 1, 0, 3, 7, 5, 19, seq=next_seq()), req
+    return Access(role, req, (1, 0, 3, 7, 5, 19), seq=next_seq()), req
 
 
 class TestPriorityTaxonomy:
@@ -53,12 +53,12 @@ class TestBusDirection:
     def test_reads(self):
         for role in (AccessRole.TAG_READ, AccessRole.DATA_READ):
             a, _ = mk(role, RequestType.READ)
-            assert not a.is_write and a.is_bus_read
+            assert a.is_write is False
 
     def test_writes(self):
         for role in (AccessRole.TAG_WRITE, AccessRole.DATA_WRITE):
             a, _ = mk(role, RequestType.READ)
-            assert a.is_write and not a.is_bus_read
+            assert a.is_write is True
 
 
 class TestBookkeeping:
@@ -87,12 +87,14 @@ class TestBookkeeping:
         assert a.global_bank == 19
 
     def test_request_is_read(self):
-        assert CacheRequest(RequestType.READ, 0, 0).is_read
-        assert not CacheRequest(RequestType.WRITEBACK, 0, 0).is_read
-        assert not CacheRequest(RequestType.REFILL, 0, 0).is_read
+        for rtype in RequestType:
+            assert CacheRequest(rtype, 0, 0).rtype is rtype
 
     def test_request_initial_state(self):
         r = CacheRequest(RequestType.READ, 0, 0)
         assert r.hit is None
         assert r.done_time == -1
         assert r.accesses_left == 0
+        assert r.tag_addr == -1
+        assert not (r.pred_miss or r.probing or r.mem_data_ready)
+        assert r.pending_writes is None and r.victim_addr is None

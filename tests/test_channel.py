@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from repro.config import DRAMOrganization, DRAMTimings
+from repro.config import DRAMOrganization, DRAMTimings, SubstrateConfig
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
 from repro.dram.channel import Channel
+from repro.dram.command import CommandChannel
 
 from reference import Bank, RowState, bank_states, row_state
 
@@ -132,6 +134,17 @@ _DIR_NONE = 0
 _DIR_READ = 1
 _DIR_WRITE = 2
 
+#: the counters one issue moves (every ChannelStats counter)
+_ISSUE_COUNTERS = (
+    "read_accesses", "write_accesses", "turnarounds",
+    "read_row_hits", "read_row_closed", "read_row_conflicts",
+    "write_row_hits", "write_row_closed", "write_row_conflicts",
+    "bus_busy_ps", "rank_switches")
+
+#: counter-name suffix of each row state
+_ROW_CLASS = {ROW_HIT: "row_hits", ROW_CLOSED: "row_closed",
+              ROW_CONFLICT: "row_conflicts"}
+
 
 class _ObjectChannel:
     """Reference channel: one ``Bank`` object per bank + the shared bus rules.
@@ -140,7 +153,9 @@ class _ObjectChannel:
     (``issue`` and pure estimates) in the per-object layout the SoA
     columns replaced, so the channel's index arithmetic is checked
     against an independent statement of the same bank state machine.
-    Statistics are omitted.
+    It tallies the issue counters (row class per direction, turnarounds,
+    bus busy time, rank switches) in :attr:`tally`, keyed like
+    :class:`~repro.dram.stats.ChannelStats`.
     """
 
     def __init__(self, timings, org):
@@ -153,6 +168,7 @@ class _ObjectChannel:
         self._last_read_end = 0
         self._last_write_end = 0
         self._last_rank = -1
+        self.tally = dict.fromkeys(_ISSUE_COUNTERS, 0)
 
     def _bus_constrained_start(self, data_ready, is_write, rank):
         start = max(data_ready, self.bus_free)
@@ -176,9 +192,19 @@ class _ObjectChannel:
         cas = b.earliest_cas(row, now)
         start = self._bus_constrained_start(cas + self.t.tCAS, is_write, rank)
         end = start + self.t.tBURST
+        direction = "write" if is_write else "read"
+        tally = self.tally
+        tally[f"{direction}_accesses"] += 1
+        tally[f"{direction}_{_ROW_CLASS[b.row_state(row)]}"] += 1
+        tally["bus_busy_ps"] += self.t.tBURST
+        if self._last_rank >= 0 and rank != self._last_rank:
+            tally["rank_switches"] += 1
+        new_dir = _DIR_WRITE if is_write else _DIR_READ
+        if self.bus_dir not in (_DIR_NONE, new_dir):
+            tally["turnarounds"] += 1
         b.commit(row, start - self.t.tCAS, is_write, end)
         self._last_rank = rank
-        self.bus_dir = _DIR_WRITE if is_write else _DIR_READ
+        self.bus_dir = new_dir
         self.bus_free = end
         if is_write:
             self._last_write_end = end
@@ -221,6 +247,8 @@ def _verify_lockstep(org, timings, stream):
         got_obj = obj.issue(rank, bank, row, is_write, now)
         assert got_soa == got_obj, f"issue #{i} diverged"
     assert bank_states(soa) == obj.capture_banks()
+    counters = soa.stats.snapshot()
+    assert {k: counters[k] for k in _ISSUE_COUNTERS} == obj.tally
 
 
 def test_soa_object_lockstep_default_org():
@@ -234,3 +262,45 @@ def test_soa_object_lockstep_multirank():
     org = DRAMOrganization(ranks_per_channel=4, banks_per_rank=8)
     stream = _make_stream(org, 4_000, seed=99)
     _verify_lockstep(org, DRAMTimings.stacked(), stream)
+
+
+def test_command_channel_issue_counters():
+    """Refresh on, ``timeout`` page policy, two ranks: the direction, rank
+    and bus counters match a tally of the issued stream, and each
+    direction's row classes sum to its accesses (refresh and policy
+    closes move accesses between row classes, never out of them)."""
+    org = DRAMOrganization(ranks_per_channel=2, banks_per_rank=8)
+    timings = DRAMTimings.stacked()
+    ch = CommandChannel(timings, org, substrate=SubstrateConfig(
+        fidelity="command", page_policy="timeout", refresh=True))
+    sub = ch.substrate
+    rng = random.Random(7)
+    stream = []
+    now = 0
+    for _ in range(4_000):
+        stream.append((rng.randrange(2), rng.randrange(8), rng.randrange(32),
+                       rng.random() < 0.4, now))
+        # Mostly back-to-back decisions; now and then an idle gap past
+        # the page timeout, or past a refresh interval.
+        r = rng.random()
+        if r < 0.9:
+            now += rng.randrange(0, 3 * timings.tBURST)
+        elif r < 0.98:
+            now += 4 * sub.page_timeout_ps
+        else:
+            now += timings.tREFI
+    for access in stream:
+        ch.issue(*access)
+    writes = [w for _r, _b, _row, w, _now in stream]
+    ranks = [r for r, _b, _row, _w, _now in stream]
+    s = ch.stats
+    assert s.write_accesses == sum(writes)
+    assert s.read_accesses == len(stream) - sum(writes)
+    assert s.turnarounds == sum(a != b for a, b in zip(writes, writes[1:]))
+    assert s.rank_switches == sum(a != b for a, b in zip(ranks, ranks[1:]))
+    assert s.bus_busy_ps == len(stream) * timings.tBURST
+    for direction in ("read", "write"):
+        classes = [getattr(s, f"{direction}_{c}") for c in _ROW_CLASS.values()]
+        assert sum(classes) == getattr(s, f"{direction}_accesses")
+        assert all(classes), f"{direction}: a row class never occurred"
+    assert s.refreshes_issued > 0 and s.policy_closes > 0

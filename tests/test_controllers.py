@@ -95,7 +95,7 @@ class TestReadRequestFlow:
         req = CacheRequest(RequestType.READ, 0x4000, 0, pc=0x100)
         submit_and_run(sim, ctrl, [req])
         # Cold MAP-I predicts miss: memory fetch launched at submit.
-        assert req.meta.get("pred_miss") is True
+        assert req.pred_miss is True
         assert ctrl.stats.memory_fetches >= 1
 
     def test_dm_read_hit_single_access(self, tiny_cfg):

@@ -91,6 +91,24 @@ def test_engine_file_scope():
     assert run.execute() == []
 
 
+@pytest.mark.parametrize("path, fires", [
+    ("src/repro/core/x.py", True),
+    ("src/repro/cache/translator.py", True),
+    ("src/repro/sim/system.py", True),
+    ("src/repro/cache/dramcache.py", False),
+    ("src/repro/sim/cpu.py", False),
+])
+def test_enum_member_scope(path, fires):
+    """R3's enum-member check covers core/, the translator and the
+    system wiring: the code every DRAM access runs."""
+    src = ("from repro.core.access import Priority\n\n"
+           "def f(a):\n    return a == Priority.PR\n")
+    run = LintRun(modules=[SourceModule(Path(path), src)], rules=all_rules(),
+                  project_root=None)
+    assert [(f.rule, f.line) for f in run.execute()] == (
+        [("R3", 4)] if fires else [])
+
+
 # --- suppressions ---------------------------------------------------------
 
 def test_line_suppression_is_rule_specific():

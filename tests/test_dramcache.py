@@ -142,6 +142,18 @@ class TestLocations:
         addr = 0x123440
         assert dm.tag_location(addr) == dm.data_location(addr, 0)
 
+    def test_data_offsets_hold_for_every_set(self, array):
+        """The translator's data address, tag location + per-way offset,
+        is ``data_location`` for every set and way."""
+        n = array.dm.num_entries if array.is_direct_mapped else array.sa.num_sets
+        ways = len(array.data_offsets)
+        assert ways == (1 if array.is_direct_mapped else array.sa.ways)
+        for s in (0, 1, 2, 3, 4, 5, n // 2 + 1, n - 1):
+            addr = s * GEOM.block_bytes + (7 * n * GEOM.block_bytes)
+            for w in range(ways):
+                assert (array.tag_location(addr) + array.data_offsets[w]
+                        == array.data_location(addr, w))
+
     def test_helpers_map_arrays_like_scalars(self, array):
         """The address helpers take int64 arrays element-wise, including
         the set-count wrap, and never modify the array passed in."""

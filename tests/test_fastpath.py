@@ -57,7 +57,7 @@ def random_state(rng, n_accesses, read_fraction=0.6, writes=False):
                      else RequestType.WRITEBACK)
         req = CacheRequest(rtype, rng.randrange(1 << 20),
                            rng.randrange(NUM_CORES))
-        q.push(Access(role, req, 0, rank, bank, rng.randrange(8), 0, gb,
+        q.push(Access(role, req, (0, rank, bank, rng.randrange(8), 0, gb),
                       seq=next_seq()))
     return q, channel
 
@@ -139,8 +139,9 @@ class TestOFSEquivalence:
             rtype = (RequestType.READ if rng.random() < 0.3
                      else RequestType.WRITEBACK)
             req = CacheRequest(rtype, 0, rng.randrange(4))
-            rq.push(Access(AccessRole.TAG_READ, req, 0, rank, bank,
-                           rng.randrange(8), 0, gb, seq=next_seq()))
+            rq.push(Access(AccessRole.TAG_READ, req,
+                           (0, rank, bank, rng.randrange(8), 0, gb),
+                           seq=next_seq()))
         naive = ofs_naive_candidates(rq, channel, ctrl.rrpc,
                                      ctrl.cfg.dca.flushing_factor)
         buckets = ctrl._ofs_buckets(0)
@@ -203,7 +204,7 @@ class TestSteadyStateLockstep:
             rank, bank = divmod(gb, banks_per_rank)
             req = CacheRequest(rtype, rng.randrange(1 << 20),
                                rng.randrange(NUM_CORES))
-            return Access(role, req, 0, rank, bank, rng.randrange(8), 0, gb,
+            return Access(role, req, (0, rank, bank, rng.randrange(8), 0, gb),
                           seq=next_seq())
 
         def replacements():
@@ -327,8 +328,8 @@ class TestHypothesisLockstep:
             role, rtype = CLASS_SHAPES[klass]
             rank, bank = divmod(b, org.banks_per_rank)
             req = CacheRequest(rtype, 0, core)
-            accesses.append(Access(role, req, LOCKSTEP_CHANNEL, rank, bank,
-                                   row, 0, base + b, seq=seq))
+            accesses.append(Access(role, req, (LOCKSTEP_CHANNEL, rank, bank,
+                                               row, 0, base + b), seq=seq))
         to_push = [accesses[i] for i in order]
         q = AccessQueue(len(accesses))
         live: list[Access] = []
@@ -387,7 +388,7 @@ class TestScheduleAllHysteresis:
             rq.remove(list(rq)[-1])
         while len(rq) < n:
             req = CacheRequest(RequestType.WRITEBACK, 0, 0)
-            rq.push(Access(AccessRole.TAG_READ, req, 0, 0, 0, 0, 0, 0,
+            rq.push(Access(AccessRole.TAG_READ, req, (0, 0, 0, 0, 0, 0),
                            seq=next_seq()))
 
     def test_exactly_at_high_watermark_stays_off(self, tiny_cfg):

@@ -525,17 +525,20 @@ class TestFilterTraces:
         per = len(refs) // n_traces
         traces = [iter(refs[i * per:(i + 1) * per + 1])
                   for i in range(n_traces)]
-        misses, victims = cache.filter_traces(traces, per)
+        misses, rows, victims = cache.filter_traces(traces, per)
 
-        expected_misses, expected_victims = [], []
+        expected_misses, expected_rows, expected_victims = [], [], []
         for i in range(n_traces):
             for _gap, addr, is_write, _pc in refs[i * per:(i + 1) * per]:
                 hit, victim = ref.access(addr & ~63, is_write)
                 if not hit:
+                    if victim is not None:
+                        expected_rows.append(len(expected_misses))
+                        expected_victims.append(victim)
                     expected_misses.append(addr & ~63)
-                    expected_victims.append(-1 if victim is None else victim)
-        assert misses.dtype == victims.dtype == np.int64
+        assert misses.dtype == rows.dtype == victims.dtype == np.int64
         assert misses.tolist() == expected_misses
+        assert rows.tolist() == expected_rows
         assert victims.tolist() == expected_victims
         assert _lru_contents(cache) == _lru_contents(ref)
         assert cache.stats.snapshot() == ref.stats.snapshot()
@@ -551,22 +554,28 @@ class TestFilterTraces:
 
 class TestInterleave:
     MISSES = np.array([10, 20, 30, 40], dtype=np.int64)
-    VICTIMS = np.array([-1, 5, 7, -1], dtype=np.int64)
+    # Misses 1 and 2 displaced dirty lines 5 and 7.
+    ROWS = np.array([1, 2], dtype=np.int64)
+    VICTIMS = np.array([5, 7], dtype=np.int64)
 
     def test_demand_first(self):
-        addrs, is_victim = interleave(self.MISSES, self.VICTIMS)
+        addrs, is_victim = interleave(self.MISSES, self.ROWS, self.VICTIMS)
         assert addrs.tolist() == [10, 20, 5, 30, 7, 40]
         assert is_victim.tolist() == [False, False, True, False, True, False]
 
     def test_victims_first(self):
-        addrs, is_victim = interleave(self.MISSES, self.VICTIMS,
+        addrs, is_victim = interleave(self.MISSES, self.ROWS, self.VICTIMS,
                                       victims_first=True)
         assert addrs.tolist() == [10, 5, 20, 7, 30, 40]
         assert is_victim.tolist() == [False, True, False, True, False, False]
 
+    def test_inputs_untouched(self):
+        interleave(self.MISSES, self.ROWS, self.VICTIMS)
+        assert self.ROWS.tolist() == [1, 2]
+
     def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
-        addrs, is_victim = interleave(empty, empty)
+        addrs, is_victim = interleave(empty, empty, empty)
         assert len(addrs) == len(is_victim) == 0
 
 class TestMSHR:

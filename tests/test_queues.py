@@ -10,7 +10,7 @@ from reference import low_priority_reads, next_seq, priority_reads
 
 def mk(role=AccessRole.TAG_READ, rtype=RequestType.READ):
     req = CacheRequest(rtype, 0, 0)
-    return Access(role, req, 0, 0, 0, 0, 0, 0, seq=next_seq())
+    return Access(role, req, (0, 0, 0, 0, 0, 0), seq=next_seq())
 
 
 class TestCapacity:
@@ -130,7 +130,7 @@ class TestIndexes:
         accs = []
         for gb, core in ((0, 0), (0, 0), (3, 0), (5, 0), (3, 0), (3, 1)):
             req = CacheRequest(RequestType.READ, 0, core)
-            a = Access(AccessRole.TAG_READ, req, 0, 0, gb, 0, 0, gb,
+            a = Access(AccessRole.TAG_READ, req, (0, 0, gb, 0, 0, gb),
                        seq=next_seq())
             accs.append(a)
             q.push(a)
@@ -177,7 +177,7 @@ class TestIndexes:
                                     RequestType.REFILL])
                 role = rng.choice([AccessRole.TAG_READ, AccessRole.DATA_WRITE])
                 req = CacheRequest(rtype, 0, rng.randrange(3))
-                a = Access(role, req, 0, 0, gb, rng.randrange(4), 0, gb,
+                a = Access(role, req, (0, 0, gb, rng.randrange(4), 0, gb),
                            seq=next_seq())
                 if rng.random() < 0.2:
                     held.append(a)
@@ -226,7 +226,7 @@ class TestIndexes:
         q = AccessQueue(4)
         a = mk()
         q.push(a)
-        twin = Access(AccessRole.TAG_READ, a.request, 0, 0, 0, 0, 0, 0,
+        twin = Access(AccessRole.TAG_READ, a.request, (0, 0, 0, 0, 0, 0),
                       seq=a.seq)
         with pytest.raises(ValueError):
             q.remove(twin)

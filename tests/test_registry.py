@@ -307,7 +307,7 @@ class TestRestoreEdgeCases:
 
         def mk():
             req = CacheRequest(RequestType.READ, 0x40, 0)
-            return Access(AccessRole.TAG_READ, req, 0, 0, 0, 1, 0, 0,
+            return Access(AccessRole.TAG_READ, req, (0, 0, 0, 1, 0, 0),
                           seq=next_seq())
 
         q = AccessQueue(4)

@@ -16,8 +16,8 @@ from reference import bliss_pick, next_seq
 def mk_access(core=0, bank=0, row=0, role=AccessRole.TAG_READ,
               rtype=RequestType.READ):
     req = CacheRequest(rtype, 0, core)
-    return Access(role, req, channel=0, rank=0, bank=bank, row=row, col=0,
-                  global_bank=bank, seq=next_seq())
+    # coordinates: (channel, rank, bank, row, col, global_bank)
+    return Access(role, req, (0, 0, bank, row, 0, bank), seq=next_seq())
 
 
 def pick(sched, candidates, channel, now):
@@ -83,7 +83,9 @@ class TestBLISS:
         for _ in range(4):
             s.on_served(0)
         assert s.blacklist[0]
-        s.maybe_clear(now=2000)
+        assert s.pick_banked((), channel, 999) is None
+        assert s.blacklist[0]
+        s.pick_banked((), channel, 2000)    # a pick clears, then scans
         assert not s.blacklist[0]
 
     def test_blacklist_beats_row_hit(self, channel):
@@ -114,7 +116,7 @@ class TestFRFCFS:
 
     def test_interface_parity(self, channel):
         s = FRFCFSScheduler(BLISSConfig(), 4)
-        s.maybe_clear(0)
+        assert s.pick_banked((), channel, 0) is None
         s.on_served(1)
         assert s.served == 1
 

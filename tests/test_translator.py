@@ -27,6 +27,12 @@ def refill_req(addr=0x4000):
     return CacheRequest(RequestType.REFILL, addr, core_id=0)
 
 
+def tag_read_done(tr, req):
+    """Build ``req``'s tag read, then resolve it as on its completion."""
+    tr.initial_access(req)
+    return tr.after_tag_read(req)
+
+
 class TestSetAssociativeRead:
     def test_initial_is_tag_read(self):
         _, tr = make("sa")
@@ -37,7 +43,7 @@ class TestSetAssociativeRead:
     def test_hit_generates_data_read_and_tag_write(self):
         array, tr = make("sa")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(read_req())
+        out = tag_read_done(tr, read_req())
         assert out.hit
         roles = [a.role for a in out.next_accesses]
         assert roles == [AccessRole.DATA_READ, AccessRole.TAG_WRITE]
@@ -51,13 +57,13 @@ class TestSetAssociativeRead:
     def test_data_read_critical_tag_write_not(self):
         array, tr = make("sa")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(read_req())
+        out = tag_read_done(tr, read_req())
         data, tagw = out.next_accesses
         assert data.critical and not tagw.critical
 
     def test_miss_requests_memory_fetch(self):
         _, tr = make("sa")
-        out = tr.after_tag_read(read_req())
+        out = tag_read_done(tr, read_req())
         assert not out.hit
         assert out.next_accesses == []
 
@@ -74,7 +80,7 @@ class TestSetAssociativeWriteback:
     def test_hit_generates_two_writes(self):
         array, tr = make("sa")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(wb_req())
+        out = tag_read_done(tr, wb_req())
         assert out.hit
         roles = [a.role for a in out.next_accesses]
         assert roles == [AccessRole.DATA_WRITE, AccessRole.TAG_WRITE]
@@ -82,7 +88,7 @@ class TestSetAssociativeWriteback:
 
     def test_miss_clean_victim_no_extra_read(self):
         _, tr = make("sa")
-        out = tr.after_tag_read(wb_req())
+        out = tag_read_done(tr, wb_req())
         assert not out.hit
         assert out.victim_read is None
         assert out.victim_mem_write is None
@@ -97,7 +103,7 @@ class TestSetAssociativeWriteback:
         for t in range(15):
             array.fill(array.sa.block_addr(set_idx, t) * 64, dirty=True)
         new_addr = array.sa.block_addr(set_idx, 20) * 64
-        out = tr.after_tag_read(wb_req(new_addr))
+        out = tag_read_done(tr, wb_req(new_addr))
         assert not out.hit
         assert out.victim_read is not None
         assert out.victim_read.role == AccessRole.DATA_READ
@@ -112,17 +118,17 @@ class TestSetAssociativeWriteback:
         """Paper: 'this translation is identical to the write request'."""
         _, tr1 = make("sa")
         _, tr2 = make("sa")
-        out_wb = tr1.after_tag_read(wb_req())
-        out_rf = tr2.after_tag_read(refill_req())
+        out_wb = tag_read_done(tr1, wb_req())
+        out_rf = tag_read_done(tr2, refill_req())
         assert ([a.role for a in out_wb.next_accesses]
                 == [a.role for a in out_rf.next_accesses])
 
     def test_refill_inserts_clean_writeback_dirty(self):
         array1, tr1 = make("sa")
-        tr1.after_tag_read(wb_req(0x4000))
+        tag_read_done(tr1, wb_req(0x4000))
         assert array1.probe(0x4000).dirty
         array2, tr2 = make("sa")
-        tr2.after_tag_read(refill_req(0x4000))
+        tag_read_done(tr2, refill_req(0x4000))
         assert not array2.probe(0x4000).dirty
 
 
@@ -131,7 +137,7 @@ class TestDirectMapped:
         """Alloy: tag+data in one burst, so a read hit is ONE access."""
         array, tr = make("dm")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(read_req())
+        out = tag_read_done(tr, read_req())
         assert out.hit
         assert out.next_accesses == []
         assert tr.accesses_per_read_hit() == 1
@@ -139,7 +145,7 @@ class TestDirectMapped:
     def test_writeback_two_accesses(self):
         array, tr = make("dm")
         array.fill(0x4000, dirty=False)
-        out = tr.after_tag_read(wb_req())
+        out = tag_read_done(tr, wb_req())
         assert [a.role for a in out.next_accesses] == [AccessRole.DATA_WRITE]
         assert tr.accesses_per_writeback_hit() == 2
 
@@ -148,7 +154,7 @@ class TestDirectMapped:
         array, tr = make("dm")
         conflict = array.dm.num_entries * 64  # same entry, other tag
         array.fill(conflict, dirty=True)
-        out = tr.after_tag_read(wb_req(0x0))
+        out = tag_read_done(tr, wb_req(0x0))
         assert not out.hit
         assert out.victim_read is None
         assert out.victim_mem_write == conflict
@@ -160,5 +166,5 @@ class TestRequestHitState:
         array.fill(0x4000, dirty=False)
         req = read_req()
         assert req.hit is None
-        tr.after_tag_read(req)
+        tag_read_done(tr, req)
         assert req.hit is True
