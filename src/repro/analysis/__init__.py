@@ -5,9 +5,10 @@ not know about: determinism (results must be bit-reproducible), no hidden
 globals (no mutable module state shared by the runs in one process),
 hot-path hygiene (``__slots__`` on hot classes), estimate
 purity (probing must never bend results), metrics discipline (counters
-flow through the registry) and schema discipline (version bumps are
-documented).  PRs 4-6 each fixed a bug from one of these classes by
-hand; this package makes them machine-checked.
+flow through the registry), schema discipline (version bumps are
+documented) and engine state (the event queue's ``(time, seq)``
+accounting stays in the engine).  PRs 4-6 each fixed a bug from one of
+these classes by hand; this package makes them machine-checked.
 
 Usage::
 

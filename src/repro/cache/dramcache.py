@@ -115,9 +115,9 @@ class DRAMCacheArray:
             self._num_sets, self._ways = self.sa.num_sets, self.sa.ways
         #: array-address offset of each way's data block from its set's
         #: tag structure (the same for every set): ``data_location(addr,
-        #: way) == tag_location(addr) + data_offsets[way]``, so a request
-        #: that knows its tag location finds its data without decoding
-        #: its set again.  DM's one way is the TAD itself (offset 0).
+        #: way) == tag_location(addr) + data_offsets[way]``; the
+        #: translator checks with it that a set's blocks share one DRAM
+        #: row.  DM's one way is the TAD itself (offset 0).
         self.data_offsets: tuple[int, ...] = tuple(
             self.data_location(0, w) - self.tag_location(0)
             for w in range(self._ways))

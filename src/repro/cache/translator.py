@@ -23,11 +23,16 @@ cache writeback/refill TAD read ; -> TAD write (victim data, if
 
 The translator is pure policy: it builds :class:`~repro.core.access.Access`
 objects with their array coordinates but does not touch queues or timing.
+It decodes a request's coordinates once, at its tag read: every later
+access of the request lies in the same DRAM row (the tag block and data
+ways of a set share one, and the mapper's column bits are the lowest),
+so it differs only in the column, which no access keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Optional
 
 from repro.cache.dramcache import DRAMCacheArray
@@ -63,7 +68,7 @@ class Translator:
         self.array = array
         self.mapper = mapper
         self._coordinates = mapper.coordinates
-        self._data_offsets = array.data_offsets
+        _check_set_rows(array, mapper)
         # Per-system access age counter (the schedulers' final tiebreak).
         # Owned here, not by the Access class, so two systems run in one
         # process (warm forks, pool workers) never interleave their
@@ -72,11 +77,11 @@ class Translator:
 
     # -- access construction ----------------------------------------------------
 
-    def _make(self, role: AccessRole, req: CacheRequest, array_addr: int,
+    def _make(self, role: AccessRole, req: CacheRequest,
               critical: bool = True) -> Access:
+        """A follow-on access of ``req``, at its tag's coordinates."""
         self._seq += 1
-        return Access(role, req, self._coordinates(array_addr), self._seq,
-                      critical)
+        return Access(role, req, req.tag_coords, self._seq, critical)
 
     # -- stage 1 ------------------------------------------------------------------
 
@@ -85,11 +90,13 @@ class Translator:
 
         In the direct-mapped organization a *read* request's tag read is the
         TAD read itself (tag and data return together), so a read hit
-        finishes with this single access.  Records the tag location on
-        the request: its later tag (or TAD) write targets the same block.
+        finishes with this single access.  Records the tag's coordinates
+        on the request: its later accesses share them.
         """
-        req.tag_addr = tag_addr = self.array.tag_location(req.addr)
-        return self._make(_TAG_READ, req, tag_addr)
+        req.tag_coords = coords = self._coordinates(
+            self.array.tag_location(req.addr))
+        self._seq += 1
+        return Access(_TAG_READ, req, coords, self._seq)
 
     # -- stage 2 ------------------------------------------------------------------
 
@@ -107,10 +114,9 @@ class Translator:
         if self.array.is_direct_mapped:
             # TAD read already returned the data; no further access.
             return TagOutcome(hit=True)
-        data = self._make(_DATA_READ, req,
-                          req.tag_addr + self._data_offsets[res.way])
+        data = self._make(_DATA_READ, req)
         # Replacement-bit update; off the critical path.
-        tagw = self._make(_TAG_WRITE, req, req.tag_addr, critical=False)
+        tagw = self._make(_TAG_WRITE, req, critical=False)
         return TagOutcome(hit=True, next_accesses=[data, tagw])
 
     def _after_write_tag(self, req: CacheRequest) -> TagOutcome:
@@ -119,12 +125,10 @@ class Translator:
         req.hit = res.hit
         dirty_insert = req.rtype == _WRITEBACK
         if res.hit:
-            way = res.way
             victim_mem_write = None
             victim_read = None
         else:
             fill = self.array.fill(req.addr, dirty=dirty_insert)
-            way = fill.way
             victim_mem_write = (fill.victim_block_addr
                                 if fill.victim_dirty else None)
             victim_read = None
@@ -132,18 +136,14 @@ class Translator:
                 # RDw: the victim's data must be read before it is
                 # overwritten (paper Fig. 2).  In the direct-mapped
                 # organization the TAD read already returned it.
-                victim_read = self._make(
-                    _DATA_READ, req, req.tag_addr + self._data_offsets[way])
+                victim_read = self._make(_DATA_READ, req)
 
         if self.array.is_direct_mapped:
             # One TAD write carries tag+data together.
-            writes = [self._make(_DATA_WRITE, req, req.tag_addr)]
+            writes = [self._make(_DATA_WRITE, req)]
         else:
-            writes = [
-                self._make(_DATA_WRITE, req,
-                           req.tag_addr + self._data_offsets[way]),
-                self._make(_TAG_WRITE, req, req.tag_addr),
-            ]
+            writes = [self._make(_DATA_WRITE, req),
+                      self._make(_TAG_WRITE, req)]
         return TagOutcome(hit=res.hit, next_accesses=writes,
                           victim_read=victim_read,
                           victim_mem_write=victim_mem_write)
@@ -157,3 +157,25 @@ class Translator:
     def accesses_per_writeback_hit(self) -> int:
         """How many array accesses a writeback hit costs (3 SA, 2 DM)."""
         return 2 if self.array.is_direct_mapped else 3
+
+
+def _check_set_rows(array: DRAMCacheArray, mapper: AddressMapper) -> None:
+    """Reject a layout that splits a set across DRAM rows.
+
+    A byte address's coordinates other than the column are a function of
+    ``addr // row_bytes``, and the layout repeats every
+    ``lcm(row_bytes, layout row)`` bytes, so checking the sets of one
+    period covers them all.
+    """
+    if array.is_direct_mapped:
+        return      # a set is one TAD: tag and data share an address
+    row = mapper.org.row_bytes
+    layout = array.geometry.row_bytes
+    period = lcm(row, layout) // layout * array.sa.sets_per_row
+    for s in range(min(period, array.sa.num_sets)):
+        tag = array.tag_location_of_set(s)
+        if any((tag + off) // row != tag // row
+               for off in array.data_offsets):
+            raise ValueError(
+                f"set {s} spans two {row}-byte DRAM rows: the cache "
+                f"layout needs a set's tag and data blocks in one row")

@@ -66,18 +66,27 @@ _LR = Priority.LR
 _WRITE = Priority.WRITE
 
 
+#: ``(channel, rank, bank, row, col, global_bank)``, as
+#: :meth:`repro.dram.address.AddressMapper.coordinates` returns them
+Coordinates = tuple[int, int, int, int, int, int]
+
+#: ``CacheRequest.tag_coords`` before the translator sets it
+NO_COORDS: Coordinates = (-1, -1, -1, -1, -1, -1)
+
+
 class CacheRequest:
     """One L2-level request to the DRAM cache.
 
     Besides the request itself it carries the controller's per-request
-    state: the array address of its tag structure (computed once, at the
-    tag read), MAP-I's ``pred_miss``/``probing`` flags and early
-    ``mem_data_ready`` arrival, and a dirty-victim writeback's deferred
-    ``pending_writes`` and ``victim_addr``.
+    state: the DRAM coordinates of its tag structure (decoded once, at
+    the tag read, and shared by its later accesses), MAP-I's
+    ``pred_miss``/``probing`` flags and early ``mem_data_ready``
+    arrival, and a dirty-victim writeback's deferred ``pending_writes``
+    and ``victim_addr``.
     """
 
     __slots__ = ("rtype", "addr", "core_id", "pc", "arrival", "done_time",
-                 "on_done", "hit", "accesses_left", "prefetch", "tag_addr",
+                 "on_done", "hit", "accesses_left", "prefetch", "tag_coords",
                  "pred_miss", "probing", "mem_data_ready", "pending_writes",
                  "victim_addr")
 
@@ -95,7 +104,7 @@ class CacheRequest:
         self.hit: Optional[bool] = None   # resolved at tag-read completion
         self.accesses_left = 0            # live accesses gating completion
         self.prefetch = prefetch          # speculative read: LR class, no MAP-I
-        self.tag_addr = -1                # set by Translator.initial_access
+        self.tag_coords = NO_COORDS       # set by Translator.initial_access
         self.pred_miss = False            # MAP-I predicted a miss
         self.probing = False              # memory fetched before the tag check
         self.mem_data_ready = False       # ... and its data already returned
@@ -108,15 +117,10 @@ class CacheRequest:
                 f"core={self.core_id}, t={self.arrival})")
 
 
-#: ``(channel, rank, bank, row, col, global_bank)``, as
-#: :meth:`repro.dram.address.AddressMapper.coordinates` returns them
-Coordinates = tuple[int, int, int, int, int, int]
-
-
 class Access:
     """One DRAM array access; the unit the controller schedules."""
 
-    __slots__ = ("role", "request", "channel", "rank", "bank", "row", "col",
+    __slots__ = ("role", "request", "channel", "rank", "bank", "row",
                  "global_bank", "seq", "priority", "critical", "core_id",
                  "is_write")
 
@@ -124,7 +128,9 @@ class Access:
                  coords: Coordinates, seq: int, critical: bool = True):
         self.role = role
         self.request = request
-        (self.channel, self.rank, self.bank, self.row, self.col,
+        # The column is dropped: a request's accesses share its tag's
+        # coordinates (Translator._make), and no scheduler reads it.
+        (self.channel, self.rank, self.bank, self.row, _col,
          self.global_bank) = coords
         # Age tiebreak for the schedulers, drawn from the per-system
         # Translator counter (never a class global: systems sharing a

@@ -26,7 +26,11 @@ registers a post-issue hook (``_issue_hook``).
 Every DRAM access walks this module's loop (kick -> decide -> select ->
 pick -> issue -> complete), so it routes each access once, tests the
 decision-pending flag inline where it kicks, and makes no call that
-would do nothing (see DESIGN.md, "Indexed scheduling fast path").
+would do nothing (see DESIGN.md, "Indexed scheduling fast path").  It
+takes a decision only when the channel's in-flight window has a free
+slot: the completion that frees one kicks, as its last action, through
+:meth:`~repro.sim.engine.Simulator.asap`, which runs the decision at
+once when it would be the next event anyway.
 """
 
 from __future__ import annotations
@@ -205,31 +209,28 @@ class BaseController:
         else:
             q, waitq = self.read_q[ch], self.waiting_r[ch]
         if q.has_room() and not waitq:
-            q.push(first, now)
+            q.push(first)
             self._kick(ch)
         else:
             waitq.append(first)
 
     def _enqueue(self, access: Access) -> None:
-        """Queue a continuation access (reserved slot: never waits)."""
-        ch = access.channel
-        now = self.sim.now
-        (self.write_q if self._route(access) else self.read_q)[ch].push(
-            access, now)
-        pending = self._decision_pending
-        if not pending[ch]:             # _kick, inline
-            pending[ch] = True
-            self.sim.at(now, self._decide, ch)
+        """Queue a continuation access (reserved slot: never waits).
+
+        Only completions call this, for an access on the completing
+        access's channel (a set's tag and data blocks share one row), so
+        the completion's closing kick covers it."""
+        (self.write_q if self._route(access) else self.read_q)[
+            access.channel].push(access)
 
     def _admit(self, ch: int) -> None:
         """Move waiting requests into queues as slots free up (FIFO per
         queue); called only when a wait FIFO is non-empty."""
-        now = self.sim.now
         moved = False
         for q, w in ((self.read_q[ch], self.waiting_r[ch]),
                      (self.write_q[ch], self.waiting_w[ch])):
             while w and q.has_room():
-                q.push(w.popleft(), now)
+                q.push(w.popleft())
                 moved = True
         if moved:
             self._kick(ch)
@@ -238,8 +239,15 @@ class BaseController:
 
     def _kick(self, ch: int) -> None:
         """Arrange a scheduling decision for channel ``ch`` at the current
-        time.  The per-access paths test the flag inline instead."""
-        if self._decision_pending[ch]:
+        time, unless one is pending or the in-flight window is full.
+
+        A full window needs no decision: the completion that frees a slot
+        takes one (:meth:`_access_complete`).  So :meth:`submit`,
+        :meth:`_admit` and :meth:`flush_all` schedule a decision here
+        only when it can issue; completions take theirs through
+        :meth:`~repro.sim.engine.Simulator.asap`."""
+        if (self._decision_pending[ch]
+                or self._in_flight[ch] >= self._issue_window):
             return
         self._decision_pending[ch] = True
         self.sim.at(self.sim.now, self._decide, ch)
@@ -264,7 +272,7 @@ class BaseController:
             if picked is None:
                 break
             access, queue = picked
-            queue.remove(access, now)
+            queue.remove(access)
 
             # Observable read-priority-inversion accounting: an LR-class
             # bus read issued while a PR-class read waits on this channel.
@@ -279,6 +287,7 @@ class BaseController:
                 self._issue_hook(access)
             self.sim.at(end, self._access_complete, access)
             if self.waiting_r[ch] or self.waiting_w[ch]:
+                self._in_flight[ch] = in_flight     # _admit's kick reads it
                 self._admit(ch)
         self._in_flight[ch] = in_flight
 
@@ -412,10 +421,13 @@ class BaseController:
                 req.accesses_left -= 1
                 if req.accesses_left == 0:
                     self._write_request_done(req)
+        # The closing kick (_kick, inline; this completion freed a slot).
+        # It is this event's last action, so the engine may run the
+        # decision at once rather than queue it (Simulator.asap).
         pending = self._decision_pending
-        if not pending[ch]:             # _kick, inline
+        if not pending[ch]:
             pending[ch] = True
-            self.sim.at(self.sim.now, self._decide, ch)
+            self.sim.asap(self._decide, ch)
 
     def _tag_read_done(self, req: CacheRequest) -> None:
         outcome = self.translator.after_tag_read(req)
@@ -519,18 +531,11 @@ class BaseController:
 
         Deliberately narrower than ``self.metrics.reset()``: the system
         harness mounts further groups into this registry, some of which
-        (MAP-I, Lee) accumulate across the warm-up boundary.  Queue
-        occupancy integrals restart here too, so ``mean_occupancy``
-        covers the measured interval only.
+        (MAP-I, Lee) accumulate across the warm-up boundary.
         """
         self.stats.reset()
         self.device.metrics.reset()
         self.array.reset_counters()
-        now = self.sim.now
-        for q in self.read_q:
-            q.reset_accounting(now)
-        for q in self.write_q:
-            q.reset_accounting(now)
 
     def queues_empty(self) -> bool:
         return (all(not len(q) for q in self.read_q)

@@ -85,8 +85,7 @@ class BankBucket:
 class AccessQueue:
     """A bounded scheduling pool (not FIFO: schedulers pick by policy)."""
 
-    __slots__ = ("capacity", "classes", "pr_view", "size",
-                 "_occupancy_integral", "_last_t", "_t0")
+    __slots__ = ("capacity", "classes", "pr_view", "size")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -101,10 +100,6 @@ class AccessQueue:
         #: queued accesses (``len(queue)``; the controller's hot path
         #: reads the slot and skips the ``__len__`` call)
         self.size = 0
-        # time-weighted occupancy, for average-occupancy reporting
-        self._occupancy_integral = 0
-        self._last_t = 0
-        self._t0 = 0
 
     def __len__(self) -> int:
         return self.size
@@ -132,14 +127,8 @@ class AccessQueue:
         """Admission check for *new* requests."""
         return self.size < self.capacity
 
-    def push(self, access: Access, now: int = 0) -> None:
+    def push(self, access: Access) -> None:
         """Add an access (continuations may exceed nominal capacity)."""
-        # Occupancy accounting, inline (as in remove): the integral of
-        # ``size`` over time, advanced to ``now``.
-        last = self._last_t
-        if now > last:
-            self._occupancy_integral += self.size * (now - last)
-            self._last_t = now
         seq = access.seq
         gb = access.global_bank
         core = access.core_id
@@ -165,11 +154,7 @@ class AccessQueue:
                 bucket.rows.insert(i, access.row)
         self.size += 1
 
-    def remove(self, access: Access, now: int = 0) -> None:
-        last = self._last_t
-        if now > last:
-            self._occupancy_integral += self.size * (now - last)
-            self._last_t = now
+    def remove(self, access: Access) -> None:
         key = access.global_bank << CORE_BITS | access.core_id
         buckets = self.classes[access.priority]
         bucket = buckets.get(key)
@@ -190,27 +175,6 @@ class AccessQueue:
                     self.size -= 1
                     return
         raise ValueError("access not in queue")
-
-    # -- occupancy accounting ---------------------------------------------------
-
-    def reset_accounting(self, now: int) -> None:
-        """Restart the time-weighted occupancy integral at ``now``.
-
-        Called at the warm-up boundary so :meth:`mean_occupancy` reports
-        the measured interval only, not warm-up traffic from t=0.
-        """
-        self._occupancy_integral = 0
-        self._last_t = now
-        self._t0 = now
-
-    def mean_occupancy(self, now: int) -> float:
-        """Time-averaged entry count since construction or the last
-        :meth:`reset_accounting`."""
-        if now > self._last_t:
-            self._occupancy_integral += self.size * (now - self._last_t)
-            self._last_t = now
-        span = now - self._t0
-        return self._occupancy_integral / span if span > 0 else 0.0
 
     # -- self-checks (tests only; O(n)) -----------------------------------------
 

@@ -15,6 +15,10 @@ simplest representation in CPython.
 There is no cancellation: a component whose scheduled callback can go
 stale (a core's load wakeups) drops it itself by token, so every entry
 in the heap will run and ``pending()`` is the heap's length.
+
+:meth:`Simulator.asap` schedules at the current time, but runs the
+callback at once when it would be the very next event popped anyway;
+the ``(time, seq)`` accounting of that shortcut stays in this module.
 """
 
 from __future__ import annotations
@@ -70,13 +74,35 @@ class Simulator:
             raise ValueError(f"negative delay: {delay}")
         self.at(self.now + delay, fn, arg)
 
+    def asap(self, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """``at(now, fn, arg)``, run inline when it would be next anyway.
+
+        Meant as the last action of an event callback.  When no queued
+        event is due at ``now`` and no stop is pending, the new event
+        would be the very next one the loop pops, so ``fn(arg)`` runs at
+        once: it takes its ``seq`` and counts in ``events_run`` exactly
+        as the popped event would, and the run is order-identical.
+        Otherwise it is queued with :meth:`at`.
+
+        An inline callback runs inside the event that called ``asap``.
+        It counts in ``events_run`` but not against ``run``'s
+        ``max_events``, which bounds the events popped from the queue.
+        """
+        heap = self._heap
+        if self._stop_requested or (heap and heap[0][0] <= self.now):
+            self.at(self.now, fn, arg)
+            return
+        self._seq += 1
+        self._events_run += 1
+        fn(arg)
+
     def pending(self) -> int:
         """Number of events in the queue."""
         return len(self._heap)
 
     @property
     def events_run(self) -> int:
-        """Total callbacks executed so far (for progress reporting)."""
+        """Total callbacks executed so far, inline ones included."""
         return self._events_run
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:

@@ -241,7 +241,8 @@ class NaiveSimulator:
 
     Pending events sit in an unordered list; each dispatch removes the
     one with the least ``(time, seq)``.  ``run(until=, max_events=)``,
-    ``drain()`` and ``stop()`` follow the engine's documented semantics,
+    ``drain()``, ``stop()`` and ``asap()`` follow the engine's documented
+    semantics,
     including the pinned quirk that an exhausted budget still advances
     the clock to ``until``.
     """
@@ -266,6 +267,16 @@ class NaiveSimulator:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         self.at(self.now + delay, fn, arg)
+
+    def asap(self, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """Run ``fn(arg)`` at once, as the next event, when no queued
+        event is due and no stop is pending; else queue it at ``now``."""
+        if self._stop_requested or any(e[0] <= self.now for e in self._events):
+            self.at(self.now, fn, arg)
+            return
+        self._seq += 1
+        self.events_run += 1
+        fn(arg)
 
     def pending(self) -> int:
         return len(self._events)

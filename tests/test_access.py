@@ -4,6 +4,7 @@ from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.translator import Translator
 from repro.config import DRAMCacheGeometry, DRAMOrganization
 from repro.core.access import (
+    NO_COORDS,
     Access,
     AccessRole,
     CacheRequest,
@@ -83,7 +84,7 @@ class TestBookkeeping:
 
     def test_coordinates_stored(self):
         a, _ = mk(AccessRole.TAG_READ, RequestType.READ)
-        assert (a.channel, a.rank, a.bank, a.row, a.col) == (1, 0, 3, 7, 5)
+        assert (a.channel, a.rank, a.bank, a.row) == (1, 0, 3, 7)
         assert a.global_bank == 19
 
     def test_request_is_read(self):
@@ -95,6 +96,6 @@ class TestBookkeeping:
         assert r.hit is None
         assert r.done_time == -1
         assert r.accesses_left == 0
-        assert r.tag_addr == -1
+        assert r.tag_coords == NO_COORDS
         assert not (r.pred_miss or r.probing or r.mem_data_ready)
         assert r.pending_writes is None and r.victim_addr is None

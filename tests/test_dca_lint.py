@@ -58,11 +58,11 @@ def test_fixture_findings_match_markers(path):
 
 
 def test_fixture_suite_is_meaningful():
-    """At least one positive fixture per per-module rule R1..R5."""
+    """At least one positive fixture per per-module rule (R1..R5, R7)."""
     fired = set()
     for path in FIXTURE_FILES:
         fired |= {rule for _, rule in expected_findings(path)}
-    assert {"R1", "R2", "R3", "R4", "R5"} <= fired
+    assert {"R1", "R2", "R3", "R4", "R5", "R7"} <= fired
 
 
 # --- package scoping ------------------------------------------------------
@@ -89,6 +89,19 @@ def test_engine_file_scope():
     elsewhere = SourceModule(Path("src/repro/sim/other.py"), src)
     run = LintRun(modules=[elsewhere], rules=all_rules(), project_root=None)
     assert run.execute() == []
+
+
+def test_engine_state_rule_exempts_the_engine():
+    """R7 guards the simulator's private state everywhere but its own
+    module."""
+    src = "def f(sim):\n    return sim._heap\n"
+    for path, fires in (("src/repro/sim/engine.py", False),
+                        ("src/repro/sim/system.py", True),
+                        ("perfbench/instrument.py", True)):
+        run = LintRun(modules=[SourceModule(Path(path), src)],
+                      rules=all_rules(), project_root=None)
+        assert ([(f.rule, f.line) for f in run.execute()]
+                == ([("R7", 2)] if fires else [])), path
 
 
 @pytest.mark.parametrize("path, fires", [
@@ -237,7 +250,7 @@ def test_cli_list_rules():
     rc = main(["--list-rules"], stdout=out)
     assert rc == 0
     text = out.getvalue()
-    for rid in ("R1", "R2", "R3", "R4", "R5", "R6"):
+    for rid in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
         assert rid in text
 
 

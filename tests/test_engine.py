@@ -305,6 +305,105 @@ class TestRunStopBoundaries:
         assert sim.now == 200
 
 
+class TestAsap:
+    """``asap`` runs a callback inline exactly when the heap would pop it
+    next, and is otherwise ``at(now, ...)``."""
+
+    def test_runs_inline_when_nothing_is_due_now(self):
+        sim = Simulator()
+        log = []
+
+        def parent(_):
+            sim.asap(log.append, "child")
+            log.append(("parent", sim.pending()))  # probe: not a tail call
+
+        sim.at(100, parent)
+        sim.at(200, log.append, "later")
+        sim.run()
+        assert log == ["child", ("parent", 1), "later"]
+        assert sim.events_run == 3
+
+    def test_queues_behind_a_same_time_event(self):
+        sim = Simulator()
+        log = []
+
+        def parent(_):
+            sim.asap(log.append, "child")
+            log.append(("parent", sim.pending()))
+
+        sim.at(100, parent)
+        sim.at(100, log.append, "waiting")
+        sim.run()
+        assert log == [("parent", 2), "waiting", "child"]
+        assert sim.events_run == 3
+
+    def test_queues_when_a_stop_is_pending(self):
+        sim = Simulator()
+        log = []
+
+        def parent(_):
+            sim.stop()
+            sim.asap(log.append, "child")
+
+        sim.at(100, parent)
+        assert sim.run() == 100
+        assert log == [] and sim.pending() == 1
+        sim.run()
+        assert log == ["child"]
+
+    def test_matches_the_heap_path(self):
+        """The same cascade with ``asap`` and with ``at(now, ...)``: equal
+        dispatch log, ``events_run`` and tie order of later events."""
+        def cascade(inline):
+            sim = Simulator()
+            log = []
+
+            def now_next(fn, arg):
+                if inline:
+                    sim.asap(fn, arg)
+                else:
+                    sim.at(sim.now, fn, arg)
+
+            def child(tag):
+                log.append((sim.now, tag))
+                sim.at(sim.now + 10, log.append, (tag, "tie"))
+                if tag < 3:
+                    now_next(child, tag + 1)
+
+            def parent(tag):
+                log.append((sim.now, "parent", tag))
+                sim.at(sim.now + 10, log.append, ("parent", "tie"))
+                now_next(child, 0)
+
+            sim.at(0, parent, "a")
+            sim.at(50, parent, "b")
+            sim.at(50, log.append, "same time as b")
+            sim.run()
+            return log, sim.events_run, sim.now
+
+        assert cascade(True) == cascade(False)
+        assert cascade(True)[1] == 2 + 1 + 2 * 4 + 2 * 5
+
+    def test_inline_callbacks_do_not_count_against_max_events(self):
+        """As the docstring states: an inline callback is part of the
+        event that called ``asap``; it counts in ``events_run`` but not
+        against ``max_events``."""
+        sim = Simulator()
+        log = []
+
+        def parent(_):
+            log.append("parent")
+            sim.asap(log.append, "child")
+
+        sim.at(100, parent)
+        sim.at(200, log.append, "later")
+        sim.run(max_events=1)
+        assert log == ["parent", "child"]
+        assert sim.events_run == 2 and sim.pending() == 1
+        sim.run()
+        assert log == ["parent", "child", "later"]
+
+
 class TestDeterminism:
     def test_identical_runs(self, make_sim):
         def run_once():
@@ -333,15 +432,18 @@ N_KINDS = 6
 
 @st.composite
 def behaviours(draw):
-    """Per kind: the (delay, kind) children its callback schedules and
-    whether it calls stop().  Delay 0 schedules into the running batch."""
+    """Per kind: the (delay, kind) children its callback schedules,
+    whether it calls stop(), and the kind (or None) it passes to a
+    closing asap().  Delay 0 schedules into the running batch."""
     table = []
     for kind in range(N_KINDS):
         later = list(range(kind + 1, N_KINDS))
         children = draw(st.lists(
             st.tuples(st.sampled_from((0, 0, 1, 7)), st.sampled_from(later)),
             max_size=2)) if later else []
-        table.append((children, draw(st.sampled_from((False, False, True)))))
+        stop = draw(st.sampled_from((False, False, True)))
+        tail = draw(st.none() | st.sampled_from(later)) if later else None
+        table.append((children, stop, tail))
     return table
 
 
@@ -363,11 +465,13 @@ def execute(sim, table, program) -> list:
 
     def fire(kind):
         log.append((kind, sim.now))
-        children, stop = table[kind]
+        children, stop, tail = table[kind]
         for delay, child in children:
             sim.after(delay, fire, child)
         if stop:
             sim.stop()
+        if tail is not None:
+            sim.asap(fire, tail)
 
     states = []
     for op, *args in program:
@@ -394,8 +498,9 @@ class TestNaiveLockstep:
     @given(behaviours(), st.lists(ACTIONS, max_size=25))
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_engine(self, table, program):
-        """Any program of at/after/stop calls, sliced by run(until=,
-        max_events=) and drain(), dispatches the same events at the same
-        times as the naive engine, with the same clock and counters."""
+        """Any program of at/after/stop calls and callbacks closing with
+        asap(), sliced by run(until=, max_events=) and drain(),
+        dispatches the same events at the same times as the naive engine,
+        with the same clock and counters."""
         assert (execute(Simulator(), table, program)
                 == execute(NaiveSimulator(), table, program))

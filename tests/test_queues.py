@@ -75,35 +75,6 @@ class TestRemoval:
             q.remove(mk())
 
 
-class TestOccupancyIntegral:
-    def test_mean_occupancy(self):
-        q = AccessQueue(4)
-        a = mk()
-        q.push(a, now=0)
-        q.remove(a, now=100)   # 1 entry for 100 ps
-        assert q.mean_occupancy(200) == pytest.approx(0.5)
-
-    def test_mean_occupancy_at_zero_time(self):
-        assert AccessQueue(4).mean_occupancy(0) == 0.0
-
-    def test_reset_accounting_excludes_warmup(self):
-        """Regression: the integral was never reset at the warm-up
-        boundary, so mean occupancy silently included warm-up traffic
-        and divided by the full elapsed time."""
-        q = AccessQueue(4)
-        warm = mk()
-        q.push(warm, now=0)             # occupied through all of warm-up
-        q.reset_accounting(now=100)     # warm-up ends at t=100
-        q.remove(warm, now=150)         # 1 entry for 50 ps measured
-        assert q.mean_occupancy(200) == pytest.approx(0.5)
-
-    def test_reset_accounting_empty_interval(self):
-        q = AccessQueue(4)
-        q.push(mk(), now=0)
-        q.reset_accounting(now=100)
-        assert q.mean_occupancy(100) == 0.0
-
-
 class TestIndexes:
     def test_counts(self):
         q = AccessQueue(8)
@@ -166,11 +137,11 @@ class TestIndexes:
         for step in range(500):
             if live and (len(live) >= 32 or rng.random() < 0.5):
                 a = live.pop(rng.randrange(len(live)))
-                q.remove(a, now=step)
+                q.remove(a)
             elif held and rng.random() < 0.3:
                 a = held.pop(rng.randrange(len(held)))
                 live.append(a)
-                q.push(a, now=step)
+                q.push(a)
             else:
                 gb = rng.randrange(8)
                 rtype = rng.choice([RequestType.READ, RequestType.WRITEBACK,
@@ -183,7 +154,7 @@ class TestIndexes:
                     held.append(a)
                     continue
                 live.append(a)
-                q.push(a, now=step)
+                q.push(a)
             q.check_invariants()
             assert len(q) == len(live)
         assert list(q) == sorted(live, key=lambda a: a.seq)

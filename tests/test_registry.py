@@ -8,8 +8,6 @@ from repro.core.base import ControllerStats
 from repro.dram.stats import ChannelStats
 from repro.metrics.registry import MetricGroup, MetricRegistry, derived
 
-from reference import next_seq
-
 
 class SampleStats(MetricGroup):
     COUNTERS = ("hits", "misses", "latency_sum_ps")
@@ -295,35 +293,3 @@ class TestRestoreEdgeCases:
         s.reset()
         restored = SampleStats.from_snapshot(s.snapshot())
         assert restored == s
-
-    def test_occupancy_integral_survives_snapshot_restore(self):
-        """The time-weighted occupancy accounting is part of queue state:
-        a deep-copied (snapshot-restored) queue must report the same mean
-        occupancy trajectory as the original, including across a
-        reset_accounting() warm-up boundary."""
-        import copy
-        from repro.core.access import Access, AccessRole, CacheRequest, RequestType
-        from repro.core.queues import AccessQueue
-
-        def mk():
-            req = CacheRequest(RequestType.READ, 0x40, 0)
-            return Access(AccessRole.TAG_READ, req, (0, 0, 0, 1, 0, 0),
-                          seq=next_seq())
-
-        q = AccessQueue(4)
-        a, b = mk(), mk()
-        q.push(a, now=0)
-        q.push(b, now=50)              # integral: 1*50
-        q.remove(a, now=100)           # + 2*50
-        q.reset_accounting(now=100)    # warm-up boundary
-        q.push(mk(), now=150)          # measured: 1*50 so far
-
-        clone = copy.deepcopy(q)
-        assert clone.mean_occupancy(200) == q.mean_occupancy(200)
-        # Diverge after the copy: each keeps its own integral.
-        q.remove(b, now=250)
-        assert clone.mean_occupancy(300) != q.mean_occupancy(300)
-        # The clone's trajectory matches what the original would have
-        # reported had it stayed untouched.
-        assert clone.mean_occupancy(300) == pytest.approx(
-            (1 * 50 + 2 * 150) / 200)

@@ -164,45 +164,54 @@ class TestDesignsEndToEnd:
 #: the default substrate, plus DCA on the command-level substrate (a
 #: short tREFI so refresh fires at this scale) and on banked main memory.
 SLICED_POINTS = [
-    *(pytest.param(d, sched, (), id=f"{d}-{sched}")
+    *(pytest.param(d, sched, (), None, id=f"{d}-{sched}")
       for d in ("CD", "ROD", "DCA") for sched in ("bliss", "frfcfs")),
     pytest.param("DCA", "bliss", (("substrate.fidelity", "command"),
                                   ("substrate.page_policy", "timeout"),
-                                  ("timings.tREFI", 400_000)),
+                                  ("timings.tREFI", 400_000)), None,
                  id="DCA-command"),
-    pytest.param("DCA", "bliss", (("mainmem.model", "banked"),),
+    pytest.param("DCA", "bliss", (("mainmem.model", "banked"),), None,
                  id="DCA-banked"),
+    # The perf benchmark's write-storm point: FR-FCFS write drains on
+    # command-level DRAM, with banked main memory and two ranks.
+    pytest.param("DCA", "frfcfs", (("substrate.fidelity", "command"),
+                                   ("mainmem.model", "banked"),
+                                   ("org.ranks_per_channel", 2)),
+                 "adversarial_writeback", id="DCA-wbstorm"),
 ]
 
 
 class TestSlicedRuns:
     @staticmethod
-    def begun(design, scheduler, overrides):
+    def begun(design, scheduler, overrides, workload):
         base = scaled_config(8)
         cfg = replace(base, l2=replace(base.l2, size_bytes=128 * 1024),
                       dram_cache=replace(base.dram_cache,
                                          size_bytes=8 * 2**20))
-        s = System(cfg.with_overrides(overrides), design,
-                   [profile("mcf"), profile("libquantum")],
+        benchmarks = (workload_profiles(workload) if workload
+                      else [profile("mcf"), profile("libquantum")])
+        s = System(cfg.with_overrides(overrides), design, benchmarks,
                    scheduler=scheduler, seed=7, footprint_scale=1 / 400)
         s.functional_warmup(replay_accesses=1_000)
         s.begin(2_000, 6_000)
         return s
 
-    @pytest.mark.parametrize("design,scheduler,overrides", SLICED_POINTS)
+    @pytest.mark.parametrize("design,scheduler,overrides,workload",
+                             SLICED_POINTS)
     def test_interleaved_slices_match_straight_run(self, design, scheduler,
-                                                   overrides):
+                                                   overrides, workload):
         """Two identical systems advanced in alternating event-loop
         slices each finish exactly as a straight-through run: the stop
         at the last core's retirement is exact however the loop is
         sliced, and each system draws its access ages from its own
         counter, so running another system in between changes nothing."""
-        straight = self.begun(design, scheduler, overrides)
+        point = (design, scheduler, overrides, workload)
+        straight = self.begun(*point)
         want = straight.finish().to_cache_dict()
         events = straight.sim.events_run
         seqs = straight.controller.translator._seq    # accesses it built
-        a = self.begun(design, scheduler, overrides)
-        b = self.begun(design, scheduler, overrides)
+        a = self.begun(*point)
+        b = self.begun(*point)
         slices = 0
         while a._finished < len(a.cores):
             a.sim.run(max_events=101)

@@ -1,8 +1,12 @@
 """Request -> access translation (the paper's Fig. 2 sequences)."""
 
+import random
+
+import pytest
+
 from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.translator import Translator
-from repro.config import DRAMCacheGeometry, DRAMOrganization
+from repro.config import INTERLEAVE_POLICIES, DRAMCacheGeometry, DRAMOrganization
 from repro.core.access import AccessRole, CacheRequest, Priority, RequestType
 from repro.dram.address import AddressMapper
 
@@ -168,3 +172,51 @@ class TestRequestHitState:
         assert req.hit is None
         tag_read_done(tr, req)
         assert req.hit is True
+
+
+def without_col(coords):
+    """(channel, rank, bank, row, global_bank) of a coordinates tuple."""
+    channel, rank, bank, row, _col, gb = coords
+    return channel, rank, bank, row, gb
+
+
+class TestSharedCoordinates:
+    """A request's accesses reuse its tag read's coordinates; that is exact
+    only because a set's tag and data blocks decode to one DRAM row."""
+
+    @pytest.mark.parametrize("xor_remap", [False, True])
+    @pytest.mark.parametrize("interleave", INTERLEAVE_POLICIES)
+    @pytest.mark.parametrize("orgn", ["sa", "dm"])
+    def test_set_blocks_share_coordinates(self, orgn, interleave, xor_remap):
+        array = DRAMCacheArray(GEOM, orgn)
+        mapper = AddressMapper(DRAMOrganization(interleave=interleave,
+                                                ranks_per_channel=2),
+                               xor_remap=xor_remap)
+        n = array.sa.num_sets if orgn == "sa" else array.dm.num_entries
+        sets = random.Random(1).sample(range(n), 200) + [0, 1, n - 1]
+        for s in sets:
+            tag = array.tag_location_of_set(s)
+            want = without_col(mapper.coordinates(tag))
+            for off in array.data_offsets:
+                assert without_col(mapper.coordinates(tag + off)) == want
+
+    def test_follow_on_accesses_take_the_tag_coordinates(self):
+        array, tr = make("sa")
+        addr = 0x4000
+        array.fill(addr, dirty=False)
+        req = read_req(addr)
+        tag = tr.initial_access(req)
+        data, tagw = tr.after_tag_read(req).next_accesses
+        way = array.lookup_read(addr).way
+        decoded = without_col(tr.mapper.coordinates(
+            array.data_location(addr, way)))
+        for a in (tag, data, tagw):
+            assert (a.channel, a.rank, a.bank, a.row, a.global_bank) == decoded
+
+    def test_layout_splitting_a_set_is_rejected(self):
+        array = DRAMCacheArray(GEOM, "sa")
+        with pytest.raises(ValueError, match="spans two 512-byte DRAM rows"):
+            Translator(array, AddressMapper(DRAMOrganization(row_bytes=512)))
+        # Direct-mapped sets are one TAD block: any row size holds them.
+        Translator(DRAMCacheArray(GEOM, "dm"),
+                   AddressMapper(DRAMOrganization(row_bytes=512)))
