@@ -90,6 +90,10 @@ class DRAMCacheArray:
     #: fills mapped per numpy pass of :meth:`fill_many` (bounds the
     #: chunk's Python-int columns, as ``TagCache.CHUNK`` does)
     CHUNK = 4096
+    #: cells of the array rebuilt per pass of :meth:`bulk_fill_many`
+    #: (2 048 SA sets): bounds the prefill's temporaries, the same in
+    #: both organizations
+    PREFILL_CELLS = 30_720
 
     def __init__(self, geometry: DRAMCacheGeometry, organization: str = "sa",
                  replacement: str = "lru"):
@@ -312,147 +316,132 @@ class DRAMCacheArray:
         num_sets`` past the set's first block, so only its last ``ways *
         num_sets`` blocks can survive (exactly the last ``ways`` of every
         set), and the stamp of that insert is ``clock + 1 + (the range's
-        inserts to sets < s) + k``.
+        inserts to sets < s) + k``.  A touched set ends as its valid
+        entries followed by the batch's inserts, range by range; when
+        that overflows the ways, the oldest ``max(0, valid + inserts -
+        ways)`` are displaced (existing entries by stamp, then the
+        earliest inserts; each dirty one counts as an eviction) and the
+        existing survivors lie in stamp order instead of way order.  The
+        survivors are packed from way 0.  A set no range touches keeps
+        its contents, holes included.
 
-        On an unallocated array (the warm-up case) the whole batch is
-        computed in closed form over each range's columns (the ``min(m,
-        num_sets)`` sets a range of ``m`` blocks touches), so the work
-        scales with the ranges, not the set count: across ranges the
-        survivors of a set are its newest ``ways`` inserts, the oldest
-        ``max(0, total - ways)`` are displaced (earliest range first,
-        each dirty one counting as an eviction), and the rest lie in
-        stamp order from way 0.  On a populated array each range is
-        merged set by set in numpy (:meth:`_merge`), with the tag column
-        converted to numpy and back once per batch.
+        The array is rebuilt ``PREFILL_CELLS`` cells at a time, so every
+        temporary is chunk-sized whatever the organization; existing
+        entries are read only when the array was already populated.
+        Inserted tags come from one table of shared int objects (a
+        range's tags are the few values ``first // num_sets + k``) and
+        existing entries keep their own, so the tag column never holds
+        one int object per cell.
         """
-        if self._tags:
-            tags = np.array(self._tags, dtype=np.int64)
-            for start_addr, n_blocks, dirty_fraction, seed in fills:
-                self._merge(tags, start_addr, n_blocks, dirty_fraction, seed)
-            self._tags = tags.tolist()
-            return
-
         n_sets, ways = self._num_sets, self._ways
-        capacity = n_sets * ways
-        # Per range: first surviving block and survivor count.
-        runs = [(start_addr // self._block_bytes + n_blocks - m, m,
-                 dirty_fraction, seed)
-                for start_addr, n_blocks, dirty_fraction, seed in fills
-                if (m := min(n_blocks, capacity)) > 0]
+        # Per range: first surviving block, survivor count, dirty
+        # fraction, seed and the clock before its first insert.
+        runs: list[tuple[int, int, float, int, int]] = []
+        clock = self._clock
+        for start_addr, n_blocks, dirty_fraction, seed in fills:
+            m = min(n_blocks, n_sets * ways)
+            if m > 0:
+                runs.append((start_addr // self._block_bytes + n_blocks - m,
+                             m, dirty_fraction, seed, clock))
+                clock += m
         if not runs:
             return
-
-        def below(x: int, s: NDArray[np.int64]) -> NDArray[np.int64]:
-            """Integers in [0, x) whose set (residue) is below s."""
-            return x // n_sets * s + np.minimum(x % n_sets, s)
-
-        def count(first: int, m: int,
-                  s: NDArray[np.int64]) -> NDArray[np.int64]:
-            """Blocks of [first, first + m) in set s."""
-            return m // n_sets + ((s - first) % n_sets < m % n_sets)
-
-        self._dirty = bytearray(capacity)
-        self._stamp = array("q", [0]) * capacity
-        # A range's tags are the few integers first // num_sets + k, so
-        # the tag column is built as codes into one list of them: the
-        # column's cells then share those int objects instead of each
-        # holding its own (half a million on the quick-scale array).
-        codes = np.zeros(capacity, dtype=np.int64)
-        values = [-1]                       # code 0: an invalid way
-        dirty = np.frombuffer(self._dirty, dtype=np.bool_)
-        stamp = np.frombuffer(self._stamp, dtype=np.int64)
-        clock = self._clock
-        evictions = 0
-        for i, (first, m, dirty_fraction, seed) in enumerate(runs):
-            # The range as a (rows, width) grid in address order: cell
-            # (k, t) is block col[t] + k * num_sets, the k-th insert of
-            # set s[t]; cells past the m-th are cut off.  Per-set terms
-            # are computed once per column, never per set of the array.
-            col = first + np.arange(min(m, n_sets), dtype=np.int64)
-            s = col % n_sets
-            rows = -(-m // n_sets)
-            k = np.arange(rows, dtype=np.int64)[:, None]
-            counts = [count(f, n, s) for f, n, *_ in runs]
-            earlier = sum(counts[:i])       # the set's inserts so far
-            # Way of the set's k = 0 insert once the oldest max(0, total
-            # - ways) of its inserts over all ranges are displaced; a way
-            # below 0 is a displaced insert.
-            way0 = earlier - np.maximum(sum(counts) - ways, 0)
-            stamp0 = clock + 1 + below(first + m, s) - below(first, s)
-            keep = (way0 + k >= 0).ravel()[:m]
-            drt = _dirty_bits((col + k * n_sets).ravel()[:m], seed,
-                              dirty_fraction)
-            evictions += int(np.count_nonzero(drt & ~keep))
-            # One range-sized column at a time: each is built, cut to the
-            # kept inserts and scattered before the next one exists.
-            slot = (s * ways + way0 + k).ravel()[:m][keep]
+        populated = bool(self._tags)
+        if not populated:
+            self._allocate()
+        # Code table of every tag the batch inserts (code 0: an invalid
+        # way); block b of a range has code b // num_sets + base.
+        values = [-1]
+        bases = []
+        for first, m, *_ in runs:
             low = first // n_sets
-            codes[slot] = ((col // n_sets + (len(values) - low) + k)
-                           .ravel()[:m][keep])
-            values.extend(range(low, low + rows + 1))
-            dirty[slot] = drt[keep]
-            stamp[slot] = (stamp0 + k).ravel()[:m][keep]
-            clock += m
-        self._tags = np.array(values, dtype=object)[codes].tolist()
+            bases.append(len(values) - low)
+            values.extend(range(low, low + -(-m // n_sets) + 1))
+        shared = np.array(values, dtype=object)
+
+        def below(x: int, s: int) -> int:
+            """Integers in [0, x) whose set (residue) is below s."""
+            return x // n_sets * s + min(x % n_sets, s)
+
+        tags = self._tags
+        dirty_col = np.frombuffer(self._dirty, dtype=np.bool_)
+        stamp_col = np.frombuffer(self._stamp, dtype=np.int64)
+        per_chunk = max(1, self.PREFILL_CELLS // ways)
+        evictions = 0
+        for s0 in range(0, n_sets, per_chunk):
+            s = np.arange(s0, min(s0 + per_chunk, n_sets), dtype=np.int64)
+            # Each range's inserts per set: one modular comparison.
+            counts = [m // n_sets + ((s - first) % n_sets < m % n_sets)
+                      for first, m, *_ in runs]
+            total = sum(counts, np.zeros_like(s))
+            if not total.any():
+                continue
+            lo, hi = s0 * ways, (s0 + len(s)) * ways
+            dirty, stamp = dirty_col[lo:hi], stamp_col[lo:hi]
+            if populated:
+                old = np.array(tags[lo:hi], dtype=object)
+                valid = (old.astype(np.int64) != -1).reshape(-1, ways)
+                n_valid = valid.sum(axis=1)
+                over = np.maximum(n_valid + total - ways, 0)
+                cut = np.minimum(over, n_valid)[:, None]
+                # Each valid entry's place among its set's: way order, or
+                # stamp order in a set that overflows.  Less the displaced
+                # count, that is its way; below 0 it is displaced.
+                dest = np.cumsum(valid, axis=1) - 1
+                ov = np.flatnonzero(over)
+                if len(ov):
+                    order = np.argsort(np.where(
+                        valid[ov], stamp.reshape(-1, ways)[ov],
+                        np.iinfo(np.int64).max), axis=1)
+                    rank = np.empty_like(order)
+                    np.put_along_axis(rank, order, np.arange(ways), axis=1)
+                    dest[ov] = rank
+                dest -= cut
+                evictions += int(np.count_nonzero(
+                    dirty.reshape(-1, ways) & valid & (dest < 0)))
+                # Codes past the shared table point at the old entries.
+                # Every cell starts as itself; touched sets are emptied
+                # and their survivors packed from way 0.
+                table = np.concatenate((shared, old))
+                code = np.arange(len(shared), len(table), dtype=np.int64)
+                touched = np.repeat(total > 0, ways)
+                src = np.flatnonzero((valid & (dest >= 0)).ravel() & touched)
+                dst = src - src % ways + dest.ravel()[src]
+                moved = dirty[src], stamp[src]
+                code[touched], dirty[touched], stamp[touched] = 0, False, 0
+                code[dst] = len(shared) + src
+                dirty[dst], stamp[dst] = moved
+                way = n_valid - over          # way of the set's next insert
+            else:
+                table = shared
+                code = np.zeros(hi - lo, dtype=np.int64)
+                way = -np.maximum(total - ways, 0)
+            cell = np.arange(0, hi - lo, ways)
+            for (first, m, dirty_fraction, seed, clock0), n, base in zip(
+                    runs, counts, bases):
+                if not n.any():
+                    continue
+                k = np.arange(-(-m // n_sets), dtype=np.int64)[:, None]
+                # The k-th insert of set s; a way below 0 is displaced.
+                block = first + (s - first) % n_sets + k * n_sets
+                drt = _dirty_bits(block, seed, dirty_fraction)
+                live = k < n
+                wk = way + k
+                keep = live & (wk >= 0)
+                kept_dirty = drt[keep]
+                evictions += (int(np.count_nonzero(drt & live))
+                              - int(np.count_nonzero(kept_dirty)))
+                slot = (cell + wk)[keep]
+                code[slot] = (block // n_sets + base)[keep]
+                dirty[slot] = kept_dirty
+                # The range's inserts to sets below s come first.
+                ahead = below(first + m, s0) - below(first, s0)
+                stamp[slot] = (clock0 + 1 + ahead + np.cumsum(n) - n
+                               + k)[keep]
+                way = way + n
+            tags[lo:hi] = table[code].tolist()
         self._clock = clock
         self.dirty_evictions += evictions
-
-    def _merge(self, tags: NDArray[np.int64], start_addr: int, n_blocks: int,
-               dirty_fraction: float, seed: int) -> None:
-        """Merge one range into the populated array in one numpy step.
-
-        ``tags`` is the tag column as a flat int64 array (the caller
-        converts it once per batch); the dirty and stamp columns are
-        written in place through numpy views.  Each touched set keeps its
-        valid ways in way order and the inserts follow; on overflow it is
-        in stamp order instead (the existing stamps all predate the
-        inserts) and the oldest ``overflow`` entries are displaced.
-        """
-        if n_blocks <= 0:
-            return
-        n_sets, ways = self._num_sets, self._ways
-        # Only the last `ways` inserts of a set can survive, so only the
-        # range's last `ways * n_sets` blocks matter (each set's last
-        # `ways`); the earlier ones are skipped outright (no clock tick,
-        # no eviction), exactly as if each block had been filled once.
-        m = min(n_blocks, n_sets * ways)
-        first = start_addr // self._block_bytes + n_blocks - m
-        blocks = np.arange(first, first + m, dtype=np.int64)
-        ins_set = blocks % n_sets
-        ins_k = np.arange(m, dtype=np.int64) // n_sets   # k-th insert of its set
-        per_set = np.bincount(ins_set, minlength=n_sets)
-        # Sets are stamped in ascending set order, one tick per insert.
-        inserted = (blocks // n_sets, _dirty_bits(blocks, seed, dirty_fraction),
-                    (self._clock + 1 + np.cumsum(per_set) - per_set)[ins_set]
-                    + ins_k)
-        tags = tags.reshape(n_sets, ways)
-        dirty = np.frombuffer(self._dirty, dtype=np.bool_).reshape(n_sets, ways)
-        stamp = np.frombuffer(self._stamp, dtype=np.int64).reshape(n_sets, ways)
-
-        touched = np.flatnonzero(per_set)
-        invalid = tags[touched] == -1
-        n_valid = ways - invalid.sum(axis=1)
-        overflow = np.maximum(n_valid + per_set[touched] - ways, 0)
-        way = np.arange(ways)
-        key = np.where(invalid, np.iinfo(np.int64).max,
-                       np.where(overflow[:, None] > 0, stamp[touched], way))
-        order = np.argsort(key, axis=1, kind="stable")
-        displaced = way < overflow[:, None]
-        self.dirty_evictions += int(np.count_nonzero(
-            np.take_along_axis(dirty[touched], order, axis=1) & displaced))
-        # Survivors then inserts, packed from way 0; the rest is empty.
-        r, w = np.nonzero(~displaced & (way < n_valid[:, None]))
-        row = np.zeros(n_sets, dtype=np.int64)
-        row[touched] = np.arange(len(touched))
-        r_ins = row[ins_set]
-        w_ins = n_valid[r_ins] - overflow[r_ins] + ins_k
-        for col, empty, new in zip((tags, dirty, stamp), (-1, False, 0), inserted):
-            kept = np.take_along_axis(col[touched], order, axis=1)
-            out = np.full_like(kept, empty)
-            out[r, w - overflow[r]] = kept[r, w]
-            out[r_ins, w_ins] = new
-            col[touched] = out
-        self._clock += m
 
     # -- warm-state hooks (see repro/snapshot.py and DESIGN.md) ---------------
 

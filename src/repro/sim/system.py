@@ -411,6 +411,17 @@ class System:
         back before the miss is read) go to the array in one
         :meth:`~repro.cache.dramcache.DRAMCacheArray.fill_many`.
         """
+        self._prefill()
+        array = self.controller.array
+        requests = self.l2.filter_traces(
+            [core.trace for core in self.cores], replay_accesses)
+        array.fill_many(*interleave(*requests, victims_first=True))
+        array.reset_counters()
+        self.l2.stats.reset()
+
+    def _prefill(self) -> None:
+        """Bulk-insert each benchmark's footprint into the DRAM-cache
+        array: the first step of :meth:`functional_warmup`."""
         array = self.controller.array
         scale = self._footprint_scale
         # Consecutive bulk ranges are fused into one grouped pass
@@ -441,11 +452,6 @@ class System:
             pending.append((i << 44, n_blocks, prof.store_fraction, i + 1))
         if pending:
             array.bulk_fill_many(pending)
-        requests = self.l2.filter_traces(
-            [core.trace for core in self.cores], replay_accesses)
-        array.fill_many(*interleave(*requests, victims_first=True))
-        array.reset_counters()
-        self.l2.stats.reset()
 
     # ------------------------------------------------------------- warm state
 

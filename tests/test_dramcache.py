@@ -1,6 +1,7 @@
 """Functional DRAM-cache array: hits, fills, LRU, dirty state, bulk fill."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ def _state(a):
     return (contents_signature(a), a._clock, a.dirty_evictions)
 
 
+#: prefill chunk sizes in cells: a set split across chunks, one set per
+#: chunk in SA, a few sets per chunk, and the shipped size
+PREFILL_CHUNKS = st.sampled_from((1, 7, 64, DRAMCacheArray.PREFILL_CELLS))
+
+
+def _bulk_fill_in_chunks(a, fills, cells):
+    """``a.bulk_fill_many(fills)`` rebuilding ``cells`` cells a pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DRAMCacheArray, "PREFILL_CELLS", cells)
+        a.bulk_fill_many(fills)
+
+
 def _per_set_bulk_fill(a, start_addr, n_blocks, dirty_fraction, seed):
     """Reference bulk_fill: one interpreted merge per touched set.
 
@@ -268,13 +281,15 @@ def _per_set_bulk_fill(a, start_addr, n_blocks, dirty_fraction, seed):
                           st.integers(0, 3000),           # n_blocks (> capacity)
                           st.floats(0.0, 1.0),            # dirty_fraction
                           st.integers(0, 9)),             # seed
-                min_size=1, max_size=3))
+                min_size=1, max_size=3),
+       PREFILL_CHUNKS)
 @settings(max_examples=40, deadline=None)
-def test_bulk_fill_matches_per_set_merge(orgn, pre, specs):
-    """The vectorised merge equals the per-set one on a populated array:
+def test_bulk_fill_matches_per_set_merge(orgn, pre, specs, cells):
+    """The chunked merge equals the per-set one on a populated array:
     holes left by invalidations, stamps out of way order, dirty ways,
-    partial overflow and eviction counts.  A tiny 4-way array (240 sets,
-    960 entries) lets a few hundred ops fill the hot sets."""
+    partial overflow and eviction counts, at any chunk size.  A tiny
+    4-way array (240 sets, 960 entries) lets a few hundred ops fill the
+    hot sets."""
     a = DRAMCacheArray(DRAMCacheGeometry(size_bytes=2**16, sa_ways=4), orgn)
     for op, set_idx, tag in pre:
         addr = (tag * a._num_sets + set_idx) * 64
@@ -286,7 +301,7 @@ def test_bulk_fill_matches_per_set_merge(orgn, pre, specs):
             a.fill(addr, dirty=op == "fill_dirty")
     b = copy.deepcopy(a)
     for rid, off, n, df, sd in specs:
-        a.bulk_fill_many([((rid << 44) + off * 64, n, df, sd)])
+        _bulk_fill_in_chunks(a, [((rid << 44) + off * 64, n, df, sd)], cells)
         _per_set_bulk_fill(b, (rid << 44) + off * 64, n, df, sd)
     assert _state(a) == _state(b)
 
@@ -298,12 +313,15 @@ def test_bulk_fill_matches_per_set_merge(orgn, pre, specs):
                           st.integers(0, 3000),           # n_blocks (> capacity)
                           st.floats(0.0, 1.0),            # dirty_fraction
                           st.integers(0, 9)),             # seed
-                min_size=1, max_size=4))
+                min_size=1, max_size=4),
+       PREFILL_CHUNKS)
 @settings(max_examples=30, deadline=None)
-def test_bulk_fill_many_matches_per_set_reference(orgn, populated, specs):
+def test_bulk_fill_many_matches_per_set_reference(orgn, populated, specs,
+                                                  cells):
     """A whole batch equals the per-set reference applied range by
-    range: the closed form on an empty array, and the per-range numpy
-    merge (tag column converted once per batch) on a populated one."""
+    range, on an empty array and on a populated one, whether a set's
+    inserts from several ranges land in one chunk or a range spans
+    many."""
     geom = DRAMCacheGeometry(size_bytes=2**16, sa_ways=4)
     a = DRAMCacheArray(geom, orgn)
     if populated:
@@ -313,7 +331,7 @@ def test_bulk_fill_many_matches_per_set_reference(orgn, populated, specs):
     b = copy.deepcopy(a)
     fills = [((rid << 44) + off * 64, n, df, sd)
              for rid, off, n, df, sd in specs]
-    a.bulk_fill_many(fills)
+    _bulk_fill_in_chunks(a, fills, cells)
     for start, n, df, sd in fills:
         _per_set_bulk_fill(b, start, n, df, sd)
     assert _state(a) == _state(b)
@@ -327,13 +345,18 @@ class TestBulkFillMany:
                   st.floats(0.0, 1.0),                # dirty_fraction
                   st.integers(0, 9)),                 # seed
         min_size=0, max_size=5),
-        st.sampled_from(["sa", "dm"]))
+        st.sampled_from(["sa", "dm"]),
+        # Larger chunks than PREFILL_CHUNKS: at one cell a pass, this
+        # 2 MB array takes 30 720 passes a batch in DM.
+        st.sampled_from((64, 1000, DRAMCacheArray.PREFILL_CELLS)))
     @settings(max_examples=50, deadline=None)
-    def test_fused_matches_sequential(self, specs, orgn):
+    def test_fused_matches_sequential(self, specs, orgn, cells):
+        """One batch at any chunk size equals one call per range at the
+        shipped chunk size."""
         fills = [(rid << 44, n, df, sd) for rid, n, df, sd in specs]
         a = DRAMCacheArray(GEOM, orgn)
         b = DRAMCacheArray(GEOM, orgn)
-        a.bulk_fill_many(fills)
+        _bulk_fill_in_chunks(a, fills, cells)
         for start, n, df, sd in fills:
             b.bulk_fill_many([(start, n, df, sd)])
         assert _state(a) == _state(b)
@@ -355,14 +378,25 @@ class TestBulkFillMany:
         assert a.dirty_evictions > 0
 
     def test_prefilled_column_shares_tag_ints(self):
-        """An empty-array batch leaves one int object per distinct tag in
-        the column, not one per cell (half a million at quick scale)."""
+        """A batch leaves one int object per distinct tag in the column,
+        not one per cell (half a million at quick scale), into an empty
+        array and into a populated one, whose surviving entries keep
+        their own int objects."""
         a = DRAMCacheArray(GEOM, "sa")
         a.bulk_fill_many([(0, 40_000, 0.3, 1), (1 << 44, 40_000, 0.3, 2)])
         assert len({id(t) for t in a._tags}) == len(set(a._tags)) < 100
+        addr = (5 << 44) + 0x12340
+        a.fill(addr, dirty=True)
+        demand = a._tags[a.set_index(addr) * a._ways + a.probe(addr).way]
+        a.bulk_fill_many([(2 << 44, 20_000, 0.5, 3), (3 << 44, 9_000, 0.1, 4)])
+        assert len({id(t) for t in a._tags}) == len(set(a._tags)) < 200
+        assert a.probe(addr).hit
+        assert any(t is demand for t in a._tags)
 
     def test_warm_array_falls_back_to_sequential(self):
-        """A non-pristine array must take the exact sequential path."""
+        """A batch into an array that already holds a demand fill equals
+        one call per range: the existing entry is merged with every
+        range's inserts, not overwritten."""
         fills = [(0, 2000, 0.3, 1), (1 << 44, 2000, 0.3, 2)]
         a = DRAMCacheArray(GEOM, "sa")
         b = DRAMCacheArray(GEOM, "sa")
@@ -409,6 +443,38 @@ class TestBulkFillMany:
         for start, n, df, sd in fills:
             b.bulk_fill_many([(start, n, df, sd)])
         assert _state(a) == _state(b)
+
+
+class TestPrefillMemory:
+    """The quick-scale warm-up prefill's memory, traced by tracemalloc."""
+
+    @staticmethod
+    def system(orgn, **spec):
+        from repro.experiments.common import RunSpec, SimParams, build_system
+        return build_system(RunSpec("DCA", orgn, **spec), SimParams.quick())
+
+    @pytest.mark.parametrize("orgn,bound_mb", [("sa", 2.5), ("dm", 6.0)])
+    def test_pristine_prefill_peak_is_chunk_sized(self, orgn, bound_mb):
+        """Mix 1 into an empty array: 491 520 cells of columns stay
+        (8.36 MB), and nothing near their size is built beside them."""
+        system = self.system(orgn, mix_id=1)
+        tracemalloc.start()
+        try:
+            system._prefill()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained > 8e6
+        assert peak - retained <= bound_mb * 1e6
+
+    @pytest.mark.parametrize("orgn", ["sa", "dm"])
+    def test_populated_prefill_shares_tag_ints(self, orgn):
+        """``conflict_vs_streams`` puts its adversary's exact warm set in
+        first, so its streams' ranges merge into a populated array; the
+        column still holds a few shared int objects, not one per cell."""
+        system = self.system(orgn, workload="conflict_vs_streams")
+        system._prefill()
+        assert len({id(t) for t in system.controller.array._tags}) < 1000
 
 
 class RefSA:

@@ -15,7 +15,9 @@ Property-style pins over random issue streams:
 * lazy bookkeeping is deterministic: interleaving estimates with issues
   never changes any committed time or counter;
 * the substrate config rides the sweep axis machinery end to end with
-  the new counters visible in results.json.
+  the new counters visible in results.json;
+* with refresh off and tRRD = tFAW = 0, a full run at command fidelity
+  reports exactly the burst model's counters, and 0 in its own.
 """
 
 from __future__ import annotations
@@ -426,6 +428,44 @@ class TestSweepIntegration:
         # The command model's constraints cost simulated time.
         assert (by_fid["command"]["elapsed_ps"]
                 != by_fid["burst"]["elapsed_ps"])
+
+
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """Flatten a nested result dict into ``{"a.b.c": value}``."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+@pytest.mark.parametrize("design", ["CD", "ROD", "DCA"])
+def test_command_model_without_rank_mechanisms_equals_burst(design):
+    """With refresh off and tRRD = tFAW = 0 nothing the burst model lacks
+    is left in the command model: every counter both report is equal
+    (IPCs, controller, caches, per-channel substrate), and every counter
+    only the command model reports reads 0."""
+    from repro.experiments.common import RunSpec, SimParams, run_one
+    params = SimParams(warmup_insts=2_000, measure_insts=6_000,
+                       replay_accesses=1_000)
+    command = (("substrate.fidelity", "command"),
+               ("substrate.refresh", False),
+               ("timings.tRRD", 0), ("timings.tFAW", 0))
+
+    def leaves(config):
+        result = run_one(RunSpec(design, "sa", mix_id=1, config=config),
+                         params).to_cache_dict()
+        del result["meta"]                  # names the config override
+        return _leaves(result)
+
+    burst, cmd = leaves(()), leaves(command)
+    assert burst.keys() <= cmd.keys()
+    assert {k: cmd[k] for k in burst} == burst
+    only = {k: cmd[k] for k in cmd.keys() - burst.keys()}
+    assert only and not any(only.values()), only
+    assert any(k.endswith("refreshes_issued") for k in only)
 
 
 def test_command_channel_rejects_plain_stats():
