@@ -19,7 +19,6 @@ from repro.cache.organizations import (
     SetAssociativeGeometry,
 )
 from repro.cache.dramcache import DRAMCacheArray, LookupResult, FillResult
-from repro.cache.replacement import SA_POLICIES, SRAM_POLICIES
 from repro.cache.translator import TagOutcome, Translator
 from repro.cache.mapi import MAPIPredictor
 from repro.cache.tagcache import TagCache, TagCacheStats
@@ -30,8 +29,6 @@ __all__ = [
     "DRAMCacheArray",
     "LookupResult",
     "FillResult",
-    "SA_POLICIES",
-    "SRAM_POLICIES",
     "TagOutcome",
     "Translator",
     "MAPIPredictor",

@@ -33,7 +33,6 @@ from numpy.typing import NDArray
 
 from repro.cache.organizations import (
     DirectMappedGeometry, Index, SetAssociativeGeometry)
-from repro.cache.replacement import SA_POLICIES
 from repro.config import DRAMCacheGeometry
 
 
@@ -77,14 +76,6 @@ class DRAMCacheArray:
     organization:
         ``"sa"`` (set-associative, Loh–Hill) or ``"dm"`` (direct-mapped,
         Alloy).
-    replacement:
-        Victim-selection policy (see :mod:`repro.cache.replacement`); a
-        direct-mapped set has one way, so every policy picks it.  Applies
-        to demand fills and the warm-up replay only — the warm-up
-        prefill (:meth:`bulk_fill_many`) keeps its
-        LRU-insertion-order semantics under every policy (documented
-        modeling assumption: warm-up populates, it does not exercise
-        replacement).
     """
 
     #: fills mapped per numpy pass of :meth:`fill_many` (bounds the
@@ -95,8 +86,7 @@ class DRAMCacheArray:
     #: both organizations
     PREFILL_CELLS = 30_720
 
-    def __init__(self, geometry: DRAMCacheGeometry, organization: str = "sa",
-                 replacement: str = "lru"):
+    def __init__(self, geometry: DRAMCacheGeometry, organization: str = "sa"):
         organization = organization.lower()
         if organization not in ("sa", "dm"):
             raise ValueError(f"unknown organization {organization!r}")
@@ -105,8 +95,6 @@ class DRAMCacheArray:
         #: a plain attribute, not a property: the translator reads it on
         #: every tag-read completion
         self.is_direct_mapped = organization == "dm"
-        self.replacement = replacement
-        self._victim_way = SA_POLICIES[replacement]
         self.sa = SetAssociativeGeometry(geometry)
         self.dm = DirectMappedGeometry(geometry)
         # Geometry scalars flattened onto the instance: probe/_touch run
@@ -214,14 +202,13 @@ class DRAMCacheArray:
                 dirty_col[lo + w] = 1
             self._touch(addr, w)
             return FillResult(w)
-        # Prefer an invalid way; otherwise the configured policy picks
-        # among valid ways (stamps are unique, so the default LRU's
-        # index-of-min is the unambiguous oldest way).
+        # Prefer an invalid way; otherwise evict the LRU way (the first
+        # minimum stamp: stamps are unique once a set is full).
         if -1 in seg:
             w = seg.index(-1)
         else:
-            w = self._victim_way(seg, dirty_col[lo:lo + ways],
-                                 self._stamp[lo:lo + ways])
+            st = self._stamp[lo:lo + ways]
+            w = st.index(min(st))
         slot = lo + w
         old_tag = seg[w]
         old_dirty = bool(dirty_col[slot])
@@ -245,8 +232,8 @@ class DRAMCacheArray:
         a read replays as ``fill(addr, False)`` and a dirty writeback as
         ``fill(addr, True)``; only the ``lookups``/``hits`` counters are
         not kept.  Per chunk, numpy maps the addresses to set offsets and
-        tags; one loop then runs hit-refresh, invalid-way-first, the
-        victim policy and stamping inline.
+        tags; one loop then runs hit-refresh, invalid-way-first, the LRU
+        victim choice and stamping inline.
         """
         n = len(addrs)
         if not n:
@@ -256,7 +243,6 @@ class DRAMCacheArray:
         self.fills += n
         n_sets, ways = self._num_sets, self._ways
         tags, dirty_col, stamp = self._tags, self._dirty, self._stamp
-        victim_way = self._victim_way
         clock = self._clock
         evictions = 0
         for lo in range(0, n, self.CHUNK):
@@ -273,9 +259,8 @@ class DRAMCacheArray:
                     if -1 in seg:
                         slot = base + seg.index(-1)
                     else:
-                        slot = base + victim_way(
-                            seg, dirty_col[base:base + ways],
-                            stamp[base:base + ways])
+                        st = stamp[base:base + ways]
+                        slot = base + st.index(min(st))
                         if dirty_col[slot]:
                             evictions += 1
                     tags[slot] = tag

@@ -176,15 +176,6 @@ class SubstrateConfig:
 #: die at config construction, before any machinery is built).
 INTERLEAVE_POLICIES = ("robarachco", "rorabachco", "chxor")
 
-#: Victim-selection policies accepted by CacheGeometry and
-#: DRAMOrganization (implemented in repro.cache.replacement; the name
-#: tuple lives here, like INTERLEAVE_POLICIES, so bad sweep specs die at
-#: config construction).  "lru" is plain least-recently-used; "lruc"
-#: prefers the LRU *clean* way (dirty ways cost a writeback, gem5's
-#: writeback-aware variants); "lrud" prefers the LRU *dirty* way
-#: (harvest writebacks early so they batch, Lee-style).
-REPLACEMENT_POLICIES = ("lru", "lruc", "lrud")
-
 
 @dataclass(frozen=True)
 class DRAMOrganization:
@@ -211,11 +202,6 @@ class DRAMOrganization:
     row_bytes: int = 4096
     block_bytes: int = 64
     interleave: str = "robarachco"
-    #: victim-selection policy of the set-associative DRAM-cache
-    #: organization (see repro.cache.replacement); sweepable as
-    #: ``org.replacement``.  Direct-mapped placement has no choice and
-    #: ignores it.
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         for name in ("channels", "ranks_per_channel", "banks_per_rank",
@@ -233,10 +219,6 @@ class DRAMOrganization:
             raise ValueError(
                 f"unknown interleave policy {self.interleave!r}; "
                 f"known: {INTERLEAVE_POLICIES}")
-        if self.replacement not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement policy {self.replacement!r}; "
-                f"known: {REPLACEMENT_POLICIES}")
 
     @property
     def total_banks(self) -> int:
@@ -317,15 +299,6 @@ class CacheGeometry:
     assoc: int
     block_bytes: int = 64
     latency_cycles: int = 1
-    #: victim-selection policy (see REPLACEMENT_POLICIES); sweepable as
-    #: ``l2.replacement``.
-    replacement: str = "lru"
-
-    def __post_init__(self) -> None:
-        if self.replacement not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement policy {self.replacement!r}; "
-                f"known: {REPLACEMENT_POLICIES}")
 
     @property
     def num_sets(self) -> int:
@@ -374,86 +347,6 @@ class DRAMCacheGeometry:
         same number of bytes.
         """
         return self.data_capacity // self.block_bytes
-
-
-#: Prefetcher kinds accepted by PrefetchConfig (implemented in
-#: repro.mem.prefetch; "none" keeps the prefetcher entirely out of the
-#: system build, the default and the paper's operating point).
-PREFETCH_KINDS = ("none", "nextline", "stride")
-
-
-@dataclass(frozen=True)
-class PrefetchConfig:
-    """L2 hardware prefetcher feeding the DRAM cache.
-
-    ``mshr_entries`` is the prefetch partition of the MSHR file, carved
-    *out of* ``SystemConfig.l2_mshrs`` (Sniper's prefetch-MSHR
-    contention model): with the default 32 MSHRs and 8 prefetch entries,
-    demand misses keep 24 slots and speculative traffic can never stall
-    a demand miss.  Sweepable as ``prefetch.kind``, ``prefetch.degree``,
-    ``prefetch.mshr_entries``, ...
-    """
-
-    kind: str = "none"
-    degree: int = 1            # candidate blocks per trigger
-    mshr_entries: int = 8      # prefetch MSHR partition (taken from l2_mshrs)
-    table_entries: int = 64    # stride: per-PC table slots (direct-mapped)
-    min_confidence: int = 2    # stride: repeats before issuing
-
-    def __post_init__(self) -> None:
-        if self.kind not in PREFETCH_KINDS:
-            raise ValueError(
-                f"unknown prefetcher kind {self.kind!r}; "
-                f"known: {PREFETCH_KINDS}")
-        for name in ("degree", "mshr_entries", "table_entries",
-                     "min_confidence"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"PrefetchConfig.{name} must be >= 1, "
-                    f"got {getattr(self, name)!r}")
-
-
-#: Write-buffer drain policies accepted by WriteBufferConfig
-#: (implemented in repro.mem.writebuffer).
-WRITEBUF_POLICIES = ("full", "watermark", "idle")
-
-
-@dataclass(frozen=True)
-class WriteBufferConfig:
-    """Bounded L2 write buffer between dirty evictions and the controller.
-
-    ``depth=0`` (default) is unbounded pass-through — every writeback
-    goes straight to the controller, bit-identical to a system without
-    the buffer.  A positive depth bounds the buffer and ``policy``
-    selects when it drains: ``"full"`` bursts the whole buffer when an
-    arrival finds it full; ``"watermark"`` drains from the high to the
-    low watermark; ``"idle"`` drains after ``idle_ps`` without arrivals.
-    Sweepable as ``writebuf.depth``, ``writebuf.policy``, ...
-    """
-
-    depth: int = 0
-    policy: str = "watermark"
-    high_watermark: float = 0.75
-    low_watermark: float = 0.25
-    idle_ps: int = ns(100)
-
-    def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise ValueError(
-                f"WriteBufferConfig.depth must be >= 0 (0 = pass-through), "
-                f"got {self.depth!r}")
-        if self.policy not in WRITEBUF_POLICIES:
-            raise ValueError(
-                f"unknown write-buffer policy {self.policy!r}; "
-                f"known: {WRITEBUF_POLICIES}")
-        if not (0.0 <= self.low_watermark < self.high_watermark <= 1.0):
-            raise ValueError(
-                f"write-buffer watermarks must satisfy 0 <= low < high <= 1, "
-                f"got low={self.low_watermark!r} high={self.high_watermark!r}")
-        if self.idle_ps <= 0:
-            raise ValueError(
-                f"WriteBufferConfig.idle_ps must be positive, "
-                f"got {self.idle_ps!r}")
 
 
 @dataclass(frozen=True)
@@ -549,8 +442,6 @@ class SystemConfig:
     bliss: BLISSConfig = field(default_factory=BLISSConfig)
     dca: DCAConfig = field(default_factory=DCAConfig)
     mainmem: MainMemoryConfig = field(default_factory=MainMemoryConfig)
-    prefetch: PrefetchConfig = field(default_factory=PrefetchConfig)
-    writebuf: WriteBufferConfig = field(default_factory=WriteBufferConfig)
     num_cores: int = 4
     l2_mshrs: int = 32
 
@@ -604,11 +495,6 @@ def _coerce(current: Any, value: Any) -> Any:
         return int(value)
     if isinstance(current, float):
         return float(value)
-    if isinstance(current, str) and value is None:
-        # The sweep CLI reads the axis token "none" as Python None; for
-        # a string policy field (prefetch.kind=none) it means the
-        # literal name, not a null.
-        return "none"
     return type(current)(value)
 
 

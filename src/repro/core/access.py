@@ -86,14 +86,13 @@ class CacheRequest:
     """
 
     __slots__ = ("rtype", "addr", "core_id", "pc", "arrival", "done_time",
-                 "on_done", "hit", "accesses_left", "prefetch", "tag_coords",
+                 "on_done", "hit", "accesses_left", "tag_coords",
                  "pred_miss", "probing", "mem_data_ready", "pending_writes",
                  "victim_addr")
 
     def __init__(self, rtype: RequestType, addr: int, core_id: int,
                  pc: int = 0, arrival: int = 0,
-                 on_done: Optional[Callable[["CacheRequest"], None]] = None,
-                 prefetch: bool = False):
+                 on_done: Optional[Callable[["CacheRequest"], None]] = None):
         self.rtype = rtype
         self.addr = addr
         self.core_id = core_id
@@ -103,7 +102,6 @@ class CacheRequest:
         self.on_done = on_done
         self.hit: Optional[bool] = None   # resolved at tag-read completion
         self.accesses_left = 0            # live accesses gating completion
-        self.prefetch = prefetch          # speculative read: LR class, no MAP-I
         self.tag_coords = NO_COORDS       # set by Translator.initial_access
         self.pred_miss = False            # MAP-I predicted a miss
         self.probing = False              # memory fetched before the tag check
@@ -144,11 +142,9 @@ class Access:
         # Priority class per DCA's taxonomy; identical labels are kept for
         # CD/ROD so stats can distinguish inverted reads there too.
         if role <= _DATA_READ:
-            # A tag or data read.  Prefetch reads are speculative: they
-            # ride in the LR class so DCA never inverts a demand read
-            # behind one.
-            self.priority = (_PR if request.rtype == _READ
-                             and not request.prefetch else _LR)
+            # A tag or data read: a demand read's is PR, a refill's or
+            # writeback's LR.
+            self.priority = _PR if request.rtype == _READ else _LR
             # Flattened like core_id: does this access drive the bus in
             # write mode?  Read per scheduling decision and per issue, so
             # a slot beats recomputing the role test as a property.

@@ -117,8 +117,7 @@ class BaseController:
         self.organization = organization
         self.device = DRAMDevice(cfg.timings, cfg.org, xor_remap=xor_remap,
                                  substrate=cfg.substrate)
-        self.array = DRAMCacheArray(cfg.dram_cache, organization,
-                                    replacement=cfg.org.replacement)
+        self.array = DRAMCacheArray(cfg.dram_cache, organization)
         self.translator = Translator(self.array, self.device.mapper)
         self.mapi = MAPIPredictor(cfg.num_cores) if use_mapi else None
         self.mainmem = (mainmem if mainmem is not None
@@ -184,10 +183,7 @@ class BaseController:
                 self.sim.after(self.cfg.queues.forward_latency_ps,
                                self._read_done, req)
                 return
-            if self.mapi is not None and not req.prefetch:
-                # Prefetch reads never train or consult MAP-I: the
-                # predictor models demand-PC locality and speculative
-                # probes would both pollute it and burn memory bandwidth.
+            if self.mapi is not None:
                 if self.mapi.predict_miss(req.core_id, req.pc):
                     # MAP-I: probe main memory in parallel with the tag read.
                     req.pred_miss = req.probing = True
@@ -433,7 +429,7 @@ class BaseController:
         outcome = self.translator.after_tag_read(req)
         st = self.stats
         if req.rtype == _READ:
-            if self.mapi is not None and not req.prefetch:
+            if self.mapi is not None:
                 self.mapi.update(req.core_id, req.pc, outcome.hit,
                                  req.pred_miss)
             if outcome.hit:

@@ -1,13 +1,9 @@
 """Memory hierarchy around the DRAM cache.
 
 * :mod:`repro.mem.sram` — private L1 / shared L2 SRAM caches (write-back,
-  write-allocate, pluggable replacement);
+  write-allocate, true LRU);
 * :mod:`repro.mem.mshr` — miss-status holding registers with same-block
-  coalescing and a demand/prefetch capacity partition;
-* :mod:`repro.mem.prefetch` — L2 hardware prefetchers (next-line,
-  stride-per-PC) issuing low-priority DRAM-cache reads;
-* :mod:`repro.mem.writebuffer` — bounded L2 write buffer with drain
-  policies between dirty evictions and the controller;
+  coalescing;
 * :mod:`repro.mem.mainmem` — the off-chip memory (flat 50 ns + a
   2 GHz/64-bit bus per Table II, or a banked DDR3-style organisation
   behind the Substrate);
@@ -19,9 +15,6 @@ from repro.mem.mainmem import (AnyMainMemory, BankedMainMemory, MainMemory,
                                MainMemoryStats, make_mainmem)
 from repro.mem.sram import SRAMCache
 from repro.mem.mshr import LoadWaiter, MSHREntry, MSHRFile, MSHRStats
-from repro.mem.prefetch import (NextLinePrefetcher, PrefetchStats, Prefetcher,
-                                StridePrefetcher, make_prefetcher)
-from repro.mem.writebuffer import L2WriteBuffer, WriteBufferStats
 from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 
 __all__ = [
@@ -35,12 +28,5 @@ __all__ = [
     "MSHREntry",
     "MSHRFile",
     "MSHRStats",
-    "NextLinePrefetcher",
-    "PrefetchStats",
-    "Prefetcher",
-    "StridePrefetcher",
-    "make_prefetcher",
-    "L2WriteBuffer",
-    "WriteBufferStats",
     "DRAMAwareWritebackIndex",
 ]

@@ -6,11 +6,9 @@ subset) and each is an insertion-ordered ``{tag: dirty}`` dict whose key
 order *is* the LRU order: a hit pops its key and re-inserts it, a fill
 appends, so the first key is the least recently used.  The hit path (the
 L1/L2 front of every simulated memory operation) is one hash probe, and
-there are no access stamps and no clock.  Victim selection is pluggable:
-the policy gets the ordered set and returns the victim tag (see
-:mod:`repro.cache.replacement`).  The cache is purely functional —
-latency is charged by the caller (core model / system wiring) so that
-the same class serves both levels.
+there are no access stamps and no clock: the victim is the first key.
+The cache is purely functional — latency is charged by the caller (core
+model / system wiring) so that the same class serves both levels.
 
 The functional replays (the system's warm-up and the Fig. 18 tag
 stream) reference whole traces: :meth:`SRAMCache.filter_traces` runs
@@ -33,7 +31,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.cache.replacement import SRAM_POLICIES
 from repro.config import CacheGeometry
 from repro.metrics.registry import MetricGroup, derived
 
@@ -48,12 +45,8 @@ class SRAMCacheStats(MetricGroup):
 
 
 class SRAMCache:
-    """Set-associative cache; returns the victim on allocating misses.
-
-    Victim selection is pluggable via ``geom.replacement`` (see
-    :mod:`repro.cache.replacement`); the default "lru" reproduces the
-    historical true-LRU behaviour exactly.
-    """
+    """Set-associative true-LRU cache; returns the victim on allocating
+    misses."""
 
     def __init__(self, geom: CacheGeometry,
                  row_of: Optional[Callable[[int], int]] = None):
@@ -61,7 +54,6 @@ class SRAMCache:
         self.num_sets = geom.num_sets
         self.block = geom.block_bytes
         self._assoc = geom.assoc
-        self._pick_victim = SRAM_POLICIES[geom.replacement]
         # set idx -> {tag: dirty}, keys in LRU order (least recent first)
         self._sets: dict[int, dict[int, bool]] = {}
         self.stats = SRAMCacheStats()
@@ -157,7 +149,7 @@ class SRAMCache:
         # Miss: allocate (write-allocate for stores too).
         victim_addr = None
         if len(s) >= self._assoc:
-            vtag = self._pick_victim(s)
+            vtag = next(iter(s))        # least recently used
             stats.evictions += 1
             if s.pop(vtag):
                 stats.dirty_evictions += 1
@@ -179,16 +171,13 @@ class SRAMCache:
         Each ``(gap, addr, is_write, pc)`` operation is drawn from its
         iterator (a :class:`~repro.workloads.cursor.TraceCursor` counts
         it) and referenced exactly as :meth:`access` would, with the LRU
-        inlined; other victim policies are called on full sets only.
-        Returns three int64 columns: the missed block addresses, one row
-        per miss; and, one row per dirty eviction (most misses have
-        none), the row of the miss whose allocation displaced the dirty
-        line, in ascending order, and that line's block address.
+        inlined.  Returns three int64 columns: the missed block addresses,
+        one row per miss; and, one row per dirty eviction (most misses
+        have none), the row of the miss whose allocation displaced the
+        dirty line, in ascending order, and that line's block address.
         """
         block, n_sets, assoc = self.block, self.num_sets, self._assoc
         sets = self._sets
-        pick = self._pick_victim
-        lru = pick is SRAM_POLICIES["lru"]
         tracked = self._row_of is not None
         # Dirty victims are rare: they are kept as (row, address) pairs.
         misses, victim_rows, victim_addrs = array("q"), array("q"), array("q")
@@ -213,7 +202,7 @@ class SRAMCache:
                         s[tag] = dirty          # re-insert: now most recent
                         continue
                 if len(s) >= assoc:
-                    vtag = next(iter(s)) if lru else pick(s)
+                    vtag = next(iter(s))
                     if s.pop(vtag):
                         dirty_evictions += 1
                         victim = (vtag * n_sets + set_idx) * block

@@ -135,8 +135,7 @@ class Core:
                 self._check_budgets()
         _gap, addr, is_write, pc = op
         # ``retrying`` tells the system this op already stalled once: the
-        # MSHR must not count a second full-stall for it, and the
-        # prefetcher must not train twice on the same access.
+        # MSHR must not count a second full-stall for it.
         outcome, stall_ps = self.system.mem_access(self, addr, is_write, pc,
                                                    retrying=retrying)
         now = self.sim.now

@@ -34,9 +34,7 @@ from repro.core.access import CacheRequest, RequestType
 from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 from repro.mem.mainmem import BankedMainMemory
 from repro.mem.mshr import MSHREntry, MSHRFile
-from repro.mem.prefetch import PrefetchStats, Prefetcher, make_prefetcher
 from repro.mem.sram import SRAMCache, interleave
-from repro.mem.writebuffer import L2WriteBuffer
 from repro.sim.cpu import Core, L2_HIT, MISS, MSHR_FULL
 from repro.sim.engine import Simulator
 from repro.snapshot import (
@@ -66,16 +64,16 @@ _WRITEBACK = RequestType.WRITEBACK
 #: and multi-rank command-fidelity runs publish per-rank groups plus a
 #: cross-channel ``rank_totals`` rollup.  Flat/default values are
 #: bit-identical to v5 up to the new (deterministic) counters.
-#: v7: cache-hierarchy realism — prefetcher (prefetch.kind), bounded L2
-#: write buffer (writebuf.depth/policy) and pluggable replacement
-#: (l2.replacement / org.replacement).  The metrics tree gained ``mshr``
-#: (now a MetricGroup with demand-latency accumulators) and ``writebuf``
-#: groups unconditionally and a ``prefetch`` group when a prefetcher is
-#: configured; SystemResult gained prefetch_issued / prefetch_useful /
-#: writebuf_drain_stalls headline fields; the MSHR wakeup path wakes
-#: min(free slots, waiters) FIFO and counts one full stall per held op.
-#: Default-config values are bit-identical to v6 up to the new keys.
-RESULT_SCHEMA_VERSION = 7
+#: v7: cache-hierarchy knobs (L2 hardware prefetching, a bounded L2
+#: write buffer, victim-selection policies) with their result fields and
+#: metric groups; ``mshr`` became a MetricGroup with demand-latency
+#: accumulators, and the MSHR wakeup path wakes min(free slots, waiters)
+#: FIFO and counts one full stall per held op.
+#: v8: those three knobs are deleted, with their SystemResult fields,
+#: the write-buffer metric group and the MSHR file's
+#: ``prefetch_allocations``/``prefetch_rejects`` counters.
+#: Every remaining value is bit-identical to v7.
+RESULT_SCHEMA_VERSION = 8
 
 
 class ResultSchemaError(ValueError):
@@ -120,10 +118,6 @@ class SystemResult:
     mainmem_reads: int
     mainmem_writes: int
     lee_eager_writebacks: int = 0
-    # cache-hierarchy realism (v7): 0 under the default config
-    prefetch_issued: int = 0
-    prefetch_useful: int = 0
-    writebuf_drain_stalls: int = 0
     meta: dict[str, Any] = field(default_factory=dict)
     #: full registry snapshot: {component: {counter/derived: value}}
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -183,29 +177,7 @@ class System:
         self.lee: Optional[DRAMAwareWritebackIndex] = None
         if lee_writeback:
             self.lee = DRAMAwareWritebackIndex(self.l2, self._array_row)
-        # MSHR capacity partition (Sniper-style): a configured prefetcher
-        # carves its entries out of the shared file, so speculative
-        # traffic can never stall a demand miss — and never inflates the
-        # demand partition either.
-        prefetch_mshrs = (cfg.prefetch.mshr_entries
-                          if cfg.prefetch.kind != "none" else 0)
-        if prefetch_mshrs >= cfg.l2_mshrs:
-            raise ValueError(
-                f"prefetch.mshr_entries ({prefetch_mshrs}) must leave at "
-                f"least one demand MSHR out of l2_mshrs ({cfg.l2_mshrs})")
-        self.mshr = MSHRFile(cfg.l2_mshrs - prefetch_mshrs,
-                             prefetch_capacity=prefetch_mshrs)
-        self.prefetcher: Optional[Prefetcher] = None
-        self.prefetch_stats = PrefetchStats()
-        if cfg.prefetch.kind != "none":
-            self.prefetcher = make_prefetcher(cfg.prefetch,
-                                              cfg.l2.block_bytes)
-        #: blocks brought in by an un-promoted prefetch, awaiting their
-        #: first demand hit (membership tests only — never iterated)
-        self._prefetched: set[int] = set()
-        # Writebacks drain through the buffer into the controller.
-        self.writebuf = L2WriteBuffer(self.sim, cfg.writebuf,
-                                      self._submit_writeback)
+        self.mshr = MSHRFile(cfg.l2_mshrs)
 
         self._l2_stall_ps = round(cfg.l2.latency_cycles * cfg.cpu.cycle_ps
                                   * cfg.cpu.l2_hit_stall_fraction)
@@ -239,11 +211,6 @@ class System:
         self.metrics = self.controller.metrics
         self.metrics.register("l2", self.l2.stats)
         self.metrics.register("mshr", self.mshr.stats)
-        self.metrics.register("writebuf", self.writebuf.stats)
-        if self.prefetcher is not None:
-            # Mounted only where the mechanism is real, like lee/mapi:
-            # default runs keep their exact metric-tree key set.
-            self.metrics.register("prefetch", self.prefetch_stats)
         self.metrics.register("mainmem", self.controller.mainmem.stats)
         if isinstance(self.controller.mainmem, BankedMainMemory):
             # The banked model's per-channel substrate groups mount as a
@@ -267,66 +234,22 @@ class System:
         """The core-facing memory operation.  Returns (outcome, stall_ps).
 
         ``retrying`` marks the re-issue of an op the core already held on
-        MSHR_FULL: the MSHR skips the (already counted) stall bump and
-        the prefetcher is not re-trained on the repeated access.
+        MSHR_FULL: the MSHR skips the (already counted) stall bump.
         """
         addr &= self._block_mask
         if self.l2.touch(addr, is_write):
-            if self.prefetcher is not None:
-                if addr in self._prefetched:
-                    # First demand touch of a block a prefetch brought in.
-                    self._prefetched.discard(addr)
-                    self.prefetch_stats.useful += 1
-                if not retrying:
-                    self._issue_prefetches(
-                        self.prefetcher.on_access(addr, pc, True),
-                        core.core_id)
             return L2_HIT, self._l2_stall_ps
 
         entry, fresh = self.mshr.allocate(addr, self.sim.now,
                                           is_write=is_write, retry=retrying)
-        if entry is not None and entry.is_prefetch and not entry.promoted:
-            # Demand miss caught an in-flight prefetch: issued in time to
-            # help (useful) but not early enough to hide the latency
-            # (late).  The entry keeps its prefetch-partition slot.
-            entry.promoted = True
-            self.prefetch_stats.useful += 1
-            self.prefetch_stats.late += 1
-        if self.prefetcher is not None and not retrying:
-            self._issue_prefetches(
-                self.prefetcher.on_access(addr, pc, False), core.core_id)
         if entry is None:
             return MSHR_FULL, 0
         self._pending_entry = entry
         if fresh:
-            # A buffered writeback of this very block must reach the
-            # controller first: its pending-write entry then serves the
-            # read by forwarding instead of a stale array fetch.
-            self.writebuf.flush(addr)
             req = CacheRequest(_READ, addr, core.core_id, pc=pc,
                                on_done=self._l2_fill_done)
             self.controller.submit(req)
         return MISS, 0
-
-    def _issue_prefetches(self, cands: Sequence[int], core_id: int) -> None:
-        """Filter, admit and submit prefetch candidates (all kinds)."""
-        st = self.prefetch_stats
-        for addr in cands:
-            addr &= self._block_mask
-            if addr < 0:
-                continue   # a negative stride ran off the address space
-            if self.l2.probe(addr) or self.mshr.lookup(addr) is not None:
-                st.drops_present += 1
-                continue
-            entry = self.mshr.allocate_prefetch(addr, self.sim.now)
-            if entry is None:
-                st.drops_mshr += 1
-                continue
-            st.issued += 1
-            self.writebuf.flush(addr)
-            self.controller.submit(
-                CacheRequest(_READ, addr, core_id,
-                             on_done=self._l2_fill_done, prefetch=True))
 
     def register_load(self, core: Core, token: int) -> None:
         """Attach the issuing load to the MSHR entry just touched."""
@@ -343,36 +266,29 @@ class System:
         victim = self.l2.fill(req.addr, dirty=entry.any_write)
         if victim is not None:
             self._emit_writebacks(victim, req.core_id)
-        if entry.is_prefetch and not entry.promoted:
-            self._prefetched.add(req.addr)
         for core, token in entry.waiters:
             core.load_done(token)
-        if not entry.is_prefetch and self._mshr_waiters:
-            # Wakeup fairness: exactly one *demand* slot freed, so wake
-            # min(free slots, waiters) cores FIFO — never the whole list
-            # (a prefetch completion frees no demand slot and wakes
-            # nobody).  Waking more would stampede cores into retries
-            # that mostly re-stall.
-            n = min(self.mshr.demand_free, len(self._mshr_waiters))
+        if self._mshr_waiters:
+            # Wakeup fairness: exactly one slot freed, so wake
+            # min(free slots, waiters) cores FIFO — never the whole list.
+            # Waking more would stampede cores into retries that mostly
+            # re-stall.
+            n = min(self.mshr.free, len(self._mshr_waiters))
             if n:
                 woken = self._mshr_waiters[:n]
                 del self._mshr_waiters[:n]
                 for core in woken:
                     core.mshr_freed()
-        if self.prefetcher is not None and entry.is_prefetch:
-            # Tagged prefetching: a prefetch fill may extend its stream.
-            self._issue_prefetches(self.prefetcher.on_fill(req.addr),
-                                   req.core_id)
 
     def _emit_writebacks(self, victim_addr: int, core_id: int) -> None:
-        """Dirty L2 eviction -> write buffer (+ Lee's row batch)."""
-        self.writebuf.push(victim_addr, core_id)
+        """Dirty L2 eviction -> controller writeback (+ Lee's row batch)."""
+        self._submit_writeback(victim_addr, core_id)
         if self.lee is not None:
             for addr in self.lee.on_dirty_eviction(victim_addr):
-                self.writebuf.push(addr, core_id)
+                self._submit_writeback(addr, core_id)
 
     def _submit_writeback(self, addr: int, core_id: int) -> None:
-        """Write-buffer drain sink: hand one writeback to the controller."""
+        """Hand one writeback to the controller."""
         self.controller.submit(
             CacheRequest(_WRITEBACK, addr, core_id))
 
@@ -385,8 +301,6 @@ class System:
             self.controller.mainmem.reset_stats()
             self.l2.stats.reset()
             self.mshr.stats.reset()
-            self.prefetch_stats.reset()
-            self.writebuf.reset_accounting(self.sim.now)
 
     def core_finished(self, _core: Core) -> None:
         self._finished += 1
@@ -603,10 +517,5 @@ class System:
             mainmem_writes=mm["writes"],
             lee_eager_writebacks=(snap["lee"]["eager_writebacks"]
                                   if "lee" in snap else 0),
-            prefetch_issued=(snap["prefetch"]["issued"]
-                             if "prefetch" in snap else 0),
-            prefetch_useful=(snap["prefetch"]["useful"]
-                             if "prefetch" in snap else 0),
-            writebuf_drain_stalls=snap["writebuf"]["drain_stalls"],
             metrics=snap,
         )

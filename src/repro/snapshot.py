@@ -39,7 +39,9 @@ if TYPE_CHECKING:
 #: payload holds a ``dm`` entry dict the array can no longer restore.
 #: v5: ``l2_state`` is ``{set: {tag: dirty}}`` in LRU order with no
 #: ``clock``; a v4 payload holds ``[tag, dirty, stamp]`` entry lists.
-WARM_STATE_VERSION = 5
+#: v6: identity loses ``array_replacement`` (and the l2 geometry its
+#: ``replacement`` field): every cache evicts LRU.
+WARM_STATE_VERSION = 6
 
 
 class WarmStateError(RuntimeError):
@@ -69,8 +71,6 @@ class WarmState:
     #: so restore compares these, not just the organization string
     dram_cache_geometry: dict
     l2_geometry: dict
-    #: victim policy the DRAM-cache array contents evolved under
-    array_replacement: str
     #: trace operations each core consumed during the functional warm-up
     trace_counts: list[int]
     #: ``DRAMCacheArray.capture_state()`` payload (an immutable copy of
@@ -99,8 +99,7 @@ def warm_identity(cfg: SystemConfig, organization: str, seed: int,
         organization=organization, seed=seed, benchmarks=list(benchmarks),
         footprint_scale=footprint_scale, lee_writeback=lee_writeback,
         dram_cache_geometry=asdict(cfg.dram_cache),
-        l2_geometry=asdict(cfg.l2),
-        array_replacement=cfg.org.replacement)
+        l2_geometry=asdict(cfg.l2))
 
 
 # ------------------------------------------------------------------ warm cache

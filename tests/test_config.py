@@ -87,6 +87,9 @@ class TestOrganization:
     def test_unknown_interleave_rejected(self):
         with pytest.raises(ValueError, match="interleave"):
             DRAMOrganization(interleave="corachbaro")
+        # A sweep token "none" arrives as None: no string field takes it.
+        with pytest.raises(ValueError, match="unknown interleave policy"):
+            paper_config().with_overrides([("org.interleave", None)])
 
 
 class TestQueueConfig:
@@ -255,6 +258,13 @@ class TestSystemConfig:
             paper_config().with_overrides([("bogus.x", 1)])
         with pytest.raises(ValueError, match="unknown config field"):
             paper_config().with_overrides([("dca.rrpc_bits", 2)])
+        # The deleted hierarchy knobs fail like any other unknown field.
+        for path, value in (("prefetch.kind", "nextline"),
+                            ("writebuf.depth", 8),
+                            ("l2.replacement", "lruc"),
+                            ("org.replacement", "lrud")):
+            with pytest.raises(ValueError, match="unknown config field"):
+                paper_config().with_overrides([(path, value)])
 
     def test_with_overrides_path_through_scalar(self):
         """Descending into a scalar is a ValueError, not AttributeError,

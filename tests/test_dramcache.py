@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.dramcache import DRAMCacheArray, _dirty_bits
-from repro.cache.replacement import SA_POLICIES
 from repro.config import DRAMCacheGeometry
 
 from reference import contents_signature
@@ -492,7 +491,6 @@ class RefSA:
                              if array.organization == "dm"
                              else (array.sa.num_sets, array.sa.ways))
         self.block = array.geometry.block_bytes
-        self.victim = SA_POLICIES[array.replacement]
         self.sets = {}
         self.clock = 0
         self.lookups = self.hits = self.fills = self.dirty_evictions = 0
@@ -534,7 +532,9 @@ class RefSA:
             drt[w] = drt[w] or dirty
             self._stamp(s, w)
             return (w, None, False)
-        w = tags.index(-1) if -1 in tags else self.victim(tags, drt, stamp)
+        # LRU: the oldest stamp, the lowest way on a tie.
+        w = (tags.index(-1) if -1 in tags
+             else min(range(self.ways), key=stamp.__getitem__))
         old_tag, old_dirty = tags[w], drt[w]
         tags[w], drt[w] = tag, dirty
         self._stamp(s, w)
@@ -560,22 +560,21 @@ class RefSA:
 OPS = ("probe", "read", "write", "fill", "fill_dirty", "invalidate", "fork")
 
 
-@pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
 @given(st.lists(st.tuples(st.sampled_from(OPS),
                           st.integers(0, 2),          # set (3 hot sets)
                           st.integers(0, 24)),        # tag (> ways per set)
                 max_size=300))
 @settings(max_examples=40, deadline=None)
-def test_lockstep_with_per_set_reference(policy, ops):
+def test_lockstep_with_per_set_reference(ops):
     """The flat columns behave exactly like per-set lists: every result,
     victim, counter and the final contents, across capture -> restore,
     in both organizations."""
     for orgn in ("sa", "dm"):
-        _lockstep(orgn, policy, ops)
+        _lockstep(orgn, ops)
 
 
-def _lockstep(orgn, policy, ops):
-    arr = DRAMCacheArray(GEOM, orgn, replacement=policy)
+def _lockstep(orgn, ops):
+    arr = DRAMCacheArray(GEOM, orgn)
     ref = RefSA(arr)
     n = ref.n
     for op, set_idx, tag in ops:
@@ -597,7 +596,7 @@ def _lockstep(orgn, policy, ops):
         else:
             # Continue on a restored copy; scribbling on the donor must
             # not reach it.
-            fork = DRAMCacheArray(GEOM, orgn, replacement=policy)
+            fork = DRAMCacheArray(GEOM, orgn)
             fork.restore_state(arr.capture_state())
             fork.lookups, fork.hits = arr.lookups, arr.hits
             fork.fills, fork.dirty_evictions = arr.fills, arr.dirty_evictions
@@ -633,18 +632,17 @@ def _columns(a):
 
 
 @pytest.mark.parametrize("start", ["empty", "prefilled", "full"])
-@pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
 @pytest.mark.parametrize("orgn", ["sa", "dm"])
 @given(st.lists(st.tuples(st.integers(0, 3),          # set (4 hot sets)
                           st.integers(0, 40),         # tag (> ways per set)
                           st.booleans()),             # dirty
                 max_size=120))
 @settings(max_examples=30, deadline=None)
-def test_fill_many_matches_sequential_fill(orgn, policy, start, fills):
+def test_fill_many_matches_sequential_fill(orgn, start, fills):
     """One ``fill_many`` leaves exactly what one ``fill`` per address
     leaves: columns, clock, fill and dirty-eviction counts, on empty,
     partly filled and full arrays, across chunk boundaries."""
-    a = DRAMCacheArray(GEOM, orgn, replacement=policy)
+    a = DRAMCacheArray(GEOM, orgn)
     capacity = a._num_sets * a._ways
     if start == "prefilled":
         a.bulk_fill_many([(0, capacity // 3, 0.5, 1)])

@@ -1,6 +1,6 @@
 """Golden-run regression pins: committed metric snapshots must not drift.
 
-Six fixtures, one mechanism:
+Five fixtures, one mechanism:
 
 * ``tests/golden/fig08_quick.json`` — the complete results (headline
   fields + full metrics tree) of a small fig08-style run set on the
@@ -20,9 +20,6 @@ Six fixtures, one mechanism:
 * ``tests/golden/dm_quick.json`` — the burst pin for the **direct-mapped**
   (Alloy) organization, freezing the TAD access protocol and the
   one-way tag store under every controller design.
-* ``tests/golden/l2_policy_quick.json`` — the burst pin under the
-  non-default L2 victim policies (``l2.replacement`` = ``lruc`` and
-  ``lrud``), freezing the clean- and dirty-preferring SRAM eviction.
 * ``tests/golden/frfcfs_quick.json`` — the burst pin under the FR-FCFS
   scheduler (every other pin runs BLISS), freezing FR-FCFS as BLISS
   with an empty blacklist.
@@ -30,10 +27,9 @@ Six fixtures, one mechanism:
 One more fixture pins the functional warm-up itself rather than results:
 ``tests/golden/warm_state_quick.json`` holds a sha256 per warm state
 (:meth:`System.capture_warm_state` image) for both organizations under
-the default inputs, Lee writeback, a non-default DRAM-cache and L2
-victim policy, and a ``prefill_blocks`` workload.  A result pin only
-sees the warm state through the run that follows it; this one sees every
-tag, dirty bit, LRU stamp and trace position.
+the default inputs, Lee writeback and a ``prefill_blocks`` workload.
+A result pin only sees the warm state through the run that follows it;
+this one sees every tag, dirty bit, LRU stamp and trace position.
 
 When a behaviour change is *intended*, regenerate the fixtures and
 commit them together with the change::
@@ -79,15 +75,6 @@ BANKED_SPECS = [
     for d in ("CD", "DCA")
 ]
 
-#: non-default L2 victim policies: the default pins above all run "lru",
-#: so these are the only full-system pins of the clean/dirty-preferring
-#: SRAM victim choice
-L2_POLICY_SPECS = [
-    RunSpec(d, "sa", mix_id=1, config=(("l2.replacement", policy),))
-    for policy in ("lruc", "lrud")
-    for d in ("CD", "DCA")
-]
-
 #: the alternative scheduler: every other result pin runs BLISS
 FRFCFS_SPECS = [RunSpec(d, "sa", mix_id=1, scheduler="frfcfs")
                 for d in ("CD", "ROD", "DCA")]
@@ -100,8 +87,6 @@ WARM_SPECS = [
     for org in ("sa", "dm")
     for extra in ({"mix_id": 1},
                   {"mix_id": 1, "lee_writeback": True},
-                  {"mix_id": 1, "config": (("org.replacement", "lrud"),)},
-                  {"mix_id": 1, "config": (("l2.replacement", "lruc"),)},
                   {"workload": "conflict_vs_streams"})
 ]
 
@@ -185,10 +170,6 @@ def test_golden_command_fidelity():
 
 def test_golden_mainmem_banked():
     check_golden(GOLDEN_DIR / "mainmem_banked_quick.json", BANKED_SPECS)
-
-
-def test_golden_l2_policies():
-    check_golden(GOLDEN_DIR / "l2_policy_quick.json", L2_POLICY_SPECS)
 
 
 def test_golden_frfcfs():

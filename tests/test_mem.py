@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.config import CacheGeometry, MainMemoryConfig
 from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 from repro.mem.mainmem import BankedMainMemory, MainMemory, make_mainmem
-from repro.mem.mshr import MSHRFile
 from repro.mem.sram import SRAMCache, SRAMCacheStats, interleave
 from repro.sim.engine import Simulator
 
@@ -295,7 +294,6 @@ class _StampLRUSRAM:
         self.num_sets = geom.num_sets
         self.block = geom.block_bytes
         self.assoc = geom.assoc
-        self.replacement = geom.replacement
         self.sets = {}      # set idx -> {tag -> [tag, dirty, stamp]}
         self.clock = 0
         self.stats = SRAMCacheStats()
@@ -314,14 +312,6 @@ class _StampLRUSRAM:
                 blocks.discard(addr)
                 if not blocks:
                     del self.dirty_rows[row]
-
-    def _victim(self, s):
-        entries = list(s.values())
-        if self.replacement == "lruc":
-            entries = [e for e in entries if not e[1]] or entries
-        elif self.replacement == "lrud":
-            entries = [e for e in entries if e[1]] or entries
-        return min(entries, key=self._STAMP)
 
     def probe(self, addr):
         blk = addr // self.block
@@ -359,7 +349,7 @@ class _StampLRUSRAM:
             return True, None
         victim_addr = None
         if len(s) >= self.assoc:
-            victim = self._victim(s)
+            victim = min(s.values(), key=self._STAMP)
             del s[victim[0]]
             self.stats.evictions += 1
             vaddr = (victim[0] * self.num_sets + set_idx) * self.block
@@ -411,9 +401,8 @@ def _lockstep_row_of(addr):
     return addr // 512          # eight blocks (two per set) share a row
 
 
-def _lockstep_geom(policy):
-    return CacheGeometry(size_bytes=LOCKSTEP_SETS * LOCKSTEP_WAYS * 64,
-                         assoc=LOCKSTEP_WAYS, replacement=policy)
+LOCKSTEP_GEOM = CacheGeometry(size_bytes=LOCKSTEP_SETS * LOCKSTEP_WAYS * 64,
+                              assoc=LOCKSTEP_WAYS)
 
 
 #: (operation, weight): references dominate so sets fill and evict
@@ -455,16 +444,15 @@ def _lru_contents(cache):
 
 class TestLRUOrderMatchesStampReference:
     """Key order is the LRU order: every operation returns and leaves
-    exactly what the stamp/``min`` layout returned and left, under every
-    victim policy, with and without the dirty-row index."""
+    exactly what the stamp/``min`` layout returned and left, with and
+    without the dirty-row index."""
 
     @pytest.mark.parametrize("row_of", [None, _lockstep_row_of])
-    @pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
     @settings(max_examples=150, deadline=None)
     @given(stream=_STREAMS)
-    def test_lockstep(self, policy, row_of, stream):
-        geom = _lockstep_geom(policy)
-        cache, ref = SRAMCache(geom, row_of=row_of), _StampLRUSRAM(geom, row_of)
+    def test_lockstep(self, row_of, stream):
+        cache = SRAMCache(LOCKSTEP_GEOM, row_of=row_of)
+        ref = _StampLRUSRAM(LOCKSTEP_GEOM, row_of)
         for op, blk, is_write in _ops(*stream):
             addr = blk * 64
             assert _apply(cache, op, addr, is_write) == \
@@ -475,16 +463,14 @@ class TestLRUOrderMatchesStampReference:
         for row in {_lockstep_row_of(b * 64) for b in range(48)}:
             assert cache.dirty_in_row(row) == sorted(ref.dirty_rows.get(row, ()))
 
-    @pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
     @settings(max_examples=150, deadline=None)
     @given(stream=_STREAMS, blk=st.integers(0, LOCKSTEP_SETS * 12 - 1),
            is_write=st.booleans())
-    def test_access_equals_touch_then_fill(self, policy, stream, blk,
-                                           is_write):
+    def test_access_equals_touch_then_fill(self, stream, blk, is_write):
         """One ``access`` leaves what ``touch`` + ``fill``-on-a-miss leaves
         (the functional replays rely on it); only the miss's access count
         differs."""
-        cache = SRAMCache(_lockstep_geom(policy), row_of=_lockstep_row_of)
+        cache = SRAMCache(LOCKSTEP_GEOM, row_of=_lockstep_row_of)
         for op, b, w in _ops(*stream):
             _apply(cache, op, b * 64, w)
         one, two = cache, copy.deepcopy(cache)
@@ -504,18 +490,16 @@ class TestLRUOrderMatchesStampReference:
 
 class TestFilterTraces:
     """The column L2 filter references a trace exactly as one
-    ``SRAMCache.access`` per operation does, under every victim policy,
-    with and without the dirty-row index."""
+    ``SRAMCache.access`` per operation does, with and without the
+    dirty-row index."""
 
     @pytest.mark.parametrize("row_of", [None, _lockstep_row_of])
-    @pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
     @settings(max_examples=100, deadline=None)
     @given(stream=_STREAMS, n_traces=st.integers(1, 3))
-    def test_matches_per_reference_access(self, policy, row_of, stream,
-                                          n_traces):
+    def test_matches_per_reference_access(self, row_of, stream, n_traces):
         ops = _ops(*stream)
         half = len(ops) // 2
-        cache = SRAMCache(_lockstep_geom(policy), row_of=row_of)
+        cache = SRAMCache(LOCKSTEP_GEOM, row_of=row_of)
         for op, blk, is_write in ops[:half]:        # a populated start
             _apply(cache, op, blk * 64, is_write)
         ref = copy.deepcopy(cache)
@@ -577,50 +561,6 @@ class TestInterleave:
         empty = np.zeros(0, dtype=np.int64)
         addrs, is_victim = interleave(empty, empty, empty)
         assert len(addrs) == len(is_victim) == 0
-
-class TestMSHR:
-    def test_fresh_allocation(self):
-        m = MSHRFile(4)
-        entry, fresh = m.allocate(0x1000, 0)
-        assert fresh and entry.block_addr == 0x1000
-
-    def test_coalescing(self):
-        m = MSHRFile(4)
-        e1, fresh1 = m.allocate(0x1000, 0)
-        e2, fresh2 = m.allocate(0x1000, 5)
-        assert fresh1 and not fresh2
-        assert e1 is e2
-        assert m.stats.coalesced == 1
-
-    def test_write_coalesce_marks_dirty(self):
-        m = MSHRFile(4)
-        m.allocate(0x1000, 0, is_write=False)
-        entry, _ = m.allocate(0x1000, 1, is_write=True)
-        assert entry.any_write
-
-    def test_capacity_stall(self):
-        m = MSHRFile(2)
-        m.allocate(0x0, 0)
-        m.allocate(0x40, 0)
-        entry, fresh = m.allocate(0x80, 0)
-        assert entry is None and not fresh
-        assert m.stats.full_stalls == 1
-
-    def test_complete_frees(self):
-        m = MSHRFile(1)
-        m.allocate(0x0, 0)
-        m.complete(0x0)
-        entry, fresh = m.allocate(0x40, 0)
-        assert fresh
-
-    def test_complete_unknown_raises(self):
-        with pytest.raises(KeyError):
-            MSHRFile(1).complete(0x123)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            MSHRFile(0)
-
 
 class TestLeeWriteback:
     @staticmethod

@@ -1,9 +1,8 @@
-"""MSHR partitioning, demand-latency accounting, and the wakeup invariant.
+"""The MSHR file, its demand-latency accounting, and the wakeup invariant.
 
-The headline invariant (the ISSUE-9 bugfix): ``full_stalls`` counts one
-stall per *held operation*, never per retry attempt, and a fill wakes
-``min(free demand slots, waiters)`` cores in FIFO order — not the whole
-waiter list.
+The headline invariant: ``full_stalls`` counts one stall per *held
+operation*, never per retry attempt, and a fill wakes ``min(free slots,
+waiters)`` cores in FIFO order — not the whole waiter list.
 """
 
 import pytest
@@ -15,12 +14,31 @@ from repro.sim.system import System
 from repro.workloads.profiles import profile
 
 
-class TestPartition:
+class TestMSHRFile:
+    def test_fresh_allocation(self):
+        m = MSHRFile(4)
+        entry, fresh = m.allocate(0x1000, 0)
+        assert fresh and entry.block_addr == 0x1000
+
+    def test_coalescing(self):
+        m = MSHRFile(4)
+        e1, fresh1 = m.allocate(0x1000, 0)
+        e2, fresh2 = m.allocate(0x1000, 5)
+        assert fresh1 and not fresh2
+        assert e1 is e2
+        assert m.stats.coalesced == 1
+
+    def test_write_coalesce_marks_dirty(self):
+        m = MSHRFile(4)
+        m.allocate(0x1000, 0, is_write=False)
+        entry, _ = m.allocate(0x1000, 1, is_write=True)
+        assert entry.any_write
+
     def test_demand_capacity_bounds(self):
         m = MSHRFile(2)
         assert m.allocate(0x000, 0)[1]
         assert m.allocate(0x040, 0)[1]
-        assert m.full
+        assert m.free == 0
         entry, fresh = m.allocate(0x080, 0)
         assert entry is None and not fresh
         assert m.stats.full_stalls == 1
@@ -33,45 +51,17 @@ class TestPartition:
         assert m.allocate(0x040, 0, retry=True) == (None, False)
         assert m.stats.full_stalls == 1    # one held op, many attempts
 
-    def test_prefetch_partition_is_separate(self):
-        m = MSHRFile(2, prefetch_capacity=1)
-        assert m.allocate_prefetch(0x100, 0) is not None
-        assert m.allocate_prefetch(0x140, 0) is None
-        assert m.stats.prefetch_rejects == 1
-        # A full prefetch partition neither blocks nor admits demand.
-        assert not m.full
-        assert m.allocate(0x000, 0)[1]
-        assert m.allocate(0x040, 0)[1]
-        assert m.full
-
-    def test_no_partition_rejects_all_prefetches(self):
-        m = MSHRFile(4)
-        assert m.allocate_prefetch(0x000, 0) is None
-        assert m.stats.prefetch_rejects == 1
-
-    def test_demand_coalesces_onto_prefetch_entry(self):
-        m = MSHRFile(2, prefetch_capacity=1)
-        pe = m.allocate_prefetch(0x100, 0)
-        entry, fresh = m.allocate(0x100, 5)
-        assert entry is pe and not fresh
-        assert m.stats.coalesced == 1
-        assert entry.is_prefetch
-
-    def test_complete_frees_the_right_partition(self):
-        m = MSHRFile(1, prefetch_capacity=1)
-        m.allocate(0x000, 0)
-        m.allocate_prefetch(0x040, 0)
-        m.complete(0x040)
-        assert m.full                      # demand slot still held
-        assert m.allocate_prefetch(0x080, 0) is not None
-        m.complete(0x000)
-        assert m.demand_free == 1
+    def test_complete_frees(self):
+        m = MSHRFile(1)
+        m.allocate(0x0, 0)
+        m.complete(0x0, now=10)
+        assert m.free == 1
+        entry, fresh = m.allocate(0x40, 0)
+        assert fresh
 
     def test_invalid_capacities_rejected(self):
         with pytest.raises(ValueError):
             MSHRFile(0)
-        with pytest.raises(ValueError):
-            MSHRFile(4, prefetch_capacity=-1)
 
 
 class TestDemandLatency:
@@ -87,22 +77,9 @@ class TestDemandLatency:
         assert st.demand_latency_max_ps == 600
         assert st.snapshot()["mean_demand_latency_ps"] == 450.0
 
-    def test_prefetch_completion_not_counted(self):
-        m = MSHRFile(1, prefetch_capacity=1)
-        m.allocate_prefetch(0x000, 100)
-        m.complete(0x000, now=900)
-        assert m.stats.demand_fills == 0
-        assert m.stats.demand_latency_sum_ps == 0
-
-    def test_clockless_completion_skips_latency(self):
-        m = MSHRFile(1)
-        m.allocate(0x000, 100)
-        m.complete(0x000)
-        assert m.stats.demand_fills == 0
-
     def test_unknown_completion_raises(self):
         with pytest.raises(KeyError):
-            MSHRFile(1).complete(0x123400)
+            MSHRFile(1).complete(0x123400, now=0)
 
 
 class _Waiter:
@@ -115,10 +92,9 @@ class _Waiter:
         self.woken += 1
 
 
-def contended_system(l2_mshrs=2, n_cores=3, overrides=()):
+def contended_system(l2_mshrs=2, n_cores=3):
     """A real System with a recorded (non-simulating) controller."""
-    cfg = scaled_config(8).with_overrides(
-        [("l2_mshrs", l2_mshrs), *overrides])
+    cfg = scaled_config(8).with_overrides([("l2_mshrs", l2_mshrs)])
     s = System(cfg, "CD", [profile("gcc")] * n_cores,
                footprint_scale=1 / 64, seed=1)
     submitted = []
@@ -168,23 +144,6 @@ class TestWakeupFairness:
         s._l2_fill_done(next(r for r in submitted if r.addr == 0x2000))
         assert [w.woken for w in waiters] == [1, 1, 0]
         assert s._mshr_waiters == [waiters[2]]
-
-    def test_prefetch_fill_wakes_nobody(self):
-        s, submitted = contended_system(
-            l2_mshrs=3,
-            overrides=[("prefetch.kind", "nextline"),
-                       ("prefetch.mshr_entries", 1)])
-        c0 = s.cores[0]
-        # Demand partition is 3 - 1 = 2; the first miss also issues a
-        # next-line prefetch into the 1-entry prefetch partition.
-        assert s.mshr.capacity == 2
-        s.mem_access(c0, 0x1000, False, 0)
-        s.mem_access(c0, 0x2000, False, 0)
-        w = _Waiter()
-        s.wait_for_mshr(w)
-        s._l2_fill_done(next(r for r in submitted if r.prefetch))
-        assert w.woken == 0                # no demand slot was freed
-        assert s._mshr_waiters == [w]
 
 
 class TestContentionEndToEnd:

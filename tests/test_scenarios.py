@@ -413,6 +413,15 @@ class TestSweepCLI:
         with pytest.raises(SystemExit):
             sweep_cli_main(["--dry-run", "--axis", "bogus=1"])
 
+    def test_deleted_config_axis_rejected_before_any_worker(
+            self, monkeypatch, capsys):
+        def no_workers(*_args, **_kwargs):
+            raise AssertionError("the sweep started executing")
+        monkeypatch.setattr("repro.scenarios.cli.run_sweep", no_workers)
+        with pytest.raises(SystemExit):
+            sweep_cli_main(["--quick", "--axis", "prefetch.kind=nextline"])
+        assert "unknown config field 'prefetch'" in capsys.readouterr().err
+
     def test_duplicate_axis_flag_rejected(self):
         with pytest.raises(SystemExit):
             sweep_cli_main(["--dry-run", "--axis", "scheduler=bliss",

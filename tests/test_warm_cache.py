@@ -206,8 +206,9 @@ class TestRestoreValidation:
     def test_stale_schema_rejected(self):
         # 0: a corrupt version; 2: an array_state holding a shared per-set
         # backing dict instead of flat columns; 3: a direct-mapped
-        # array_state holding an entry dict instead of flat columns.
-        for version in (0, 2, 3):
+        # array_state holding an entry dict instead of flat columns; 5: an
+        # identity that still names the array's victim policy.
+        for version in (0, 2, 3, 5):
             warm = dataclasses.replace(self.make_warm(),
                                        schema_version=version)
             system = build_system(RunSpec("CD", "sa", mix_id=1), PARAMS)
