@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import CacheGeometry, MainMemoryConfig
 from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 from repro.mem.mainmem import BankedMainMemory, MainMemory, make_mainmem
+from repro.mem.mshr import MSHRFile
 from repro.mem.sram import SRAMCache, SRAMCacheStats, interleave
 from repro.sim.engine import Simulator
 
@@ -561,6 +562,38 @@ class TestInterleave:
         empty = np.zeros(0, dtype=np.int64)
         addrs, is_victim = interleave(empty, empty, empty)
         assert len(addrs) == len(is_victim) == 0
+
+
+class TestMSHR:
+    """Stall, completion and capacity edges of ``MSHRFile``; allocation,
+    coalescing and the wakeup invariant are in ``test_mshr_wakeup.py``."""
+
+    def test_capacity_stall(self):
+        m = MSHRFile(2)
+        m.allocate(0x0, 0)
+        m.allocate(0x40, 0)
+        entry, fresh = m.allocate(0x80, 0)
+        assert entry is None and not fresh
+        assert m.stats.full_stalls == 1
+        m.complete(0x0, now=10)            # a fill releases the held op
+        entry, fresh = m.allocate(0x80, 10, retry=True)
+        assert fresh and entry.block_addr == 0x80
+        assert m.stats.full_stalls == 1
+
+    def test_complete_unknown_raises(self):
+        with pytest.raises(KeyError):
+            MSHRFile(1).complete(0x123, now=0)
+        m = MSHRFile(1)
+        m.allocate(0x40, 0)
+        m.complete(0x40, now=5)
+        with pytest.raises(KeyError):      # a second fill of the same block
+            m.complete(0x40, now=6)
+
+    def test_invalid_capacity(self):
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                MSHRFile(capacity)
+
 
 class TestLeeWriteback:
     @staticmethod
