@@ -127,9 +127,8 @@ class DRAMTimings:
         return self.tRP + self.tRCD + self.tCAS
 
 
-#: Substrate fidelities and page policies accepted by SubstrateConfig.
+#: Substrate fidelities accepted by SubstrateConfig.
 SUBSTRATE_FIDELITIES = ("burst", "command")
-PAGE_POLICIES = ("open", "closed", "timeout")
 
 
 @dataclass(frozen=True)
@@ -140,41 +139,30 @@ class SubstrateConfig:
     comparison uses by default (fast, the paper's operating point);
     ``fidelity="command"`` swaps in :class:`repro.dram.command.CommandChannel`,
     which additionally enforces per-rank ACT throttling (tRRD spacing and
-    the four-ACT tFAW window), periodic refresh (tREFI scheduling with a
-    tRFC rank blackout and postpone accounting) and a configurable row
-    page policy.  Both implement the same :class:`repro.dram.substrate.Substrate`
+    the four-ACT tFAW window) and periodic refresh (tREFI scheduling with
+    a tRFC rank blackout and postpone accounting).  Both models keep rows
+    open and implement the same :class:`repro.dram.substrate.Substrate`
     protocol, so every layer above is fidelity-agnostic and a sweep axis
     like ``substrate.fidelity=burst,command`` just works.
 
-    ``page_policy`` and ``refresh`` only take effect at command fidelity
-    (the burst model is open-page, refresh-free by construction).
+    The command model's mechanisms are switched off through the timings:
+    ``timings.tREFI=0`` disables refresh, ``timings.tRRD=0`` and
+    ``timings.tFAW=0`` the ACT limits.
     """
 
     fidelity: str = "burst"
-    page_policy: str = "open"
-    refresh: bool = True
-    #: idle time after which the "timeout" policy auto-precharges a row
-    page_timeout_ps: int = ns(200)
 
     def __post_init__(self) -> None:
         if self.fidelity not in SUBSTRATE_FIDELITIES:
             raise ValueError(
                 f"unknown substrate fidelity {self.fidelity!r}; "
                 f"known: {SUBSTRATE_FIDELITIES}")
-        if self.page_policy not in PAGE_POLICIES:
-            raise ValueError(
-                f"unknown page policy {self.page_policy!r}; "
-                f"known: {PAGE_POLICIES}")
-        if self.page_timeout_ps <= 0:
-            raise ValueError(
-                f"page_timeout_ps must be positive, got "
-                f"{self.page_timeout_ps!r}")
 
 
 #: Address-interleave policies accepted by DRAMOrganization (implemented
 #: in repro.dram.address; the name tuple lives here so bad sweep specs
 #: die at config construction, before any machinery is built).
-INTERLEAVE_POLICIES = ("robarachco", "rorabachco", "chxor")
+INTERLEAVE_POLICIES = ("robarachco", "chxor")
 
 
 @dataclass(frozen=True)
@@ -186,8 +174,6 @@ class DRAMOrganization:
 
     * ``"robarachco"`` — the paper's Table II layout
       (row : bank : rank : channel : column, MSB to LSB);
-    * ``"rorabachco"`` — rank above bank
-      (row : rank : bank : channel : column);
     * ``"chxor"`` — RoBaRaChCo with the channel index XOR-folded with
       low row bits (permutation channel hashing).
 

@@ -30,7 +30,7 @@ This class is the ``fidelity="burst"`` substrate model — the default, and
 the hot path every controller comparison runs on.  It implements the
 :class:`repro.dram.substrate.Substrate` protocol; the command-level model
 (:class:`repro.dram.command.CommandChannel`) subclasses it, layering rank
-constraints, refresh and page policies on the same bus/statistics core.
+constraints and refresh on the same bus/statistics core.
 """
 
 from __future__ import annotations

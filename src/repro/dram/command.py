@@ -1,11 +1,12 @@
-"""Command-level DRAM substrate: rank constraints, refresh, page policies.
+"""Command-level DRAM substrate: rank constraints and refresh.
 
 The burst-granular :class:`~repro.dram.channel.Channel` collapses the DRAM
 command pipeline to access granularity — fine for relative controller
 comparisons, but unable to express the effects fidelity studies evaluate
 (gem5's unified DRAM-cache controller model and TDRAM both run under
-refresh, tFAW/tRRD rank throttling and page-policy variation).  This
-module adds those mechanisms behind the same substrate protocol:
+refresh and tFAW/tRRD rank throttling).  This module adds those
+mechanisms behind the same substrate protocol, on the same open-page
+row model:
 
 **Per-rank ACT throttling** — every row activation is recorded in a
 four-deep sliding window per rank; a new ACT may not issue earlier than
@@ -13,22 +14,17 @@ four-deep sliding window per rank; a new ACT may not issue earlier than
 after the fourth-most-recent one (the JEDEC four-activate window).
 Stalls are counted per binding constraint (``rrd_stalls``/``faw_stalls``).
 
-**Periodic refresh** — each rank owes one refresh every ``tREFI``.  The
-model is *lazy and deterministic*: refresh bookkeeping is brought up to
-date whenever an access next commits on the rank, performing every
-refresh that fell due in the meantime (estimates run the same sync on
-scratch state and roll it back, so probing stays pure).  A refresh precharges all
-banks of the rank and blacks the rank out for ``tRFC``; one that could
-not start at its due time (a bank was still row-active past it) starts
-as soon as the rank can precharge and is counted ``refreshes_postponed``
-— the analogue of the postpone/pull-in credit real controllers track.
+**Periodic refresh** — each rank owes one refresh every ``tREFI``
+(``tREFI=0`` switches refresh off).  The model is *lazy and
+deterministic*: refresh bookkeeping is brought up to date whenever an
+access next commits on the rank, performing every refresh that fell due
+in the meantime (estimates run the same sync on scratch state and roll
+it back, so probing stays pure).  A refresh precharges all banks of the
+rank and blacks the rank out for ``tRFC``; one that could not start at
+its due time (a bank was still row-active past it) starts as soon as the
+rank can precharge and is counted ``refreshes_postponed`` — the analogue
+of the postpone/pull-in credit real controllers track.
 ACTs that land inside a blackout are pushed past it (``refresh_stalls``).
-
-**Page policies** — ``open`` keeps rows open (the burst model's
-behaviour), ``closed`` auto-precharges after every access, ``timeout``
-precharges a row once it has idled for ``page_timeout_ps``.  Policy
-closes are counted (``policy_closes``) and show up upstream as row-closed
-instead of row-hit/conflict accesses.
 
 All rank/bank timing state is struct-of-arrays like the base channel:
 the refresh sync, the scratch capture/rollback the pure estimates run,
@@ -46,7 +42,7 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from repro.config import DRAMOrganization, DRAMTimings, SubstrateConfig
+from repro.config import DRAMOrganization, DRAMTimings
 from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
 from repro.dram.channel import Channel
 from repro.dram.stats import CommandChannelStats, RankStats
@@ -54,25 +50,21 @@ from repro.dram.stats import CommandChannelStats, RankStats
 #: ACTs admitted per rank inside one tFAW window (JEDEC four-activate).
 FAW_DEPTH = 4
 
-#: Scratch image of everything ``_sync_rank`` may touch: the rank's five
-#: bank-state column slices plus (refresh_due, blackout_end).
-_RankScratch = tuple[list[int], list[int], list[int], list[int], list[int],
-                     int, int]
+#: Scratch image of everything ``_sync_rank`` writes: the rank's
+#: ``open_rows`` and ``ready_pre`` slices plus (refresh_due, blackout_end).
+_RankScratch = tuple[list[int], list[int], int, int]
 
 
 class CommandChannel(Channel):
-    """Channel with command-level rank constraints, refresh and page policy."""
+    """Channel with command-level rank constraints and refresh."""
 
-    __slots__ = ("substrate", "rank_groups", "_page_policy", "_page_timeout",
-                 "_refresh_on", "_act_history", "_refresh_due",
-                 "_blackout_end", "_bank_last_end", "_tREFI", "_tRFC",
-                 "_tRRD", "_tFAW")
+    __slots__ = ("rank_groups", "_act_history", "_refresh_due",
+                 "_blackout_end", "_tREFI", "_tRFC", "_tRRD", "_tFAW")
 
     fidelity: ClassVar[str] = "command"
 
     def __init__(self, timings: DRAMTimings, org: DRAMOrganization,
-                 stats: CommandChannelStats | None = None,
-                 substrate: SubstrateConfig | None = None):
+                 stats: CommandChannelStats | None = None):
         if stats is None:
             stats = CommandChannelStats()
         elif not isinstance(stats, CommandChannelStats):
@@ -82,12 +74,7 @@ class CommandChannel(Channel):
                 f"command-fidelity channels need CommandChannelStats, "
                 f"got {type(stats).__name__}")
         super().__init__(timings, org, stats=stats)
-        sub = (substrate if substrate is not None
-               else SubstrateConfig(fidelity="command"))
-        self.substrate = sub
-        self._page_policy = sub.page_policy
-        self._page_timeout = sub.page_timeout_ps
-        self._refresh_on = bool(sub.refresh) and timings.tREFI > 0
+        #: refresh is on exactly when tREFI > 0
         self._tREFI = timings.tREFI
         self._tRFC = timings.tRFC
         self._tRRD = timings.tRRD
@@ -106,14 +93,11 @@ class CommandChannel(Channel):
         self._refresh_due = [timings.tREFI] * nranks
         #: end of the rank's current/most recent tRFC blackout
         self._blackout_end = [0] * nranks
-        #: burst end of each bank's last access (timeout page policy)
-        self._bank_last_end = [0] * self.nbanks
 
     # ------------------------------------------------------------ lazy state
 
-    def _sync_rank(self, rank: int, bank_idx: int, now: int,
-                   account: bool = True) -> None:
-        """Bring refresh + page-policy state up to ``now`` for one rank.
+    def _sync_rank(self, rank: int, now: int, account: bool = True) -> None:
+        """Bring refresh state up to ``now`` for one rank.
 
         Monotone and idempotent: calling it again at the same (or a
         later) time never changes what an earlier call established.
@@ -122,7 +106,7 @@ class CommandChannel(Channel):
         must leave the stats untouched so counters are a function of the
         *issue* sequence alone).
         """
-        if self._refresh_on:
+        if self._tREFI:
             due = self._refresh_due[rank]
             if due <= now:
                 tREFI = self._tREFI
@@ -180,40 +164,20 @@ class CommandChannel(Channel):
                     due += tREFI
                 self._refresh_due[rank] = due
                 self._blackout_end[rank] = blackout
-        if self._page_policy == "timeout":
-            if self.open_rows[bank_idx] >= 0:
-                # The PRE fires once the row has idled for the timeout —
-                # but never before it is legal (tRAS/tRTP/tWR composition).
-                pre_at = self._bank_last_end[bank_idx] + self._page_timeout
-                ready = self.ready_pre[bank_idx]
-                if ready > pre_at:
-                    pre_at = ready
-                if pre_at <= now:
-                    self.open_rows[bank_idx] = -1
-                    nxt = pre_at + self._tRP
-                    if nxt > self.ready_act[bank_idx]:
-                        self.ready_act[bank_idx] = nxt
-                    if account:
-                        self.stats.policy_closes += 1
 
     def _capture_rank(self, rank: int) -> _RankScratch:
-        """Scratch image of everything :meth:`_sync_rank` may touch."""
+        """Scratch image of everything :meth:`_sync_rank` writes."""
         base = rank * self._bpr
         lim = base + self._bpr
-        return (self.open_rows[base:lim], self.act_times[base:lim],
-                self.ready_cas[base:lim], self.ready_pre[base:lim],
-                self.ready_act[base:lim],
+        return (self.open_rows[base:lim], self.ready_pre[base:lim],
                 self._refresh_due[rank], self._blackout_end[rank])
 
     def _restore_rank(self, rank: int, saved: _RankScratch) -> None:
         base = rank * self._bpr
         lim = base + self._bpr
-        orows, acts, cass, pres, racts, due, blackout = saved
+        orows, pres, due, blackout = saved
         self.open_rows[base:lim] = orows
-        self.act_times[base:lim] = acts
-        self.ready_cas[base:lim] = cass
         self.ready_pre[base:lim] = pres
-        self.ready_act[base:lim] = racts
         self._refresh_due[rank] = due
         self._blackout_end[rank] = blackout
 
@@ -269,7 +233,7 @@ class CommandChannel(Channel):
                            is_write: bool, now: int) -> int:
         """Earliest burst start under full command-level constraints.
 
-        Pure, like the burst model's: the lazy refresh/page sync runs on
+        Pure, like the burst model's: the lazy refresh sync runs on
         rank state that is rolled back before returning, and counters
         are left untouched — so probing never changes a committed time
         or a statistic (pinned by tests/test_substrate.py), while still
@@ -279,7 +243,7 @@ class CommandChannel(Channel):
         """
         idx = rank * self._bpr + bank
         saved = self._capture_rank(rank)
-        self._sync_rank(rank, idx, now, account=False)
+        self._sync_rank(rank, now, account=False)
         _state, cas, _binding = self._earliest_cas(idx, rank, row, now)
         start = self._bus_constrained_start(cas + self._tCAS, is_write, rank)
         self._restore_rank(rank, saved)
@@ -289,14 +253,12 @@ class CommandChannel(Channel):
               now: int) -> tuple[int, int]:
         """Commit an access under rank constraints; ``(start, end)``.
 
-        The lazy refresh/page-policy sync runs only when it has work: a
-        refresh has fallen due on the rank, or the page policy is
-        ``timeout``.
+        The lazy refresh sync runs only when it has work: a refresh has
+        fallen due on the rank.
         """
         idx = rank * self._bpr + bank
-        if ((self._refresh_on and self._refresh_due[rank] <= now)
-                or self._page_policy == "timeout"):
-            self._sync_rank(rank, idx, now)
+        if self._tREFI and self._refresh_due[rank] <= now:
+            self._sync_rank(rank, now)
         state, cas, binding = self._earliest_cas(idx, rank, row, now)
         start, end = self._place_and_commit(idx, rank, row, cas, is_write,
                                             state)
@@ -320,13 +282,6 @@ class CommandChannel(Channel):
             elif binding == 3:
                 self.stats.refresh_stalls += 1
                 rs.refresh_stalls += 1
-
-        if self._page_policy == "closed" and self.open_rows[idx] >= 0:
-            # Auto-precharge: the commit already advanced ready_pre /
-            # ready_act for the implicit PRE; only the row closes here.
-            self.open_rows[idx] = -1
-            self.stats.policy_closes += 1
-        self._bank_last_end[idx] = end
         return start, end
 
     def reset_stats(self) -> None:

@@ -50,9 +50,6 @@ class DRAMDevice:
                     self.metrics.register(f"ch{i}_rank{j}", rs)
             self.channels.append(channel)
 
-    def channel(self, idx: int) -> Channel:
-        return self.channels[idx]
-
     def total_stats(self) -> ChannelStats:
         """Aggregate substrate counters across channels.
 

@@ -70,7 +70,6 @@ class CommandChannelStats(ChannelStats):
         "faw_stalls",            # ACTs delayed by the four-ACT tFAW window
         "rrd_stalls",            # ACTs delayed by same-rank tRRD spacing
         "refresh_stalls",        # ACTs delayed by a tRFC rank blackout
-        "policy_closes",         # rows auto-precharged by the page policy
     )
 
     @derived

@@ -17,9 +17,9 @@ Two models implement it:
   controller-design studies do; fastest, and the model every paper
   figure is calibrated on.
 * ``fidelity="command"`` — :class:`repro.dram.command.CommandChannel`,
-  which additionally enforces per-rank ACT throttling (tRRD / tFAW),
-  periodic refresh (tREFI / tRFC with postpone accounting) and
-  pluggable page policies (open / closed / timeout).
+  which additionally enforces per-rank ACT throttling (tRRD / tFAW)
+  and periodic refresh (tREFI / tRFC with postpone accounting); both
+  models keep rows open.
 
 :func:`make_channel` is the one construction point; the
 :class:`~repro.config.SubstrateConfig` it consumes rides on
@@ -77,5 +77,5 @@ def make_channel(timings: DRAMTimings, org: DRAMOrganization,
     if sub.fidelity == "burst":
         return Channel(timings, org, stats=stats)
     if sub.fidelity == "command":
-        return CommandChannel(timings, org, stats=stats, substrate=sub)
+        return CommandChannel(timings, org, stats=stats)
     raise ValueError(f"unknown substrate fidelity {sub.fidelity!r}")

@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "of RunSpec knobs and SystemConfig paths x workloads.",
         epilog=f"RunSpec axes: {', '.join(RUNSPEC_AXES)}.  Config axes: any "
                f"dotted SystemConfig path (queues.read_entries, org.channels, "
-               f"substrate.fidelity, substrate.page_policy, "
+               f"substrate.fidelity, timings.tREFI (0 = refresh off), "
+               f"timings.tRRD/timings.tFAW (0 = ACT limits off), "
                f"queues.write_high_watermark, ...).  Named workloads: "
                f"{', '.join(workload_names())}, or trace:<path>.  Without a "
                f"workload axis the sweep runs Table I mix 1; without a design "

@@ -73,7 +73,11 @@ _WRITEBACK = RequestType.WRITEBACK
 #: the write-buffer metric group and the MSHR file's
 #: ``prefetch_allocations``/``prefetch_rejects`` counters.
 #: Every remaining value is bit-identical to v7.
-RESULT_SCHEMA_VERSION = 8
+#: v9: the command model's page policies, its ``substrate.refresh``
+#: switch and the ``rorabachco`` interleave are deleted; command-fidelity
+#: metrics lose ``policy_closes``.  Every remaining value is
+#: bit-identical to v8.
+RESULT_SCHEMA_VERSION = 9
 
 
 class ResultSchemaError(ValueError):

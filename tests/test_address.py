@@ -1,11 +1,11 @@
-"""Pluggable interleaved address mapping and the XOR permutation remapping."""
+"""Interleaved address mapping (robarachco, chxor) and the XOR
+permutation remapping."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import INTERLEAVE_POLICIES, DRAMOrganization
-from repro.dram.address import (AddressMapper, DecodedAddress, INTERLEAVES,
-                                interleave_policy)
+from repro.dram.address import AddressMapper, DecodedAddress
 
 
 @pytest.fixture
@@ -86,20 +86,12 @@ class TestValidation:
 
 
 class TestInterleavePolicies:
-    """The pluggable bit-slicing layer over the same decode/encode core."""
-
-    def test_registry_matches_config_names(self):
-        assert tuple(p.name for p in INTERLEAVES) == INTERLEAVE_POLICIES
-
-    def test_lookup_is_case_insensitive(self):
-        assert interleave_policy("RoBaRaChCo").name == "robarachco"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            interleave_policy("corachbaro")
+    """The two bit-slicings over the same decode/encode core."""
 
     def test_default_policy_is_robarachco(self, mapper):
-        assert mapper.policy.name == "robarachco"
+        explicit = AddressMapper(DRAMOrganization(interleave="robarachco"))
+        for addr in (0, 4096, 123456789, 2**30 + 4242):
+            assert mapper.decode(addr) == explicit.decode(addr)
 
     def test_robarachco_rank_between_channel_and_bank(self):
         """LSB->MSB: col, ch, ra, ba, row (the paper's stacked layout)."""
@@ -110,26 +102,6 @@ class TestInterleavePolicies:
         assert (d.channel, d.rank, d.bank) == (0, 1, 0)
         d = m.decode(row_bytes * channels * ranks)
         assert (d.channel, d.rank, d.bank) == (0, 0, 1)
-
-    def test_rorabachco_bank_between_channel_and_rank(self):
-        """LSB->MSB: col, ch, ba, ra, row."""
-        org = DRAMOrganization(ranks_per_channel=2,
-                               interleave="rorabachco")
-        m = AddressMapper(org)
-        row_bytes, channels, banks = 4096, 4, 16
-        d = m.decode(row_bytes)
-        assert (d.channel, d.rank, d.bank) == (1, 0, 0)
-        d = m.decode(row_bytes * channels)
-        assert (d.channel, d.rank, d.bank) == (0, 0, 1)
-        d = m.decode(row_bytes * channels * banks)
-        assert (d.channel, d.rank, d.bank) == (0, 1, 0)
-
-    def test_policies_agree_when_rank_field_is_empty(self):
-        """With 1 rank/channel the two plain orders are the same layout."""
-        a = AddressMapper(DRAMOrganization())
-        b = AddressMapper(DRAMOrganization(interleave="rorabachco"))
-        for addr in (0, 4096, 123456789, 2**30 + 4242):
-            assert a.decode(addr) == b.decode(addr)
 
     def test_chxor_scatters_same_channel_rows(self):
         """Rows that pile onto one channel spread across all channels."""

@@ -85,8 +85,9 @@ class TestOrganization:
             DRAMOrganization(row_bytes=32, block_bytes=64)
 
     def test_unknown_interleave_rejected(self):
-        with pytest.raises(ValueError, match="interleave"):
-            DRAMOrganization(interleave="corachbaro")
+        for name in ("corachbaro", "rorabachco"):
+            with pytest.raises(ValueError, match="interleave"):
+                DRAMOrganization(interleave=name)
         # A sweep token "none" arrives as None: no string field takes it.
         with pytest.raises(ValueError, match="unknown interleave policy"):
             paper_config().with_overrides([("org.interleave", None)])
@@ -258,11 +259,15 @@ class TestSystemConfig:
             paper_config().with_overrides([("bogus.x", 1)])
         with pytest.raises(ValueError, match="unknown config field"):
             paper_config().with_overrides([("dca.rrpc_bits", 2)])
-        # The deleted hierarchy knobs fail like any other unknown field.
+        # The deleted hierarchy and substrate knobs fail like any other
+        # unknown field.
         for path, value in (("prefetch.kind", "nextline"),
                             ("writebuf.depth", 8),
                             ("l2.replacement", "lruc"),
-                            ("org.replacement", "lrud")):
+                            ("org.replacement", "lrud"),
+                            ("substrate.page_policy", "closed"),
+                            ("substrate.page_timeout_ps", 200_000),
+                            ("substrate.refresh", False)):
             with pytest.raises(ValueError, match="unknown config field"):
                 paper_config().with_overrides([(path, value)])
 

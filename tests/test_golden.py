@@ -11,7 +11,7 @@ Five fixtures, one mechanism:
   protocol extraction) cannot silently bend results.
 * ``tests/golden/command_quick.json`` — the same pin for the
   **command-level** substrate model (``substrate.fidelity=command``),
-  freezing the refresh/tFAW/tRRD/page-policy timing composition.
+  freezing the refresh/tFAW/tRRD timing composition.
 * ``tests/golden/mainmem_banked_quick.json`` — the same pin with the
   **banked** off-chip memory model (``mainmem.model=banked``), freezing
   the DDR3-style multi-channel/multi-rank timing below the cache

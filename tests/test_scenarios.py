@@ -418,9 +418,15 @@ class TestSweepCLI:
         def no_workers(*_args, **_kwargs):
             raise AssertionError("the sweep started executing")
         monkeypatch.setattr("repro.scenarios.cli.run_sweep", no_workers)
-        with pytest.raises(SystemExit):
-            sweep_cli_main(["--quick", "--axis", "prefetch.kind=nextline"])
-        assert "unknown config field 'prefetch'" in capsys.readouterr().err
+        for axis, field in (("prefetch.kind=nextline", "prefetch"),
+                            ("substrate.page_policy=closed", "page_policy"),
+                            ("substrate.page_timeout_ps=200000",
+                             "page_timeout_ps"),
+                            ("substrate.refresh=false", "refresh")):
+            with pytest.raises(SystemExit):
+                sweep_cli_main(["--quick", "--axis", axis])
+            assert (f"unknown config field {field!r}"
+                    in capsys.readouterr().err), axis
 
     def test_duplicate_axis_flag_rejected(self):
         with pytest.raises(SystemExit):

@@ -3,7 +3,7 @@
 Property-style pins over random issue streams:
 
 * bursts never overlap on the shared data bus and ``bus_free`` is
-  monotone (both fidelities, every page policy);
+  monotone (both fidelities, and the command model with refresh off);
 * CAS spacing respects the tRCD / tRP+tRCD composition on closed /
   conflicting rows;
 * the command model admits at most four ACTs per rank inside any tFAW
@@ -11,7 +11,6 @@ Property-style pins over random issue streams:
 * ``estimate_burst_start`` always equals the start ``issue`` commits;
 * refresh fires on schedule, blacks the rank out for tRFC, and is
   accounted (issued / postponed / ACT stalls);
-* page policies close rows (and are visible as row-closed accesses);
 * lazy bookkeeping is deterministic: interleaving estimates with issues
   never changes any committed time or counter;
 * the substrate config rides the sweep axis machinery end to end with
@@ -44,17 +43,14 @@ from reference import RowState, row_state
 T = DRAMTimings.stacked()
 ORG = DRAMOrganization(ranks_per_channel=2, banks_per_rank=8)
 
+#: (substrate, timings) points; both models keep rows open, and the
+#: command model's refresh is off with tREFI = 0.
 FIDELITY_POINTS = [
-    SubstrateConfig(),
-    SubstrateConfig(fidelity="command"),
-    SubstrateConfig(fidelity="command", page_policy="closed"),
-    SubstrateConfig(fidelity="command", page_policy="timeout"),
-    SubstrateConfig(fidelity="command", refresh=False),
+    pytest.param(SubstrateConfig(), T, id="burst-open"),
+    pytest.param(SubstrateConfig(fidelity="command"), T, id="command-open"),
+    pytest.param(SubstrateConfig(fidelity="command"),
+                 replace(T, tREFI=0, tRFC=0), id="command-open-norefresh"),
 ]
-
-
-def _ids(sub: SubstrateConfig) -> str:
-    return f"{sub.fidelity}-{sub.page_policy}" + ("" if sub.refresh else "-norefresh")
 
 
 def random_stream(rng: random.Random, n: int):
@@ -65,7 +61,7 @@ def random_stream(rng: random.Random, n: int):
                rng.randrange(ORG.banks_per_rank),
                rng.randrange(16), rng.random() < 0.3, now)
         # Mostly same-time batches (the controller's issue window), with
-        # occasional jumps past refresh intervals and page timeouts.
+        # occasional jumps past refresh intervals.
         r = rng.random()
         if r < 0.6:
             pass
@@ -112,20 +108,11 @@ class TestTimingsValidation:
 
 class TestSubstrateConfigValidation:
     def test_defaults(self):
-        sub = SubstrateConfig()
-        assert sub.fidelity == "burst" and sub.page_policy == "open"
+        assert SubstrateConfig().fidelity == "burst"
 
     def test_unknown_fidelity_rejected(self):
         with pytest.raises(ValueError, match="fidelity"):
             SubstrateConfig(fidelity="cycle")
-
-    def test_unknown_page_policy_rejected(self):
-        with pytest.raises(ValueError, match="page policy"):
-            SubstrateConfig(page_policy="adaptive")
-
-    def test_bad_timeout_rejected(self):
-        with pytest.raises(ValueError, match="page_timeout_ps"):
-            SubstrateConfig(page_timeout_ps=0)
 
     def test_factory_rejects_unknown_fidelity(self):
         # Bypass SubstrateConfig's own validation to pin the factory's.
@@ -136,9 +123,9 @@ class TestSubstrateConfigValidation:
 
 
 class TestProtocol:
-    @pytest.mark.parametrize("sub", FIDELITY_POINTS, ids=_ids)
-    def test_models_satisfy_protocol(self, sub):
-        assert isinstance(make_channel(T, ORG, sub), Substrate)
+    @pytest.mark.parametrize("sub,t", FIDELITY_POINTS)
+    def test_models_satisfy_protocol(self, sub, t):
+        assert isinstance(make_channel(t, ORG, sub), Substrate)
 
     def test_factory_picks_model_and_stats(self):
         burst = make_channel(T, ORG)
@@ -164,10 +151,10 @@ class TestProtocol:
 
 
 class TestBusInvariants:
-    @pytest.mark.parametrize("sub", FIDELITY_POINTS, ids=_ids)
-    def test_bursts_never_overlap_and_bus_monotone(self, sub):
+    @pytest.mark.parametrize("sub,t", FIDELITY_POINTS)
+    def test_bursts_never_overlap_and_bus_monotone(self, sub, t):
         rng = random.Random(0xB05)
-        ch = make_channel(T, ORG, sub)
+        ch = make_channel(t, ORG, sub)
         prev_end = 0
         prev_bus_free = 0
         for rank, bank, row, is_write, now in random_stream(rng, 400):
@@ -178,10 +165,10 @@ class TestBusInvariants:
             assert ch.bus_free >= prev_bus_free, "bus_free went backwards"
             prev_end, prev_bus_free = end, ch.bus_free
 
-    @pytest.mark.parametrize("sub", FIDELITY_POINTS, ids=_ids)
-    def test_estimate_matches_issue(self, sub):
+    @pytest.mark.parametrize("sub,t", FIDELITY_POINTS)
+    def test_estimate_matches_issue(self, sub, t):
         rng = random.Random(0xE57)
-        ch = make_channel(T, ORG, sub)
+        ch = make_channel(t, ORG, sub)
         for rank, bank, row, is_write, now in random_stream(rng, 300):
             est = ch.estimate_burst_start(rank, bank, row, is_write, now)
             start, _ = ch.issue(rank, bank, row, is_write, now)
@@ -261,8 +248,7 @@ class TestRankConstraints:
 
     def test_disabled_by_zero_timings(self):
         t = replace(T, tRRD=0, tFAW=0)
-        ch = CommandChannel(t, ORG, substrate=SubstrateConfig(
-            fidelity="command"))
+        ch = CommandChannel(t, ORG)
         for b in range(8):
             ch.issue(0, b, 3, False, 0)
         assert ch.stats.rrd_stalls == 0
@@ -270,10 +256,8 @@ class TestRankConstraints:
 
 
 class TestRefresh:
-    def make(self, refresh=True, **tweaks):
-        t = replace(T, **tweaks) if tweaks else T
-        return CommandChannel(t, ORG, substrate=SubstrateConfig(
-            fidelity="command", refresh=refresh))
+    def make(self, **tweaks):
+        return CommandChannel(replace(T, **tweaks), ORG)
 
     def test_refresh_count_tracks_elapsed_time(self):
         ch = self.make()
@@ -309,50 +293,12 @@ class TestRefresh:
         assert ch.stats.refreshes_postponed == 1
         assert ch.stats.refresh_postpone_rate == 1.0
 
-    def test_refresh_off_by_config(self):
-        ch = self.make(refresh=False)
-        ch.issue(0, 0, 1, False, 0)
-        ch.issue(0, 0, 1, False, 20 * T.tREFI)
-        assert ch.stats.refreshes_issued == 0
-
     def test_refresh_off_by_zero_trefi(self):
         ch = self.make(tREFI=0, tRFC=0)
         ch.issue(0, 0, 1, False, 0)
         ch.issue(0, 0, 1, False, 10**9)
         assert ch.stats.refreshes_issued == 0
-
-
-class TestPagePolicies:
-    def test_closed_policy_precharges_every_access(self):
-        ch = make_channel(T, ORG, SubstrateConfig(
-            fidelity="command", page_policy="closed"))
-        ch.issue(0, 0, 5, False, 0)
-        assert ch.open_rows[0] == -1
-        ch.issue(0, 0, 5, False, 10**6)
-        assert ch.stats.policy_closes == 2
-        assert ch.stats.read_row_hits == 0
-        assert ch.stats.read_row_closed == 2
-
-    def test_timeout_policy_closes_idle_rows_only(self):
-        sub = SubstrateConfig(fidelity="command", page_policy="timeout",
-                              page_timeout_ps=ns(100))
-        ch = make_channel(T, ORG, sub)
-        _, end = ch.issue(0, 0, 5, False, 0)
-        # Quick re-access: still a row hit.
-        _, end = ch.issue(0, 0, 5, False, end + ns(10))
-        assert ch.stats.read_row_hits == 1
-        # Long idle: the policy precharged at last_end + timeout.
-        start, _ = ch.issue(0, 0, 5, False, end + ns(500))
-        assert ch.stats.policy_closes == 1
-        assert ch.stats.read_row_closed == 2   # cold open + re-open
-        assert ch.open_rows[0] == 5
-
-    def test_open_policy_never_closes(self):
-        ch = make_channel(T, ORG, SubstrateConfig(fidelity="command",
-                                                  refresh=False))
-        _, end = ch.issue(0, 0, 5, False, 0)
-        ch.issue(0, 0, 5, False, end + 10 * T.tREFI)
-        assert ch.stats.policy_closes == 0
+        # Open page: with nothing to refresh, the row survives the gap.
         assert ch.stats.read_row_hits == 1
 
 
@@ -360,13 +306,16 @@ class TestDeterminism:
     def test_estimates_never_perturb_outcomes(self):
         """The command model's lazy bookkeeping mutates on queries; the
         committed schedule must be identical whether or not estimates
-        were interleaved (else scheduler probing would bend results)."""
+        were interleaved (else scheduler probing would bend results).
+        A short tREFI makes a refresh fall due every few issues, so the
+        estimates keep running the refresh sync on scratch rank state
+        and rolling it back."""
         rng = random.Random(0xDE7)
         stream = list(random_stream(rng, 300))
-        sub = SubstrateConfig(fidelity="command", page_policy="timeout")
+        t = replace(T, tREFI=ns(40), tRFC=ns(15))
 
-        plain = make_channel(T, ORG, sub)
-        probed = make_channel(T, ORG, sub)
+        plain = CommandChannel(t, ORG)
+        probed = CommandChannel(t, ORG)
         outs_plain, outs_probed = [], []
         for rank, bank, row, is_write, now in stream:
             outs_plain.append(plain.issue(rank, bank, row, is_write, now))
@@ -450,8 +399,7 @@ def test_command_model_without_rank_mechanisms_equals_burst(design):
     from repro.experiments.common import RunSpec, SimParams, run_one
     params = SimParams(warmup_insts=2_000, measure_insts=6_000,
                        replay_accesses=1_000)
-    command = (("substrate.fidelity", "command"),
-               ("substrate.refresh", False),
+    command = (("substrate.fidelity", "command"), ("timings.tREFI", 0),
                ("timings.tRRD", 0), ("timings.tFAW", 0))
 
     def leaves(config):

@@ -167,7 +167,6 @@ SLICED_POINTS = [
     *(pytest.param(d, sched, (), None, id=f"{d}-{sched}")
       for d in ("CD", "ROD", "DCA") for sched in ("bliss", "frfcfs")),
     pytest.param("DCA", "bliss", (("substrate.fidelity", "command"),
-                                  ("substrate.page_policy", "timeout"),
                                   ("timings.tREFI", 400_000)), None,
                  id="DCA-command"),
     pytest.param("DCA", "bliss", (("mainmem.model", "banked"),), None,

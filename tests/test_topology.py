@@ -85,15 +85,6 @@ class TestMainmemModelAxis:
 class TestInterleaveAxis:
     """`org.interleave` (and the mainmem copy) as sweep axes."""
 
-    def test_single_rank_orders_are_identical(self):
-        """With 1 rank/channel the two plain field orders are one layout,
-        so the whole simulation must be bit-identical."""
-        a = run_one(RunSpec("DCA", "sa", mix_id=1), PARAMS)
-        b = run_one(RunSpec("DCA", "sa", mix_id=1,
-                            config=(("org.interleave", "rorabachco"),)),
-                    PARAMS)
-        assert strip_meta(a) == strip_meta(b)
-
     def test_chxor_changes_channel_distribution(self):
         a = run_one(RunSpec("DCA", "sa", mix_id=1), PARAMS)
         b = run_one(RunSpec("DCA", "sa", mix_id=1,
