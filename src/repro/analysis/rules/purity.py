@@ -1,17 +1,17 @@
 """R4 — estimate purity: ``estimate_*`` methods must not assign ``self.*``.
 
-Schedulers probe the substrate with ``estimate_burst_start`` while
-*deciding*; only ``issue`` may advance state.  PR 5 learned this the
-hard way: an early command-model draft synchronised scratch state inside
-its estimate path, so merely *considering* a candidate bent subsequent
-timing — the change was rolled back and the estimate path rebuilt as
-capture/compute/rollback.  This rule pins that lesson: any method whose
-name matches ``estimate_*`` / ``_estimate*`` may not assign, augment or
-annotate-assign a ``self.`` attribute.
+An estimate answers "when would this access start?" without committing
+it; only ``issue`` may advance state.  PR 5 learned this the hard way:
+an early command-model draft synchronised scratch state inside its
+estimate path, so merely *considering* a candidate bent subsequent
+timing.  This rule pins that lesson: any method whose name matches
+``estimate_*`` / ``_estimate*`` may not assign, augment or
+annotate-assign a ``self.`` attribute.  ``Channel.estimate_burst_start``
+satisfies it by construction — it runs ``issue`` on a copy.
 
-Observationally-pure bookkeeping (memo tables keyed by a generation
-counter) is the sanctioned exception — suppress the specific line with
-``# dca-lint: disable=R4`` and say why in a comment.
+A write no caller can observe may be suppressed on its own line with a
+``dca-lint: disable`` pragma naming R4 and a comment saying why it is
+pure.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class EstimatePurityRule(Rule):
                             self, node,
                             f"{func.name}() assigns self.{attr}; estimates "
                             f"must be pure (issue() is where state moves). "
-                            f"If this is generation-keyed memo bookkeeping, "
-                            f"suppress with '# dca-lint: disable=R4' and "
-                            f"justify in a comment",
+                            f"If no caller can observe the write, suppress "
+                            f"R4 on this line with a 'dca-lint: disable' "
+                            f"pragma and justify in a comment",
                         )

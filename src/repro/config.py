@@ -118,14 +118,6 @@ class DRAMTimings:
             tCS=ns(2.5),
         )
 
-    def row_miss_penalty(self) -> int:
-        """Cost of ACT+CAS on a closed row (excludes burst)."""
-        return self.tRCD + self.tCAS
-
-    def row_conflict_penalty(self) -> int:
-        """Cost of PRE+ACT+CAS on a conflicting open row (excludes burst)."""
-        return self.tRP + self.tRCD + self.tCAS
-
 
 #: Substrate fidelities accepted by SubstrateConfig.
 SUBSTRATE_FIDELITIES = ("burst", "command")

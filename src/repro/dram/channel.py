@@ -17,11 +17,15 @@ Issue model (shared by every controller design):
   constraint)``;
 * the bank and bus state are updated and the completion time returned.
 
+Each rule is stated once: ``issue`` states the bank's CAS rule and
+``_place_and_commit`` the bus rule.  ``estimate_burst_start`` has no
+statement of its own — it runs ``issue`` on a scratch copy.
+
 Bank state is stored **struct-of-arrays**: five parallel ``list[int]``
 columns (``open_rows`` with ``-1`` = closed, ``act_times``, ``ready_cas``,
-``ready_pre``, ``ready_act``), one slot per bank, so the issue/estimate
-hot paths are list index arithmetic with no per-bank objects.  These
-columns are the only bank state; the lockstep tests check them against an
+``ready_pre``, ``ready_act``), one slot per bank, so the issue hot
+path is list index arithmetic with no per-bank objects.  These columns
+are the only bank state; the lockstep tests check them against an
 independent per-bank object model kept under ``tests/``.  The columns are
 mutated strictly in place — never rebound — so a reference taken to one
 (the schedulers read ``open_rows`` directly) stays live.
@@ -35,6 +39,7 @@ constraints and refresh on the same bus/statistics core.
 
 from __future__ import annotations
 
+import copy
 from typing import ClassVar
 
 from repro.config import DRAMOrganization, DRAMTimings
@@ -55,8 +60,7 @@ class Channel:
     __slots__ = ("timings", "org", "nbanks", "open_rows", "act_times",
                  "ready_cas", "ready_pre", "ready_act",
                  "bus_free", "bus_dir", "stats",
-                 "_last_read_end", "_last_write_end", "_last_rank", "_gen",
-                 "_est_memo", "_est_gen", "_bpr",
+                 "_last_read_end", "_last_write_end", "_last_rank", "_bpr",
                  "_tCAS", "_tRCD", "_tRP", "_tRAS", "_tRTP", "_tWR",
                  "_tBURST", "_tRTW", "_tWTR", "_tCS")
 
@@ -67,7 +71,7 @@ class Channel:
                  stats: ChannelStats | None = None):
         self.timings = timings
         self.org = org
-        # Timing scalars flattened into slots: every issue/estimate reads
+        # Timing scalars flattened into slots: every issue reads
         # several of them, and a slot load beats the two-hop dataclass
         # attribute chase in the inner loop.
         self._tCAS = timings.tCAS
@@ -98,88 +102,23 @@ class Channel:
         self._last_read_end: int = 0
         self._last_write_end: int = 0
         self._last_rank: int = -1       # rank of the last burst (-1: none)
-        # Timing-state generation: bumped by every committed access,
-        # i.e. whenever a previously computed estimate could go stale.
-        # estimate_burst_start memoizes on it, so repeated probes of the
-        # same candidate between two commits (schedulers re-rank whole
-        # queues per decision) compute once.
-        self._gen: int = 0
-        self._est_memo: dict[tuple[int, int, int, bool, int], int] = {}
-        self._est_gen: int = -1
         # The counter group may be supplied by the owning device so the
         # same live object sits in its metrics registry.
         self.stats = stats if stats is not None else ChannelStats()
 
-    # -- queries (no mutation) ------------------------------------------------
+    # -- query ----------------------------------------------------------------
 
     def estimate_burst_start(self, rank: int, bank: int, row: int,
                              is_write: bool, now: int) -> int:
-        """Earliest burst start for the access (pure query, for schedulers).
+        """Burst start :meth:`issue` would commit now, on a scratch copy.
 
-        Memoized per timing-state generation: between two commits the
-        channel state is frozen, so equal probes return the cached time;
-        any :meth:`issue` invalidates the cache wholesale.  ``now`` is
-        part of the key, so probes at different decision times never
-        alias.
+        Pure by construction: the copy absorbs every state and counter
+        change, and the command model inherits it unchanged.  No
+        scheduler calls it (they classify rows by ``open_rows``); it
+        stays only until the perfbench tracer drops it from its entry
+        points (ROADMAP item 1).
         """
-        memo = self._est_memo
-        if self._est_gen != self._gen:
-            memo.clear()
-            # Generation-keyed memo bookkeeping: observationally pure
-            # (every estimate returns exactly what the uncached compute
-            # would), just lazy invalidation of the cache itself.
-            self._est_gen = self._gen  # dca-lint: disable=R4
-        key = (rank, bank, row, is_write, now)
-        start = memo.get(key)
-        if start is None:
-            memo[key] = start = self._estimate_uncached(rank, bank, row,
-                                                        is_write, now)
-        return start
-
-    def _estimate_uncached(self, rank: int, bank: int, row: int,
-                           is_write: bool, now: int) -> int:
-        """Fidelity-specific estimate (overridden by the command model)."""
-        idx = rank * self._bpr + bank
-        orow = self.open_rows[idx]
-        if orow == row:
-            rc = self.ready_cas[idx]
-            cas = now if now >= rc else rc
-        elif orow < 0:
-            ra = self.ready_act[idx]
-            cas = (now if now >= ra else ra) + self._tRCD
-        else:
-            rp = self.ready_pre[idx]
-            cas = (now if now >= rp else rp) + self._tRP + self._tRCD
-        return self._bus_constrained_start(cas + self._tCAS, is_write, rank)
-
-    def _bus_constrained_start(self, data_ready: int, is_write: bool,
-                               rank: int = -1) -> int:
-        """Fold bus-free time and turnaround penalties into a burst start.
-
-        ``rank`` enables the rank-to-rank bus turnaround: when ``tCS``
-        is configured and the burst targets a different rank than the
-        previous burst on this channel, the bus needs a ``tCS`` gap
-        (gem5's different-rank bus delay).  Pure — it only *reads*
-        ``_last_rank``.  The estimate paths call it; the commit routine
-        :meth:`_place_and_commit` applies the same rule inline.
-        """
-        bus_free = self.bus_free
-        start = data_ready if data_ready >= bus_free else bus_free
-        if is_write:
-            if self.bus_dir == _DIR_READ:
-                gated = self._last_read_end + self._tRTW
-                if gated > start:
-                    start = gated
-        elif self.bus_dir == _DIR_WRITE:
-            gated = self._last_write_end + self._tWTR
-            if gated > start:
-                start = gated
-        if (self._tCS and rank >= 0 and self._last_rank >= 0
-                and rank != self._last_rank):
-            gated = bus_free + self._tCS
-            if gated > start:
-                start = gated
-        return start
+        return copy.deepcopy(self).issue(rank, bank, row, is_write, now)[0]
 
     # -- commit ---------------------------------------------------------------
 
@@ -212,15 +151,15 @@ class Channel:
         """Place one burst for an earliest-CAS plan, commit it, count it.
 
         The one commit routine per burst, which both fidelities' ``issue``
-        call once: bus constraints (direction turnaround and rank switch,
-        the rule :meth:`_bus_constrained_start` states for the estimate
-        path) fold into the start; the effective CAS is back-dated so bank
-        bookkeeping (tRTP/tWR windows) lines up with the actual burst
-        position on the bus; then the bus state and the issue counters
-        (row class per direction, turnarounds, bus time, rank switches)
-        advance.  Rank and bus bookkeeping live here — the only commit
-        point — so the estimate paths stay pure.  ``state`` is the row
-        state the caller classified *before* planning.  Returns
+        call once, and the only statement of the bus rule: bus
+        constraints (direction turnaround, and a ``tCS`` gap when the
+        burst targets a different rank than the last one — gem5's
+        different-rank bus delay) fold into the start; the effective CAS
+        is back-dated so bank bookkeeping (tRTP/tWR windows) lines up
+        with the actual burst position on the bus; then the bus state and
+        the issue counters (row class per direction, turnarounds, bus
+        time, rank switches) advance.  ``state`` is the row state the
+        caller classified *before* planning.  Returns
         ``(burst_start, burst_end)``.
         """
         s = self.stats
@@ -268,7 +207,6 @@ class Channel:
         # implicitly on a conflict.  Approximate by deriving from ready_pre.
         self.ready_act[idx] = ready_pre[idx] + self._tRP
 
-        self._gen += 1
         self.bus_free = end
         s.bus_busy_ps += self._tBURST
         if is_write:

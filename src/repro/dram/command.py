@@ -18,24 +18,25 @@ Stalls are counted per binding constraint (``rrd_stalls``/``faw_stalls``).
 (``tREFI=0`` switches refresh off).  The model is *lazy and
 deterministic*: refresh bookkeeping is brought up to date whenever an
 access next commits on the rank, performing every refresh that fell due
-in the meantime (estimates run the same sync on scratch state and roll
-it back, so probing stays pure).  A refresh precharges all banks of the
-rank and blacks the rank out for ``tRFC``; one that could not start at
-its due time (a bank was still row-active past it) starts as soon as the
-rank can precharge and is counted ``refreshes_postponed`` — the analogue
-of the postpone/pull-in credit real controllers track.
+in the meantime.  A refresh precharges all banks of the rank and blacks
+the rank out for ``tRFC``; one that could not start at its due time (a
+bank was still row-active past it) starts as soon as the rank can
+precharge and is counted ``refreshes_postponed`` — the analogue of the
+postpone/pull-in credit real controllers track.
 ACTs that land inside a blackout are pushed past it (``refresh_stalls``).
 
 All rank/bank timing state is struct-of-arrays like the base channel:
-the refresh sync, the scratch capture/rollback the pure estimates run,
-and the tFAW window checks operate on flat int lists (the per-rank ACT
-history is a bounded ``list[int]``, oldest first).
+the refresh sync and the tFAW window checks operate on flat int lists
+(the per-rank ACT history is a bounded ``list[int]``, oldest first).
+``issue`` is the only statement of the rank-constrained CAS rule; the
+inherited ``estimate_burst_start`` runs it on a scratch copy.
 
 Determinism: lazy state advances happen only at commits, are monotone in
 simulated time, and the simulator's ``now`` never decreases — so every
 committed time and every counter is a pure function of the issue
-sequence; estimates may run or not run between issues without changing
-any outcome (pinned by tests/test_substrate.py).
+sequence.  An estimate commits on a copy, never on the channel, so
+running one between issues changes no outcome (pinned by
+tests/test_substrate.py).
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ from repro.dram.stats import CommandChannelStats, RankStats
 
 #: ACTs admitted per rank inside one tFAW window (JEDEC four-activate).
 FAW_DEPTH = 4
-
-#: Scratch image of everything ``_sync_rank`` writes: the rank's
-#: ``open_rows`` and ``ready_pre`` slices plus (refresh_due, blackout_end).
-_RankScratch = tuple[list[int], list[int], int, int]
 
 
 class CommandChannel(Channel):
@@ -96,15 +93,11 @@ class CommandChannel(Channel):
 
     # ------------------------------------------------------------ lazy state
 
-    def _sync_rank(self, rank: int, now: int, account: bool = True) -> None:
+    def _sync_rank(self, rank: int, now: int) -> None:
         """Bring refresh state up to ``now`` for one rank.
 
         Monotone and idempotent: calling it again at the same (or a
         later) time never changes what an earlier call established.
-        ``account=False`` suppresses the counter increments (the pure
-        estimate path runs the sync on state it then rolls back, and
-        must leave the stats untouched so counters are a function of the
-        *issue* sequence alone).
         """
         if self._tREFI:
             due = self._refresh_due[rank]
@@ -135,9 +128,8 @@ class CommandChannel(Channel):
                         # a long-idle rank catches up in O(1) instead of
                         # O(elapsed / tREFI) loop iterations.
                         k = (now - due) // tREFI + 1
-                        if account:
-                            s.refreshes_issued += k
-                            rs.refreshes_issued += k
+                        s.refreshes_issued += k
+                        rs.refreshes_issued += k
                         due += k * tREFI
                         blackout = due - tREFI + tRFC
                         for i in range(base, lim):
@@ -149,13 +141,12 @@ class CommandChannel(Channel):
                             if blackout > pres[i]:
                                 pres[i] = blackout
                         break
-                    if account:
-                        # Postponed for *any* reason — row activity or the
-                        # previous refresh's blackout chaining past due.
-                        s.refreshes_postponed += 1
-                        s.refreshes_issued += 1
-                        rs.refreshes_postponed += 1
-                        rs.refreshes_issued += 1
+                    # Postponed for *any* reason — row activity or the
+                    # previous refresh's blackout chaining past due.
+                    s.refreshes_postponed += 1
+                    s.refreshes_issued += 1
+                    rs.refreshes_postponed += 1
+                    rs.refreshes_issued += 1
                     blackout = start + tRFC
                     for i in range(base, lim):
                         open_rows[i] = -1
@@ -164,22 +155,6 @@ class CommandChannel(Channel):
                     due += tREFI
                 self._refresh_due[rank] = due
                 self._blackout_end[rank] = blackout
-
-    def _capture_rank(self, rank: int) -> _RankScratch:
-        """Scratch image of everything :meth:`_sync_rank` writes."""
-        base = rank * self._bpr
-        lim = base + self._bpr
-        return (self.open_rows[base:lim], self.ready_pre[base:lim],
-                self._refresh_due[rank], self._blackout_end[rank])
-
-    def _restore_rank(self, rank: int, saved: _RankScratch) -> None:
-        base = rank * self._bpr
-        lim = base + self._bpr
-        orows, pres, due, blackout = saved
-        self.open_rows[base:lim] = orows
-        self.ready_pre[base:lim] = pres
-        self._refresh_due[rank] = due
-        self._blackout_end[rank] = blackout
 
     def _rank_act_bound(self, rank: int, act: int) -> tuple[int, int]:
         """Fold rank-level ACT constraints into a planned ACT time.
@@ -228,26 +203,6 @@ class CommandChannel(Channel):
         return state, act + self._tRCD, binding
 
     # ------------------------------------------------------------- protocol
-
-    def _estimate_uncached(self, rank: int, bank: int, row: int,
-                           is_write: bool, now: int) -> int:
-        """Earliest burst start under full command-level constraints.
-
-        Pure, like the burst model's: the lazy refresh sync runs on
-        rank state that is rolled back before returning, and counters
-        are left untouched — so probing never changes a committed time
-        or a statistic (pinned by tests/test_substrate.py), while still
-        matching :meth:`issue`'s placement exactly.  The memoizing
-        ``estimate_burst_start`` wrapper lives on the base channel; the
-        capture/sync/rollback here is exactly the work worth caching.
-        """
-        idx = rank * self._bpr + bank
-        saved = self._capture_rank(rank)
-        self._sync_rank(rank, now, account=False)
-        _state, cas, _binding = self._earliest_cas(idx, rank, row, now)
-        start = self._bus_constrained_start(cas + self._tCAS, is_write, rank)
-        self._restore_rank(rank, saved)
-        return start
 
     def issue(self, rank: int, bank: int, row: int, is_write: bool,
               now: int) -> tuple[int, int]:

@@ -4,11 +4,13 @@ Everything above the DRAM — schedulers and the controller designs —
 consumes a channel through one narrow surface, the :class:`Substrate`
 protocol:
 
-* ``estimate_burst_start`` — a pure scheduling query (plus direct reads
-  of the ``open_rows`` struct-of-arrays column on the scheduler hot
-  path, ``-1`` = closed);
+* ``open_rows`` — the struct-of-arrays column the schedulers read
+  directly to classify rows (``-1`` = closed);
 * ``issue`` — commit one access, returning ``(burst_start, burst_end)``;
 * ``reset_stats`` — warm-up boundary.
+
+Nothing above the DRAM asks for a burst start before committing, so
+the protocol has no estimate query.
 
 Two models implement it:
 
@@ -40,7 +42,7 @@ from repro.dram.stats import ChannelStats
 
 @runtime_checkable
 class Substrate(Protocol):
-    """The query/commit surface controllers and schedulers consume.
+    """The commit surface controllers and schedulers consume.
 
     Structural: any object with these members is a substrate.  The two
     shipped models share :class:`~repro.dram.channel.Channel`'s bus core,
@@ -52,9 +54,6 @@ class Substrate(Protocol):
     open_rows: list[int]
     bus_free: int
     stats: ChannelStats
-
-    def estimate_burst_start(self, rank: int, bank: int, row: int,
-                             is_write: bool, now: int) -> int: ...
 
     def issue(self, rank: int, bank: int, row: int, is_write: bool,
               now: int) -> tuple[int, int]: ...

@@ -192,7 +192,7 @@ class System:
         self.cores: list[Core] = []
         for i, prof in enumerate(benchmarks):
             # Trace-source protocol: any workload frontend (synthetic
-            # profile, phased/adversarial scenario, trace-file replay)
+            # profile, adversarial scenario, trace-file replay)
             # builds its own stream; see repro/workloads/scenarios.py.
             # The TraceCursor wrapper counts the ops consumed, which is
             # what lets a warm state resume the stream on a fresh system

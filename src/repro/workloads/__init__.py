@@ -1,5 +1,5 @@
 """Workloads: synthetic SPEC CPU2006 benchmark models, Table I mixes, and
-sweepable scenarios (phased/adversarial generators, trace-file replay)."""
+sweepable scenarios (adversarial generators, trace-file replay)."""
 
 from repro.workloads.profiles import BenchmarkProfile, PROFILES, profile
 from repro.workloads.generator import make_trace
@@ -7,7 +7,6 @@ from repro.workloads.table1 import TABLE1_MIXES, mix_profiles, mix_name
 from repro.workloads.scenarios import (
     SCENARIOS,
     ConflictProfile,
-    PhasedProfile,
     TraceFileWorkload,
     workload_names,
     workload_profiles,
@@ -23,7 +22,6 @@ __all__ = [
     "mix_name",
     "SCENARIOS",
     "ConflictProfile",
-    "PhasedProfile",
     "TraceFileWorkload",
     "workload_names",
     "workload_profiles",

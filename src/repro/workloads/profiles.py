@@ -65,7 +65,7 @@ class BenchmarkProfile:
                    footprint_scale: float = 1.0):
         """Build this benchmark's access stream (the trace-source protocol).
 
-        Every workload the system can run — synthetic profile, phased or
+        Every workload the system can run — synthetic profile,
         adversarial scenario, trace-file replay — exposes ``name``,
         ``footprint_bytes``, ``store_fraction`` and this method; the
         :class:`repro.sim.system.System` only ever talks to that surface.

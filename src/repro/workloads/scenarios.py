@@ -1,14 +1,10 @@
 """Workload scenarios beyond the paper's Table I: sweep-ready frontends.
 
-Three trace sources complement the synthetic per-benchmark generator,
-all implementing the trace-source protocol (``name``, ``footprint_bytes``,
+Two trace sources complement the synthetic per-benchmark generator,
+both implementing the trace-source protocol (``name``, ``footprint_bytes``,
 ``store_fraction``, ``make_trace``) that :class:`repro.sim.system.System`
 consumes:
 
-* :class:`PhasedProfile` — alternates between benchmark profiles every
-  ``phase_accesses`` operations, modelling program phase changes that a
-  single stationary profile cannot express (predictor re-training, hit
-  regime shifts);
 * :class:`ConflictProfile` — an adversarial generator that ping-pongs
   between rows mapping to the same bank, forcing a row conflict on nearly
   every access (worst case for open-row scheduling and RRC);
@@ -39,48 +35,6 @@ from typing import Iterator
 
 from repro.workloads.generator import BLOCK
 from repro.workloads.profiles import BenchmarkProfile, profile
-
-
-# ------------------------------------------------------------------ phased
-
-@dataclass(frozen=True)
-class PhasedProfile:
-    """Alternate between benchmark profiles every ``phase_accesses`` ops."""
-
-    name: str
-    phases: tuple[BenchmarkProfile, ...]
-    phase_accesses: int = 4096
-
-    def __post_init__(self):
-        if not self.phases:
-            raise ValueError(f"{self.name}: need at least one phase")
-        if self.phase_accesses < 1:
-            raise ValueError(f"{self.name}: phase_accesses must be positive")
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Largest phase footprint (prefill warms the superset)."""
-        return max(p.footprint_bytes for p in self.phases)
-
-    @property
-    def store_fraction(self) -> float:
-        return sum(p.store_fraction for p in self.phases) / len(self.phases)
-
-    def make_trace(self, seed: int = 0, core_offset: int = 0,
-                   footprint_scale: float = 1.0) -> Iterator[tuple]:
-        # One persistent sub-generator per phase: walker positions survive
-        # the round-robin, so returning to a phase resumes its streams.
-        subs = [p.make_trace(seed=seed * 8191 + i + 1,
-                             core_offset=core_offset,
-                             footprint_scale=footprint_scale)
-                for i, p in enumerate(self.phases)]
-
-        def gen() -> Iterator[tuple]:
-            while True:
-                for sub in subs:
-                    for _ in range(self.phase_accesses):
-                        yield next(sub)
-        return gen()
 
 
 # ------------------------------------------------------------- adversarial
@@ -277,10 +231,6 @@ def _storm(name: str, base: str) -> BenchmarkProfile:
 
 #: Named multi-core workload scenarios, sweepable via ``RunSpec.workload``.
 SCENARIOS: dict[str, tuple] = {
-    # program phase changes: stream <-> pointer-chase alternation
-    "phased_stream_chase": tuple(
-        PhasedProfile(f"phased{i}", (profile("libquantum"), profile("mcf")))
-        for i in range(4)),
     # every core write-dominated: continuous forced-flush pressure
     "adversarial_writeback": tuple(
         _storm(f"wbstorm{i}", base)

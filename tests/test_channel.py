@@ -152,7 +152,8 @@ class _ObjectChannel:
     Implements exactly the subset of :class:`Channel` the lockstep drives
     (``issue`` and pure estimates) in the per-object layout the SoA
     columns replaced, so the channel's index arithmetic is checked
-    against an independent statement of the same bank state machine.
+    against an independent statement of the same bank state machine and
+    bus rule.
     It tallies the issue counters (row class per direction, turnarounds,
     bus busy time, rank switches) in :attr:`tally`, keyed like
     :class:`~repro.dram.stats.ChannelStats`.
@@ -219,8 +220,7 @@ class _ObjectChannel:
 def _make_stream(org, n, seed):
     """A shared (rank, bank, row, is_write, now) access stream.
 
-    ``now`` advances strictly, so SoA estimate probes cannot be served
-    from the generation memo — the lockstep checks the uncached math.
+    ``now`` advances strictly, as the simulator's decision time does.
     """
     rng = random.Random(seed)
     stream = []

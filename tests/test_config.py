@@ -45,12 +45,6 @@ class TestDRAMTimings:
         assert ddr3.tWTR > stacked.tWTR
         assert ddr3.tRTW > stacked.tRTW
 
-    def test_penalties(self):
-        t = DRAMTimings.stacked()
-        assert t.row_miss_penalty() == t.tRCD + t.tCAS
-        assert t.row_conflict_penalty() == t.tRP + t.tRCD + t.tCAS
-        assert t.row_conflict_penalty() > t.row_miss_penalty()
-
     def test_frozen(self):
         t = DRAMTimings.stacked()
         with pytest.raises(AttributeError):

@@ -8,11 +8,12 @@ Property-style pins over random issue streams:
   conflicting rows;
 * the command model admits at most four ACTs per rank inside any tFAW
   window and spaces same-rank ACTs by at least tRRD;
-* ``estimate_burst_start`` always equals the start ``issue`` commits;
+* ``estimate_burst_start`` (``issue`` on a copy) always equals the start
+  ``issue`` then commits;
 * refresh fires on schedule, blacks the rank out for tRFC, and is
   accounted (issued / postponed / ACT stalls);
-* lazy bookkeeping is deterministic: interleaving estimates with issues
-  never changes any committed time or counter;
+* estimates are pure: interleaving them with issues never changes any
+  committed time or counter;
 * the substrate config rides the sweep axis machinery end to end with
   the new counters visible in results.json;
 * with refresh off and tRRD = tFAW = 0, a full run at command fidelity
@@ -304,12 +305,11 @@ class TestRefresh:
 
 class TestDeterminism:
     def test_estimates_never_perturb_outcomes(self):
-        """The command model's lazy bookkeeping mutates on queries; the
-        committed schedule must be identical whether or not estimates
-        were interleaved (else scheduler probing would bend results).
-        A short tREFI makes a refresh fall due every few issues, so the
-        estimates keep running the refresh sync on scratch rank state
-        and rolling it back."""
+        """The committed schedule and every counter must be identical
+        whether or not estimates were interleaved (else probing would
+        bend results).  A short tREFI makes a refresh fall due every few
+        issues, so the estimates keep running the lazy refresh sync —
+        on their copy of the channel, never on the channel itself."""
         rng = random.Random(0xDE7)
         stream = list(random_stream(rng, 300))
         t = replace(T, tREFI=ns(40), tRFC=ns(15))

@@ -10,7 +10,6 @@ from repro.workloads.profiles import PROFILES, BenchmarkProfile, profile
 from repro.workloads.scenarios import (
     SCENARIOS,
     ConflictProfile,
-    PhasedProfile,
     TraceFileWorkload,
     workload_names,
     workload_profiles,
@@ -187,47 +186,6 @@ class TestTable1:
                 assert n in PROFILES
 
 
-class TestPhasedProfile:
-    def phased(self, accesses=50):
-        return PhasedProfile("ph", (profile("libquantum"), profile("mcf")),
-                             phase_accesses=accesses)
-
-    def test_protocol_surface(self):
-        p = self.phased()
-        assert p.name == "ph"
-        assert p.footprint_bytes == max(profile("libquantum").footprint_bytes,
-                                        profile("mcf").footprint_bytes)
-        assert 0.0 < p.store_fraction < 1.0
-
-    def test_deterministic(self):
-        t1 = self.phased().make_trace(seed=4)
-        t2 = self.phased().make_trace(seed=4)
-        assert [next(t1) for _ in range(400)] == [next(t2) for _ in range(400)]
-
-    def test_phases_alternate_behaviour(self):
-        """Inside a streaming phase accesses stride sequentially; inside
-        the pointer-chase phase they mostly don't."""
-        t = self.phased(accesses=500).make_trace(seed=1)
-        def seq_share(n):
-            prev, seq = None, 0
-            for _ in range(n):
-                _, addr, _, _ = next(t)
-                if prev is not None and addr - prev == 64:
-                    seq += 1
-                prev = addr
-            return seq / n
-        stream_phase = seq_share(500)
-        chase_phase = seq_share(500)
-        assert stream_phase > 0.6
-        assert chase_phase < 0.3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PhasedProfile("x", ())
-        with pytest.raises(ValueError):
-            PhasedProfile("x", (profile("mcf"),), phase_accesses=0)
-
-
 class TestConflictProfile:
     def test_rows_rotate_per_slot(self):
         p = ConflictProfile("adv", banks_touched=4, rows_per_bank=2)
@@ -347,9 +305,8 @@ class TestScenarioRegistry:
             workload_profiles("trace:")
 
     def test_scenarios_are_registered(self):
-        assert {"phased_stream_chase", "adversarial_writeback",
-                "adversarial_conflict", "conflict_vs_streams"} <= \
-            set(SCENARIOS)
+        assert {"adversarial_writeback", "adversarial_conflict",
+                "conflict_vs_streams"} <= set(SCENARIOS)
 
 
 class TestTraceCursor:
@@ -359,9 +316,6 @@ class TestTraceCursor:
 
     SOURCES = [
         ("profile", lambda: profile("soplex")),
-        ("phased", lambda: PhasedProfile(
-            "ph", (profile("libquantum"), profile("mcf")),
-            phase_accesses=64)),
         ("conflict", lambda: ConflictProfile("cf")),
     ]
 
@@ -480,8 +434,6 @@ class TestTracePins:
             "7280f50259c470e71b78d9c04d06ab5ca9ec6959e56d21d579e4867da49c8911",
         "conflict_vs_streams":
             "70ec7b5cf69357f73842aa4dcb8e6041d0efe839a6cddfda4632753364a3ffcc",
-        "phased_stream_chase":
-            "5436e243297fb2ed60695a6c9a15790d27dd5b412865606b8ce23fc66286e1a6",
     }
 
     @pytest.mark.parametrize("name", sorted(PROFILES))
